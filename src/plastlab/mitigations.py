@@ -413,6 +413,8 @@ def trac_step(
     _check_finite(by_name)
     h = 0.0
     for name, g in by_name.items():
+        if name not in opt.theta_ref:  # injected after make_optimizer, still at its init
+            opt.theta_ref[name] = net.params[name].copy()
         h += float(np.sum(g * (net.params[name] - opt.theta_ref[name])))
     betas = np.asarray(opt.discounts)
     opt.trac_v = betas**2 * opt.trac_v + h * h

@@ -46,7 +46,9 @@ class RngStream:
     give independent sequences.  Each draw method advances ``counter`` by a
     documented, fixed amount: ``uniform``/``randint`` consume one counter slot
     per value, ``normal`` consumes ``2 * ceil(n / 2)`` slots (Box-Muller
-    pairs), ``permutation(k)`` consumes ``k - 1`` slots (Fisher-Yates).
+    pairs), ``permutation(k)`` consumes ``k - 1`` slots (Fisher-Yates, drawn
+    in one ``uniform`` call: a draw depends only on its slot, so one bulk call
+    and k - 1 one-value calls return the same values).
     """
 
     seed: int
@@ -58,11 +60,6 @@ class RngStream:
         self.seed = int(self.seed) & _MASK64
         self.stream_id = int(self.stream_id) & _MASK64
         self._key = _mix_int(_mix_int(self.seed ^ _PHI) + _mix_int(self.stream_id))
-
-    def child(self, tag: int) -> "RngStream":
-        """Derive an independent stream; (seed, stream_id, tag) determines it."""
-        new_id = _mix_int(self.stream_id * _PHI + _mix_int(tag + 1))
-        return RngStream(self.seed, new_id)
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
@@ -106,22 +103,19 @@ class RngStream:
         return np.minimum((u * bound).astype(np.int64), bound - 1)
 
     def permutation(self, k: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(k), consuming k - 1 draws."""
-        perm = np.arange(k)
-        for i in range(k - 1, 0, -1):
-            j = int(self.randint(i + 1)[0])
+        """Fisher-Yates permutation of range(k) as int64, consuming k - 1 draws.
+
+        The k - 1 uniforms come from one call; swap i (i = k-1 .. 1) uses draw
+        k-1-i, made an index on [0, i] by the ``randint`` formula.
+        """
+        if k < 2:
+            return np.arange(k, dtype=np.int64)
+        bounds = np.arange(k, 1, -1)
+        js = np.minimum((self.uniform(0.0, 1.0, k - 1) * bounds).astype(np.int64), bounds - 1)
+        perm = list(range(k))
+        for i, j in zip(range(k - 1, 0, -1), js.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
-
-
-def rng_draw(stream: RngStream, dist: tuple, n: int) -> np.ndarray:
-    """Draw n values from a distribution spec: ("uniform", a, b) or ("normal", mu, sigma)."""
-    kind = dist[0]
-    if kind == "uniform":
-        return stream.uniform(dist[1], dist[2], n)
-    if kind == "normal":
-        return stream.normal(dist[1], dist[2], n)
-    raise InvalidInputError(f"unknown distribution kind {kind!r}")
+        return np.array(perm, dtype=np.int64)
 
 
 def ensure_matrix(a, name: str = "matrix") -> np.ndarray:

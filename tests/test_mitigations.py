@@ -425,6 +425,19 @@ class TestTrac:
         want = opt.theta_ref["layer0.w"] + opt.trac_scale * (cand["layer0.w"] - opt.theta_ref["layer0.w"])
         np.testing.assert_allclose(net.params["layer0.w"], want, atol=1e-15)
 
+    def test_injected_branch_reference_is_its_init(self):
+        net = tanh_net(63)
+        opt = make_optimizer("trac", net)
+        inject_plasticity(net, RngStream(63, 3))
+        new_names = [n for n in net.trainable_names() if n not in opt.theta_ref]
+        assert new_names
+        injected = {n: net.params[n].copy() for n in new_names}
+        batch = RngStream(63, 1).normal(0.0, 1.0, 12).reshape(4, 3)
+        trace = forward(net, batch)
+        optimizer_step(opt, net, None, backward(net, trace, trace.outputs), 1e-3)
+        for name in new_names:
+            np.testing.assert_array_equal(opt.theta_ref[name], injected[name])
+
 
 class TestKron:
     def identity_setup(self):

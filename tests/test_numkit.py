@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from plastlab.errors import DomainError, InvalidInputError
-from plastlab.numkit import RngStream, erfi, rng_draw, svd_values
+from plastlab.numkit import RngStream, erfi, svd_values
 
 
 def jacobi_singular_values(m: np.ndarray) -> np.ndarray:
@@ -32,6 +32,15 @@ def jacobi_singular_values(m: np.ndarray) -> np.ndarray:
             break
     eig = np.clip(np.sort(np.diag(a))[::-1], 0.0, None)
     return np.sqrt(eig)
+
+
+def permutation_reference(stream: RngStream, k: int) -> np.ndarray:
+    """Oracle: Fisher-Yates with one randint(i + 1) call per swap."""
+    perm = np.arange(k)
+    for i in range(k - 1, 0, -1):
+        j = int(stream.randint(i + 1)[0])
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 def quad_erfi(x: float) -> float:
@@ -147,20 +156,17 @@ class TestRngStream:
         parts = np.concatenate([s2.uniform(0.0, 1.0, 4), s2.uniform(0.0, 1.0, 6)])
         np.testing.assert_array_equal(whole, parts)
 
-    def test_child_streams_reproducible_and_distinct(self):
-        root = RngStream(77, 2)
-        c1 = root.child(0).uniform(0.0, 1.0, 32)
-        c2 = root.child(1).uniform(0.0, 1.0, 32)
-        c1_again = RngStream(77, 2).child(0).uniform(0.0, 1.0, 32)
-        np.testing.assert_array_equal(c1, c1_again)
-        assert not np.array_equal(c1, c2)
-
-    def test_rng_draw_dispatch(self):
-        s = RngStream(8, 8)
-        np.testing.assert_array_equal(rng_draw(s, ("normal", 5.0, 0.0), 2), [5.0, 5.0])
-        got = rng_draw(RngStream(8, 8), ("uniform", 0.0, 1.0), 4)
-        want = RngStream(8, 8).uniform(0.0, 1.0, 4)
-        np.testing.assert_array_equal(got, want)
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 16, 1000])
+    def test_permutation_matches_per_element_reference(self, k):
+        for seed, stream_id, counter in ((0, 0, 0), (3, 1, 7), (2**40 + 5, 9, 12345)):
+            fast = RngStream(seed, stream_id, counter)
+            ref = RngStream(seed, stream_id, counter)
+            got = fast.permutation(k)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, permutation_reference(ref, k))
+            assert fast.counter == ref.counter == counter + max(k - 1, 0)
+            # the next draw continues the same sequence
+            assert fast.uniform(0.0, 1.0, 1)[0] == ref.uniform(0.0, 1.0, 1)[0]
 
     def test_uniform_range(self):
         u = RngStream(21, 0).uniform(-2.0, 3.0, 4096)

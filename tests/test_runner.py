@@ -272,6 +272,19 @@ class TestRunArtifacts:
         assert art.summary["trigger_fires"]["0:l2_reg:per_gradient_step"] == n
         assert art.summary["trigger_fires"]["1:trac:per_gradient_step"] == n
 
+    def test_trac_with_plasticity_injection_runs(self, tmp_path):
+        cfg = resolve_config({
+            "algo": "regression", "seed": 1, "total_steps": 300,
+            "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 3},
+            "network": {"hidden": [16]},
+            "mitigations": ["trac", "plasticity_injection"],
+            "logging": {"metric_interval": 100, "probe_batch": 32},
+        })
+        art = run_experiment(cfg, str(tmp_path / "r"))
+        assert art.summary["status"] == "ok"
+        assert art.summary["gradient_steps"] == 300
+        assert art.summary["trigger_fires"]["1:plasticity_injection:on_task_switch"] == 3
+
     def test_mitigation_stream_isolated_from_env(self, tmp_path):
         vanilla = run_experiment(c51_cfg(), str(tmp_path / "v"))
         snp = run_experiment(
