@@ -88,15 +88,38 @@ def gae(
     return advantages, advantages + values
 
 
+def _byte_copies(obs, next_obs) -> tuple[np.ndarray, np.ndarray] | None:
+    """uint8 copies of both observations, or None unless every value is a
+    whole number in [0, 255] that reads back bit for bit as float64 (NaN,
+    inf and -0.0 do not)."""
+    obs = np.asarray(obs, dtype=np.float64)
+    next_obs = np.asarray(next_obs, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # a lossy cast fails the comparison below
+        small, next_small = obs.astype(np.uint8), next_obs.astype(np.uint8)
+    if (
+        small.astype(np.float64).tobytes() == obs.tobytes()
+        and next_small.astype(np.float64).tobytes() == next_obs.tobytes()
+    ):
+        return small, next_small
+    return None
+
+
 class ReplayBuffer:
-    """Fixed-capacity ring of (s, a, r, s', done) transitions."""
+    """Fixed-capacity ring of (s, a, r, s', done) transitions.
+
+    Observations are stored as uint8 while every one added is a whole number
+    in [0, 255] (gridworld observations are 0/1), i.e. 1 byte per value
+    instead of 8. The first observation that is not widens `obs` and
+    `next_obs` to float64 for good, copying the filled rows exactly.
+    `sample` returns float64 either way, so learners read the same values.
+    """
 
     def __init__(self, capacity: int, obs_dim: int):
         if capacity < 1:
             raise InvalidInputError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.next_obs = np.zeros((capacity, obs_dim))
+        self.obs = np.zeros((capacity, obs_dim), dtype=np.uint8)
+        self.next_obs = np.zeros((capacity, obs_dim), dtype=np.uint8)
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
         self.dones = np.zeros(capacity)
@@ -106,8 +129,20 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self.size
 
+    def _widen(self) -> None:
+        for name in ("obs", "next_obs"):
+            wide = np.zeros(getattr(self, name).shape)
+            wide[: self.size] = getattr(self, name)[: self.size]
+            setattr(self, name, wide)
+
     def add(self, obs, action, reward, next_obs, done) -> None:
         i = self.cursor
+        if self.obs.dtype == np.uint8:
+            small = _byte_copies(obs, next_obs)
+            if small is None:
+                self._widen()
+            else:
+                obs, next_obs = small
         self.obs[i] = obs
         self.actions[i] = action
         self.rewards[i] = reward
@@ -121,10 +156,10 @@ class ReplayBuffer:
             raise InvalidInputError("cannot sample from an empty buffer")
         idx = stream.randint(self.size, batch_size)
         return {
-            "obs": self.obs[idx],
+            "obs": self.obs[idx].astype(np.float64, copy=False),
             "actions": self.actions[idx],
             "rewards": self.rewards[idx],
-            "next_obs": self.next_obs[idx],
+            "next_obs": self.next_obs[idx].astype(np.float64, copy=False),
             "dones": self.dones[idx],
         }
 

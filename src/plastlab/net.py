@@ -493,17 +493,58 @@ def serialize_network(net: NetworkState) -> bytes:
     return b"".join(parts)
 
 
+def _is_a(value, kind: type) -> bool:
+    # JSON true/false are Python bools, which would otherwise pass as int
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _manifest_value(table: dict, key: str, kind: type, item_kind: type | None = None):
+    """table[key], checked to be a `kind` (a list of `item_kind` when given)."""
+    if key not in table:
+        raise CheckpointError(f"checkpoint manifest lacks {key!r}")
+    value = table[key]
+    if not _is_a(value, kind) or (
+        item_kind is not None and not all(_is_a(v, item_kind) for v in value)
+    ):
+        of = f" of {item_kind.__name__}" if item_kind is not None else ""
+        raise CheckpointError(f"checkpoint manifest {key!r} must be a {kind.__name__}{of}")
+    return value
+
+
+_LAYER_FIELDS = {"in_dim": int, "out_dim": int, "activation": str, "layer_norm": bool, "init": str}
+
+
+def _layer_entry(entry) -> LayerSpec:
+    if not isinstance(entry, dict) or set(entry) != set(_LAYER_FIELDS):
+        raise CheckpointError(f"checkpoint layer entry must have keys {sorted(_LAYER_FIELDS)}")
+    for key, kind in _LAYER_FIELDS.items():
+        _manifest_value(entry, key, kind)
+    try:
+        return LayerSpec(**entry)
+    except SpecError as exc:
+        raise CheckpointError(f"bad checkpoint layer entry: {exc}") from exc
+
+
 def deserialize_network(blob: bytes) -> NetworkState:
     try:
         (head_len,) = struct.unpack_from("<Q", blob, 0)
         manifest = json.loads(blob[8 : 8 + head_len].decode("utf-8"))
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError("checkpoint manifest is not a JSON object")
     if manifest.get("version") != _CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')!r}")
-    layers = tuple(LayerSpec(**entry) for entry in manifest["layers"])
-    order = tuple(manifest["param_order"])
-    shapes = {n: tuple(manifest["shapes"][n]) for n in order}
+    layers = tuple(_layer_entry(e) for e in _manifest_value(manifest, "layers", list))
+    order = tuple(_manifest_value(manifest, "param_order", list, str))
+    shape_map = _manifest_value(manifest, "shapes", dict)
+    shapes = {n: tuple(_manifest_value(shape_map, n, list, int)) for n in order}
+    frozen = frozenset(_manifest_value(manifest, "frozen", list, str))
+    injection_rounds = _manifest_value(manifest, "injection_rounds", int)
+    if len(set(order)) != len(order) or not frozen <= set(order):
+        raise CheckpointError("checkpoint param_order repeats a name or frozen names an unknown one")
+    if any(d < 0 for shape in shapes.values() for d in shape) or injection_rounds < 0:
+        raise CheckpointError("checkpoint manifest holds a negative shape or injection count")
     total = sum(int(np.prod(shapes[n])) for n in order)
     if (len(blob) - 8 - head_len) % 8 != 0:
         raise CheckpointError("checkpoint body is not a whole number of floats")
@@ -528,6 +569,6 @@ def deserialize_network(blob: bytes) -> NetworkState:
         params=params,
         init_snapshot=snapshot,
         param_order=order,
-        frozen=frozenset(manifest["frozen"]),
-        injection_rounds=int(manifest["injection_rounds"]),
+        frozen=frozen,
+        injection_rounds=injection_rounds,
     )

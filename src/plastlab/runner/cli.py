@@ -21,7 +21,7 @@ from ..errors import (
     SpecError,
 )
 from ..mitigations import REGISTRY
-from .config import load_config
+from .config import LoggingConfig, load_config
 from .loop import replay_metrics, run_experiment
 
 _VALIDATION_ERRORS = (ConfigError, MitigationError, SpecError, InvalidInputError, CheckpointError)
@@ -85,23 +85,33 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """One `plastlab run` child per seed, at most os.cpu_count() alive at once;
+    children are reaped in seed order."""
     seeds = _parse_seed_range(args.seeds)
     cfg = load_config(args.config)  # fail fast on bad configs before spawning
     base = args.out or cfg.logging.out_dir
-    procs = []
+    limit = os.cpu_count() or 1
+    live: list[tuple[int, subprocess.Popen]] = []
+    code = 0
+
+    def reap() -> int:
+        seed, proc = live.pop(0)
+        rc = proc.wait()
+        if rc != 0:
+            print(f"seed {seed} exited with code {rc}", file=sys.stderr)
+        return rc
+
     for seed in seeds:
+        if len(live) >= limit:
+            code = max(code, reap())
         out = os.path.join(base, f"seed{seed}")
         cmd = [
             sys.executable, "-m", "plastlab", "run", args.config,
             "--seed", str(seed), "--out", out,
         ]
-        procs.append((seed, subprocess.Popen(cmd)))
-    code = 0
-    for seed, proc in procs:
-        rc = proc.wait()
-        if rc != 0:
-            print(f"seed {seed} exited with code {rc}", file=sys.stderr)
-            code = max(code, rc)
+        live.append((seed, subprocess.Popen(cmd)))
+    while live:
+        code = max(code, reap())
     return code
 
 
@@ -122,8 +132,28 @@ def _cmd_list_methods(args) -> int:
     return 0
 
 
+def _probe_settings(args) -> tuple[int, int]:
+    """--probe-seed/--probe-batch; an omitted one comes from the `seed` or
+    `logging.probe_batch` of the config.yaml that `run` writes next to every
+    checkpoint. Without that file --probe-seed is required and the batch is
+    the config default."""
+    seed, batch = args.probe_seed, args.probe_batch
+    config_path = os.path.join(os.path.dirname(args.checkpoint), "config.yaml")
+    if seed is None or batch is None:
+        if os.path.isfile(config_path):
+            cfg = load_config(config_path)
+            seed = cfg.seed if seed is None else seed
+            batch = cfg.logging.probe_batch if batch is None else batch
+        elif seed is None:
+            raise ConfigError(
+                f"no config.yaml next to {args.checkpoint!r}; pass --probe-seed "
+                "(the run's seed) and --probe-batch (its logging.probe_batch)"
+            )
+    return seed, LoggingConfig.probe_batch if batch is None else batch
+
+
 def _cmd_replay_metrics(args) -> int:
-    reports = replay_metrics(args.checkpoint, args.probe_seed, args.probe_batch)
+    reports = replay_metrics(args.checkpoint, *_probe_settings(args))
     for report in reports:
         for name, value in report.rows():
             record = {"metric": name, "scope": report.scope, "step": report.step, "value": value}
@@ -156,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay-metrics", help="recompute metrics from a checkpoint")
     p_replay.add_argument("checkpoint")
-    p_replay.add_argument("--probe-seed", type=int, default=0)
-    p_replay.add_argument("--probe-batch", type=int, default=256)
+    p_replay.add_argument("--probe-seed", type=int, default=None,
+                          help="default: the run's seed, from config.yaml beside the checkpoint")
+    p_replay.add_argument("--probe-batch", type=int, default=None,
+                          help="default: the run's logging.probe_batch, from the same file")
     p_replay.set_defaults(func=_cmd_replay_metrics)
 
     return parser

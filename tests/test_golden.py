@@ -54,6 +54,23 @@ CONFIGS = {
         },
         "logging": _LOGGING,
     },
+    # Two stacked 0/1 frames per observation; a 300-row replay that wraps
+    # twice, across level switches.
+    "c51_grid_frame_stack": {
+        "algo": "c51",
+        "seed": 6,
+        "total_steps": 600,
+        "scenario": {
+            "mode": "level_shift", "segment_length": 200, "n_segments": 3,
+            "horizon": 40, "frame_stack": 2,
+        },
+        "network": {"hidden": [32]},
+        "learner": {
+            "buffer_size": 300, "batch_size": 16, "learning_starts": 50,
+            "train_frequency": 2, "target_network_frequency": 100, "n_atoms": 11,
+        },
+        "logging": _LOGGING,
+    },
     # Probe task permutations come from RngStream.permutation as well.
     "regression_probe_level_shift": {
         "algo": "regression",
@@ -84,6 +101,11 @@ GOLDEN = {
         "metrics.jsonl": "ce1608309840d3d5efbf64e24e1394d3d2deabb79abf5d0160540084f9b36c5b",
         "episodes.csv": "4c978df837831526c12cc65056e05644e07f2239a778fe1759d94b5cc9b3a56f",
         "ckpt_final.bin": "74fb998b19a20d4dbc886ab26cfa89d54e9b2477659dcc430db2f586d589d4f8",
+    },
+    "c51_grid_frame_stack": {
+        "metrics.jsonl": "c515ffa8222d00356cf153e8a80501ebcffdc17aa72f5f264bd47d469aa8a452",
+        "episodes.csv": "a3e3d85266fedb100be8ca9480140adb869adf71fa3a77ec8b46865e37c86633",
+        "ckpt_final.bin": "45b736bd0452c2cd71db859f282d9c5fabf28ffac4bb24ec68adedcd162af648",
     },
     "regression_probe_level_shift": {
         "metrics.jsonl": "60dcb0f82adba3dbfef82112ac431c940ac0d9ae442e5dba85861933bcf96f62",

@@ -684,6 +684,91 @@ class TestReplayBuffer:
         np.testing.assert_array_equal(b1["obs"], b2["obs"])
 
 
+def _grid_row(i: int, dim: int = 6) -> np.ndarray:
+    """A gridworld-like observation: float64 zeros with ones."""
+    row = np.zeros(dim)
+    row[i % dim] = 1.0
+    row[(3 * i + 1) % dim] = 1.0
+    return row
+
+
+NON_BYTE_VALUES = {
+    "half": 0.5,
+    "negative": -1.0,
+    "above_255": 256.0,
+    "nan": np.nan,
+    "inf": np.inf,
+    "negative_zero": -0.0,
+    "gaussian": None,
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestReplayByteStorage:
+    def test_binary_and_byte_rows_round_trip_exactly(self):
+        rows = [_grid_row(i) for i in range(5)] + [np.arange(250.0, 256.0), np.arange(6.0)]
+        buf = ReplayBuffer(len(rows), 6)
+        for i, row in enumerate(rows):
+            buf.add(row, 0, 0.0, rows[(i + 1) % len(rows)], False)
+        assert buf.obs.dtype == np.uint8 and buf.next_obs.dtype == np.uint8
+        for i, row in enumerate(rows):
+            assert buf.obs[i].astype(np.float64).tobytes() == row.tobytes()
+        batch = buf.sample(32, RngStream(3, 0))
+        for name in ("obs", "next_obs"):
+            assert batch[name].dtype == np.float64
+            assert all(any(np.array_equal(got, r) for r in rows) for got in batch[name])
+
+    def test_gridworld_observations_stay_bytes(self):
+        from plastlab.envs import FrameStack, GridWorldEnv
+
+        env = FrameStack(GridWorldEnv(level_seed=4, horizon=10), 2)
+        buf = ReplayBuffer(64, env.obs_dim)
+        obs = env.reset()
+        for t in range(50):
+            next_obs, reward, done = env.step(t % 5)
+            buf.add(obs, t % 5, reward, next_obs, done)
+            obs = env.reset() if done else next_obs
+        assert buf.obs.dtype == np.uint8 and buf.next_obs.dtype == np.uint8
+        assert buf.sample(8, RngStream(1, 0))["obs"].dtype == np.float64
+
+    @pytest.mark.parametrize("side", ["obs", "next_obs"])
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["before_wrap", "after_wrap"])
+    @pytest.mark.parametrize("kind", sorted(NON_BYTE_VALUES))
+    def test_widening_keeps_earlier_rows_bit_exact(self, kind, wrapped, side):
+        capacity = 5
+        buf = ReplayBuffer(capacity, 6)
+        expect = {"obs": {}, "next_obs": {}}
+        for i in range(capacity + 2 if wrapped else capacity - 2):
+            slot = buf.cursor
+            buf.add(_grid_row(i), i % 3, float(i), _grid_row(i + 1), False)
+            expect["obs"][slot], expect["next_obs"][slot] = _grid_row(i), _grid_row(i + 1)
+        assert buf.obs.dtype == np.uint8
+        odd = _grid_row(7)
+        if NON_BYTE_VALUES[kind] is None:
+            odd = RngStream(9, 0).normal(0.0, 1.0, 6)
+        else:
+            odd[2] = NON_BYTE_VALUES[kind]
+        new = {"obs": _grid_row(8), "next_obs": _grid_row(9)}
+        new[side] = odd
+        slot = buf.cursor
+        buf.add(new["obs"], 1, -1.0, new["next_obs"], True)
+        expect["obs"][slot], expect["next_obs"][slot] = new["obs"], new["next_obs"]
+        assert buf.size == len(expect["obs"])
+        for name in ("obs", "next_obs"):
+            stored = getattr(buf, name)
+            assert stored.dtype == np.float64
+            for i, row in expect[name].items():
+                assert stored[i].tobytes() == row.tobytes(), (name, i)
+        buf.add(_grid_row(1), 0, 0.0, _grid_row(2), False)
+        assert buf.obs.dtype == np.float64 and buf.next_obs.dtype == np.float64
+        assert buf.sample(4, RngStream(2, 0))["obs"].dtype == np.float64
+
+    def test_default_capacity_reserves_under_065_gb(self):
+        # np.zeros maps untouched pages; only nbytes is read here
+        buf = ReplayBuffer(1_000_000, 324)
+        assert buf.obs.nbytes + buf.next_obs.nbytes <= 0.65e9
+
+
 class TestBuildNetwork:
     def test_width_doubling_chain(self):
         net = build_network(6, 3, [8, 8], "crelu", False, RngStream(50, 0))

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -222,6 +225,90 @@ class TestSerialization:
             deserialize_network(blob[:-8])
         with pytest.raises(CheckpointError):
             deserialize_network(b"\x00" * 4)
+
+
+def _edit_manifest(blob: bytes, edit) -> bytes:
+    """The checkpoint with `edit` applied to its JSON manifest; body unchanged."""
+    (head_len,) = struct.unpack_from("<Q", blob, 0)
+    manifest = json.loads(blob[8 : 8 + head_len])
+    edit(manifest)
+    head = json.dumps(manifest).encode("utf-8")
+    return struct.pack("<Q", len(head)) + head + blob[8 + head_len :]
+
+
+_DELETE = object()
+
+
+def _set(path, value):
+    """An edit that sets the manifest entry at `path`, or removes it for _DELETE."""
+
+    def edit(manifest):
+        *outer, last = path
+        for key in outer:
+            manifest = manifest[key]
+        if value is _DELETE:
+            del manifest[last]
+        else:
+            manifest[last] = value
+    return edit
+
+
+BAD_MANIFESTS = {
+    # missing keys
+    "no layers": _set(["layers"], _DELETE),
+    "no param_order": _set(["param_order"], _DELETE),
+    "no shapes": _set(["shapes"], _DELETE),
+    "no shape for one param": _set(["shapes", "layer0.w"], _DELETE),
+    "no frozen": _set(["frozen"], _DELETE),
+    "no injection_rounds": _set(["injection_rounds"], _DELETE),
+    # wrong types
+    "layers not a list": _set(["layers"], {"0": {}}),
+    "param_order a string": _set(["param_order"], "layer0.w"),
+    "param_order of ints": _set(["param_order"], [0, 1]),
+    "shapes a list": _set(["shapes"], [[2, 3]]),
+    "shape of floats": _set(["shapes", "layer0.w"], [2.0, 3.0]),
+    "shape a number": _set(["shapes", "layer0.w"], 6),
+    # 6 + (-2 * -1) floats: the body size still matches
+    "negative shape": _set(["shapes", "layer0.b"], [-2, -1]),
+    "frozen a string": _set(["frozen"], "layer0.w"),
+    "frozen names an unknown param": _set(["frozen"], ["layer9.w"]),
+    "injection_rounds a string": _set(["injection_rounds"], "0"),
+    "injection_rounds a float": _set(["injection_rounds"], 0.5),
+    "injection_rounds a bool": _set(["injection_rounds"], False),
+    "injection_rounds negative": _set(["injection_rounds"], -1),
+    # four 2-float biases: the body size still matches, the weight is lost
+    "repeated param name": _set(["param_order"], ["layer0.b"] * 4),
+    # bad layer entries
+    "layer entry a list": _set(["layers", 0], [3, 2]),
+    "layer entry lacks in_dim": _set(["layers", 0, "in_dim"], _DELETE),
+    "layer entry with unknown key": _set(["layers", 0, "bias"], True),
+    "in_dim a string": _set(["layers", 0, "in_dim"], "3"),
+    "in_dim a float": _set(["layers", 0, "in_dim"], 3.0),
+    "in_dim zero": _set(["layers", 0, "in_dim"], 0),
+    "layer_norm an int": _set(["layers", 0, "layer_norm"], 0),
+    "unknown activation": _set(["layers", 0, "activation"], "swish"),
+    "malformed init": _set(["layers", 0, "init"], "orthogonal(1.0"),
+}
+
+
+class TestManifestValidation:
+    @staticmethod
+    def _blob():
+        return serialize_network(init_network([LayerSpec(3, 2)], RngStream(8)))
+
+    def test_unedited_manifest_loads(self):
+        blob = _edit_manifest(self._blob(), lambda m: None)
+        assert deserialize_network(blob).param_order == ("layer0.w", "layer0.b")
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_bad_manifest_raises_checkpoint_error(self, case):
+        with pytest.raises(CheckpointError):
+            deserialize_network(_edit_manifest(self._blob(), BAD_MANIFESTS[case]))
+
+    def test_manifest_not_an_object(self):
+        head = b"[1, 2]"
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            deserialize_network(struct.pack("<Q", len(head)) + head)
 
 
 def test_clone_is_independent():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -460,6 +461,81 @@ class TestCli:
             summary = json.load(open(os.path.join(base, f"seed{seed}", "summary.json")))
             assert summary["seed"] == seed
             assert summary["status"] == "ok"
+
+    def test_sweep_keeps_at_most_cpu_count_children(self, tmp_path, monkeypatch, capsys):
+        from plastlab.runner import cli
+
+        live, peak, started = [], [0], []
+
+        class FakePopen:
+            def __init__(self, cmd):
+                self.seed = int(cmd[cmd.index("--seed") + 1])
+                started.append(self.seed)
+                live.append(self)
+                peak[0] = max(peak[0], len(live))
+
+            def wait(self):
+                live.remove(self)
+                return 3 if self.seed == 2 else 0
+
+        monkeypatch.setattr(cli.subprocess, "Popen", FakePopen)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
+        assert main(["sweep", cfg, "--seeds", "0..3", "--out", str(tmp_path / "s")]) == 3
+        assert started == [0, 1, 2, 3]
+        assert peak[0] == 2 and live == []
+        assert capsys.readouterr().err.strip() == "seed 2 exited with code 3"
+
+    def test_replay_metrics_defaults_to_the_runs_probe(self, tmp_path, capsys):
+        cfg = self._write(
+            tmp_path,
+            "algo: regression\ntotal_steps: 60\nseed: 3\n"
+            "network: {hidden: [16]}\n"
+            "logging: {metric_interval: 30, probe_batch: 16}\n",
+        )
+        out = str(tmp_path / "run")
+        assert main(["run", cfg, "--out", out]) == 0
+        logged = {
+            (r["scope"], r["metric"]): r["value"]
+            for r in read_metrics(os.path.join(out, "metrics.jsonl"))
+            if r["step"] == 60 and r["scope"] != "event"
+        }
+        capsys.readouterr()
+        assert main(["replay-metrics", os.path.join(out, "ckpt_final.bin")]) == 0
+        replayed = {
+            (r["scope"], r["metric"]): r["value"]
+            for r in map(json.loads, capsys.readouterr().out.splitlines())
+        }
+        assert logged and replayed == logged
+        # a seed-0 probe, the old default, reads different values
+        assert main([
+            "replay-metrics", os.path.join(out, "ckpt_final.bin"), "--probe-seed", "0",
+        ]) == 0
+        seed0 = {
+            (r["scope"], r["metric"]): r["value"]
+            for r in map(json.loads, capsys.readouterr().out.splitlines())
+        }
+        assert seed0 != logged
+
+    def test_replay_metrics_without_config_needs_probe_seed(self, tmp_path, capsys):
+        net = build_network(8, 3, (16,), "relu", False, RngStream(4, 0))
+        path = tmp_path / "lone.bin"
+        path.write_bytes(serialize_network(net))
+        assert main(["replay-metrics", str(path)]) == 2
+        assert "--probe-seed" in capsys.readouterr().err
+        assert main(["replay-metrics", str(path), "--probe-seed", "4"]) == 0
+
+    def test_replay_metrics_bad_manifest_exit_2(self, tmp_path, capsys):
+        net = build_network(8, 3, (16,), "relu", False, RngStream(4, 0))
+        blob = serialize_network(net)
+        (head_len,) = struct.unpack_from("<Q", blob, 0)
+        manifest = json.loads(blob[8 : 8 + head_len])
+        del manifest["frozen"]
+        head = json.dumps(manifest).encode("utf-8")
+        path = tmp_path / "nofrozen.bin"
+        path.write_bytes(struct.pack("<Q", len(head)) + head + blob[8 + head_len :])
+        assert main(["replay-metrics", str(path), "--probe-seed", "4"]) == 2
+        assert "frozen" in capsys.readouterr().err
 
     def test_bad_seed_range_exit_2(self, tmp_path):
         cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
