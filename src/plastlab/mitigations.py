@@ -319,6 +319,8 @@ class OptimizerState:
     eps: float = 1e-8
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    # adam: (names and shapes, flat m, v and two scratch, views of scratch)
+    flat: tuple | None = field(default=None, init=False, repr=False)
     # trac
     base: "OptimizerState | None" = None
     theta_ref: dict = field(default_factory=dict)
@@ -365,33 +367,63 @@ def _check_finite(grads: dict[str, np.ndarray]) -> None:
             raise err
 
 
+def _adam_layout(opt: OptimizerState, key: tuple) -> tuple:
+    """Flat buffers for the gradient (name, shape) pairs in `key`; kept moments
+    are copied in, and a name that leaves keeps a copy of its last moments."""
+    sizes = [int(np.prod(shape)) for _, shape in key]
+    m, v, scratch, tmp = (np.zeros(sum(sizes)) for _ in range(4))
+    deltas, start = {}, 0
+    for moments in (opt.m, opt.v):
+        for name in moments.keys() - {name for name, _ in key}:
+            moments[name] = moments[name].copy()
+    for (name, shape), size in zip(key, sizes):
+        for flat, moments in ((m, opt.m), (v, opt.v)):
+            view = flat[start : start + size].reshape(shape)
+            if name in moments:
+                view[...] = moments[name]
+            moments[name] = view
+        deltas[name] = scratch[start : start + size].reshape(shape)
+        start += size
+    return key, m, v, scratch, tmp, deltas
+
+
 def _adam_deltas(opt: OptimizerState, grads: dict[str, np.ndarray], lr: float) -> dict:
-    _check_finite(grads)
+    """-lr * m_hat / (sqrt(v_hat) + eps) per entry: the per-tensor float ops,
+    in place over flat buffers. Returns views of scratch (valid until the next call)."""
+    key = tuple((name, g.shape) for name, g in grads.items())
+    if opt.flat is None or opt.flat[0] != key:
+        opt.flat = _adam_layout(opt, key)
+    _, m, v, g, tmp, deltas = opt.flat
+    for name, grad in grads.items():
+        deltas[name][...] = grad
+    if not np.isfinite(g).all():
+        _check_finite(grads)
     opt.t += 1
     correct1 = 1.0 - opt.beta1**opt.t
     correct2 = 1.0 - opt.beta2**opt.t
-    deltas = {}
-    for name, g in grads.items():
-        m = opt.m.get(name)
-        if m is None:
-            m = np.zeros_like(g)
-            opt.v[name] = np.zeros_like(g)
-        m = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * g * g
-        opt.m[name], opt.v[name] = m, v
-        deltas[name] = -lr * (m / correct1) / (np.sqrt(v / correct2) + opt.eps)
+    m *= opt.beta1
+    m += np.multiply(g, 1.0 - opt.beta1, out=tmp)
+    v *= opt.beta2
+    np.multiply(g, 1.0 - opt.beta2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, correct1, out=g)
+    g *= -lr
+    np.sqrt(np.divide(v, correct2, out=tmp), out=tmp)
+    tmp += opt.eps
+    g /= tmp
     return deltas
 
 
 def adam_step(
     opt: OptimizerState, net: NetworkState, grads: Gradients | dict, lr: float
 ) -> None:
-    """Standard bias-corrected Adam over the gradient entries."""
+    """Standard bias-corrected Adam over the gradient entries, in place."""
     if opt.kind != "adam":
         raise InvalidInputError(f"adam_step needs an adam state, got {opt.kind}")
     by_name = grads.by_name if isinstance(grads, Gradients) else grads
     for name, delta in _adam_deltas(opt, by_name, lr).items():
-        net.params[name] = net.params[name] + delta
+        net.params[name] += delta
 
 
 def trac_step(

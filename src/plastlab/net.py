@@ -14,6 +14,7 @@ import json
 import re
 import struct
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ _INIT_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
 _CHECKPOINT_VERSION = 1
 
 
+@lru_cache(maxsize=None)
 def _parse_init(text: str) -> tuple[str, tuple[float, ...]]:
     """Split an init descriptor like "orthogonal(1.0)" into (kind, args)."""
     m = _INIT_RE.match(text.strip())
@@ -327,6 +329,12 @@ def _layer_forward(
     return lin, pre, _act_forward(spec.activation, pre), cache
 
 
+@lru_cache(maxsize=None)
+def _layer_names(i: int) -> tuple[str, str, str, str]:
+    """The weight, bias, LayerNorm gain and offset names of layer i."""
+    return f"layer{i}.w", f"layer{i}.b", f"layer{i}.ln_gain", f"layer{i}.ln_offset"
+
+
 def forward(net: NetworkState, batch: np.ndarray) -> ForwardTrace:
     """Run the batch through every layer, recording all intermediates."""
     batch = ensure_matrix(batch, "batch")
@@ -337,10 +345,9 @@ def forward(net: NetworkState, batch: np.ndarray) -> ForwardTrace:
     x = batch
     layer_inputs, lin_outs, preacts, postacts, ln_caches = [], [], [], [], []
     for i, spec in enumerate(net.layers):
-        gain = net.params.get(f"layer{i}.ln_gain")
-        offset = net.params.get(f"layer{i}.ln_offset")
+        w, b, gain, offset = _layer_names(i)
         lin, pre, post, cache = _layer_forward(
-            spec, x, net.params[f"layer{i}.w"], net.params[f"layer{i}.b"], gain, offset
+            spec, x, net.params[w], net.params[b], net.params.get(gain), net.params.get(offset)
         )
         layer_inputs.append(x)
         lin_outs.append(lin)

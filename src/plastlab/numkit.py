@@ -19,22 +19,16 @@ _PHI = 0x9E3779B97F4A7C15
 _PHI_U = np.uint64(_PHI)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(k) for k in (11, 27, 30, 31))
 _INV_2_53 = float(2.0 ** -53)
 
 
 def _mix_int(z: int) -> int:
-    """SplitMix64 finalizer on Python ints (used for keys, not bulk draws)."""
+    """SplitMix64 finalizer on Python ints (keys and one-value draws)."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def _mix_u64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
 
 
 @dataclass
@@ -62,12 +56,18 @@ class RngStream:
         self._key = _mix_int(_mix_int(self.seed ^ _PHI) + _mix_int(self.stream_id))
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._key) + idx * _PHI_U
-            out = _mix_u64(z)
+        """Top 53 bits of SplitMix64(key + slot * phi), slots counter+1 .. counter+n."""
+        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        z *= _PHI_U
+        z += np.uint64(self._key)
+        t = np.empty_like(z)
+        for shift, mult in ((_SHIFT30, _MIX1), (_SHIFT27, _MIX2)):
+            z ^= np.right_shift(z, shift, out=t)
+            z *= mult
+        z ^= np.right_shift(z, _SHIFT31, out=t)
+        z >>= _SHIFT11
         self.counter += n
-        return out
+        return z
 
     def uniform(self, a: float, b: float, n: int) -> np.ndarray:
         """n iid draws from U[a, b); degenerate a == b returns a exactly."""
@@ -75,8 +75,15 @@ class RngStream:
             raise InvalidInputError("n must be >= 1")
         if not a <= b:
             raise InvalidInputError(f"uniform bounds must satisfy a <= b, got ({a}, {b})")
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return a + u * (b - a)
+        if n == 1:  # the same value in Python ints and floats, no array round trip
+            self.counter += 1
+            u = float(_mix_int(self._key + self.counter * _PHI) >> 11) * _INV_2_53
+            return np.array([a + u * (b - a)])
+        u = self._raw(n).astype(np.float64)
+        u *= _INV_2_53
+        u *= b - a
+        u += a
+        return u
 
     def normal(self, mu: float, sigma: float, n: int) -> np.ndarray:
         """n iid draws from N(mu, sigma^2) via Box-Muller; sigma == 0 returns mu."""
@@ -85,15 +92,20 @@ class RngStream:
         if sigma < 0:
             raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
         m = (n + 1) // 2
-        raw = self._raw(2 * m)
+        u = self._raw(2 * m).astype(np.float64)
         # u1 in (0, 1] so log is finite; u2 in [0, 1)
-        u1 = ((raw[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-        u2 = (raw[m:] >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.empty(2 * m)
-        z[0::2] = r * np.cos(2.0 * math.pi * u2)
-        z[1::2] = r * np.sin(2.0 * math.pi * u2)
-        return mu + sigma * z[:n]
+        u1, u2 = u[:m], u[m:]
+        u1 += 1.0
+        u *= _INV_2_53
+        r = np.sqrt(np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1)
+        u2 *= 2.0 * math.pi
+        z = np.empty((m, 2))
+        np.cos(u2, out=z[:, 0])
+        np.sin(u2, out=z[:, 1])
+        z *= r[:, None]
+        z *= sigma
+        z += mu
+        return z.reshape(-1)[:n]
 
     def randint(self, bound: int, n: int = 1) -> np.ndarray:
         """n integers uniform on [0, bound)."""

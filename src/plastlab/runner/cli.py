@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -132,31 +133,37 @@ def _cmd_list_methods(args) -> int:
     return 0
 
 
-def _probe_settings(args) -> tuple[int, int]:
-    """--probe-seed/--probe-batch; an omitted one comes from the `seed` or
-    `logging.probe_batch` of the config.yaml that `run` writes next to every
-    checkpoint. Without that file --probe-seed is required and the batch is
-    the config default."""
+def _replay_settings(args) -> tuple[int, int, int | None]:
+    """Probe seed, probe batch and step of the checkpoint to replay. An omitted
+    flag takes the `seed` or `logging.probe_batch` of the config.yaml that `run`
+    writes beside every checkpoint; without it --probe-seed is required and the
+    batch is the config default. The step is N for `ckpt_step<N>.bin`, the run's
+    `total_steps` for `ckpt_final.bin` beside a config.yaml, else None."""
     seed, batch = args.probe_seed, args.probe_batch
+    name = os.path.basename(args.checkpoint)
+    numbered = re.fullmatch(r"ckpt_step(\d+)\.bin", name)
+    step = int(numbered.group(1)) if numbered else None
+    final = name == "ckpt_final.bin"
     config_path = os.path.join(os.path.dirname(args.checkpoint), "config.yaml")
-    if seed is None or batch is None:
+    if seed is None or batch is None or final:
         if os.path.isfile(config_path):
             cfg = load_config(config_path)
             seed = cfg.seed if seed is None else seed
             batch = cfg.logging.probe_batch if batch is None else batch
+            step = cfg.total_steps if final else step
         elif seed is None:
             raise ConfigError(
                 f"no config.yaml next to {args.checkpoint!r}; pass --probe-seed "
                 "(the run's seed) and --probe-batch (its logging.probe_batch)"
             )
-    return seed, LoggingConfig.probe_batch if batch is None else batch
+    return seed, LoggingConfig.probe_batch if batch is None else batch, step
 
 
 def _cmd_replay_metrics(args) -> int:
-    reports = replay_metrics(args.checkpoint, *_probe_settings(args))
-    for report in reports:
+    seed, batch, step = _replay_settings(args)
+    for report in replay_metrics(args.checkpoint, seed, batch):
         for name, value in report.rows():
-            record = {"metric": name, "scope": report.scope, "step": report.step, "value": value}
+            record = {"metric": name, "scope": report.scope, "step": step, "value": value}
             print(json.dumps(record, sort_keys=True))
     return 0
 

@@ -84,6 +84,17 @@ CONFIGS = {
         ],
         "logging": _LOGGING,
     },
+    # Plasticity injection on every switch: each adds a trainable head branch
+    # and freezes the previous one, so Adam's set of parameters changes.
+    "regression_probe_injection": {
+        "algo": "regression",
+        "seed": 7,
+        "total_steps": 300,
+        "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 3},
+        "network": {"hidden": [16, 16]},
+        "mitigations": ["plasticity_injection"],
+        "logging": _LOGGING,
+    },
 }
 
 GOLDEN = {
@@ -111,6 +122,11 @@ GOLDEN = {
         "metrics.jsonl": "60dcb0f82adba3dbfef82112ac431c940ac0d9ae442e5dba85861933bcf96f62",
         "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
         "ckpt_final.bin": "e13c8633963b1ba2e0ff290e3f82ff44c9ba645e06786021286b0baab64bd491",
+    },
+    "regression_probe_injection": {
+        "metrics.jsonl": "e7749c85f6bb19de3e038fe027a2ecff14477e212c5200487ed6f91ed1bd3334",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "a27d9816a4a2830c91cd67405cac34b9839cf699f3cd0668c7d9a851d284eee1",
     },
 }
 

@@ -366,6 +366,99 @@ class TestAdam:
             adam_step(opt, net, {"layer0.w": np.full((6, 3), np.nan)}, 0.1)
 
 
+class AdamReference:
+    """Oracle: the per-tensor Adam formula the optimizer was first written
+    with, returning new parameter arrays instead of updating in place."""
+
+    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.t, self.m, self.v = 0, {}, {}
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+    def deltas(self, grads, lr):
+        self.t += 1
+        correct1 = 1.0 - self.beta1**self.t
+        correct2 = 1.0 - self.beta2**self.t
+        out = {}
+        for name, g in grads.items():
+            m = self.m.get(name)
+            if m is None:
+                m = np.zeros_like(g)
+                self.v[name] = np.zeros_like(g)
+            m = self.beta1 * m + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            self.m[name], self.v[name] = m, v
+            out[name] = -lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+        return out
+
+    def step(self, params, grads, lr):
+        for name, delta in self.deltas(grads, lr).items():
+            params[name] = params[name] + delta
+
+
+class TestFlatAdam:
+    def test_matches_per_tensor_formula_across_injections(self):
+        net = tanh_net(53, layer_norm=True)
+        batch = RngStream(53, 1).normal(0.0, 1.0, 15).reshape(5, 3)
+        opt, ref = make_optimizer("adam", net), AdamReference()
+        for step in range(50):
+            if step in (20, 35):  # freezes names and adds new ones: a new layout
+                inject_plasticity(net, RngStream(53, step))
+            # equal bit for bit to the reference parameters (checked below)
+            ref_params = {k: v.copy() for k, v in net.params.items()}
+            before = dict(net.params)
+            trace = forward(net, batch)
+            grads = backward(net, trace, trace.outputs - 1.0)
+            ref_grads = {k: g.copy() for k, g in grads.by_name.items()}
+            adam_step(opt, net, grads, 1e-2)
+            ref.step(ref_params, ref_grads, 1e-2)
+            for name in net.param_order:
+                assert net.params[name] is before[name]  # updated in place
+                assert net.params[name].tobytes() == ref_params[name].tobytes(), (step, name)
+            assert set(opt.m) == set(opt.v) == set(ref.m)
+            for name in ref.m:
+                assert opt.m[name].tobytes() == ref.m[name].tobytes(), (step, name)
+                assert opt.v[name].tobytes() == ref.v[name].tobytes(), (step, name)
+        # m, v and two scratch vectors per trainable parameter, nothing more
+        trainable = sum(net.params[n].size for n in net.trainable_names())
+        assert sum(a.size for a in opt.flat[1:5]) == 4 * trainable
+
+    def test_nan_in_second_tensor_names_it(self):
+        net = tanh_net(54)
+        opt = make_optimizer("adam", net)
+        names = net.trainable_names()[:3]
+        grads = {n: np.ones_like(net.params[n]) for n in names}
+        grads[names[1]] = grads[names[1]].copy()
+        grads[names[1]].flat[-1] = np.nan
+        before = {n: net.params[n].copy() for n in net.param_order}
+        with pytest.raises(NumericError) as info:
+            adam_step(opt, net, grads, 0.1)
+        assert info.value.layer == names[1]
+        assert opt.t == 0
+        for name in net.param_order:
+            assert net.params[name].tobytes() == before[name].tobytes()
+
+    def test_trac_candidate_comes_from_the_flat_base(self):
+        net = tanh_net(55)
+        opt = make_optimizer("trac", net)
+        opt.trac_sigma_sum = np.full(4, 1e6)  # a scale far from 0 and 1
+        batch = RngStream(55, 1).normal(0.0, 1.0, 12).reshape(4, 3)
+        ref, scales = AdamReference(), []
+        for _ in range(5):
+            trace = forward(net, batch)
+            grads = backward(net, trace, trace.outputs)
+            cand = {n: net.params[n].copy() for n in grads.by_name}
+            ref.step(cand, {k: g.copy() for k, g in grads.by_name.items()}, 1e-3)
+            optimizer_step(opt, net, None, grads, 1e-3)
+            assert opt.base.flat is not None
+            scales.append(opt.trac_scale)
+            for name in grads.by_name:
+                want = trac_combine(opt.theta_ref[name], cand[name], opt.trac_scale)
+                assert net.params[name].tobytes() == want.tobytes()
+                assert opt.base.m[name].tobytes() == ref.m[name].tobytes()
+                assert opt.base.v[name].tobytes() == ref.v[name].tobytes()
+        assert any(scale not in (0.0, 1.0) for scale in scales)
+
+
 class TestTrac:
     def test_combine_endpoints(self):
         ref = np.array([1.0, 2.0])

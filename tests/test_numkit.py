@@ -9,6 +9,10 @@ from scipy import integrate
 from plastlab.errors import DomainError, InvalidInputError
 from plastlab.numkit import RngStream, erfi, svd_values
 
+# the draws work on uint64 arrays in place, which must stay free of overflow
+# and invalid-value warnings
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def jacobi_singular_values(m: np.ndarray) -> np.ndarray:
     """Brute-force oracle: cyclic Jacobi eigensolver on m^T m, sqrt of spectrum."""
@@ -41,6 +45,49 @@ def permutation_reference(stream: RngStream, k: int) -> np.ndarray:
         j = int(stream.randint(i + 1)[0])
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+def raw_reference(stream: RngStream, n: int) -> np.ndarray:
+    """Oracle: the SplitMix64 array formula of the first numkit, slots
+    counter+1 .. counter+n, advancing the counter by n."""
+    idx = np.arange(stream.counter + 1, stream.counter + n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(stream._key) + idx * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    stream.counter += n
+    return z
+
+
+def uniform_reference(stream: RngStream, a: float, b: float, n: int) -> np.ndarray:
+    u = (raw_reference(stream, n) >> np.uint64(11)).astype(np.float64) * float(2.0**-53)
+    return a + u * (b - a)
+
+
+def randint_reference(stream: RngStream, bound: int, n: int) -> np.ndarray:
+    u = uniform_reference(stream, 0.0, 1.0, n)
+    return np.minimum((u * bound).astype(np.int64), bound - 1)
+
+
+def normal_reference(stream: RngStream, mu: float, sigma: float, n: int) -> np.ndarray:
+    m = (n + 1) // 2
+    raw = raw_reference(stream, 2 * m)
+    u1 = ((raw[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * float(2.0**-53)
+    u2 = (raw[m:] >> np.uint64(11)).astype(np.float64) * float(2.0**-53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty(2 * m)
+    z[0::2] = r * np.cos(2.0 * math.pi * u2)
+    z[1::2] = r * np.sin(2.0 * math.pi * u2)
+    return mu + sigma * z[:n]
+
+
+STREAM_STARTS = [
+    (seed, stream_id, counter)
+    for seed in (0, 1, 2**64 - 1)
+    for stream_id in (0, 5, 2**63)
+    for counter in (0, 1, 2**32, 2**63 - 2)
+]
 
 
 def quad_erfi(x: float) -> float:
@@ -188,6 +235,53 @@ class TestRngStream:
             RngStream(1).normal(0.0, -1.0, 3)
         with pytest.raises(InvalidInputError):
             RngStream(1).uniform(0.0, 1.0, 0)
+
+
+class TestDrawsMatchArrayFormula:
+    """Every draw, bit for bit, against the array formulas it replaced."""
+
+    def test_one_value_uniform_is_the_bulk_draws_first_value(self):
+        for start in STREAM_STARTS:
+            for a, b in ((0.0, 1.0), (-2.5, 3.0), (-1e300, 1e300)):
+                one, two, ref = RngStream(*start), RngStream(*start), RngStream(*start)
+                got = one.uniform(a, b, 1)
+                assert got.dtype == np.float64 and got.shape == (1,)
+                assert got.tobytes() == two.uniform(a, b, 2)[:1].tobytes(), start
+                assert got.tobytes() == uniform_reference(ref, a, b, 1).tobytes(), start
+                assert one.counter == ref.counter == start[2] + 1
+
+    def test_one_value_randint_is_the_bulk_draws_first_value(self):
+        for start in STREAM_STARTS:
+            for bound in (1, 2, 7, 2**31):
+                one, two, ref = RngStream(*start), RngStream(*start), RngStream(*start)
+                got = one.randint(bound, 1)
+                assert got.dtype == np.int64 and got.shape == (1,)
+                assert got.tobytes() == two.randint(bound, 2)[:1].tobytes(), start
+                assert got.tobytes() == randint_reference(ref, bound, 1).tobytes(), start
+                assert one.counter == ref.counter == start[2] + 1
+
+    def test_degenerate_one_value_uniform_returns_a(self):
+        for start in STREAM_STARTS:
+            for a in (2.0, -3.5, 0.0, 1e-300):
+                got = RngStream(*start).uniform(a, a, 1)
+                assert got.tobytes() == np.array([a]).tobytes(), start
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 4096])
+    def test_bulk_draws(self, n):
+        for start in STREAM_STARTS:
+            for draw, ref_draw, args in (
+                ("uniform", uniform_reference, (-2.5, 3.0)),
+                ("randint", randint_reference, (7,)),
+                ("normal", normal_reference, (0.0, 1.0)),
+                ("normal", normal_reference, (1.5, 2.5)),
+                ("normal", normal_reference, (-4.0, 0.0)),
+            ):
+                fast, ref = RngStream(*start), RngStream(*start)
+                got = getattr(fast, draw)(*args, n)
+                want = ref_draw(ref, *args, n)
+                assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+                assert got.tobytes() == want.tobytes(), (draw, args, start)
+                assert fast.counter == ref.counter
 
 
 @settings(max_examples=40, deadline=None)

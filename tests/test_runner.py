@@ -517,6 +517,38 @@ class TestCli:
         }
         assert seed0 != logged
 
+    def test_replay_metrics_prints_the_checkpoint_step(self, tmp_path, capsys):
+        cfg = self._write(
+            tmp_path,
+            "algo: regression\ntotal_steps: 60\nseed: 3\n"
+            "network: {hidden: [16]}\n"
+            "logging: {metric_interval: 30, probe_batch: 16}\n"
+            "checkpoint_interval: 30\n",
+        )
+        out = str(tmp_path / "run")
+        assert main(["run", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "metrics.jsonl"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        capsys.readouterr()
+        for name, step in (("ckpt_final.bin", 60), ("ckpt_step30.bin", 30)):
+            logged = [
+                line for line, row in zip(lines, map(json.loads, lines))
+                if row["step"] == step and row["scope"] != "train"
+            ]
+            assert main(["replay-metrics", os.path.join(out, name)]) == 0
+            assert logged and capsys.readouterr().out.splitlines() == logged
+        # renamed, with no config.yaml beside it: no step to report
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        for name in ("model.bin", "ckpt_final.bin"):
+            with open(os.path.join(out, "ckpt_final.bin"), "rb") as fh:
+                (lone / name).write_bytes(fh.read())
+            assert main([
+                "replay-metrics", str(lone / name), "--probe-seed", "3", "--probe-batch", "16",
+            ]) == 0
+            rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert rows and all(r["step"] is None for r in rows)
+
     def test_replay_metrics_without_config_needs_probe_seed(self, tmp_path, capsys):
         net = build_network(8, 3, (16,), "relu", False, RngStream(4, 0))
         path = tmp_path / "lone.bin"
