@@ -60,6 +60,12 @@ class GridWorldEnv:
         self.goal = goal
         self.agent = start
         self.steps = 0
+        # goal, hazard and wall channels never change; _observe adds the agent
+        static = np.zeros((4, size, size))
+        static[1][goal] = 1.0
+        static[2][grid == HAZARD] = 1.0
+        static[3][grid == WALL] = 1.0
+        self._static = static.ravel()
 
     @staticmethod
     def _draw_layout(stream, size, wall_density, n_hazards):
@@ -86,12 +92,10 @@ class GridWorldEnv:
         return 4 * self.size * self.size
 
     def _observe(self) -> np.ndarray:
-        channels = np.zeros((4, self.size, self.size))
-        channels[0][self.agent] = 1.0
-        channels[1][self.goal] = 1.0
-        channels[2][self.grid == HAZARD] = 1.0
-        channels[3][self.grid == WALL] = 1.0
-        return channels.ravel()
+        obs = self._static.copy()
+        r, c = self.agent
+        obs[r * self.size + c] = 1.0
+        return obs
 
     def reset(self) -> np.ndarray:
         self.agent = self.start

@@ -233,6 +233,7 @@ class C51Learner:
         self.head = CategoricalHead(cfg.n_atoms, cfg.v_min, cfg.v_max)
         self.buffer = ReplayBuffer(cfg.buffer_size, obs_dim)
         self.post_step = None  # callable fired after each gradient step
+        self.memo = None  # obs bytes -> greedy action while params stay put
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         probs = _dist_probs(self.net, np.atleast_2d(obs), self.n_actions, self.head.n_atoms)
@@ -245,7 +246,12 @@ class C51Learner:
         )
         if stream.uniform(0.0, 1.0, 1)[0] < eps:
             return int(stream.randint(self.n_actions, 1)[0])
-        return int(np.argmax(self.q_values(obs)[0]))
+        if self.memo is None:
+            return int(np.argmax(self.q_values(obs)[0]))
+        key = obs.tobytes()
+        if key not in self.memo:
+            self.memo[key] = int(np.argmax(self.q_values(obs)[0]))
+        return self.memo[key]
 
     def remember(self, obs, action, reward, next_obs, done) -> None:
         self.buffer.add(obs, action, reward, next_obs, done)

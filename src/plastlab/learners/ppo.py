@@ -138,6 +138,7 @@ class PPOLearner:
         self.opt = opt
         self.reg_terms = tuple(reg_terms)
         self.post_step = None  # callable fired after each gradient step
+        self.memo = None  # obs bytes -> pure act results while params stay put
         if not discrete and "log_std" not in net.params:
             net.params["log_std"] = np.full(n_actions, float(np.log(cfg.init_std)))
             net.param_order = net.param_order + ("log_std",)
@@ -148,12 +149,27 @@ class PPOLearner:
     # ---------------------------------------------------------- acting
 
     def act(self, obs: np.ndarray, stream: RngStream) -> tuple[np.ndarray | int, float, float]:
-        """Sample one action; returns (action, log_prob, value)."""
-        out = forward(self.net, np.atleast_2d(obs)).outputs
+        """Sample one action; returns (action, log_prob, value).
+
+        With `memo` a dict, the forward (and for discrete policies the
+        log-softmax and CDF) is looked up by the observation's bytes; the
+        caller empties it whenever the parameters change. The draw always runs.
+        """
+        memo = self.memo
+        key = None if memo is None else obs.tobytes()
+        pure = None if memo is None else memo.get(key)
+        if pure is None:
+            out = forward(self.net, np.atleast_2d(obs)).outputs
+            log_p = cdf = None
+            if self.discrete:
+                log_p = _log_softmax(out[:, :-1])[0]
+                cdf = np.cumsum(np.exp(log_p))
+            pure = (out, log_p, cdf)
+            if memo is not None:
+                memo[key] = pure
+        out, log_p, cdf = pure
         value = float(out[0, -1])
         if self.discrete:
-            log_p = _log_softmax(out[:, :-1])[0]
-            cdf = np.cumsum(np.exp(log_p))
             u = stream.uniform(0.0, 1.0, 1)[0]
             action = min(int(np.searchsorted(cdf, u, side="right")), self.n_actions - 1)
             return action, float(log_p[action]), value

@@ -112,6 +112,8 @@ class RngStream:
         if bound < 1:
             raise InvalidInputError(f"bound must be >= 1, got {bound}")
         u = self.uniform(0.0, 1.0, n)
+        if n == 1:  # the array formula below, on Python ints
+            return np.array([min(int(u[0] * bound), bound - 1)], dtype=np.int64)
         return np.minimum((u * bound).astype(np.int64), bound - 1)
 
     def permutation(self, k: int) -> np.ndarray:

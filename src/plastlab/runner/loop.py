@@ -46,6 +46,10 @@ PROBE_STREAM = 4
 ACTION_STREAM = 5
 UPDATE_STREAM = 6
 
+# most observations an act memo holds before it starts over; it is also
+# emptied whenever the parameters may have changed (see _run_rl)
+ACT_MEMO_CAP = 1024
+
 _REG_KIND = {"l2_reg": "l2", "regenerative_reg": "regenerative", "parseval_reg": "parseval"}
 
 
@@ -257,6 +261,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         ppo = cfg.algo == "ppo"
         rollout: list[tuple] = []
         ep_return, ep_len = 0.0, 0
+        # gradient steps, per-gradient-step methods and events are the only
+        # writes to net, and each moves this key; acting reuses the forward
+        # of a repeated observation only while it stands still
+        memo_key = None
 
         for step in range(cfg.total_steps):
             state["step"] = step
@@ -277,6 +285,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
             if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
                 _checkpoint(step)
 
+            params_key = (state["gradient_steps"], sum(counters))
+            if params_key != memo_key or len(learner.memo) >= ACT_MEMO_CAP:
+                learner.memo, memo_key = {}, params_key
             if ppo:
                 action, log_prob, value = learner.act(obs, act_stream)
                 env_action = action if discrete else np.tanh(action)

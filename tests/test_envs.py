@@ -91,6 +91,39 @@ class TestGridWorld:
         assert channels[2].sum() == float(np.sum(env.grid == HAZARD))
         assert channels[3].sum() == float(np.sum(env.grid == WALL))
 
+    @staticmethod
+    def observe_reference(env):
+        """Oracle: all four channels built from scratch."""
+        channels = np.zeros((4, env.size, env.size))
+        channels[0][env.agent] = 1.0
+        channels[1][env.goal] = 1.0
+        channels[2][env.grid == HAZARD] = 1.0
+        channels[3][env.grid == WALL] = 1.0
+        return channels.ravel()
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 101, 2**40])
+    def test_observation_matches_channel_construction_on_every_free_cell(self, seed):
+        env = GridWorldEnv(seed, 100)
+        cells = np.argwhere(env.grid != WALL)
+        assert len(cells) > 10
+        for r, c in cells:
+            env.agent = (int(r), int(c))
+            got = env._observe()
+            assert got.dtype == np.float64 and got.shape == (env.obs_dim,)
+            assert got.tobytes() == self.observe_reference(env).tobytes(), (r, c)
+
+    def test_observations_are_fresh_writable_arrays(self):
+        env = GridWorldEnv(4, 100)
+        first = env.reset()
+        assert first.flags.writeable and first.flags.owndata
+        want = self.observe_reference(env)
+        first[:] = 7.0
+        second, _, _ = env.step(ACTIONS.index("stay"))
+        assert second.tobytes() == want.tobytes()
+        assert not np.shares_memory(first, second)
+        second[:] = -1.0
+        assert env.reset().tobytes() == want.tobytes()
+
     def test_stay_to_horizon_truncates(self):
         env = GridWorldEnv(5, horizon=30)
         env.reset()

@@ -95,6 +95,31 @@ CONFIGS = {
         "mitigations": ["plasticity_injection"],
         "logging": _LOGGING,
     },
+    # Events that change the parameters between two gradient steps: the act
+    # memo must start over when one fires, not only on gradient steps.
+    "ppo_grid_event_between_updates": {
+        "algo": "ppo",
+        "seed": 7,
+        "total_steps": 800,
+        "scenario": {"mode": "level_shift", "segment_length": 400, "n_segments": 2},
+        "network": {"hidden": [32, 32]},
+        "learner": {"rollout_len": 200, "n_minibatches": 4, "update_epochs": 2},
+        "mitigations": [{"method": "shrink_perturb", "trigger": "every_k_steps(150)"}],
+        "logging": _LOGGING,
+    },
+    "c51_grid_event_between_updates": {
+        "algo": "c51",
+        "seed": 8,
+        "total_steps": 600,
+        "scenario": {"mode": "standard", "horizon": 40},
+        "network": {"hidden": [32]},
+        "learner": {
+            "buffer_size": 1000, "batch_size": 16, "learning_starts": 100,
+            "train_frequency": 4, "target_network_frequency": 100, "n_atoms": 11,
+        },
+        "mitigations": [{"method": "shrink_perturb", "trigger": "every_k_steps(90)"}],
+        "logging": _LOGGING,
+    },
 }
 
 GOLDEN = {
@@ -127,6 +152,16 @@ GOLDEN = {
         "metrics.jsonl": "e7749c85f6bb19de3e038fe027a2ecff14477e212c5200487ed6f91ed1bd3334",
         "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
         "ckpt_final.bin": "a27d9816a4a2830c91cd67405cac34b9839cf699f3cd0668c7d9a851d284eee1",
+    },
+    "ppo_grid_event_between_updates": {
+        "metrics.jsonl": "2b4931d8340daab2f6ea12a8acc144d2699b0381fe53c5c6c8df867585086ca7",
+        "episodes.csv": "75a7ca3bf323e3d7836dcdcb962154ba6d241df8826c0244cc29b323146c2333",
+        "ckpt_final.bin": "6acf0924cc81bb4284d7be2729e29dbd3c8008261e5d4a1d0ee9114dc7fd145f",
+    },
+    "c51_grid_event_between_updates": {
+        "metrics.jsonl": "2858d3ddd15964638bcba8ac57998d55f6c2f5c871e8223761682431c63f9ff2",
+        "episodes.csv": "15585e64036fdd645552010e94366db7b9c0bd181cd75841d2f486da8c819e3f",
+        "ckpt_final.bin": "a4f9b0373d2af067f52f10aee1057216ea6e5da0ecf9b2fd73f804bf9232b351",
     },
 }
 

@@ -24,6 +24,8 @@ from plastlab.learners import (
     normalize_advantages,
     ppo_loss,
 )
+from plastlab.learners import c51 as c51_module
+from plastlab.learners import ppo as ppo_module
 from plastlab.learners.ppo import _log_softmax
 from plastlab.mitigations import make_optimizer
 from plastlab.net import forward
@@ -660,6 +662,97 @@ class TestPPOLearner:
         learner._minibatch_step = spy
         learner.update(traj, 0.0, RngStream(38, 3))
         assert sum(seen) == 32 * learner.cfg.update_epochs
+
+
+class TestActMemo:
+    """`memo` is off unless a caller installs a dict; the draw always runs."""
+
+    @staticmethod
+    def counting_forward(monkeypatch, module):
+        calls = []
+
+        def counted(net, x):
+            calls.append(x.shape[0])
+            return forward(net, x)
+
+        monkeypatch.setattr(module, "forward", counted)
+        return calls
+
+    def test_learners_built_directly_have_no_memo(self):
+        assert make_ppo(40)[0].memo is None
+        assert make_ppo(40, discrete=False, n_actions=2)[0].memo is None
+        assert make_c51(40)[0].memo is None
+
+    @pytest.mark.parametrize("discrete", [True, False])
+    def test_ppo_act_update_act_is_fresh(self, discrete, monkeypatch):
+        calls = self.counting_forward(monkeypatch, ppo_module)
+        learner, _ = make_ppo(41, discrete=discrete, n_actions=2)
+        obs = RngStream(41, 2).normal(0.0, 1.0, 4)
+        _, _, v_before = learner.act(obs, RngStream(41, 4))
+        traj = collect_synthetic(learner, RngStream(41, 5))
+        learner.update(traj, 0.0, RngStream(41, 3))
+        n_calls = len(calls)
+        a, lp, v = learner.act(obs, RngStream(41, 4))
+        assert len(calls) == n_calls + 1
+        _, lp_eval, _, v_eval = learner.evaluate_actions(obs.reshape(1, 4), np.array([a]))
+        assert v != v_before
+        assert v == v_eval[0] and abs(lp - lp_eval[0]) < 1e-12
+
+    def test_c51_act_update_act_is_fresh(self, monkeypatch):
+        calls = self.counting_forward(monkeypatch, c51_module)
+        learner, cfg = make_c51(42, obs_dim=2)
+        cfg.start_epsilon = cfg.end_epsilon = 0.0
+        obs = np.array([0.3, -0.7])
+        learner.act(obs, 0, RngStream(42, 4))
+        q_before = learner.q_values(obs)
+        stream = RngStream(42, 5)
+        for _ in range(cfg.learning_starts):
+            learner.remember(stream.normal(0.0, 1.0, 2), int(stream.randint(2, 1)[0]),
+                             1.0, stream.normal(0.0, 1.0, 2), False)
+        learner.update(0, RngStream(42, 3))
+        assert not np.array_equal(learner.q_values(obs), q_before)
+        n_calls = len(calls)
+        assert learner.act(obs, 0, RngStream(42, 4)) == int(np.argmax(learner.q_values(obs)[0]))
+        assert len(calls) == n_calls + 2  # act's forward and the check's q_values
+
+    @pytest.mark.parametrize("discrete", [True, False])
+    def test_ppo_memo_hits_match_recomputed_acts(self, discrete, monkeypatch):
+        calls = self.counting_forward(monkeypatch, ppo_module)
+        plain, _ = make_ppo(43, discrete=discrete, n_actions=3)
+        memo, _ = make_ppo(43, discrete=discrete, n_actions=3)
+        memo.memo = {}
+        pool = RngStream(43, 2).normal(0.0, 1.0, 3 * 4).reshape(3, 4)
+        picks = RngStream(43, 6).randint(3, 60)
+        s_plain, s_memo = RngStream(43, 4), RngStream(43, 4)
+        for i in picks:
+            want = plain.act(pool[i], s_plain)
+            got = memo.act(pool[i], s_memo)
+            assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+            assert got[1:] == want[1:]
+            assert s_memo.counter == s_plain.counter
+        assert len(memo.memo) == 3
+        assert len(calls) == 60 + 3
+
+    def test_c51_memo_keeps_the_epsilon_draws(self, monkeypatch):
+        calls = self.counting_forward(monkeypatch, c51_module)
+        plain, _ = make_c51(44, n_actions=3, obs_dim=2)
+        memo, cfg = make_c51(44, n_actions=3, obs_dim=2)
+        memo.memo = {}
+        cfg.total_steps, cfg.exploration_fraction = 100, 1.0  # epsilon 1 -> 0.01
+        plain.cfg = cfg
+        pool = RngStream(44, 2).normal(0.0, 1.0, 4 * 2).reshape(4, 2)
+        picks = RngStream(44, 6).randint(4, 100)
+        s_plain, s_memo = RngStream(44, 4), RngStream(44, 4)
+        plain_calls = 0
+        for step, i in enumerate(picks):
+            start = len(calls)
+            want = plain.act(pool[i], step, s_plain)
+            plain_calls += len(calls) - start
+            assert memo.act(pool[i], step, s_memo) == want
+            assert s_memo.counter == s_plain.counter
+        # one forward per greedy act without the memo, one per key with it
+        assert len(memo.memo) == 4 and plain_calls > 20
+        assert len(calls) - plain_calls == 4
 
 
 # ---------------------------------------------------------------- plumbing

@@ -252,13 +252,20 @@ class TestDrawsMatchArrayFormula:
 
     def test_one_value_randint_is_the_bulk_draws_first_value(self):
         for start in STREAM_STARTS:
-            for bound in (1, 2, 7, 2**31):
+            for bound in (1, 2, 5, 7, 2**31, 2**53):
                 one, two, ref = RngStream(*start), RngStream(*start), RngStream(*start)
                 got = one.randint(bound, 1)
                 assert got.dtype == np.int64 and got.shape == (1,)
                 assert got.tobytes() == two.randint(bound, 2)[:1].tobytes(), start
                 assert got.tobytes() == randint_reference(ref, bound, 1).tobytes(), start
                 assert one.counter == ref.counter == start[2] + 1
+
+    def test_successive_one_value_randints_follow_the_bulk_draw(self):
+        for bound in (1, 2, 5, 7, 2**31, 2**53):
+            one, ref = RngStream(9, 5), RngStream(9, 5)
+            got = np.concatenate([one.randint(bound, 1) for _ in range(500)])
+            assert got.tobytes() == randint_reference(ref, bound, 500).tobytes(), bound
+            assert one.counter == ref.counter == 500
 
     def test_degenerate_one_value_uniform_returns_a(self):
         for start in STREAM_STARTS:

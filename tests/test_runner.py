@@ -21,6 +21,9 @@ from plastlab.runner import (
     resolve_config,
     run_experiment,
 )
+from plastlab.learners import c51, ppo
+from plastlab.net import forward as net_forward
+from plastlab.runner import loop
 from plastlab.runner.cli import main
 
 
@@ -327,6 +330,110 @@ class TestRunArtifacts:
         assert art.summary["status"] == "ok"
         assert art.summary["episodes"] >= 3
         assert art.summary["gradient_steps"] > 0
+
+
+_MEMO_LOGGING = {"metric_interval": 100, "probe_batch": 16}
+
+# Runs whose parameters change between gradient steps (every_k_steps(45)
+# lands off the update cadence) as well as on them.
+_MEMO_BASES = {
+    "ppo_grid": {
+        "algo": "ppo", "seed": 3, "total_steps": 300,
+        "scenario": {"mode": "level_shift", "segment_length": 150, "n_segments": 2},
+        "network": {"hidden": [16]},
+        "learner": {"rollout_len": 64, "n_minibatches": 2, "update_epochs": 1},
+        "logging": _MEMO_LOGGING,
+    },
+    "ppo_pointmass": {
+        "algo": "ppo", "seed": 4, "total_steps": 300,
+        "scenario": {"mode": "task_chain", "segment_length": 150},
+        "network": {"hidden": [16]},
+        "learner": {"rollout_len": 64, "n_minibatches": 2, "update_epochs": 1},
+        "logging": _MEMO_LOGGING,
+    },
+    "c51_grid": {
+        "algo": "c51", "seed": 2, "total_steps": 300,
+        "scenario": {"mode": "standard", "horizon": 40},
+        "network": {"hidden": [16]},
+        "learner": {
+            "buffer_size": 500, "batch_size": 16, "learning_starts": 40,
+            "train_frequency": 4, "target_network_frequency": 100, "n_atoms": 11,
+            "exploration_fraction": 0.2,
+        },
+        "logging": _MEMO_LOGGING,
+    },
+}
+
+_MEMO_PLANS = {
+    "redo": [{"method": "redo", "trigger": "every_k_steps(45)"}],
+    "reset_final": [
+        {"method": "reset_layers", "params": {"scope": "final"}, "trigger": "every_k_steps(45)"}
+    ],
+    "reset_all": [
+        {"method": "reset_layers", "params": {"scope": "all"}, "trigger": "every_k_steps(45)"}
+    ],
+    "injection": [{"method": "plasticity_injection", "trigger": "every_k_steps(90)"}],
+    "trac": ["trac"],
+    "kron": [{"method": "kron", "params": {"damping": 0.1}}],
+}
+
+
+class TestActMemo:
+    """The act memo reuses forwards only; every log byte is the recompute's."""
+
+    @staticmethod
+    def _run(raw, out_dir):
+        art = run_experiment(resolve_config(raw), out_dir)
+        assert art.summary["status"] == "ok"
+        return [open(path, "rb").read() for path in (art.metrics_path, art.episodes_path)]
+
+    @pytest.mark.parametrize("plan", sorted(_MEMO_PLANS))
+    @pytest.mark.parametrize("base", sorted(_MEMO_BASES))
+    def test_logs_equal_a_run_that_recomputes_every_act(self, base, plan, tmp_path, monkeypatch):
+        raw = {**_MEMO_BASES[base], "mitigations": _MEMO_PLANS[plan]}
+        memo_logs = self._run(raw, str(tmp_path / "memo"))
+        monkeypatch.setattr(loop, "ACT_MEMO_CAP", 0)
+        assert self._run(raw, str(tmp_path / "recompute")) == memo_logs
+
+    @pytest.mark.parametrize("base", ["ppo_grid", "c51_grid"])
+    def test_repeated_gridworld_observations_skip_the_forward(self, base, tmp_path, monkeypatch):
+        module = ppo if base == "ppo_grid" else c51
+        calls = []
+
+        def counting_forward(net, x):
+            calls.append(x.shape[0])
+            return net_forward(net, x)
+
+        monkeypatch.setattr(module, "forward", counting_forward)
+        raw = {**_MEMO_BASES[base], "mitigations": _MEMO_PLANS["redo"]}
+        self._run(raw, str(tmp_path / "memo"))
+        with_memo = calls.count(1)
+        calls.clear()
+        monkeypatch.setattr(loop, "ACT_MEMO_CAP", 0)
+        self._run(raw, str(tmp_path / "recompute"))
+        assert 0 < with_memo < calls.count(1) // 2
+
+    @pytest.mark.parametrize("base", ["ppo_pointmass", "c51_grid"])
+    def test_memo_never_holds_more_than_the_cap(self, base, tmp_path, monkeypatch):
+        learner_cls = ppo.PPOLearner if base == "ppo_pointmass" else c51.C51Learner
+        sizes = []
+        act = learner_cls.act
+
+        def recording_act(learner, *args):
+            out = act(learner, *args)
+            sizes.append(len(learner.memo))
+            return out
+
+        monkeypatch.setattr(learner_cls, "act", recording_act)
+        monkeypatch.setattr(loop, "ACT_MEMO_CAP", 5)
+        # no gradient step in 300 steps: only the cap empties the memo
+        learner = {"learning_starts": 1000, "exploration_fraction": 0.001}
+        if base == "ppo_pointmass":
+            learner = {"rollout_len": 1000}
+        raw = {**_MEMO_BASES[base], "learner": {**_MEMO_BASES[base]["learner"], **learner}}
+        self._run(raw, str(tmp_path / "r"))
+        assert len(sizes) == 300
+        assert max(sizes) == 5
 
 
 class TestReplay:
