@@ -58,6 +58,17 @@ def ppo_loss(
     against GAE returns, keeping the clipped branch when it is worse (the
     pessimistic max).
     """
+    return _clipped_objective(
+        batch, new_log_probs, new_values, entropy, clip_eps, vf_coef, ent_coef, value_clip
+    )[:2]
+
+
+def _clipped_objective(
+    batch, new_log_probs, new_values, entropy, clip_eps, vf_coef, ent_coef, value_clip
+):
+    """ppo_loss's (total, parts), plus the per-sample terms its analytic
+    gradient reads: (normalized advantages, ratio, value error, clipped
+    value error)."""
     if clip_eps <= 0.0:
         raise InvalidInputError(f"clip_eps must be > 0, got {clip_eps}")
     if batch.advantages is None or batch.returns is None:
@@ -75,7 +86,8 @@ def ppo_loss(
     value = 0.5 * float(np.mean(np.maximum(v_err, v_err_clipped)))
     ent = float(np.mean(entropy))
     total = policy + vf_coef * value - ent_coef * ent
-    return total, {"policy": policy, "value": value, "entropy": ent, "total": total}
+    parts = {"policy": policy, "value": value, "entropy": ent, "total": total}
+    return total, parts, (adv, ratio, v_err, v_err_clipped)
 
 
 def gaussian_policy(
@@ -178,7 +190,9 @@ class PPOLearner:
         return actions[0], float(log_prob[0]), value
 
     def evaluate_actions(self, obs: np.ndarray, actions: np.ndarray):
-        """Log-probs, entropy, and values for stored actions (no sampling)."""
+        """Trace, log-probs, entropy and values for stored actions (no
+        sampling), then (log-softmax, probabilities) for a discrete policy or
+        None for a continuous one."""
         trace = forward(self.net, obs)
         out = trace.outputs
         values = out[:, -1]
@@ -188,11 +202,11 @@ class PPOLearner:
             log_probs = log_all[np.arange(len(idx)), idx]
             probs = np.exp(log_all)
             entropy = -np.sum(probs * log_all, axis=1)
-            return trace, log_probs, entropy, values
+            return trace, log_probs, entropy, values, (log_all, probs)
         _, log_probs, entropy = gaussian_policy(
             out[:, :-1], self.net.params["log_std"], actions=actions
         )
-        return trace, log_probs, entropy, values
+        return trace, log_probs, entropy, values, None
 
     # ---------------------------------------------------------- updating
 
@@ -216,14 +230,14 @@ class PPOLearner:
 
     def _minibatch_step(self, mb: TrajectoryBatch) -> dict[str, float]:
         cfg = self.cfg
-        trace, new_log_probs, entropy, new_values = self.evaluate_actions(
+        trace, new_log_probs, entropy, new_values, softmax = self.evaluate_actions(
             mb.observations, mb.actions
         )
-        total, parts = ppo_loss(
+        total, parts, terms = _clipped_objective(
             mb, new_log_probs, new_values, entropy,
             cfg.clip_eps, cfg.vf_coef, cfg.ent_coef, cfg.value_clip,
         )
-        grads = self._loss_grads(mb, trace, new_log_probs, new_values)
+        grads = self._loss_grads(mb, trace, new_values, entropy, terms, softmax)
         for kind, alpha, s in self.reg_terms:
             value, reg_grads = reg_loss(kind, self.net, alpha, s)
             total += value
@@ -241,14 +255,9 @@ class PPOLearner:
         parts["total"] = total
         return parts
 
-    def _loss_grads(
-        self,
-        mb: TrajectoryBatch,
-        trace,
-        new_log_probs: np.ndarray,
-        new_values: np.ndarray,
-    ) -> Gradients:
-        """Analytic gradient of the clipped objective wrt network outputs.
+    def _loss_grads(self, mb, trace, new_values, entropy, terms, softmax) -> Gradients:
+        """Analytic gradient of the clipped objective wrt network outputs,
+        from the terms `_clipped_objective` and `evaluate_actions` returned.
 
         The clipped min contributes nothing for samples pushed past the clip
         band in the advantage-improving direction; the clipped value max
@@ -256,16 +265,11 @@ class PPOLearner:
         """
         cfg = self.cfg
         b = len(mb)
-        adv = normalize_advantages(mb.advantages)
-        ratio = np.exp(new_log_probs - mb.log_probs)
+        adv, ratio, v_err, v_err_clipped = terms
         clip_dead = ((ratio > 1.0 + cfg.clip_eps) & (adv > 0.0)) | (
             (ratio < 1.0 - cfg.clip_eps) & (adv < 0.0)
         )
         g_log_prob = np.where(clip_dead, 0.0, -adv * ratio) / b
-
-        v_err = (new_values - mb.returns) ** 2
-        v_clipped = mb.values + np.clip(new_values - mb.values, -cfg.value_clip, cfg.value_clip)
-        v_err_clipped = (v_clipped - mb.returns) ** 2
         g_value = np.where(v_err >= v_err_clipped, new_values - mb.returns, 0.0)
         g_value = cfg.vf_coef * g_value / b
 
@@ -273,15 +277,13 @@ class PPOLearner:
         output_grad = np.zeros_like(out)
         output_grad[:, -1] = g_value
         if self.discrete:
-            log_all = _log_softmax(out[:, :-1])
-            probs = np.exp(log_all)
+            log_all, probs = softmax
             idx = mb.actions.astype(np.int64)
             one_hot = np.zeros_like(probs)
             one_hot[np.arange(b), idx] = 1.0
             output_grad[:, :-1] = g_log_prob[:, None] * (one_hot - probs)
             # entropy bonus: dH/dlogits = -p * (log p + H)
-            ent_rows = -np.sum(probs * log_all, axis=1, keepdims=True)
-            output_grad[:, :-1] += (cfg.ent_coef / b) * probs * (log_all + ent_rows)
+            output_grad[:, :-1] += (cfg.ent_coef / b) * probs * (log_all + entropy[:, None])
             return backward(self.net, trace, output_grad)
         mean = out[:, :-1]
         log_std = self.net.params["log_std"]

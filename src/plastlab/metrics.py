@@ -114,14 +114,23 @@ def active_fraction(trace: ForwardTrace) -> dict[str, float]:
     return out
 
 
-def stable_rank(f: np.ndarray) -> int:
-    """Smallest k whose leading singular values capture >99% of the spectrum sum."""
+def _ranks(f: np.ndarray) -> tuple[int, float]:
+    """Stable and effective rank of f (defined below), both from one SVD."""
     sv = svd_values(ensure_matrix(f, "f"))
     total = float(sv.sum())
     if total == 0.0:
-        raise UndefinedRankError("stable rank of an all-zero matrix is undefined")
-    fractions = np.cumsum(sv) / total
-    return int(np.argmax(fractions > _SR_THRESHOLD)) + 1
+        raise UndefinedRankError("rank of an all-zero matrix is undefined")
+    stable = int(np.argmax(np.cumsum(sv) / total > _SR_THRESHOLD)) + 1
+    p = sv.astype(np.longdouble)
+    p = p / p.sum()
+    nz = p[p > 0.0]
+    entropy = -(nz * np.log(nz)).sum()
+    return stable, float(np.exp(entropy))
+
+
+def stable_rank(f: np.ndarray) -> int:
+    """Smallest k whose leading singular values capture >99% of the spectrum sum."""
+    return _ranks(f)[0]
 
 
 def effective_rank(f: np.ndarray) -> float:
@@ -130,14 +139,7 @@ def effective_rank(f: np.ndarray) -> float:
     Zero singular values contribute nothing. The entropy sum runs in
     extended precision so uniform spectra give back exact integers.
     """
-    sv = svd_values(ensure_matrix(f, "f"))
-    if float(sv.sum()) == 0.0:
-        raise UndefinedRankError("effective rank of an all-zero matrix is undefined")
-    p = sv.astype(np.longdouble)
-    p = p / p.sum()
-    nz = p[p > 0.0]
-    entropy = -(nz * np.log(nz)).sum()
-    return float(np.exp(entropy))
+    return _ranks(f)[1]
 
 
 def weight_difference(a: NetworkState, b: NetworkState) -> tuple[float, float]:
@@ -204,6 +206,12 @@ def collect_metrics(
 
     reports = []
     n_layers = len(net.layers)
+    ranks = []  # one SVD per layer; the "all" scope reuses its feature layer's
+    for post in trace.postacts:
+        try:
+            ranks.append(_ranks(post))
+        except UndefinedRankError:
+            ranks.append((None, None))
     for i in range(n_layers):
         scope = f"layer{i}"
         names = [n for n in net.param_order if n.startswith(scope + ".")]
@@ -211,20 +219,10 @@ def collect_metrics(
         gn = None
         if grads is not None:
             gn = gradient_norm({n: g for n, g in grads.by_name.items() if n.startswith(scope + ".")})
-        post = trace.postacts[i]
-        try:
-            sr, er = stable_rank(post), effective_rank(post)
-        except UndefinedRankError:
-            sr, er = None, None
         reports.append(
-            MetricReport(step, scope, rdu[scope], fau[scope], sr, er, wd, wd_pp, gn)
+            MetricReport(step, scope, rdu[scope], fau[scope], *ranks[i], wd, wd_pp, gn)
         )
-    feature_layer = max(n_layers - 2, 0)
-    features = trace.postacts[feature_layer]
-    try:
-        sr_all, er_all = stable_rank(features), effective_rank(features)
-    except UndefinedRankError:
-        sr_all, er_all = None, None
+    sr_all, er_all = ranks[max(n_layers - 2, 0)]
     wd_all, wd_pp_all = _params_l2(net.params, ref, list(net.param_order))
     gn_all = gradient_norm(grads) if grads is not None else None
     reports.append(

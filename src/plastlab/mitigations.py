@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, MitigationError, NumericError
+from .metrics import _layer_scores
 from .net import (
     ForwardTrace,
     Gradients,
@@ -155,21 +156,6 @@ def inject_plasticity(net: NetworkState, stream: RngStream) -> NetworkState:
     return add_injection_round(net, stream)
 
 
-def _dormant_preact_units(post: np.ndarray, width: int, tau: float) -> np.ndarray:
-    """Indices of pre-activation units whose score is <= tau.
-
-    For width-doubling activations a unit counts as dormant only when both
-    of its post-activation copies are.
-    """
-    mean_abs = np.abs(post).mean(axis=0)
-    denom = mean_abs.mean()
-    scores = np.zeros(post.shape[1]) if denom == 0.0 else mean_abs / denom
-    dormant = scores <= tau
-    if post.shape[1] == 2 * width:
-        dormant = dormant[:width] & dormant[width:]
-    return np.nonzero(dormant)[0]
-
-
 def redo_reset(
     net: NetworkState, probe: np.ndarray, tau: float, stream: RngStream
 ) -> tuple[NetworkState, int]:
@@ -184,7 +170,11 @@ def redo_reset(
     last = len(net.layers) - 1
     for i in range(last):
         spec = net.layers[i]
-        units = _dormant_preact_units(trace.postacts[i], spec.out_dim, tau)
+        dormant = _layer_scores(trace.postacts[i]) <= tau
+        if spec.activation in _WIDTH_DOUBLING:
+            # a unit is dormant only when both of its output copies are
+            dormant = dormant[: spec.out_dim] & dormant[spec.out_dim :]
+        units = np.nonzero(dormant)[0]
         if units.size == 0:
             continue
         w_draw, b_draw = _draw_layer_params(spec, stream)

@@ -388,15 +388,12 @@ def network_output(net: NetworkState, batch: np.ndarray) -> np.ndarray:
     return forward(net, batch).outputs
 
 
-def _linear_backward(x, w, g_lin):
-    return g_lin.T @ x, g_lin.sum(axis=0), g_lin @ w
-
-
 def backward(net: NetworkState, trace: ForwardTrace, output_grad: np.ndarray) -> Gradients:
     """Exact reverse-mode pass; mirrors forward layer by layer.
 
     Frozen parameters (injection branches, frozen base head) never appear in
-    the result, but gradients still flow through them to earlier layers.
+    the result, but gradients still flow through them to earlier layers. The
+    gradient with respect to the network input is never formed.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if output_grad.shape != trace.outputs.shape:
@@ -408,67 +405,47 @@ def backward(net: NetworkState, trace: ForwardTrace, output_grad: np.ndarray) ->
     by_name: dict[str, np.ndarray] = {}
     lin_grads: dict[str, np.ndarray] = {}
     last = len(net.layers) - 1
-    spec_last = net.layers[last]
 
-    def accumulate_branch(prefix, pre, post, g_post, x, w_name, cache):
-        g_pre = _act_backward(spec_last.activation, pre, post, g_post)
+    def layer_grads(i, prefix, pre, post, g_post, cache):
+        """Record the gradients of prefix's parameters (layer i's spec and
+        input); return the gradient with respect to its linear output."""
+        g_pre = _act_backward(net.layers[i].activation, pre, post, g_post)
         if cache is not None:
-            gain = net.params[f"{prefix}.ln_gain"]
-            g_lin, g_gain, g_offset = _ln_backward(cache, gain, g_pre)
+            g_lin, g_gain, g_offset = _ln_backward(cache, net.params[f"{prefix}.ln_gain"], g_pre)
             if f"{prefix}.ln_gain" not in net.frozen:
                 by_name[f"{prefix}.ln_gain"] = g_gain
                 by_name[f"{prefix}.ln_offset"] = g_offset
         else:
             g_lin = g_pre
-        g_w, g_b, g_x = _linear_backward(x, net.params[w_name], g_lin)
-        if w_name not in net.frozen:
-            by_name[w_name] = g_w
-            by_name[f"{prefix}.b"] = g_b
+        if f"{prefix}.w" not in net.frozen:
+            by_name[f"{prefix}.w"] = g_lin.T @ trace.layer_inputs[i]
+            by_name[f"{prefix}.b"] = g_lin.sum(axis=0)
             lin_grads[prefix] = g_lin
-        return g_x
+        return g_lin
 
-    g_out = output_grad
-    head_in = trace.layer_inputs[last]
+    # the head is the base layer plus, per injection round, a trainable
+    # branch that adds to the output and a frozen one that subtracts
+    base_post = trace.postacts[last]
     if net.injection_rounds:
-        base_post = _act_forward(spec_last.activation, trace.preacts[last])
-        g_input = accumulate_branch(
-            f"layer{last}", trace.preacts[last], base_post, g_out, head_in,
-            f"layer{last}.w", trace.ln_caches[last],
-        )
-        for r, branches in enumerate(trace.head_branches, start=1):
-            train_prefix, frozen_prefix = _branch_names(last, r)
-            pre_t, post_t = branches[train_prefix]
-            pre_f, post_f = branches[frozen_prefix]
-            g_input += accumulate_branch(
-                train_prefix, pre_t, post_t, g_out, head_in, f"{train_prefix}.w", None
-            )
-            g_input += accumulate_branch(
-                frozen_prefix, pre_f, post_f, -g_out, head_in, f"{frozen_prefix}.w", None
-            )
-    else:
-        g_input = accumulate_branch(
-            f"layer{last}", trace.preacts[last], trace.postacts[last], g_out, head_in,
-            f"layer{last}.w", trace.ln_caches[last],
-        )
+        base_post = _act_forward(net.layers[last].activation, trace.preacts[last])
+    head = [(f"layer{last}", trace.preacts[last], base_post, output_grad, trace.ln_caches[last])]
+    for r, branches in enumerate(trace.head_branches, start=1):
+        train_prefix, frozen_prefix = _branch_names(last, r)
+        head.append((train_prefix, *branches[train_prefix], output_grad, None))
+        head.append((frozen_prefix, *branches[frozen_prefix], -output_grad, None))
+    g_input = None
+    for prefix, pre, post, g_post, cache in head:
+        g_lin = layer_grads(last, prefix, pre, post, g_post, cache)
+        if last:
+            g_x = g_lin @ net.params[f"{prefix}.w"]
+            g_input = g_x if g_input is None else g_input + g_x
 
     for i in range(last - 1, -1, -1):
-        spec = net.layers[i]
-        g_pre = _act_backward(spec.activation, trace.preacts[i], trace.postacts[i], g_input)
-        if trace.ln_caches[i] is not None:
-            gain = net.params[f"layer{i}.ln_gain"]
-            g_lin, g_gain, g_offset = _ln_backward(trace.ln_caches[i], gain, g_pre)
-            if f"layer{i}.ln_gain" not in net.frozen:
-                by_name[f"layer{i}.ln_gain"] = g_gain
-                by_name[f"layer{i}.ln_offset"] = g_offset
-        else:
-            g_lin = g_pre
-        g_w, g_b, g_input = _linear_backward(
-            trace.layer_inputs[i], net.params[f"layer{i}.w"], g_lin
+        g_lin = layer_grads(
+            i, f"layer{i}", trace.preacts[i], trace.postacts[i], g_input, trace.ln_caches[i]
         )
-        if f"layer{i}.w" not in net.frozen:
-            by_name[f"layer{i}.w"] = g_w
-            by_name[f"layer{i}.b"] = g_b
-            lin_grads[f"layer{i}"] = g_lin
+        if i:
+            g_input = g_lin @ net.params[f"layer{i}.w"]
     return Gradients(by_name=by_name, lin_grads=lin_grads)
 
 

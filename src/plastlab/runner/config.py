@@ -8,6 +8,7 @@ config like {algo: c51, scenario: standard} expands to the full C51 recipe.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 
 import yaml
@@ -184,7 +185,13 @@ def _coerce_field(name: str, value, default):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"'{path}' must be a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"'{path}' must be finite, got {value!r}")
+        return number
     if not isinstance(value, str):
         raise ConfigError(f"'{path}' must be a string, got {value!r}")
     return value

@@ -263,7 +263,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         ep_return, ep_len = 0.0, 0
         # gradient steps, per-gradient-step methods and events are the only
         # writes to net, and each moves this key; acting reuses the forward
-        # of a repeated observation only while it stands still
+        # of a repeated observation only while it stands still. Only discrete
+        # (gridworld) observations repeat, so continuous ones get no memo.
         memo_key = None
 
         for step in range(cfg.total_steps):
@@ -286,7 +287,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 _checkpoint(step)
 
             params_key = (state["gradient_steps"], sum(counters))
-            if params_key != memo_key or len(learner.memo) >= ACT_MEMO_CAP:
+            if discrete and (params_key != memo_key or len(learner.memo) >= ACT_MEMO_CAP):
                 learner.memo, memo_key = {}, params_key
             if ppo:
                 action, log_prob, value = learner.act(obs, act_stream)

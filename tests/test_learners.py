@@ -26,8 +26,10 @@ from plastlab.learners import (
 )
 from plastlab.learners import c51 as c51_module
 from plastlab.learners import ppo as ppo_module
-from plastlab.learners.ppo import _log_softmax
-from plastlab.mitigations import make_optimizer
+from plastlab.learners.ppo import _clipped_objective, _log_softmax
+from plastlab.learners.common import clip_gradients
+from plastlab.mitigations import make_optimizer, optimizer_step, reg_loss
+from plastlab.net import backward as net_backward
 from plastlab.net import forward
 from plastlab.numkit import RngStream
 
@@ -565,7 +567,7 @@ def collect_synthetic(learner, stream, n=64, obs_dim=4):
 
 
 def ppo_total_loss(learner, mb):
-    _, nlp, ent, nv = learner.evaluate_actions(mb.observations, mb.actions)
+    _, nlp, ent, nv, _ = learner.evaluate_actions(mb.observations, mb.actions)
     cfg = learner.cfg
     total, _ = ppo_loss(mb, nlp, nv, ent, cfg.clip_eps, cfg.vf_coef, cfg.ent_coef,
                         cfg.value_clip)
@@ -573,8 +575,11 @@ def ppo_total_loss(learner, mb):
 
 
 def fd_check_ppo(learner, mb, names, h=1e-6, tol=1e-4):
-    trace, nlp, ent, nv = learner.evaluate_actions(mb.observations, mb.actions)
-    grads = learner._loss_grads(mb, trace, nlp, nv)
+    cfg = learner.cfg
+    trace, nlp, ent, nv, softmax = learner.evaluate_actions(mb.observations, mb.actions)
+    _, _, terms = _clipped_objective(mb, nlp, nv, ent, cfg.clip_eps, cfg.vf_coef,
+                                     cfg.ent_coef, cfg.value_clip)
+    grads = learner._loss_grads(mb, trace, nv, ent, terms, softmax)
     for name in names:
         analytic = grads.by_name[name]
         flat = learner.net.params[name].ravel()
@@ -639,7 +644,7 @@ class TestPPOLearner:
         learner, _ = make_ppo(36, discrete=True)
         obs = RngStream(36, 2).normal(0.0, 1.0, 4)
         a, lp, v = learner.act(obs, RngStream(36, 4))
-        _, lp_eval, _, v_eval = learner.evaluate_actions(
+        _, lp_eval, _, v_eval, _ = learner.evaluate_actions(
             obs.reshape(1, 4), np.array([a]))
         assert abs(lp - lp_eval[0]) < 1e-12
         assert abs(v - v_eval[0]) < 1e-12
@@ -662,6 +667,96 @@ class TestPPOLearner:
         learner._minibatch_step = spy
         learner.update(traj, 0.0, RngStream(38, 3))
         assert sum(seen) == 32 * learner.cfg.update_epochs
+
+
+def two_pass_minibatch_step(learner, mb):
+    """The minibatch step with the loss and its gradient computed apart, each
+    forming the normalized advantages, ratio, value errors, log-softmax and
+    probabilities itself. Returns (stats, the gradients the optimizer saw)."""
+    cfg, net = learner.cfg, learner.net
+    trace = forward(net, mb.observations)
+    out = trace.outputs
+    nv = out[:, -1]
+    if learner.discrete:
+        log_all = _log_softmax(out[:, :-1])
+        nlp = log_all[np.arange(len(mb)), mb.actions.astype(np.int64)]
+        ent = -np.sum(np.exp(log_all) * log_all, axis=1)
+    else:
+        _, nlp, ent = gaussian_policy(out[:, :-1], net.params["log_std"], actions=mb.actions)
+    total, parts = ppo_loss(mb, nlp, nv, ent, cfg.clip_eps, cfg.vf_coef, cfg.ent_coef,
+                            cfg.value_clip)
+    b = len(mb)
+    adv = normalize_advantages(mb.advantages)
+    ratio = np.exp(nlp - mb.log_probs)
+    clip_dead = ((ratio > 1.0 + cfg.clip_eps) & (adv > 0.0)) | (
+        (ratio < 1.0 - cfg.clip_eps) & (adv < 0.0))
+    g_log_prob = np.where(clip_dead, 0.0, -adv * ratio) / b
+    v_err = (nv - mb.returns) ** 2
+    v_clipped = mb.values + np.clip(nv - mb.values, -cfg.value_clip, cfg.value_clip)
+    v_err_clipped = (v_clipped - mb.returns) ** 2
+    g_value = cfg.vf_coef * np.where(v_err >= v_err_clipped, nv - mb.returns, 0.0) / b
+    output_grad = np.zeros_like(out)
+    output_grad[:, -1] = g_value
+    if learner.discrete:
+        log_all = _log_softmax(out[:, :-1])
+        probs = np.exp(log_all)
+        one_hot = np.zeros_like(probs)
+        one_hot[np.arange(b), mb.actions.astype(np.int64)] = 1.0
+        output_grad[:, :-1] = g_log_prob[:, None] * (one_hot - probs)
+        ent_rows = -np.sum(probs * log_all, axis=1, keepdims=True)
+        output_grad[:, :-1] += (cfg.ent_coef / b) * probs * (log_all + ent_rows)
+        grads = net_backward(net, trace, output_grad)
+    else:
+        std = np.exp(net.params["log_std"])
+        z = (mb.actions - out[:, :-1]) / std
+        output_grad[:, :-1] = g_log_prob[:, None] * (z / std)
+        grads = net_backward(net, trace, output_grad)
+        grads.by_name["log_std"] = (
+            np.sum(g_log_prob[:, None] * (z * z - 1.0), axis=0) - cfg.ent_coef)
+    for kind, alpha, s in learner.reg_terms:
+        value, reg_grads = reg_loss(kind, net, alpha, s)
+        total += value
+        for name, g in reg_grads.items():
+            grads.by_name[name] = grads.by_name[name] + g if name in grads.by_name else g
+    parts["grad_norm"] = clip_gradients(grads.by_name, cfg.max_grad_norm)
+    optimizer_step(learner.opt, net, trace, grads, cfg.lr)
+    parts["total"] = total
+    return parts, grads
+
+
+class TestSharedLossTerms:
+    @pytest.mark.parametrize("discrete", [True, False])
+    def test_minibatch_steps_equal_the_two_pass_reference(self, discrete, monkeypatch):
+        seen = []
+
+        def recording_step(opt, net, trace, grads, lr):
+            seen.append({k: v.copy() for k, v in grads.by_name.items()})
+            return optimizer_step(opt, net, trace, grads, lr)
+
+        monkeypatch.setattr(ppo_module, "optimizer_step", recording_step)
+        learners = []
+        for _ in range(2):
+            learner, _ = make_ppo(39, discrete=discrete, n_actions=3, ent_coef=0.01)
+            learner.reg_terms = (("l2", 1e-3, 1.0),)
+            learners.append(learner)
+        shared, reference = learners
+        traj = collect_synthetic(shared, RngStream(39, 2))
+        traj.advantages, traj.returns = gae(traj.rewards, traj.values, traj.dones,
+                                            0.1, 0.99, 0.95)
+        for chunk in np.array_split(RngStream(39, 3).permutation(len(traj)), 4):
+            mb = traj.take(chunk)
+            got = shared._minibatch_step(mb)
+            want, want_grads = two_pass_minibatch_step(reference, mb)
+            assert got == want
+            assert list(seen[-1]) == list(want_grads.by_name)
+            for name, g in want_grads.by_name.items():
+                assert seen[-1][name].tobytes() == g.tobytes(), name
+            for name in reference.net.param_order:
+                assert (shared.net.params[name].tobytes()
+                        == reference.net.params[name].tobytes()), name
+        # the steps moved the parameters and the policy, so the check is not vacuous
+        assert shared.net.params["layer0.w"].tobytes() != make_ppo(39)[0].net.params[
+            "layer0.w"].tobytes()
 
 
 class TestActMemo:
@@ -694,7 +789,7 @@ class TestActMemo:
         n_calls = len(calls)
         a, lp, v = learner.act(obs, RngStream(41, 4))
         assert len(calls) == n_calls + 1
-        _, lp_eval, _, v_eval = learner.evaluate_actions(obs.reshape(1, 4), np.array([a]))
+        _, lp_eval, _, v_eval, _ = learner.evaluate_actions(obs.reshape(1, 4), np.array([a]))
         assert v != v_before
         assert v == v_eval[0] and abs(lp - lp_eval[0]) < 1e-12
 

@@ -15,7 +15,15 @@ from plastlab.metrics import (
     stable_rank,
     weight_difference,
 )
-from plastlab.net import ForwardTrace, LayerSpec, clone_network, forward, init_network
+from plastlab import metrics as metrics_module
+from plastlab.net import (
+    ForwardTrace,
+    LayerSpec,
+    add_injection_round,
+    clone_network,
+    forward,
+    init_network,
+)
 from plastlab.numkit import RngStream, svd_values
 
 
@@ -299,6 +307,61 @@ class TestCollectMetrics:
         net.params["layer2.b"][0] += 2.0
         agg = collect_metrics(net, self.probe, baseline=baseline)[-1]
         assert agg.weight_diff == pytest.approx(2.0, abs=1e-12)
+
+
+def _rank_case(name):
+    """A network and probe for each shape the one-SVD sweep must handle."""
+    probe = RngStream(61, 1).normal(0.0, 1.0, 4 * 24).reshape(24, 4)
+    if name == "one_layer":
+        return init_network([LayerSpec(4, 3, "linear")], RngStream(61, 0)), probe
+    if name == "crelu":
+        specs = [LayerSpec(4, 5, "crelu"), LayerSpec(10, 5, "crelu"), LayerSpec(10, 2, "linear")]
+        return init_network(specs, RngStream(61, 0)), probe
+    specs = [LayerSpec(4, 6, "relu"), LayerSpec(6, 5, "relu"), LayerSpec(5, 3, "linear")]
+    net = init_network(specs, RngStream(61, 0))
+    if name == "zero_layer":
+        # every unit of layer1 is dead: no spectrum, both ranks undefined
+        net.params["layer1.w"][:] = 0.0
+        net.params["layer1.b"][:] = -1.0
+    if name == "injection":
+        for r in (1, 2):
+            add_injection_round(net, RngStream(61, 1 + r))
+            net.params[f"layer2.inj{r}_train.w"] += 0.3
+    return net, probe
+
+
+def _standalone_ranks(f):
+    try:
+        return stable_rank(f), effective_rank(f)
+    except UndefinedRankError:
+        return None, None
+
+
+@pytest.mark.parametrize("case", ["plain", "zero_layer", "crelu", "injection", "one_layer"])
+class TestOneSvdPerLayer:
+    def test_svd_runs_once_per_layer(self, case, monkeypatch):
+        net, probe = _rank_case(case)
+        calls = []
+
+        def counting_svd(m):
+            calls.append(m.shape)
+            return svd_values(m)
+
+        monkeypatch.setattr(metrics_module, "svd_values", counting_svd)
+        reports = collect_metrics(net, probe)
+        assert len(calls) == len(net.layers) == len(reports) - 1
+
+    def test_rows_equal_the_standalone_ranks_of_their_scope(self, case):
+        net, probe = _rank_case(case)
+        post = forward(net, probe).postacts
+        reports = collect_metrics(net, probe)
+        scopes = list(range(len(net.layers))) + [max(len(net.layers) - 2, 0)]
+        for report, layer in zip(reports, scopes):
+            assert (report.stable_rank, report.effective_rank) == _standalone_ranks(post[layer])
+        if case == "zero_layer":
+            assert reports[1].stable_rank is None and reports[1].effective_rank is None
+            assert reports[-1].stable_rank is None and reports[-1].effective_rank is None
+            assert "stable_rank" not in dict(reports[-1].rows())
 
 
 def deserialize_init(net):

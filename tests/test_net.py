@@ -6,7 +6,12 @@ import pytest
 
 from plastlab.errors import CheckpointError, InvalidInputError, SpecError
 from plastlab.net import (
+    Gradients,
     LayerSpec,
+    _act_backward,
+    _act_forward,
+    _branch_names,
+    _ln_backward,
     add_injection_round,
     backward,
     clone_network,
@@ -198,6 +203,118 @@ class TestInjection:
             "layer1.inj2_train.w",
             "layer1.inj2_train.b",
         }
+
+
+def backward_with_input_grads(net, trace, output_grad):
+    """Reverse pass that also forms every layer's input gradient, layer 0's
+    included; the oracle for `backward`, which skips the one nothing reads."""
+    by_name, lin_grads = {}, {}
+    last = len(net.layers) - 1
+    spec_last = net.layers[last]
+
+    def accumulate_branch(prefix, pre, post, g_post, x, w_name, cache):
+        g_pre = _act_backward(spec_last.activation, pre, post, g_post)
+        if cache is not None:
+            g_lin, g_gain, g_offset = _ln_backward(cache, net.params[f"{prefix}.ln_gain"], g_pre)
+            if f"{prefix}.ln_gain" not in net.frozen:
+                by_name[f"{prefix}.ln_gain"] = g_gain
+                by_name[f"{prefix}.ln_offset"] = g_offset
+        else:
+            g_lin = g_pre
+        w = net.params[w_name]
+        if w_name not in net.frozen:
+            by_name[w_name] = g_lin.T @ x
+            by_name[f"{prefix}.b"] = g_lin.sum(axis=0)
+            lin_grads[prefix] = g_lin
+        return g_lin @ w
+
+    head_in = trace.layer_inputs[last]
+    if net.injection_rounds:
+        base_post = _act_forward(spec_last.activation, trace.preacts[last])
+        g_input = accumulate_branch(f"layer{last}", trace.preacts[last], base_post, output_grad,
+                                    head_in, f"layer{last}.w", trace.ln_caches[last])
+        for r, branches in enumerate(trace.head_branches, start=1):
+            train_prefix, frozen_prefix = _branch_names(last, r)
+            g_input += accumulate_branch(train_prefix, *branches[train_prefix], output_grad,
+                                         head_in, f"{train_prefix}.w", None)
+            g_input += accumulate_branch(frozen_prefix, *branches[frozen_prefix], -output_grad,
+                                         head_in, f"{frozen_prefix}.w", None)
+    else:
+        g_input = accumulate_branch(f"layer{last}", trace.preacts[last], trace.postacts[last],
+                                    output_grad, head_in, f"layer{last}.w", trace.ln_caches[last])
+    for i in range(last - 1, -1, -1):
+        g_pre = _act_backward(net.layers[i].activation, trace.preacts[i], trace.postacts[i],
+                              g_input)
+        if trace.ln_caches[i] is not None:
+            g_lin, g_gain, g_offset = _ln_backward(
+                trace.ln_caches[i], net.params[f"layer{i}.ln_gain"], g_pre)
+            if f"layer{i}.ln_gain" not in net.frozen:
+                by_name[f"layer{i}.ln_gain"] = g_gain
+                by_name[f"layer{i}.ln_offset"] = g_offset
+        else:
+            g_lin = g_pre
+        if f"layer{i}.w" not in net.frozen:
+            by_name[f"layer{i}.w"] = g_lin.T @ trace.layer_inputs[i]
+            by_name[f"layer{i}.b"] = g_lin.sum(axis=0)
+            lin_grads[f"layer{i}"] = g_lin
+        g_input = g_lin @ net.params[f"layer{i}.w"]
+    return Gradients(by_name=by_name, lin_grads=lin_grads)
+
+
+def assert_same_gradients(got, want):
+    """Equal keys in equal order (clipping sums in that order), equal bits."""
+    for field in ("by_name", "lin_grads"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert list(a) == list(b), field
+        for name in a:
+            assert a[name].tobytes() == b[name].tobytes(), (field, name)
+
+
+class TestBackwardOracle:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "crelu", "fourier"])
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("rounds", [0, 1, 2])
+    def test_matches_the_pass_that_forms_every_input_gradient(
+        self, activation, layer_norm, depth, rounds
+    ):
+        seed = 70 + depth + 3 * rounds
+        specs, width = [], 5
+        for _ in range(depth - 1):
+            specs.append(LayerSpec(width, 6, activation, layer_norm, "orthogonal(1.2)"))
+            width = specs[-1].width_out
+        # injection needs a plain head
+        head_ln = layer_norm and not rounds
+        specs.append(LayerSpec(width, 3, "linear", head_ln, "uniform_fan_in"))
+        net = init_network(specs, RngStream(seed, 1))
+        for r in range(rounds):
+            add_injection_round(net, RngStream(seed, 2 + r))
+            # move the trainable branch off its frozen twin
+            net.params[f"layer{depth - 1}.inj{r + 1}_train.w"] += 0.2
+        stream = RngStream(seed, 9)
+        batch = stream.normal(0.0, 1.0, 7 * 5).reshape(7, 5)
+        coeff = stream.normal(0.0, 1.0, 7 * 3).reshape(7, 3)
+        trace = forward(net, batch)
+        assert_same_gradients(backward(net, trace, coeff),
+                              backward_with_input_grads(net, trace, coeff))
+
+    @pytest.mark.parametrize(
+        "frozen", [{"layer1.w", "layer1.b"}, {"layer0.ln_gain", "layer0.ln_offset"},
+                   {"layer0.w", "layer0.b", "layer2.w", "layer2.b"}]
+    )
+    def test_matches_with_frozen_parameters(self, frozen):
+        net = init_network(
+            [LayerSpec(4, 6, "relu", True), LayerSpec(6, 5, "tanh"), LayerSpec(5, 2, "linear")],
+            RngStream(80, 1),
+        )
+        net.frozen = frozenset(frozen)
+        stream = RngStream(80, 2)
+        batch = stream.normal(0.0, 1.0, 24).reshape(6, 4)
+        coeff = stream.normal(0.0, 1.0, 12).reshape(6, 2)
+        trace = forward(net, batch)
+        got = backward(net, trace, coeff)
+        assert not frozen & set(got.by_name)
+        assert_same_gradients(got, backward_with_input_grads(net, trace, coeff))
 
 
 class TestSerialization:

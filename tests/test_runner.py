@@ -1,5 +1,6 @@
 """Runner tests: config resolution, deterministic artifacts, triggers, replay, CLI."""
 
+import hashlib
 import json
 import os
 import struct
@@ -25,6 +26,8 @@ from plastlab.learners import c51, ppo
 from plastlab.net import forward as net_forward
 from plastlab.runner import loop
 from plastlab.runner.cli import main
+
+import test_golden as golden
 
 
 def probe_cfg(**over):
@@ -413,9 +416,9 @@ class TestActMemo:
         self._run(raw, str(tmp_path / "recompute"))
         assert 0 < with_memo < calls.count(1) // 2
 
-    @pytest.mark.parametrize("base", ["ppo_pointmass", "c51_grid"])
+    @pytest.mark.parametrize("base", ["ppo_grid", "c51_grid"])
     def test_memo_never_holds_more_than_the_cap(self, base, tmp_path, monkeypatch):
-        learner_cls = ppo.PPOLearner if base == "ppo_pointmass" else c51.C51Learner
+        learner_cls = ppo.PPOLearner if base == "ppo_grid" else c51.C51Learner
         sizes = []
         act = learner_cls.act
 
@@ -428,12 +431,30 @@ class TestActMemo:
         monkeypatch.setattr(loop, "ACT_MEMO_CAP", 5)
         # no gradient step in 300 steps: only the cap empties the memo
         learner = {"learning_starts": 1000, "exploration_fraction": 0.001}
-        if base == "ppo_pointmass":
+        if base == "ppo_grid":
             learner = {"rollout_len": 1000}
         raw = {**_MEMO_BASES[base], "learner": {**_MEMO_BASES[base]["learner"], **learner}}
         self._run(raw, str(tmp_path / "r"))
         assert len(sizes) == 300
         assert max(sizes) == 5
+
+
+    def test_pointmass_installs_no_memo_and_keeps_its_logs(self, tmp_path, monkeypatch):
+        memos = []
+        act = ppo.PPOLearner.act
+
+        def recording_act(learner, *args):
+            memos.append(learner.memo)
+            return act(learner, *args)
+
+        monkeypatch.setattr(ppo.PPOLearner, "act", recording_act)
+        name = "ppo_pointmass_task_chain"
+        art = run_experiment(resolve_config(golden.CONFIGS[name]), str(tmp_path / "r"))
+        assert len(memos) == golden.CONFIGS[name]["total_steps"]
+        assert all(memo is None for memo in memos)
+        for file_name, digest in golden.GOLDEN[name].items():
+            data = open(os.path.join(art.out_dir, file_name), "rb").read()
+            assert hashlib.sha256(data).hexdigest() == digest, file_name
 
 
 class TestReplay:
@@ -522,6 +543,27 @@ class TestCli:
         cfg2 = self._write(tmp_path, "algo: ppo\ntypo_key: 1\n", "e2.yaml")
         assert main(["run", cfg2]) == 2
         assert main(["run", str(tmp_path / "missing.yaml")]) == 2
+
+    # an int past the float range is as non-finite as .inf once converted
+    @pytest.mark.parametrize("field,text", [("lr", ".nan"), ("gamma", ".inf"),
+                                            ("clip_eps", "-.inf"), ("lr", "1" + "0" * 400)])
+    def test_non_finite_learner_float_exit_2(self, field, text, tmp_path, capsys):
+        cfg = self._write(tmp_path, f"algo: ppo\ntotal_steps: 10\nlearner: {{{field}: {text}}}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert f"'learner.{field}' must be finite" in err
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_finite_learner_float_override_resolves(self, tmp_path):
+        cfg = self._write(
+            tmp_path,
+            "algo: ppo\ntotal_steps: 10\nlearner: {lr: 2.5e-4, gamma: 1, clip_eps: 0.1}\n"
+            "network: {hidden: [8]}\nlogging: {metric_interval: 10, probe_batch: 8}\n",
+        )
+        resolved = load_config(cfg).learner
+        assert (resolved.lr, resolved.gamma, resolved.clip_eps) == (2.5e-4, 1.0, 0.1)
+        assert type(resolved.gamma) is float
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
 
     def test_divergence_exit_3(self, tmp_path):
         cfg = self._write(
