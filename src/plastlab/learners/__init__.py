@@ -5,14 +5,12 @@ from .c51 import (
     C51Config,
     C51Learner,
     CategoricalHead,
-    c51_loss,
     c51_support,
     c51_update,
-    categorical_projection,
     categorical_projection_batch,
     epsilon_schedule,
 )
-from .common import ReplayBuffer, TrajectoryBatch, build_network, clip_gradients, gae
+from .common import ReplayBuffer, Rollout, TrajectoryBatch, build_network, clip_gradients, gae
 from .ppo import PPOConfig, PPOLearner, gaussian_policy, normalize_advantages, ppo_loss
 from .regression import RegressionLearner
 
@@ -24,12 +22,11 @@ __all__ = [
     "PPOLearner",
     "RegressionLearner",
     "ReplayBuffer",
+    "Rollout",
     "TrajectoryBatch",
     "build_network",
-    "c51_loss",
     "c51_support",
     "c51_update",
-    "categorical_projection",
     "categorical_projection_batch",
     "clip_gradients",
     "epsilon_schedule",

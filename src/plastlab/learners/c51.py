@@ -82,26 +82,6 @@ def _support_coords(tz: np.ndarray, head: CategoricalHead) -> np.ndarray:
     return np.clip(b, 0.0, head.n_atoms - 1.0)
 
 
-def categorical_projection(
-    next_dist: np.ndarray, r: float, done: bool, gamma: float, head: CategoricalHead
-) -> np.ndarray:
-    """Project the shifted/scaled distribution back onto the fixed support.
-
-    Each atom's mass lands between its two bracketing support points, split
-    linearly by proximity; an exactly aligned atom keeps all its mass.
-    """
-    p = _check_dist(next_dist, head.n_atoms)
-    tz = np.clip(r + gamma * (0.0 if done else 1.0) * head.atoms, head.v_min, head.v_max)
-    b = _support_coords(tz, head)
-    lo = np.floor(b).astype(np.int64)
-    hi = np.ceil(b).astype(np.int64)
-    aligned = lo == hi
-    m = np.zeros(head.n_atoms)
-    np.add.at(m, lo, np.where(aligned, p, p * (hi - b)))
-    np.add.at(m, hi, np.where(aligned, 0.0, p * (b - lo)))
-    return m
-
-
 def categorical_projection_batch(
     next_dists: np.ndarray,
     rewards: np.ndarray,
@@ -109,7 +89,9 @@ def categorical_projection_batch(
     gamma: float,
     head: CategoricalHead,
 ) -> np.ndarray:
-    """Vectorized projection of a batch of next-state distributions."""
+    """Project each shifted/scaled next-state distribution onto the fixed
+    support: an atom's mass splits linearly between its two bracketing support
+    points, and an exactly aligned atom keeps all of it."""
     p = _check_dist(np.atleast_2d(next_dists), head.n_atoms)
     n_batch = p.shape[0]
     rewards = np.asarray(rewards, dtype=np.float64).reshape(n_batch, 1)
@@ -129,14 +111,6 @@ def categorical_projection_batch(
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-
-
-def c51_loss(projected: np.ndarray, logits: np.ndarray) -> float:
-    """Cross-entropy of the projected target against the predicted atoms."""
-    m = np.asarray(projected, dtype=np.float64)
-    if abs(m.sum() - 1.0) > 1e-6:
-        raise InvalidInputError("projected target must sum to 1")
-    return -float(np.sum(m * _log_softmax(np.asarray(logits, dtype=np.float64))))
 
 
 def epsilon_schedule(step: int, start: float, end: float, fraction: float, total: int) -> float:

@@ -54,6 +54,35 @@ class TrajectoryBatch:
         )
 
 
+class Rollout:
+    """One on-policy rollout in preallocated columns, refilled in place.
+
+    `add` copies the observation into its row and stores five scalars;
+    `batch` views the filled rows as a TrajectoryBatch without copying.
+    """
+
+    def __init__(self, rows: int, obs_dim: int, act_dim: int | None = None):
+        # a discrete policy (act_dim None) stores int64 action indices
+        self.obs = np.zeros((rows, obs_dim))
+        self.actions = np.zeros(rows, np.int64) if act_dim is None else np.zeros((rows, act_dim))
+        self.rewards, self.dones, self.log_probs, self.values = np.zeros((4, rows))
+        self.size = 0
+
+    def add(self, obs, action, reward: float, done: float, log_prob: float, value: float) -> None:
+        t = self.size
+        self.obs[t] = obs
+        self.actions[t] = action
+        self.rewards[t] = reward
+        self.dones[t] = done
+        self.log_probs[t] = log_prob
+        self.values[t] = value
+        self.size = t + 1
+
+    def batch(self) -> TrajectoryBatch:
+        columns = (self.obs, self.actions, self.rewards, self.dones, self.log_probs, self.values)
+        return TrajectoryBatch(*(column[: self.size] for column in columns))
+
+
 def gae(
     rewards: np.ndarray,
     values: np.ndarray,

@@ -89,6 +89,11 @@ _PPO_DISCRETE_OVERRIDES = {
     "rollout_len": 1000,
 }
 
+# counts a zero would break: an empty split or epoch, an unfilled rollout, an
+# empty epsilon ramp (C51's total_steps), a modulo by zero
+_POSITIVE_LEARNER_INTS = ("n_minibatches", "update_epochs", "rollout_len", "total_steps",
+                          "train_frequency", "target_network_frequency")
+
 _DEFAULT_TOTALS = {"c51": 10_000_000, "ppo": 200_000, "regression": 100_000}
 _DEFAULT_SEGMENTS = {"level_shift": 2_000_000, "task_chain": 1_000_000}
 
@@ -181,7 +186,7 @@ def _coerce_field(name: str, value, default):
             raise ConfigError(f"'{path}' must be a boolean, got {value!r}")
         return value
     if isinstance(default, int):
-        return _require_int(value, path, minimum=0)
+        return _require_int(value, path, minimum=1 if name in _POSITIVE_LEARNER_INTS else 0)
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"'{path}' must be a number, got {value!r}")

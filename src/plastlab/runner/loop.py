@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..envs import (
     schedule_shift,
 )
 from ..errors import CheckpointError, DivergenceError, NumericError
-from ..learners import C51Learner, PPOLearner, RegressionLearner, TrajectoryBatch, build_network
+from ..learners import C51Learner, PPOLearner, RegressionLearner, Rollout, build_network
 from ..metrics import MetricReport, collect_metrics
 from ..mitigations import (
     REGISTRY,
@@ -200,7 +200,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     if cfg.algo == "ppo":
         learner = PPOLearner(net, n_actions, discrete, cfg.learner, opt, tuple(reg_terms))
     elif cfg.algo == "c51":
-        learner = C51Learner(net, n_actions, cfg.learner, opt, obs_dim, tuple(reg_terms))
+        # the ring never holds more rows than the run adds; capping it moves no sample
+        c51_cfg = replace(cfg.learner, buffer_size=min(cfg.learner.buffer_size, cfg.total_steps))
+        learner = C51Learner(net, n_actions, c51_cfg, opt, obs_dim, tuple(reg_terms))
     else:
         learner = RegressionLearner(net, opt, cfg.learner.lr, tuple(reg_terms))
 
@@ -259,7 +261,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         obs = None
         normalizer = RewardNormalizer(cfg.learner.gamma) if cfg.scenario.reward_normalization else None
         ppo = cfg.algo == "ppo"
-        rollout: list[tuple] = []
+        if ppo:
+            rows = min(cfg.learner.rollout_len, cfg.total_steps)
+            rollout = Rollout(rows, obs_dim, None if discrete else n_actions)
         ep_return, ep_len = 0.0, 0
         # gradient steps, per-gradient-step methods and events are the only
         # writes to net, and each moves this key; acting reuses the forward
@@ -271,11 +275,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
             state["step"] = step
             task, switched = schedule_shift(sched, step)
             if switched:
-                if rollout:
+                if ppo and rollout.size:
                     # truncate the rollout at the boundary so advantage
                     # estimation never bootstraps across tasks
-                    o, a, r, d, lp, v = rollout[-1]
-                    rollout[-1] = (o, a, r, 1.0, lp, v)
+                    rollout.dones[rollout.size - 1] = 1.0
                 env, obs = _build_env(cfg, task)
                 ep_return, ep_len = 0.0, 0
                 if normalizer is not None:
@@ -294,7 +297,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 env_action = action if discrete else np.tanh(action)
                 next_obs, reward, done = env_step(env, env_action)
                 train_reward = normalizer.update(reward, done) if normalizer else reward
-                rollout.append((obs, action, train_reward, float(done), log_prob, value))
+                rollout.add(obs, action, train_reward, float(done), log_prob, value)
             else:
                 action = learner.act(obs, step, act_stream)
                 next_obs, reward, done = env_step(env, action)
@@ -313,21 +316,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 next_obs = env.reset()
             obs = next_obs
 
-            if ppo and len(rollout) == cfg.learner.rollout_len:
-                last_done = rollout[-1][3]
+            if ppo and rollout.size == cfg.learner.rollout_len:
+                last_done = rollout.dones[rollout.size - 1]
                 bootstrap = 0.0 if last_done else float(network_output(net, obs[None, :])[0, -1])
-                traj = TrajectoryBatch(
-                    np.array([t[0] for t in rollout]),
-                    np.array([t[1] for t in rollout]),
-                    np.array([t[2] for t in rollout]),
-                    np.array([t[3] for t in rollout]),
-                    np.array([t[4] for t in rollout]),
-                    np.array([t[5] for t in rollout]),
-                )
-                stats = learner.update(traj, bootstrap, upd_stream)
+                stats = learner.update(rollout.batch(), bootstrap, upd_stream)
                 if not np.isfinite(stats["total"]):
                     raise NumericError(f"non-finite loss at step {step}")
-                rollout.clear()
+                rollout.size = 0
 
     def _run_probe() -> None:
         task_idx = -1

@@ -11,12 +11,11 @@ from plastlab.learners import (
     PPOConfig,
     PPOLearner,
     ReplayBuffer,
+    Rollout,
     TrajectoryBatch,
     build_network,
-    c51_loss,
     c51_support,
     c51_update,
-    categorical_projection,
     categorical_projection_batch,
     epsilon_schedule,
     gae,
@@ -320,29 +319,51 @@ def random_dist(stream, n):
     return p / p.sum()
 
 
+def project_one(p, r, done, gamma, head=HEAD):
+    """One distribution through the batch projection, as a batch of one."""
+    return categorical_projection_batch(p, [r], [float(done)], gamma, head)[0]
+
+
+def cross_entropy(m, logits):
+    """-sum(m * log softmax(logits)) for one row, written out directly."""
+    shifted = logits - logits.max()
+    return -float(np.sum(m * (shifted - np.log(np.sum(np.exp(shifted))))))
+
+
 class TestProjection:
     def test_terminal_aligned_is_point_mass(self):
-        for k in (0, 7, 25, 50):
-            p = random_dist(RngStream(k, 0), 51)
-            m = categorical_projection(p, float(HEAD.atoms[k]), True, 0.99, HEAD)
-            assert abs(m[k] - 1.0) < 1e-12
-            assert np.sum(m != 0.0) == 1
+        ks = (0, 7, 25, 50)
+        dists = np.stack([random_dist(RngStream(k, 0), 51) for k in ks])
+        m = categorical_projection_batch(dists, HEAD.atoms[list(ks)], np.ones(4), 0.99, HEAD)
+        for row, k in zip(m, ks):
+            assert abs(row[k] - 1.0) < 1e-12
+            assert np.sum(row != 0.0) == 1
 
     def test_midpoint_splits_half_half(self):
         r = float(HEAD.atoms[12]) + 0.2
-        m = categorical_projection(random_dist(RngStream(2, 0), 51), r, False, 0.0, HEAD)
+        m = project_one(random_dist(RngStream(2, 0), 51), r, False, 0.0)
         assert abs(m[12] - 0.5) < 1e-9 and abs(m[13] - 0.5) < 1e-9
 
     def test_matches_loop_oracle(self):
         stream = RngStream(33, 0)
+        rows = []
         for _ in range(60):
             p = random_dist(stream, 51)
             r = stream.uniform(-14.0, 14.0, 1)[0]
             gamma = stream.uniform(0.0, 1.0, 1)[0]
             done = stream.uniform(0.0, 1.0, 1)[0] < 0.3
-            m = categorical_projection(p, r, done, gamma, HEAD)
-            oracle = projection_loop_oracle(p, r, done, gamma, HEAD)
-            np.testing.assert_allclose(m, oracle, atol=1e-10)
+            rows.append((p, r, done, gamma))
+        # one gamma per call: the batch shares it across rows
+        for p, r, done, gamma in rows:
+            np.testing.assert_allclose(project_one(p, r, done, gamma),
+                                       projection_loop_oracle(p, r, done, gamma, HEAD), atol=1e-10)
+        dists = np.stack([row[0] for row in rows])
+        rewards = np.array([row[1] for row in rows])
+        dones = np.array([float(row[2]) for row in rows])
+        m = categorical_projection_batch(dists, rewards, dones, 0.9, HEAD)
+        for i in range(60):
+            oracle = projection_loop_oracle(dists[i], rewards[i], bool(dones[i]), 0.9, HEAD)
+            np.testing.assert_allclose(m[i], oracle, atol=1e-10)
 
     def test_batch_matches_single(self):
         stream = RngStream(34, 0)
@@ -351,7 +372,7 @@ class TestProjection:
         dones = (stream.uniform(0.0, 1.0, 8) < 0.4).astype(np.float64)
         batch = categorical_projection_batch(dists, rewards, dones, 0.97, HEAD)
         for i in range(8):
-            single = categorical_projection(dists[i], rewards[i], bool(dones[i]), 0.97, HEAD)
+            single = project_one(dists[i], rewards[i], bool(dones[i]), 0.97)
             np.testing.assert_allclose(batch[i], single, atol=1e-15)
 
     @settings(deadline=None, max_examples=60)
@@ -363,59 +384,99 @@ class TestProjection:
     )
     def test_mass_conserved_and_nonnegative(self, seed, r, gamma, done):
         p = random_dist(RngStream(seed, 0), 51)
-        m = categorical_projection(p, r, done, gamma, HEAD)
+        m = project_one(p, r, done, gamma)
         assert abs(m.sum() - 1.0) < 1e-6
         assert np.all(m >= 0.0)
 
     def test_malformed_dist_rejected(self):
         with pytest.raises(InvalidInputError):
-            categorical_projection(np.full(51, 0.1), 0.0, False, 0.9, HEAD)
+            project_one(np.full(51, 0.1), 0.0, False, 0.9)
         bad = random_dist(RngStream(1, 0), 51)
         bad[0], bad[1] = -bad[1], bad[0] + 2 * bad[1]
         with pytest.raises(InvalidInputError):
-            categorical_projection(bad, 0.0, False, 0.9, HEAD)
+            project_one(bad, 0.0, False, 0.9)
         with pytest.raises(InvalidInputError):
-            categorical_projection(random_dist(RngStream(1, 0), 50), 0.0, False, 0.9, HEAD)
+            project_one(random_dist(RngStream(1, 0), 50), 0.0, False, 0.9)
 
 
 # ---------------------------------------------------------------- C51 loss
 
 
+def fixed_head_c51(logits, seed=0):
+    """A C51 learner whose outputs are `logits` for every action and state:
+    the head's weights are zero and its bias repeats `logits` per action."""
+    learner, cfg = make_c51(seed, n_atoms=logits.size)
+    learner.net.params["layer1.w"][...] = 0.0
+    learner.net.params["layer1.b"][...] = np.tile(logits, 2)
+    return learner
+
+
+def fill_replay(learner, reward, done, n=32):
+    stream = RngStream(3, 0)
+    for i in range(n):
+        obs = stream.normal(0.0, 1.0, 2)
+        learner.remember(obs, i % 2, reward, obs, done)
+
+
 class TestC51Loss:
+    """c51_update's loss and gradient: cross-entropy of the projected target
+    against the predicted atoms of the action taken."""
+
     def test_matching_distributions_give_entropy(self):
+        # gamma 1 and reward 0 land every atom on itself: the target is the
+        # next-state distribution, which equals the prediction here
         stream = RngStream(40, 0)
         logits = stream.normal(0.0, 1.0, 51)
         p = np.exp(logits) / np.exp(logits).sum()
         entropy = -np.sum(p * np.log(p))
-        assert abs(c51_loss(p, logits) - entropy) < 1e-12
+        learner = fixed_head_c51(logits)
+        fill_replay(learner, 0.0, False)
+        loss, _, _ = c51_update(learner.buffer, learner.net, learner.net, learner.head,
+                                16, 1.0, RngStream(9, 0))
+        assert abs(loss - entropy) < 1e-12
 
     def test_point_mass_cross_entropy(self):
         logits = np.zeros(51)
         logits[30] = 4.0
-        m = np.zeros(51)
-        m[30] = 1.0
         p_max = np.exp(4.0) / (np.exp(4.0) + 50.0)
-        assert abs(c51_loss(m, logits) - -np.log(p_max)) < 1e-12
+        learner = fixed_head_c51(logits)
+        fill_replay(learner, float(HEAD.atoms[30]), True)
+        loss, _, _ = c51_update(learner.buffer, learner.net, learner.net, learner.head,
+                                16, 0.99, RngStream(9, 0))
+        assert abs(loss - -np.log(p_max)) < 1e-12
 
     def test_gradient_vs_finite_differences(self):
+        # the head bias moves every logit of its atom directly, so its
+        # gradient is the batch sum of the per-row (p - m) / batch
+        learner, _ = make_c51(41, n_atoms=21)
         stream = RngStream(41, 0)
-        logits = stream.normal(0.0, 1.0, 21)
-        head = CategoricalHead(21, -5.0, 5.0)
-        m = categorical_projection(random_dist(stream, 21), 1.3, False, 0.9, head)
-        p = np.exp(logits - logits.max())
-        p /= p.sum()
-        analytic = p - m
+        for i in range(48):
+            obs = stream.normal(0.0, 1.0, 2)
+            learner.remember(obs, i % 2, float(stream.uniform(-3.0, 3.0, 1)[0]),
+                             stream.normal(0.0, 1.0, 2), i % 7 == 0)
+
+        def update():
+            return c51_update(learner.buffer, learner.net, learner.target, learner.head,
+                              16, 0.9, RngStream(9, 0))
+
+        analytic = update()[1].by_name["layer1.b"]
+        bias = learner.net.params["layer1.b"]
         h = 1e-5
-        for j in range(21):
-            up, down = logits.copy(), logits.copy()
-            up[j] += h
-            down[j] -= h
-            fd = (c51_loss(m, up) - c51_loss(m, down)) / (2 * h)
+        for j in range(bias.size):
+            keep = bias[j]
+            bias[j] = keep + h
+            up = update()[0]
+            bias[j] = keep - h
+            down = update()[0]
+            bias[j] = keep
+            fd = (up - down) / (2 * h)
             assert abs(fd - analytic[j]) / max(abs(fd), 1e-3) < 1e-4
 
     def test_unnormalized_target_rejected(self):
+        dists = np.stack([random_dist(RngStream(k, 0), 51) for k in range(3)])
+        dists[1] *= 0.5
         with pytest.raises(InvalidInputError):
-            c51_loss(np.full(51, 0.5), np.zeros(51))
+            categorical_projection_batch(dists, np.zeros(3), np.zeros(3), 0.9, HEAD)
 
 
 # ---------------------------------------------------------------- schedule
@@ -474,9 +535,10 @@ class TestC51Update:
         batch = learner.buffer.sample(16, RngStream(9, 0))
         expected = 0.0
         for i in range(16):
-            m = categorical_projection(np.full(51, 1.0 / 51), batch["rewards"][i], bool(batch["dones"][i]), 0.0, learner.head)
+            m = projection_loop_oracle(np.full(51, 1.0 / 51), batch["rewards"][i],
+                                       bool(batch["dones"][i]), 0.0, learner.head)
             out = forward(learner.net, batch["obs"][i : i + 1]).outputs.reshape(2, 51)
-            expected += c51_loss(m, out[int(batch["actions"][i])])
+            expected += cross_entropy(m, out[int(batch["actions"][i])])
         assert abs(loss - expected / 16) < 1e-10
 
     def test_target_bit_stable_between_syncs(self):
@@ -870,6 +932,29 @@ class TestReplayBuffer:
         b1 = buf.sample(6, RngStream(2, 7))
         b2 = buf.sample(6, RngStream(2, 7))
         np.testing.assert_array_equal(b1["obs"], b2["obs"])
+
+
+class TestRollout:
+    def test_add_copies_the_observation(self):
+        rollout = Rollout(4, 3)
+        obs = np.array([1.0, 2.0, 3.0])
+        rollout.add(obs, 2, 0.5, 0.0, -0.1, 0.3)
+        obs[:] = 9.0
+        batch = rollout.batch()
+        np.testing.assert_array_equal(batch.observations, [[1.0, 2.0, 3.0]])
+        assert batch.actions.dtype == np.int64 and batch.actions.tolist() == [2]
+
+    def test_batch_views_the_filled_rows(self):
+        rollout = Rollout(5, 2, act_dim=3)
+        for t in range(3):
+            rollout.add(np.full(2, t), np.full(3, -t), t, t % 2, -t, 2 * t)
+        batch = rollout.batch()
+        assert len(batch) == 3 and batch.actions.shape == (3, 3)
+        for name, column in (("observations", rollout.obs), ("actions", rollout.actions),
+                             ("rewards", rollout.rewards), ("values", rollout.values)):
+            assert np.shares_memory(getattr(batch, name), column), name
+        np.testing.assert_array_equal(batch.dones, [0.0, 1.0, 0.0])
+        assert batch.actions.dtype == np.float64
 
 
 def _grid_row(i: int, dim: int = 6) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from plastlab.errors import CheckpointError, ConfigError, DivergenceError
-from plastlab.learners import build_network
+from plastlab.learners import Rollout, build_network
 from plastlab.metrics import weight_difference
 from plastlab.net import serialize_network
 from plastlab.numkit import RngStream
@@ -457,6 +457,91 @@ class TestActMemo:
             assert hashlib.sha256(data).hexdigest() == digest, file_name
 
 
+# Switches at steps 150 and 300 fall mid-rollout (64 rows), so both truncate
+# a partly filled rollout.
+_ROLLOUT_RUNS = {
+    "discrete": {
+        "algo": "ppo", "seed": 3, "total_steps": 400,
+        "scenario": {"mode": "level_shift", "segment_length": 150, "n_segments": 3},
+        "network": {"hidden": [16]},
+        "learner": {"rollout_len": 64, "n_minibatches": 2, "update_epochs": 1},
+        "logging": _MEMO_LOGGING,
+    },
+    "continuous": {
+        "algo": "ppo", "seed": 4, "total_steps": 400,
+        "scenario": {"mode": "task_chain", "segment_length": 150, "horizon": 40},
+        "network": {"hidden": [16]},
+        "learner": {"rollout_len": 64, "n_minibatches": 2, "update_epochs": 1},
+        "logging": _MEMO_LOGGING,
+    },
+}
+
+
+class TestRolloutStore:
+    """The columnar rollout hands each update what stacking per-step tuples did."""
+
+    @pytest.mark.parametrize("kind", sorted(_ROLLOUT_RUNS))
+    def test_columns_equal_the_stacked_tuples(self, kind, tmp_path, monkeypatch):
+        rows, switches, updates = [], [], []
+        add, build_env, update = Rollout.add, loop._build_env, ppo.PPOLearner.update
+
+        def recording_add(rollout, *row):
+            rows.append(row)
+            add(rollout, *row)
+
+        def recording_build_env(*args):
+            switches.append(len(rows))
+            return build_env(*args)
+
+        def recording_update(learner, traj, *args):
+            # copies: the rollout's columns are refilled after the update
+            updates.append([np.array(col) for col in (
+                traj.observations, traj.actions, traj.rewards,
+                traj.dones, traj.log_probs, traj.values)])
+            return update(learner, traj, *args)
+
+        monkeypatch.setattr(Rollout, "add", recording_add)
+        monkeypatch.setattr(loop, "_build_env", recording_build_env)
+        monkeypatch.setattr(ppo.PPOLearner, "update", recording_update)
+        raw = _ROLLOUT_RUNS[kind]
+        art = run_experiment(resolve_config(raw), str(tmp_path / "r"))
+        assert art.summary["status"] == "ok"
+
+        # the oracle: a list of per-step tuples, its last one marked done at
+        # a task switch, stacked column by column with np.array
+        rollout_len = raw["learner"]["rollout_len"]
+        expected, pending, truncated = [], [], 0
+        for t, row in enumerate(rows):
+            if t in switches and pending:
+                o, a, r, d, lp, v = pending[-1]
+                truncated += d == 0.0
+                pending[-1] = (o, a, r, 1.0, lp, v)
+            pending.append(row)
+            if len(pending) == rollout_len:
+                expected.append([np.array([step[i] for step in pending]) for i in range(6)])
+                pending = []
+        assert truncated == 2
+        assert len(updates) == len(expected) == raw["total_steps"] // rollout_len
+        for got_columns, want_columns in zip(updates, expected):
+            for got, want in zip(got_columns, want_columns):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_rollout_longer_than_the_run_is_sized_to_the_run(self, tmp_path, monkeypatch):
+        sizes = []
+        init = Rollout.__init__
+
+        def recording_init(rollout, *args, **kwargs):
+            init(rollout, *args, **kwargs)
+            sizes.append(rollout.obs.shape[0])
+
+        monkeypatch.setattr(Rollout, "__init__", recording_init)
+        raw = {**_ROLLOUT_RUNS["discrete"], "total_steps": 20}
+        art = run_experiment(resolve_config(raw), str(tmp_path / "r"))
+        assert sizes == [20]
+        assert art.summary["gradient_steps"] == 0
+
+
 class TestReplay:
     def test_replay_matches_logged_rows(self, tmp_path):
         cfg = c51_cfg(checkpoint_interval=200)
@@ -564,6 +649,33 @@ class TestCli:
         assert (resolved.lr, resolved.gamma, resolved.clip_eps) == (2.5e-4, 1.0, 0.1)
         assert type(resolved.gamma) is float
         assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+
+    @pytest.mark.parametrize("algo,field", [
+        ("ppo", "n_minibatches"), ("ppo", "update_epochs"), ("ppo", "rollout_len"),
+        ("c51", "train_frequency"), ("c51", "target_network_frequency"), ("c51", "total_steps"),
+    ])
+    def test_zero_loop_count_exit_2(self, algo, field, tmp_path, capsys):
+        cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\nlearner: {{{field}: 0}}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert f"'learner.{field}' must be >= 1, got 0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_c51_replay_is_sized_to_the_run(self, tmp_path, monkeypatch):
+        capacities = []
+        init = c51.C51Learner.__init__
+
+        def recording_init(learner, *args, **kwargs):
+            init(learner, *args, **kwargs)
+            capacities.append(learner.buffer.capacity)
+
+        monkeypatch.setattr(c51.C51Learner, "__init__", recording_init)
+        cfg = self._write(
+            tmp_path,
+            "algo: c51\ntotal_steps: 20\nlearner: {buffer_size: 100000000000}\n"
+            "network: {hidden: [8]}\nlogging: {metric_interval: 10, probe_batch: 8}\n",
+        )
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert capacities == [20]
 
     def test_divergence_exit_3(self, tmp_path):
         cfg = self._write(
