@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, NumericError
 from ..net import ForwardTrace, Gradients, NetworkState, backward, clone_network, forward
 from ..numkit import RngStream
-from ..mitigations import OptimizerState, optimizer_step, reg_loss
-from .common import ReplayBuffer
+from ..mitigations import Optimizer, optimizer_step, reg_loss
+from .common import ReplayBuffer, _log_softmax, add_regularizers
 
 
 @dataclass
@@ -63,6 +63,8 @@ def _check_dist(dist: np.ndarray, n_atoms: int) -> np.ndarray:
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape[-1] != n_atoms:
         raise InvalidInputError(f"distribution has {dist.shape[-1]} atoms, head expects {n_atoms}")
+    if not np.isfinite(dist).all():
+        raise NumericError("next-state distribution has non-finite entries")
     sums = dist.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(dist < 0.0):
         raise InvalidInputError("next-state distribution is not a probability vector")
@@ -106,11 +108,6 @@ def categorical_projection_batch(
     np.add.at(m, (lo + offsets).ravel(), np.where(aligned, p, p * (hi - b)).ravel())
     np.add.at(m, (hi + offsets).ravel(), np.where(aligned, 0.0, p * (b - lo)).ravel())
     return m.reshape(n_batch, head.n_atoms)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def epsilon_schedule(step: int, start: float, end: float, fraction: float, total: int) -> float:
@@ -189,7 +186,7 @@ class C51Learner:
         net: NetworkState,
         n_actions: int,
         cfg: C51Config,
-        opt: OptimizerState,
+        opt: Optimizer,
         obs_dim: int,
         reg_terms: tuple[tuple[str, float, float], ...] = (),
     ):
@@ -230,9 +227,6 @@ class C51Learner:
     def remember(self, obs, action, reward, next_obs, done) -> None:
         self.buffer.add(obs, action, reward, next_obs, done)
 
-    def sync_target(self) -> None:
-        self.target = clone_network(self.net)
-
     def update(self, step: int, stream: RngStream) -> dict[str, float] | None:
         """Train every train_frequency steps; hard-sync the target on schedule."""
         cfg = self.cfg
@@ -246,18 +240,12 @@ class C51Learner:
             )
             if result is not None:
                 loss, grads, trace = result
-                for kind, alpha, s in self.reg_terms:
-                    value, reg_grads = reg_loss(kind, self.net, alpha, s)
-                    loss += value
-                    for name, g in reg_grads.items():
-                        if name in grads.by_name:
-                            grads.by_name[name] = grads.by_name[name] + g
-                        else:
-                            grads.by_name[name] = g
+                regs = [reg_loss(kind, self.net, alpha, s) for kind, alpha, s in self.reg_terms]
+                loss = add_regularizers(grads.by_name, loss, regs)
                 optimizer_step(self.opt, self.net, trace, grads, cfg.lr)
                 if self.post_step is not None:
                     self.post_step()
                 stats = {"loss": loss}
         if step % cfg.target_network_frequency == 0:
-            self.sync_target()
+            self.target = clone_network(self.net)
         return stats

@@ -193,6 +193,26 @@ class ReplayBuffer:
         }
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def add_regularizers(
+    by_name: dict[str, np.ndarray], loss: float, regs: list[tuple[float, dict[str, np.ndarray]]]
+) -> float:
+    """Fold (value, gradients) regularizer terms into a loss and its gradient
+    entries, in order. Returns the new loss."""
+    for value, reg_grads in regs:
+        loss += value
+        for name, g in reg_grads.items():
+            if name in by_name:
+                by_name[name] = by_name[name] + g
+            else:
+                by_name[name] = g
+    return loss
+
+
 def clip_gradients(by_name: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is <= max_norm.
     Returns the pre-clip norm."""

@@ -16,8 +16,8 @@ import numpy as np
 from ..errors import InvalidInputError, NumericError
 from ..net import Gradients, NetworkState, backward, forward
 from ..numkit import RngStream
-from ..mitigations import OptimizerState, optimizer_step, reg_loss
-from .common import TrajectoryBatch, clip_gradients, gae
+from ..mitigations import Optimizer, optimizer_step, reg_loss
+from .common import TrajectoryBatch, _log_softmax, add_regularizers, clip_gradients, gae
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -117,11 +117,6 @@ def gaussian_policy(
     return actions, log_prob, entropy
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-
-
 class PPOLearner:
     """Rollout-consuming PPO update loop over one shared-torso network.
 
@@ -135,7 +130,7 @@ class PPOLearner:
         n_actions: int,
         discrete: bool,
         cfg: PPOConfig,
-        opt: OptimizerState,
+        opt: Optimizer,
         reg_terms: tuple[tuple[str, float, float], ...] = (),
     ):
         head_width = net.layers[-1].width_out
@@ -238,14 +233,8 @@ class PPOLearner:
             cfg.clip_eps, cfg.vf_coef, cfg.ent_coef, cfg.value_clip,
         )
         grads = self._loss_grads(mb, trace, new_values, entropy, terms, softmax)
-        for kind, alpha, s in self.reg_terms:
-            value, reg_grads = reg_loss(kind, self.net, alpha, s)
-            total += value
-            for name, g in reg_grads.items():
-                if name in grads.by_name:
-                    grads.by_name[name] = grads.by_name[name] + g
-                else:
-                    grads.by_name[name] = g
+        regs = [reg_loss(kind, self.net, alpha, s) for kind, alpha, s in self.reg_terms]
+        total = add_regularizers(grads.by_name, total, regs)
         if not np.isfinite(total):
             raise NumericError(f"non-finite loss: {parts}")
         parts["grad_norm"] = clip_gradients(grads.by_name, cfg.max_grad_norm)

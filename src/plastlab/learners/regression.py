@@ -6,7 +6,8 @@ import numpy as np
 
 from ..errors import NumericError
 from ..net import NetworkState, backward, forward
-from ..mitigations import OptimizerState, optimizer_step, reg_loss
+from ..mitigations import Optimizer, optimizer_step, reg_loss
+from .common import add_regularizers
 
 
 class RegressionLearner:
@@ -19,7 +20,7 @@ class RegressionLearner:
     def __init__(
         self,
         net: NetworkState,
-        opt: OptimizerState,
+        opt: Optimizer,
         lr: float = 1e-3,
         reg_terms: tuple[tuple[str, float, float], ...] = (),
     ):
@@ -29,23 +30,13 @@ class RegressionLearner:
         self.reg_terms = tuple(reg_terms)
         self.post_step = None  # callable fired after each gradient step
 
-    def loss(self, x: np.ndarray, y: np.ndarray) -> float:
-        err = forward(self.net, x).outputs - y
-        return float(np.mean(err * err))
-
     def step(self, x: np.ndarray, y: np.ndarray) -> float:
         trace = forward(self.net, x)
         err = trace.outputs - y
         loss = float(np.mean(err * err))
         grads = backward(self.net, trace, 2.0 * err / err.size)
-        for kind, alpha, s in self.reg_terms:
-            value, reg_grads = reg_loss(kind, self.net, alpha, s)
-            loss += value
-            for name, g in reg_grads.items():
-                if name in grads.by_name:
-                    grads.by_name[name] = grads.by_name[name] + g
-                else:
-                    grads.by_name[name] = g
+        regs = [reg_loss(kind, self.net, alpha, s) for kind, alpha, s in self.reg_terms]
+        loss = add_regularizers(grads.by_name, loss, regs)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite regression loss at batch of {x.shape[0]}")
         optimizer_step(self.opt, self.net, trace, grads, self.lr)

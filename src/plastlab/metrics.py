@@ -142,20 +142,6 @@ def effective_rank(f: np.ndarray) -> float:
     return _ranks(f)[1]
 
 
-def weight_difference(a: NetworkState, b: NetworkState) -> tuple[float, float]:
-    """L2 norm of the concatenated parameter difference, raw and per-parameter."""
-    if a.layers != b.layers or a.param_order != b.param_order:
-        raise InvalidInputError("weight difference requires identical architectures")
-    total = 0.0
-    count = 0
-    for name in a.param_order:
-        d = a.params[name] - b.params[name]
-        total += float(np.sum(d * d))
-        count += d.size
-    l2 = float(np.sqrt(total))
-    return l2, l2 / count
-
-
 def _params_l2(
     params: dict[str, np.ndarray], reference: dict[str, np.ndarray], names: list[str]
 ) -> tuple[float, float]:
@@ -200,9 +186,11 @@ def collect_metrics(
     trace = forward(net, probe)
     rdu = dormant_ratio(trace, tau)
     fau = active_fraction(trace)
-    ref = baseline.params if baseline is not None else net.init_snapshot
-    if baseline is not None and baseline.param_order != net.param_order:
-        raise InvalidInputError("baseline architecture does not match network")
+    ref = net.init_snapshot
+    if baseline is not None:
+        if baseline.layers != net.layers or baseline.param_order != net.param_order:
+            raise InvalidInputError("baseline architecture does not match network")
+        ref = baseline.params
 
     reports = []
     n_layers = len(net.layers)

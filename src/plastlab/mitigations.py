@@ -13,7 +13,7 @@ methods come from; the CLI and config validation both read it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +23,12 @@ from .net import (
     ForwardTrace,
     Gradients,
     NetworkState,
+    _WIDTH_DOUBLING,
     _draw_layer_params,
     add_injection_round,
     forward,
 )
 from .numkit import RngStream, erfi
-
-_WIDTH_DOUBLING = ("crelu", "fourier")
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +147,6 @@ def shrink_perturb(net: NetworkState, beta: float, stream: RngStream) -> Network
             net.params[f"{prefix}.w"] = keep * net.params[f"{prefix}.w"] + beta * w_draw
             net.params[f"{prefix}.b"] = keep * net.params[f"{prefix}.b"] + beta * b_draw
     return net
-
-
-def inject_plasticity(net: NetworkState, stream: RngStream) -> NetworkState:
-    """Swap the head for (frozen original, trainable new, frozen copy) so the
-    output is unchanged now and only the new branch trains afterwards."""
-    return add_injection_round(net, stream)
 
 
 def redo_reset(
@@ -297,58 +290,6 @@ _ERFI_LIMIT = 6.0
 _ERFI_HALF_INV_SQRT2 = erfi(1.0 / np.sqrt(2.0))
 
 
-@dataclass
-class OptimizerState:
-    """Moment buffers for adam, tuner accumulators for trac, factor EMAs for
-    kron. trac wraps a base adam state that produces its candidate step."""
-
-    kind: str
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    # adam: (names and shapes, flat m, v and two scratch, views of scratch)
-    flat: tuple | None = field(default=None, init=False, repr=False)
-    # trac
-    base: "OptimizerState | None" = None
-    theta_ref: dict = field(default_factory=dict)
-    discounts: tuple = _TRAC_DISCOUNTS
-    trac_eps: float = 1e-8
-    trac_v: np.ndarray | None = None
-    trac_sigma_sum: np.ndarray | None = None
-    trac_scale: float = 0.0
-    saturation_warnings: int = 0
-    # kron
-    damping: float = 1e-3
-    ema: float = 0.95
-    t_inv: int = 10
-    factors_a: dict = field(default_factory=dict)
-    factors_s: dict = field(default_factory=dict)
-    inv_a: dict = field(default_factory=dict)
-    inv_s: dict = field(default_factory=dict)
-    fallback_count: int = 0
-
-
-def make_optimizer(kind: str, net: NetworkState, **hyper) -> OptimizerState:
-    if kind == "adam":
-        return OptimizerState(kind="adam", **hyper)
-    if kind == "trac":
-        n = len(_TRAC_DISCOUNTS)
-        return OptimizerState(
-            kind="trac",
-            base=OptimizerState(kind="adam"),
-            theta_ref={k: v.copy() for k, v in net.params.items()},
-            trac_v=np.zeros(n),
-            trac_sigma_sum=np.zeros(n),
-            **hyper,
-        )
-    if kind == "kron":
-        return OptimizerState(kind="kron", **hyper)
-    raise InvalidInputError(f"unknown optimizer kind {kind!r}")
-
-
 def _check_finite(grads: dict[str, np.ndarray]) -> None:
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -357,103 +298,116 @@ def _check_finite(grads: dict[str, np.ndarray]) -> None:
             raise err
 
 
-def _adam_layout(opt: OptimizerState, key: tuple) -> tuple:
-    """Flat buffers for the gradient (name, shape) pairs in `key`; kept moments
-    are copied in, and a name that leaves keeps a copy of its last moments."""
-    sizes = [int(np.prod(shape)) for _, shape in key]
-    m, v, scratch, tmp = (np.zeros(sum(sizes)) for _ in range(4))
-    deltas, start = {}, 0
-    for moments in (opt.m, opt.v):
-        for name in moments.keys() - {name for name, _ in key}:
-            moments[name] = moments[name].copy()
-    for (name, shape), size in zip(key, sizes):
-        for flat, moments in ((m, opt.m), (v, opt.v)):
-            view = flat[start : start + size].reshape(shape)
-            if name in moments:
-                view[...] = moments[name]
-            moments[name] = view
-        deltas[name] = scratch[start : start + size].reshape(shape)
-        start += size
-    return key, m, v, scratch, tmp, deltas
+class Adam:
+    """Bias-corrected Adam over the gradient entries, in place on flat buffers."""
+
+    def __init__(self, net=None, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        # net is unused; make_optimizer hands it to every optimizer class
+        self.t = 0
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        # (names and shapes, flat m, v and two scratch, views of scratch)
+        self.flat: tuple | None = None
+
+    def _layout(self, key: tuple) -> tuple:
+        """Flat buffers for the gradient (name, shape) pairs in `key`; kept moments
+        are copied in, and a name that leaves keeps a copy of its last moments."""
+        sizes = [int(np.prod(shape)) for _, shape in key]
+        m, v, scratch, tmp = (np.zeros(sum(sizes)) for _ in range(4))
+        deltas, start = {}, 0
+        for moments in (self.m, self.v):
+            for name in moments.keys() - {name for name, _ in key}:
+                moments[name] = moments[name].copy()
+        for (name, shape), size in zip(key, sizes):
+            for flat, moments in ((m, self.m), (v, self.v)):
+                view = flat[start : start + size].reshape(shape)
+                if name in moments:
+                    view[...] = moments[name]
+                moments[name] = view
+            deltas[name] = scratch[start : start + size].reshape(shape)
+            start += size
+        return key, m, v, scratch, tmp, deltas
+
+    def deltas(self, by_name: dict[str, np.ndarray], lr: float) -> dict:
+        """-lr * m_hat / (sqrt(v_hat) + eps) per entry: the per-tensor float ops,
+        in place over flat buffers. Returns views of scratch (valid until the next call)."""
+        key = tuple((name, g.shape) for name, g in by_name.items())
+        if self.flat is None or self.flat[0] != key:
+            self.flat = self._layout(key)
+        _, m, v, g, tmp, deltas = self.flat
+        for name, grad in by_name.items():
+            deltas[name][...] = grad
+        if not np.isfinite(g).all():
+            _check_finite(by_name)
+        self.t += 1
+        correct1 = 1.0 - self.beta1**self.t
+        correct2 = 1.0 - self.beta2**self.t
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, correct1, out=g)
+        g *= -lr
+        np.sqrt(np.divide(v, correct2, out=tmp), out=tmp)
+        tmp += self.eps
+        g /= tmp
+        return deltas
+
+    def step(self, net: NetworkState, trace: ForwardTrace | None, grads: Gradients, lr: float) -> None:
+        for name, delta in self.deltas(grads.by_name, lr).items():
+            net.params[name] += delta
 
 
-def _adam_deltas(opt: OptimizerState, grads: dict[str, np.ndarray], lr: float) -> dict:
-    """-lr * m_hat / (sqrt(v_hat) + eps) per entry: the per-tensor float ops,
-    in place over flat buffers. Returns views of scratch (valid until the next call)."""
-    key = tuple((name, g.shape) for name, g in grads.items())
-    if opt.flat is None or opt.flat[0] != key:
-        opt.flat = _adam_layout(opt, key)
-    _, m, v, g, tmp, deltas = opt.flat
-    for name, grad in grads.items():
-        deltas[name][...] = grad
-    if not np.isfinite(g).all():
-        _check_finite(grads)
-    opt.t += 1
-    correct1 = 1.0 - opt.beta1**opt.t
-    correct2 = 1.0 - opt.beta2**opt.t
-    m *= opt.beta1
-    m += np.multiply(g, 1.0 - opt.beta1, out=tmp)
-    v *= opt.beta2
-    np.multiply(g, 1.0 - opt.beta2, out=tmp)
-    tmp *= g
-    v += tmp
-    np.divide(m, correct1, out=g)
-    g *= -lr
-    np.sqrt(np.divide(v, correct2, out=tmp), out=tmp)
-    tmp += opt.eps
-    g /= tmp
-    return deltas
+class Trac:
+    """Parameter-free scaling between a reference point and a base Adam's
+    candidate; the scale comes from per-discount erfi tuners."""
 
+    def __init__(self, net: NetworkState, trac_eps: float = 1e-8):
+        self.base = Adam()
+        self.theta_ref = {k: v.copy() for k, v in net.params.items()}
+        self.discounts = _TRAC_DISCOUNTS
+        self.trac_eps = trac_eps
+        self.trac_v = np.zeros(len(_TRAC_DISCOUNTS))
+        self.trac_sigma_sum = np.zeros(len(_TRAC_DISCOUNTS))
+        self.trac_scale = 0.0
+        self.saturation_warnings = 0
 
-def adam_step(
-    opt: OptimizerState, net: NetworkState, grads: Gradients | dict, lr: float
-) -> None:
-    """Standard bias-corrected Adam over the gradient entries, in place."""
-    if opt.kind != "adam":
-        raise InvalidInputError(f"adam_step needs an adam state, got {opt.kind}")
-    by_name = grads.by_name if isinstance(grads, Gradients) else grads
-    for name, delta in _adam_deltas(opt, by_name, lr).items():
-        net.params[name] += delta
+    def step(self, net: NetworkState, trace: ForwardTrace | None, grads: Gradients, lr: float) -> None:
+        deltas = self.base.deltas(grads.by_name, lr)
+        self.pull(net, grads, {name: net.params[name] + d for name, d in deltas.items()})
 
+    def pull(self, net: NetworkState, grads: Gradients, candidate: dict[str, np.ndarray]) -> None:
+        """Pull the candidate toward the reference point.
 
-def trac_step(
-    opt: OptimizerState,
-    net: NetworkState,
-    grads: Gradients | dict,
-    base_candidate: dict[str, np.ndarray],
-) -> None:
-    """Pull the base optimizer's candidate toward the reference point.
-
-    theta_new = theta_ref + s_t * (candidate - theta_ref). The scale s_t is
-    the clipped sum of per-discount tuners driven by <g_t, theta_t -
-    theta_ref> through the erfi potential; arguments beyond the erfi domain
-    are clamped and counted rather than raised.
-    """
-    if opt.kind != "trac":
-        raise InvalidInputError(f"trac_step needs a trac state, got {opt.kind}")
-    by_name = grads.by_name if isinstance(grads, Gradients) else grads
-    _check_finite(by_name)
-    h = 0.0
-    for name, g in by_name.items():
-        if name not in opt.theta_ref:  # injected after make_optimizer, still at its init
-            opt.theta_ref[name] = net.params[name].copy()
-        h += float(np.sum(g * (net.params[name] - opt.theta_ref[name])))
-    betas = np.asarray(opt.discounts)
-    opt.trac_v = betas**2 * opt.trac_v + h * h
-    opt.trac_sigma_sum = betas * opt.trac_sigma_sum - h
-    sigmas = np.zeros(len(betas))
-    for j in range(len(betas)):
-        denom = np.sqrt(2.0 * opt.trac_v[j]) + 1e-30
-        arg = opt.trac_sigma_sum[j] / denom
-        if abs(arg) > _ERFI_LIMIT:
-            arg = np.sign(arg) * _ERFI_LIMIT
-            opt.saturation_warnings += 1
-        sigmas[j] = (opt.trac_eps / _ERFI_HALF_INV_SQRT2) * erfi(float(arg))
-    opt.trac_scale = max(0.0, float(sigmas.sum()))
-    for name in by_name:
-        net.params[name] = trac_combine(
-            opt.theta_ref[name], base_candidate[name], opt.trac_scale
-        )
+        theta_new = theta_ref + s_t * (candidate - theta_ref). The scale s_t is
+        the clipped sum of per-discount tuners driven by <g_t, theta_t -
+        theta_ref> through the erfi potential; arguments beyond the erfi domain
+        are clamped and counted rather than raised.
+        """
+        by_name = grads.by_name
+        _check_finite(by_name)
+        h = 0.0
+        for name, g in by_name.items():
+            if name not in self.theta_ref:  # injected after make_optimizer, still at its init
+                self.theta_ref[name] = net.params[name].copy()
+            h += float(np.sum(g * (net.params[name] - self.theta_ref[name])))
+        betas = np.asarray(self.discounts)
+        self.trac_v = betas**2 * self.trac_v + h * h
+        self.trac_sigma_sum = betas * self.trac_sigma_sum - h
+        sigmas = np.zeros(len(betas))
+        for j in range(len(betas)):
+            denom = np.sqrt(2.0 * self.trac_v[j]) + 1e-30
+            arg = self.trac_sigma_sum[j] / denom
+            if abs(arg) > _ERFI_LIMIT:
+                arg = np.sign(arg) * _ERFI_LIMIT
+                self.saturation_warnings += 1
+            sigmas[j] = (self.trac_eps / _ERFI_HALF_INV_SQRT2) * erfi(float(arg))
+        self.trac_scale = max(0.0, float(sigmas.sum()))
+        for name in by_name:
+            net.params[name] = trac_combine(self.theta_ref[name], candidate[name], self.trac_scale)
 
 
 def trac_combine(ref: np.ndarray, candidate: np.ndarray, scale: float) -> np.ndarray:
@@ -466,13 +420,54 @@ def trac_combine(ref: np.ndarray, candidate: np.ndarray, scale: float) -> np.nda
     return ref + scale * (candidate - ref)
 
 
-def _kron_inputs(prefix: str, trace: ForwardTrace) -> np.ndarray:
-    layer_idx = int(prefix.split(".")[0][len("layer") :])
-    return trace.layer_inputs[layer_idx]
+class Kron:
+    """Factorized natural-gradient-style update per dense layer.
+
+    EMA factors A = E[a a^T] over layer inputs (with a trailing 1 for the
+    bias) and S = E[g g^T] over linear-output gradients. Parameters with no
+    matching factors (normalization affine) take a plain gradient step.
+    """
+
+    def __init__(self, net=None, damping: float = 1e-3, ema: float = 0.95, t_inv: int = 10):
+        # net is unused; make_optimizer hands it to every optimizer class
+        self.t = 0
+        self.damping, self.ema, self.t_inv = damping, ema, t_inv
+        self.factors_a: dict[str, np.ndarray] = {}
+        self.factors_s: dict[str, np.ndarray] = {}
+        self.inv_a: dict[str, np.ndarray] = {}
+        self.inv_s: dict[str, np.ndarray] = {}
+        self.fallback_count = 0
+
+    def step(self, net: NetworkState, trace: ForwardTrace | None, grads: Gradients, lr: float) -> None:
+        if trace is None:
+            raise InvalidInputError("kron needs the forward trace")
+        _check_finite(grads.by_name)
+        covered: set[str] = set()
+        for prefix, g_lin in grads.lin_grads.items():
+            x = trace.layer_inputs[int(prefix.split(".")[0][len("layer") :])]
+            batch = x.shape[0]
+            a_ext = np.concatenate([x, np.ones((batch, 1))], axis=1)
+            a_new = a_ext.T @ a_ext / batch
+            s_new = g_lin.T @ g_lin / batch
+            if prefix in self.factors_a:
+                self.factors_a[prefix] = self.ema * self.factors_a[prefix] + (1.0 - self.ema) * a_new
+                self.factors_s[prefix] = self.ema * self.factors_s[prefix] + (1.0 - self.ema) * s_new
+            else:
+                self.factors_a[prefix] = a_new
+                self.factors_s[prefix] = s_new
+            w_name, b_name = f"{prefix}.w", f"{prefix}.b"
+            pre_w, pre_b = kron_precondition(self, prefix, grads.by_name[w_name], grads.by_name[b_name])
+            net.params[w_name] = net.params[w_name] - lr * pre_w
+            net.params[b_name] = net.params[b_name] - lr * pre_b
+            covered |= {w_name, b_name}
+        for name, g in grads.by_name.items():
+            if name not in covered:
+                net.params[name] = net.params[name] - lr * g
+        self.t += 1
 
 
 def kron_precondition(
-    opt: OptimizerState, prefix: str, g_w: np.ndarray, g_b: np.ndarray
+    opt: Kron, prefix: str, g_w: np.ndarray, g_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply (S + lambda I)^-1 G (A + lambda I)^-1 with the bias folded into
     G's last column; falls back to diagonal preconditioning when a factor
@@ -493,66 +488,25 @@ def kron_precondition(
     return pre[:, :-1], pre[:, -1]
 
 
-def kron_step(
-    opt: OptimizerState,
-    net: NetworkState,
-    trace: ForwardTrace,
-    grads: Gradients,
-    lr: float,
-) -> None:
-    """Factorized natural-gradient-style update per dense layer.
+Optimizer = Adam | Trac | Kron
+_OPTIMIZERS = {"adam": Adam, "trac": Trac, "kron": Kron}
 
-    EMA factors A = E[a a^T] over layer inputs (with a trailing 1 for the
-    bias) and S = E[g g^T] over linear-output gradients. Parameters with no
-    matching factors (normalization affine) take a plain gradient step.
-    """
-    if opt.kind != "kron":
-        raise InvalidInputError(f"kron_step needs a kron state, got {opt.kind}")
-    _check_finite(grads.by_name)
-    covered: set[str] = set()
-    for prefix, g_lin in grads.lin_grads.items():
-        x = _kron_inputs(prefix, trace)
-        batch = x.shape[0]
-        a_ext = np.concatenate([x, np.ones((batch, 1))], axis=1)
-        a_new = a_ext.T @ a_ext / batch
-        s_new = g_lin.T @ g_lin / batch
-        if prefix in opt.factors_a:
-            opt.factors_a[prefix] = opt.ema * opt.factors_a[prefix] + (1.0 - opt.ema) * a_new
-            opt.factors_s[prefix] = opt.ema * opt.factors_s[prefix] + (1.0 - opt.ema) * s_new
-        else:
-            opt.factors_a[prefix] = a_new
-            opt.factors_s[prefix] = s_new
-        w_name, b_name = f"{prefix}.w", f"{prefix}.b"
-        pre_w, pre_b = kron_precondition(opt, prefix, grads.by_name[w_name], grads.by_name[b_name])
-        net.params[w_name] = net.params[w_name] - lr * pre_w
-        net.params[b_name] = net.params[b_name] - lr * pre_b
-        covered |= {w_name, b_name}
-    for name, g in grads.by_name.items():
-        if name not in covered:
-            net.params[name] = net.params[name] - lr * g
-    opt.t += 1
+
+def make_optimizer(kind: str, net: NetworkState | None, **hyper) -> Optimizer:
+    if kind not in _OPTIMIZERS:
+        raise InvalidInputError(f"unknown optimizer kind {kind!r}")
+    return _OPTIMIZERS[kind](net, **hyper)
 
 
 def optimizer_step(
-    opt: OptimizerState,
+    opt: Optimizer,
     net: NetworkState,
     trace: ForwardTrace | None,
     grads: Gradients,
     lr: float,
 ) -> None:
-    """Dispatch one update through whichever optimizer the plan selected."""
-    if opt.kind == "adam":
-        adam_step(opt, net, grads, lr)
-    elif opt.kind == "trac":
-        deltas = _adam_deltas(opt.base, grads.by_name, lr)
-        candidate = {name: net.params[name] + d for name, d in deltas.items()}
-        trac_step(opt, net, grads, candidate)
-    elif opt.kind == "kron":
-        if trace is None:
-            raise InvalidInputError("kron needs the forward trace")
-        kron_step(opt, net, trace, grads, lr)
-    else:
-        raise InvalidInputError(f"unknown optimizer kind {opt.kind!r}")
+    """One update through whichever optimizer the plan selected."""
+    opt.step(net, trace, grads, lr)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +635,7 @@ def apply_event_method(
         shrink_perturb(net, float(entry.params["beta"]), stream)
         return {"beta": float(entry.params["beta"])}
     if name == "plasticity_injection":
-        inject_plasticity(net, stream)
+        add_injection_round(net, stream)
         return {"rounds": net.injection_rounds}
     if name == "redo":
         if probe is None:

@@ -110,9 +110,6 @@ class NetworkState:
     def trainable_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.param_order if n not in self.frozen)
 
-    def param_count(self) -> int:
-        return int(sum(self.params[n].size for n in self.param_order))
-
 
 @dataclass
 class ForwardTrace:

@@ -14,16 +14,14 @@ from dataclasses import dataclass, fields
 import yaml
 
 from ..envs import TARGET_SPEEDS, LEVEL_OFFSET
+from ..envs.schedule import FAMILIES
 from ..errors import ConfigError, MitigationError
 from ..learners import C51Config, PPOConfig
 from ..mitigations import REGISTRY, build_plan
+from ..net import ACTIVATIONS
 
 ALGOS = ("ppo", "c51", "regression")
-FAMILIES = ("gridworld", "pointmass", "probe")
 MODES = ("standard", "level_shift", "task_chain")
-
-# activations an experiment config may request by name
-_ACTIVATIONS = ("relu", "tanh", "crelu", "fourier", "linear")
 
 
 @dataclass(frozen=True)
@@ -251,8 +249,8 @@ def _resolve_network(raw, mitigations: tuple[dict, ...]) -> NetworkConfig:
     if not hidden or any(isinstance(h, bool) or not isinstance(h, int) or h < 1 for h in hidden):
         raise ConfigError(f"'network.hidden' must be positive integers, got {list(hidden)}")
     activation = block.get("activation", "relu")
-    if activation not in _ACTIVATIONS:
-        raise ConfigError(f"'network.activation' must be one of {_ACTIVATIONS}, got {activation!r}")
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"'network.activation' must be one of {ACTIVATIONS}, got {activation!r}")
     layer_norm = bool(block.get("layer_norm", False))
 
     # architecture-kind plan entries imply network settings; explicit

@@ -25,8 +25,8 @@ from plastlab.learners import (
 )
 from plastlab.learners import c51 as c51_module
 from plastlab.learners import ppo as ppo_module
-from plastlab.learners.ppo import _clipped_objective, _log_softmax
-from plastlab.learners.common import clip_gradients
+from plastlab.learners.ppo import _clipped_objective
+from plastlab.learners.common import _log_softmax, clip_gradients
 from plastlab.mitigations import make_optimizer, optimizer_step, reg_loss
 from plastlab.net import backward as net_backward
 from plastlab.net import forward
@@ -477,6 +477,21 @@ class TestC51Loss:
         dists[1] *= 0.5
         with pytest.raises(InvalidInputError):
             categorical_projection_batch(dists, np.zeros(3), np.zeros(3), 0.9, HEAD)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        dists = np.stack([random_dist(RngStream(k, 0), 51) for k in range(3)])
+        dists[2, 7] = bad
+        with pytest.raises(NumericError):
+            categorical_projection_batch(dists, np.zeros(3), np.zeros(3), 0.9, HEAD)
+
+    def test_non_finite_target_net_raises(self):
+        learner, _ = make_c51(42)
+        fill_replay(learner, 1.0, False)
+        learner.target.params["layer1.b"][0] = np.nan
+        with pytest.raises(NumericError):
+            c51_update(learner.buffer, learner.net, learner.target, learner.head,
+                       16, 0.99, RngStream(9, 0))
 
 
 # ---------------------------------------------------------------- schedule

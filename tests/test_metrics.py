@@ -7,13 +7,13 @@ from mpmath import mp
 from plastlab.errors import InvalidInputError, NumericError, UndefinedRankError
 from plastlab.metrics import (
     MetricReport,
+    _params_l2,
     active_fraction,
     collect_metrics,
     dormant_ratio,
     effective_rank,
     gradient_norm,
     stable_rank,
-    weight_difference,
 )
 from plastlab import metrics as metrics_module
 from plastlab.net import (
@@ -197,18 +197,23 @@ def _random_net(seed):
     return net
 
 
+def l2_between(a, b):
+    return _params_l2(a.params, b.params, list(a.param_order))
+
+
 class TestWeightDifference:
     def test_identical_states(self):
         net = _random_net(1)
-        assert weight_difference(net, net) == (0.0, 0.0)
+        assert l2_between(net, net) == (0.0, 0.0)
 
     def test_single_coordinate(self):
         a = _random_net(2)
         b = clone_network(a)
         b.params["layer0.w"][1, 2] += 3.0
-        l2, per = weight_difference(a, b)
+        l2, per = l2_between(a, b)
         assert l2 == pytest.approx(3.0, abs=1e-12)
-        assert per == pytest.approx(3.0 / a.param_count(), abs=1e-12)
+        count = sum(a.params[n].size for n in a.param_order)
+        assert per == pytest.approx(3.0 / count, abs=1e-12)
 
     def test_flatten_oracle(self):
         a, b = _random_net(3), _random_net(4)
@@ -216,21 +221,15 @@ class TestWeightDifference:
             [(a.params[n] - b.params[n]).ravel() for n in a.param_order]
         )
         want = float(np.linalg.norm(flat))
-        l2, per = weight_difference(a, b)
+        l2, per = l2_between(a, b)
         assert abs(l2 - want) < 1e-12
         assert abs(per - want / flat.size) < 1e-12
-
-    def test_architecture_mismatch(self):
-        a = _random_net(5)
-        other = init_network([LayerSpec(3, 5, "tanh"), LayerSpec(5, 2, "linear")], RngStream(5))
-        with pytest.raises(InvalidInputError):
-            weight_difference(a, other)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 5_000))
     def test_metric_axioms(self, seed):
         nets = [_random_net(seed + k) for k in range(3)]
-        d = lambda x, y: weight_difference(x, y)[0]
+        d = lambda x, y: l2_between(x, y)[0]
         assert d(nets[0], nets[1]) == pytest.approx(d(nets[1], nets[0]), abs=1e-12)
         assert d(nets[0], nets[2]) <= d(nets[0], nets[1]) + d(nets[1], nets[2]) + 1e-9
 
@@ -294,7 +293,7 @@ class TestCollectMetrics:
         assert agg.fau == active_fraction(trace)["all"]
         assert agg.stable_rank == stable_rank(trace.postacts[-2])
         assert agg.effective_rank == effective_rank(trace.postacts[-2])
-        l2, per = weight_difference(net, deserialize_init(net))
+        l2, per = l2_between(net, deserialize_init(net))
         assert agg.weight_diff == pytest.approx(l2, abs=1e-12)
         assert agg.weight_diff_per_param == pytest.approx(per, abs=1e-12)
         assert agg.grad_norm == gradient_norm(grads)
@@ -307,6 +306,13 @@ class TestCollectMetrics:
         net.params["layer2.b"][0] += 2.0
         agg = collect_metrics(net, self.probe, baseline=baseline)[-1]
         assert agg.weight_diff == pytest.approx(2.0, abs=1e-12)
+
+    def test_architecture_mismatch(self):
+        # same parameter names, different widths
+        a = _random_net(5)
+        other = init_network([LayerSpec(3, 5, "tanh"), LayerSpec(5, 2, "linear")], RngStream(5))
+        with pytest.raises(InvalidInputError):
+            collect_metrics(a, self.probe, baseline=other)
 
 
 def _rank_case(name):

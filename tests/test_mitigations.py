@@ -4,17 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plastlab.errors import InvalidInputError, MitigationError, NumericError
-from plastlab.metrics import dormant_ratio, weight_difference
+from plastlab.metrics import _params_l2, dormant_ratio
 from plastlab.mitigations import (
     REGISTRY,
-    OptimizerState,
     Trigger,
-    adam_step,
     apply_event_method,
     build_plan,
-    inject_plasticity,
     kron_precondition,
-    kron_step,
     make_optimizer,
     nap_project,
     optimizer_step,
@@ -24,13 +20,13 @@ from plastlab.mitigations import (
     reset_layers,
     shrink_perturb,
     trac_combine,
-    trac_step,
     validate_network_for_plan,
 )
 from plastlab.net import (
     Gradients,
     LayerSpec,
     _draw_layer_params,
+    add_injection_round,
     backward,
     clone_network,
     forward,
@@ -38,6 +34,15 @@ from plastlab.net import (
     network_output,
 )
 from plastlab.numkit import RngStream
+
+
+def drift(a, b):
+    """L2 distance between two networks' parameters."""
+    return _params_l2(a.params, b.params, list(a.param_order))[0]
+
+
+def grads_of(by_name):
+    return Gradients(by_name=by_name, lin_grads={})
 
 
 def tanh_net(seed=0, layer_norm=False):
@@ -95,8 +100,8 @@ class TestShrinkPerturb:
         shrink_perturb(net, beta, RngStream(0, 1))
         full = clone_network(base)
         shrink_perturb(full, 1.0, RngStream(0, 1))
-        got = weight_difference(net, reference)[0]
-        want = beta * weight_difference(full, reference)[0]
+        got = drift(net, reference)
+        want = beta * drift(full, reference)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_layer_norm_affine_shrinks_to_init(self):
@@ -124,7 +129,7 @@ class TestInjection:
         batch = RngStream(7, 1).normal(0.0, 1.0, 24).reshape(8, 3)
         target = RngStream(7, 2).normal(0.0, 1.0, 16).reshape(8, 2)
         pre_out = network_output(net, batch)
-        inject_plasticity(net, RngStream(7, 3))
+        add_injection_round(net, RngStream(7, 3))
         head_before = net.params["layer2.w"].copy()
         opt = make_optimizer("adam", net)
         first_mse = None
@@ -133,7 +138,7 @@ class TestInjection:
             err = trace.outputs - target
             mse = float(np.mean(err**2))
             first_mse = first_mse if first_mse is not None else mse
-            adam_step(opt, net, backward(net, trace, 2.0 * err / err.size), 1e-2)
+            optimizer_step(opt, net, None, backward(net, trace, 2.0 * err / err.size), 1e-2)
         assert mse < first_mse
         np.testing.assert_array_equal(net.params["layer2.w"], head_before)
         assert not np.allclose(network_output(net, batch), pre_out)
@@ -195,7 +200,7 @@ class TestResetLayers:
         net.params["layer0.ln_gain"][:] = 5.0
         reset_layers(net, "all", RngStream(20, 0))
         fresh = init_network(specs, RngStream(20, 0))
-        assert weight_difference(net, fresh)[0] == 0.0
+        assert drift(net, fresh) == 0.0
 
     def test_final_scope_containment(self):
         net = tanh_net(21)
@@ -215,7 +220,7 @@ class TestResetLayers:
         b.params["layer0.w"] -= 1.0
         reset_layers(a, "final", RngStream(22, 7))
         reset_layers(b, "all", RngStream(22, 7))
-        assert weight_difference(a, b)[0] == 0.0
+        assert drift(a, b) == 0.0
 
     def test_bad_scope(self):
         with pytest.raises(InvalidInputError):
@@ -334,16 +339,16 @@ class TestAdam:
         net = init_network([LayerSpec(1, 1, "linear", init="normal(0.0,0.0)")], RngStream(0))
         net.params["layer0.w"][:] = 2.0
         opt = make_optimizer("adam", net)
-        adam_step(opt, net, {"layer0.w": np.array([[1.0]])}, 0.1)
+        optimizer_step(opt, net, None, grads_of({"layer0.w": np.array([[1.0]])}), 0.1)
         assert net.params["layer0.w"][0, 0] == pytest.approx(1.9, abs=1e-6)
 
     def test_zero_grads_no_change(self):
         net = tanh_net(50)
         before = {k: v.copy() for k, v in net.params.items()}
         opt = make_optimizer("adam", net)
-        grads = {n: np.zeros_like(net.params[n]) for n in net.trainable_names()}
+        grads = grads_of({n: np.zeros_like(net.params[n]) for n in net.trainable_names()})
         for _ in range(3):
-            adam_step(opt, net, grads, 0.1)
+            optimizer_step(opt, net, None, grads, 0.1)
         for name in net.param_order:
             assert net.params[name].tobytes() == before[name].tobytes()
 
@@ -354,7 +359,7 @@ class TestAdam:
             opt = make_optimizer("adam", net)
             for _ in range(5):
                 trace = forward(net, batch)
-                adam_step(opt, net, backward(net, trace, trace.outputs), 1e-3)
+                optimizer_step(opt, net, None, backward(net, trace, trace.outputs), 1e-3)
             return np.concatenate([net.params[n].ravel() for n in net.param_order])
 
         assert run().tobytes() == run().tobytes()
@@ -363,7 +368,7 @@ class TestAdam:
         net = tanh_net(52)
         opt = make_optimizer("adam", net)
         with pytest.raises(NumericError):
-            adam_step(opt, net, {"layer0.w": np.full((6, 3), np.nan)}, 0.1)
+            optimizer_step(opt, net, None, grads_of({"layer0.w": np.full((6, 3), np.nan)}), 0.1)
 
 
 class AdamReference:
@@ -402,14 +407,14 @@ class TestFlatAdam:
         opt, ref = make_optimizer("adam", net), AdamReference()
         for step in range(50):
             if step in (20, 35):  # freezes names and adds new ones: a new layout
-                inject_plasticity(net, RngStream(53, step))
+                add_injection_round(net, RngStream(53, step))
             # equal bit for bit to the reference parameters (checked below)
             ref_params = {k: v.copy() for k, v in net.params.items()}
             before = dict(net.params)
             trace = forward(net, batch)
             grads = backward(net, trace, trace.outputs - 1.0)
             ref_grads = {k: g.copy() for k, g in grads.by_name.items()}
-            adam_step(opt, net, grads, 1e-2)
+            optimizer_step(opt, net, None, grads, 1e-2)
             ref.step(ref_params, ref_grads, 1e-2)
             for name in net.param_order:
                 assert net.params[name] is before[name]  # updated in place
@@ -431,7 +436,7 @@ class TestFlatAdam:
         grads[names[1]].flat[-1] = np.nan
         before = {n: net.params[n].copy() for n in net.param_order}
         with pytest.raises(NumericError) as info:
-            adam_step(opt, net, grads, 0.1)
+            optimizer_step(opt, net, None, grads_of(grads), 0.1)
         assert info.value.layer == names[1]
         assert opt.t == 0
         for name in net.param_order:
@@ -500,9 +505,9 @@ class TestTrac:
         net = tanh_net(62)
         opt = make_optimizer("trac", net)
         opt.trac_sigma_sum = np.full(4, 1e6)
-        grads = {n: np.zeros_like(net.params[n]) for n in net.trainable_names()}
+        grads = grads_of({n: np.zeros_like(net.params[n]) for n in net.trainable_names()})
         cand = {n: net.params[n].copy() for n in net.trainable_names()}
-        trac_step(opt, net, grads, cand)
+        opt.pull(net, grads, cand)
         assert opt.saturation_warnings == 4
         assert np.isfinite(opt.trac_scale)
 
@@ -510,10 +515,10 @@ class TestTrac:
         net = init_network([LayerSpec(1, 1, "linear", init="normal(0.0,0.0)")], RngStream(0))
         opt = make_optimizer("trac", net)
         # drive the tuners hard enough that the scale becomes positive
-        grads = {"layer0.w": np.array([[1.0]]), "layer0.b": np.array([0.0])}
+        grads = grads_of({"layer0.w": np.array([[1.0]]), "layer0.b": np.array([0.0])})
         net.params["layer0.w"][:] = -1.0  # theta - ref = -1, h = -1
         cand = {"layer0.w": np.array([[3.0]]), "layer0.b": np.array([0.0])}
-        trac_step(opt, net, grads, cand)
+        opt.pull(net, grads, cand)
         assert opt.trac_scale > 0.0
         want = opt.theta_ref["layer0.w"] + opt.trac_scale * (cand["layer0.w"] - opt.theta_ref["layer0.w"])
         np.testing.assert_allclose(net.params["layer0.w"], want, atol=1e-15)
@@ -521,7 +526,7 @@ class TestTrac:
     def test_injected_branch_reference_is_its_init(self):
         net = tanh_net(63)
         opt = make_optimizer("trac", net)
-        inject_plasticity(net, RngStream(63, 3))
+        add_injection_round(net, RngStream(63, 3))
         new_names = [n for n in net.trainable_names() if n not in opt.theta_ref]
         assert new_names
         injected = {n: net.params[n].copy() for n in new_names}
@@ -548,7 +553,7 @@ class TestKron:
 
     def test_identity_preconditioner_is_plain_gd(self):
         net, opt, trace, grads = self.identity_setup()
-        kron_step(opt, net, trace, grads, 0.1)
+        optimizer_step(opt, net, trace, grads, 0.1)
         assert net.params["layer0.w"][0, 0] == pytest.approx(1.0 - 0.1 * 0.5, abs=1e-12)
         assert net.params["layer0.b"][0] == pytest.approx(-0.1 * 0.25, abs=1e-12)
 
@@ -579,7 +584,7 @@ class TestKron:
                 err = trace.outputs - y
                 grads = backward(net, trace, err / x.shape[0])
                 if use_kron:
-                    kron_step(opt, net, trace, grads, lr)
+                    optimizer_step(opt, net, trace, grads, lr)
                 else:
                     for name, g in grads.by_name.items():
                         net.params[name] = net.params[name] - lr * g
@@ -594,6 +599,33 @@ class TestKron:
         pre_w, pre_b = kron_precondition(opt, "layer0", np.ones((2, 2)), np.ones(2))
         assert opt.fallback_count == 1
         assert np.all(np.isfinite(pre_w)) and np.all(np.isfinite(pre_b))
+
+    def test_step_needs_the_trace(self):
+        net, opt, _, grads = self.identity_setup()
+        with pytest.raises(InvalidInputError):
+            optimizer_step(opt, net, None, grads, 0.1)
+
+
+class TestMakeOptimizer:
+    @pytest.mark.parametrize(
+        "name", ["adam"] + sorted(n for n, m in REGISTRY.items() if m.kind == "optimizer")
+    )
+    def test_registry_params_build_and_step(self, name):
+        net = tanh_net(80, layer_norm=True)
+        params = REGISTRY[name].params if name in REGISTRY else {}
+        opt = make_optimizer(name, net, **params)
+        before = {n: net.params[n].copy() for n in net.param_order}
+        batch = RngStream(80, 1).normal(0.0, 1.0, 12).reshape(4, 3)
+        trace = forward(net, batch)
+        optimizer_step(opt, net, trace, backward(net, trace, trace.outputs), 1e-3)
+        for n in net.param_order:
+            assert np.all(np.isfinite(net.params[n]))
+        if name != "trac":  # trac's first scale is 0, which keeps the reference
+            assert any(not np.array_equal(net.params[n], before[n]) for n in net.param_order)
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidInputError):
+            make_optimizer("sgd", tanh_net())
 
 
 class TestRegistryAndPlan:

@@ -11,7 +11,7 @@ import yaml
 
 from plastlab.errors import CheckpointError, ConfigError, DivergenceError
 from plastlab.learners import Rollout, build_network
-from plastlab.metrics import weight_difference
+from plastlab.metrics import _params_l2
 from plastlab.net import serialize_network
 from plastlab.numkit import RngStream
 from plastlab.runner import (
@@ -241,7 +241,7 @@ class TestRunArtifacts:
         # the post-reset level is the distance between two independent draws
         net_a = build_network(16, 4, (32, 32), "relu", False, RngStream(101, 0))
         net_b = build_network(16, 4, (32, 32), "relu", False, RngStream(202, 0))
-        fresh, _ = weight_difference(net_a, net_b)
+        fresh, _ = _params_l2(net_a.params, net_b.params, list(net_a.param_order))
         assert 0.6 * fresh < wd[1000] < 1.4 * fresh
         assert art.summary["trigger_fires"]["0:reset_layers:once_at"] == 1
 
