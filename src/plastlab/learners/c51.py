@@ -104,9 +104,14 @@ def categorical_projection_batch(
     hi = np.ceil(b).astype(np.int64)
     aligned = lo == hi
     offsets = np.arange(n_batch)[:, None] * head.n_atoms
-    m = np.zeros(n_batch * head.n_atoms)
-    np.add.at(m, (lo + offsets).ravel(), np.where(aligned, p, p * (hi - b)).ravel())
-    np.add.at(m, (hi + offsets).ravel(), np.where(aligned, 0.0, p * (b - lo)).ravel())
+    # one scatter-add: every lower share in row-major order, then every upper one
+    m = np.bincount(
+        np.concatenate([(lo + offsets).ravel(), (hi + offsets).ravel()]),
+        weights=np.concatenate(
+            [np.where(aligned, p, p * (hi - b)).ravel(), np.where(aligned, 0.0, p * (b - lo)).ravel()]
+        ),
+        minlength=n_batch * head.n_atoms,
+    )
     return m.reshape(n_batch, head.n_atoms)
 
 

@@ -104,16 +104,18 @@ def gae(
     dones = np.asarray(dones, dtype=np.float64)
     if not (rewards.shape == values.shape == dones.shape):
         raise InvalidInputError("rewards, values, dones must share one length")
-    n = rewards.shape[0]
-    advantages = np.zeros(n)
+    # the recurrence on Python floats: the same IEEE operations as on numpy scalars
+    r, v, d = rewards.tolist(), values.tolist(), dones.tolist()
+    adv = [0.0] * len(r)
     next_value = float(bootstrap_value)
     running = 0.0
-    for t in range(n - 1, -1, -1):
-        mask = 1.0 - dones[t]
-        delta = rewards[t] + gamma * mask * next_value - values[t]
+    for t in range(len(r) - 1, -1, -1):
+        mask = 1.0 - d[t]
+        delta = r[t] + gamma * mask * next_value - v[t]
         running = delta + gamma * lam * mask * running
-        advantages[t] = running
-        next_value = values[t]
+        adv[t] = running
+        next_value = v[t]
+    advantages = np.array(adv)
     return advantages, advantages + values
 
 

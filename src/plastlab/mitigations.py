@@ -22,10 +22,12 @@ from .metrics import _layer_scores
 from .net import (
     ForwardTrace,
     Gradients,
+    LayerSpec,
     NetworkState,
     _WIDTH_DOUBLING,
     _draw_layer_params,
     add_injection_round,
+    draw_layers,
     forward,
 )
 from .numkit import RngStream, erfi
@@ -118,24 +120,58 @@ def build_plan(raw_entries: list[dict]) -> MitigationPlan:
 # reset family
 
 
-def shrink_perturb(net: NetworkState, beta: float, stream: RngStream) -> NetworkState:
+class DrawAhead:
+    """Fresh init draws made ahead for one soft shrink-and-perturb entry.
+
+    A chain draw is a pure function of the stream's (seed, id, counter) and
+    the layer specs, so `steps` chain draws made at once on a copy of the
+    stream are the draws the next calls would make. `take` serves draw j
+    while the stream stands j chain draws past the copy's start with the same
+    chain, and moves the stream past it; otherwise (other draws moved the
+    counter, the frozen set or the injection rounds changed the chain, or all
+    are used) it draws `steps` afresh. Not run state: an empty one serves the
+    same values.
+    """
+
+    def __init__(self, steps: int):
+        self.steps = steps
+        self.origin: tuple | None = None  # (seed, stream id, specs) of the draws
+        self.start = self.slots = 0  # stream counter before draw 0; slots per draw
+        self.draws: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def take(self, specs: tuple[LayerSpec, ...], stream: RngStream) -> list:
+        j = -1
+        if self.origin == (stream.seed, stream.stream_id, specs):
+            j, rem = divmod(stream.counter - self.start, self.slots)
+            j = j if rem == 0 and j < self.steps else -1
+        if j < 0:
+            copy = RngStream(stream.seed, stream.stream_id, stream.counter)
+            self.draws = draw_layers(specs, copy, self.steps)
+            self.origin = (stream.seed, stream.stream_id, specs)
+            self.start, self.slots = stream.counter, (copy.counter - stream.counter) // self.steps
+            j = 0
+        stream.counter += self.slots
+        return [(w[j], b[j]) for w, b in self.draws]
+
+
+def shrink_perturb(
+    net: NetworkState, beta: float, stream: RngStream, ahead: DrawAhead | None = None
+) -> NetworkState:
     """Interpolate every trainable parameter toward a fresh init draw.
 
     theta <- (1-beta)*theta + beta*draw, with the draw taken from each
     layer's declared init distribution, not the stored snapshot.
     Normalization gain/offset shrink toward their init constants (1 and 0).
+    With `ahead`, the draws come from it; the values are the same.
     """
     if not 0.0 <= beta <= 1.0:
         raise InvalidInputError(f"beta must be in [0, 1], got {beta}")
     keep = 1.0 - beta
+    targets = []  # (spec, weight name, bias name) in draw order
     for i, spec in enumerate(net.layers):
         w_name, b_name = f"layer{i}.w", f"layer{i}.b"
         if w_name not in net.frozen or b_name not in net.frozen:
-            w_draw, b_draw = _draw_layer_params(spec, stream)
-            if w_name not in net.frozen:
-                net.params[w_name] = keep * net.params[w_name] + beta * w_draw
-            if b_name not in net.frozen:
-                net.params[b_name] = keep * net.params[b_name] + beta * b_draw
+            targets.append((spec, w_name, b_name))
         if spec.layer_norm and f"layer{i}.ln_gain" not in net.frozen:
             net.params[f"layer{i}.ln_gain"] = keep * net.params[f"layer{i}.ln_gain"] + beta
             net.params[f"layer{i}.ln_offset"] = keep * net.params[f"layer{i}.ln_offset"]
@@ -143,9 +179,17 @@ def shrink_perturb(net: NetworkState, beta: float, stream: RngStream) -> Network
         last = len(net.layers) - 1
         prefix = f"layer{last}.inj{net.injection_rounds}_train"
         if f"{prefix}.w" not in net.frozen:
-            w_draw, b_draw = _draw_layer_params(net.layers[last], stream)
-            net.params[f"{prefix}.w"] = keep * net.params[f"{prefix}.w"] + beta * w_draw
-            net.params[f"{prefix}.b"] = keep * net.params[f"{prefix}.b"] + beta * b_draw
+            targets.append((net.layers[last], f"{prefix}.w", f"{prefix}.b"))
+    specs = tuple(spec for spec, _, _ in targets)
+    if ahead is not None and specs:
+        draws = ahead.take(specs, stream)
+    else:
+        draws = [_draw_layer_params(spec, stream) for spec in specs]
+    for (_, w_name, b_name), (w_draw, b_draw) in zip(targets, draws):
+        if w_name not in net.frozen:
+            net.params[w_name] = keep * net.params[w_name] + beta * w_draw
+        if b_name not in net.frozen:
+            net.params[b_name] = keep * net.params[b_name] + beta * b_draw
     return net
 
 
@@ -628,11 +672,13 @@ def apply_event_method(
     net: NetworkState,
     stream: RngStream,
     probe: np.ndarray | None = None,
+    ahead: DrawAhead | None = None,
 ) -> dict:
-    """Run one event-kind method; returns details worth logging."""
+    """Run one event-kind method; returns details worth logging. Only
+    shrink_perturb reads `ahead`."""
     name = entry.method
     if name == "shrink_perturb":
-        shrink_perturb(net, float(entry.params["beta"]), stream)
+        shrink_perturb(net, float(entry.params["beta"]), stream, ahead)
         return {"beta": float(entry.params["beta"])}
     if name == "plasticity_injection":
         add_injection_round(net, stream)

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CheckpointError, InvalidInputError, MitigationError, SpecError
-from .numkit import RngStream, ensure_matrix
+from .numkit import RngStream, box_muller, ensure_matrix
 
 ACTIVATIONS = ("relu", "tanh", "crelu", "fourier", "linear")
 _WIDTH_DOUBLING = ("crelu", "fourier")
@@ -145,35 +145,71 @@ class Gradients:
     lin_grads: dict[str, np.ndarray]
 
 
-def _orthogonal(stream: RngStream, out_dim: int, in_dim: int, gain: float) -> np.ndarray:
-    big, small = max(out_dim, in_dim), min(out_dim, in_dim)
-    a = stream.normal(0.0, 1.0, big * small).reshape(big, small)
-    q, r = np.linalg.qr(a)
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    w = q if out_dim >= in_dim else q.T
-    # keep every parameter C-ordered so ravel() views and reductions are stable
-    return np.ascontiguousarray(gain * w)
+def draw_layers(
+    specs: tuple[LayerSpec, ...], stream: RngStream, k: int = 1
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """k successive init draws of a layer chain, from one stream call.
+
+    One chain draw takes each layer in turn, weight before bias, and uses a
+    fixed number S of slots; draw j reads slots j*S .. (j+1)*S of a single
+    uniform(0, 1, k*S) call, so it equals what the j-th of k one-at-a-time
+    chain draws returns. Orthogonal weights of one shape share one stacked QR.
+    Returns per layer C-ordered weights (k, out, in) and biases (k, out).
+    """
+    blocks = []  # per layer: (init kind, args, slot offset, weight and bias value counts)
+    slots = 0
+    for spec in specs:
+        kind, args = _parse_init(spec.init)
+        sizes = (spec.out_dim * spec.in_dim,) + (() if kind == "orthogonal" else (spec.out_dim,))
+        blocks.append((kind, args, slots, sizes))
+        # uniform takes one slot per value, normal one Box-Muller pair per two
+        slots += sum(sizes if kind == "uniform_fan_in" else (2 * ((n + 1) // 2) for n in sizes))
+    u = stream.uniform(0.0, 1.0, k * slots).reshape(k, slots)
+    out: list = []
+    qr_groups: dict[tuple[int, int], list[int]] = {}
+    for spec, (kind, args, off, sizes) in zip(specs, blocks):
+        values = []
+        for n in sizes:
+            if kind == "uniform_fan_in":  # stream.uniform(lo, hi, n)'s ops on the unit draws
+                lo, hi = -1.0 / np.sqrt(spec.in_dim), 1.0 / np.sqrt(spec.in_dim)
+                v = u[:, off : off + n]
+                v *= hi - lo
+                v += lo
+                off += n
+            else:
+                mu, sigma = (0.0, 1.0) if kind == "orthogonal" else args
+                span = 2 * ((n + 1) // 2)
+                v = box_muller(u[:, off : off + span], mu, sigma)[:, :n]
+                off += span
+            values.append(v)
+        if kind == "orthogonal":
+            big, small = max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim)
+            qr_groups.setdefault((big, small), []).append(len(out))
+            out.append((values[0].reshape(k, big, small), np.zeros((k, spec.out_dim))))
+        else:
+            w, b = (np.ascontiguousarray(v) for v in values)
+            out.append((w.reshape(k, spec.out_dim, spec.in_dim), b))
+    for (big, small), idx in qr_groups.items():
+        a = out[idx[0]][0] if len(idx) == 1 else np.concatenate([out[i][0] for i in idx])
+        qs, rs = np.linalg.qr(a)
+        for g, i in enumerate(idx):
+            spec, q, r = specs[i], qs[g * k : (g + 1) * k], rs[g * k : (g + 1) * k]
+            gain = blocks[i][1][0]
+            # column signs that make diag(r) >= 0, times the gain, in one multiply
+            fac = np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, gain, -gain)
+            w = np.empty((k, spec.out_dim, spec.in_dim))
+            if spec.out_dim >= spec.in_dim:
+                np.multiply(q, fac[:, None, :], out=w)
+            else:
+                np.multiply(q.transpose(0, 2, 1), fac[:, :, None], out=w)
+            out[i] = (w, out[i][1])
+    return out
 
 
 def _draw_layer_params(spec: LayerSpec, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Weight and bias for one layer; draw order is fixed (weight, then bias)."""
-    kind, args = _parse_init(spec.init)
-    if kind == "orthogonal":
-        w = _orthogonal(stream, spec.out_dim, spec.in_dim, args[0])
-        b = np.zeros(spec.out_dim)
-    elif kind == "uniform_fan_in":
-        bound = 1.0 / np.sqrt(spec.in_dim)
-        w = stream.uniform(-bound, bound, spec.out_dim * spec.in_dim).reshape(
-            spec.out_dim, spec.in_dim
-        )
-        b = stream.uniform(-bound, bound, spec.out_dim)
-    else:
-        mu, sigma = args
-        w = stream.normal(mu, sigma, spec.out_dim * spec.in_dim).reshape(
-            spec.out_dim, spec.in_dim
-        )
-        b = stream.normal(mu, sigma, spec.out_dim)
-    return w, b
+    """Weight and bias for one layer: the k = 1 case of draw_layers."""
+    (w, b), = draw_layers((spec,), stream)
+    return w[0], b[0]
 
 
 def _freeze_values(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -69,6 +69,12 @@ class RngStream:
         self.counter += n
         return z
 
+    def _unit(self, n: int) -> np.ndarray:
+        """The next n slots as floats on [0, 1): multiples of 2^-53, exact."""
+        u = self._raw(n).astype(np.float64)
+        u *= _INV_2_53
+        return u
+
     def uniform(self, a: float, b: float, n: int) -> np.ndarray:
         """n iid draws from U[a, b); degenerate a == b returns a exactly."""
         if n < 1:
@@ -79,8 +85,7 @@ class RngStream:
             self.counter += 1
             u = float(_mix_int(self._key + self.counter * _PHI) >> 11) * _INV_2_53
             return np.array([a + u * (b - a)])
-        u = self._raw(n).astype(np.float64)
-        u *= _INV_2_53
+        u = self._unit(n)
         u *= b - a
         u += a
         return u
@@ -91,21 +96,7 @@ class RngStream:
             raise InvalidInputError("n must be >= 1")
         if sigma < 0:
             raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
-        m = (n + 1) // 2
-        u = self._raw(2 * m).astype(np.float64)
-        # u1 in (0, 1] so log is finite; u2 in [0, 1)
-        u1, u2 = u[:m], u[m:]
-        u1 += 1.0
-        u *= _INV_2_53
-        r = np.sqrt(np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1)
-        u2 *= 2.0 * math.pi
-        z = np.empty((m, 2))
-        np.cos(u2, out=z[:, 0])
-        np.sin(u2, out=z[:, 1])
-        z *= r[:, None]
-        z *= sigma
-        z += mu
-        return z.reshape(-1)[:n]
+        return box_muller(self._unit(2 * ((n + 1) // 2)), mu, sigma)[:n]
 
     def randint(self, bound: int, n: int = 1) -> np.ndarray:
         """n integers uniform on [0, bound)."""
@@ -130,6 +121,29 @@ class RngStream:
         for i, j in zip(range(k - 1, 0, -1), js.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)
+
+
+def box_muller(u: np.ndarray, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+    """N(mu, sigma^2) draws from uniforms on [0, 1), one Box-Muller block per row.
+
+    A row of 2m uniforms [u1 | u2] gives m pairs (r cos t, r sin t), with
+    r = sqrt(-2 log(u1 + 2^-53)) (u1 shifted into (0, 1] so the log is finite)
+    and t = 2 pi u2, interleaved into 2m values. Every value depends only on
+    its own row, so k rows in one call return what k one-row calls return.
+    Works in place on u; the result has u's shape.
+    """
+    m = u.shape[-1] // 2
+    u1, u2 = u[..., :m], u[..., m:]
+    u1 += _INV_2_53
+    r = np.sqrt(np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1)
+    u2 *= 2.0 * math.pi
+    z = np.empty(u.shape[:-1] + (m, 2))
+    np.cos(u2, out=z[..., 0])
+    np.sin(u2, out=z[..., 1])
+    z *= r[..., None]
+    z *= sigma
+    z += mu
+    return z.reshape(u.shape)
 
 
 def ensure_matrix(a, name: str = "matrix") -> np.ndarray:

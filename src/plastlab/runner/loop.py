@@ -29,6 +29,7 @@ from ..learners import C51Learner, PPOLearner, RegressionLearner, Rollout, build
 from ..metrics import MetricReport, collect_metrics
 from ..mitigations import (
     REGISTRY,
+    DrawAhead,
     apply_event_method,
     build_plan,
     make_optimizer,
@@ -49,6 +50,10 @@ UPDATE_STREAM = 6
 # most observations an act memo holds before it starts over; it is also
 # emptied whenever the parameters may have changed (see _run_rl)
 ACT_MEMO_CAP = 1024
+
+# gradient steps of fresh init draws a per-gradient-step shrink_perturb entry
+# makes at once (see mitigations.DrawAhead); it holds at most this many
+DRAW_AHEAD = 8
 
 _REG_KIND = {"l2_reg": "l2", "regenerative_reg": "regenerative", "parseval_reg": "parseval"}
 
@@ -207,11 +212,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         learner = RegressionLearner(net, opt, cfg.learner.lr, tuple(reg_terms))
 
     state = {"gradient_steps": 0}
+    aheads = {i: DrawAhead(DRAW_AHEAD) for i, entry in pgs_entries if entry.method == "shrink_perturb"}
 
     def _post_step():
         state["gradient_steps"] += 1
         for i, entry in pgs_entries:
-            apply_event_method(entry, net, mit_stream, probe=probe)
+            apply_event_method(entry, net, mit_stream, probe=probe, ahead=aheads.get(i))
             counters[i] += 1
 
     learner.post_step = _post_step

@@ -54,3 +54,23 @@ def make_chain_learner(seed: int, n_updates: int, lr: float = 1e-3) -> C51Learne
 
 def chain_q_estimates(learner: C51Learner) -> np.ndarray:
     return learner.q_values(np.eye(2))
+
+
+def single_draw_reference(spec, stream):
+    """Oracle: one layer's init drawn the way the first numkit did it, one
+    normal or uniform call per tensor and one QR per orthogonal weight."""
+    kind, args = spec.init.split("(")[0], spec.init
+    if kind == "orthogonal":
+        gain = float(args[len("orthogonal(") : -1])
+        big, small = max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim)
+        q, r = np.linalg.qr(stream.normal(0.0, 1.0, big * small).reshape(big, small))
+        q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+        w = q if spec.out_dim >= spec.in_dim else q.T
+        return np.ascontiguousarray(gain * w), np.zeros(spec.out_dim)
+    if kind == "uniform_fan_in":
+        bound = 1.0 / np.sqrt(spec.in_dim)
+        w = stream.uniform(-bound, bound, spec.out_dim * spec.in_dim).reshape(spec.out_dim, spec.in_dim)
+        return w, stream.uniform(-bound, bound, spec.out_dim)
+    mu, sigma = (float(t) for t in args[len("normal(") : -1].split(","))
+    w = stream.normal(mu, sigma, spec.out_dim * spec.in_dim).reshape(spec.out_dim, spec.in_dim)
+    return w, stream.normal(mu, sigma, spec.out_dim)

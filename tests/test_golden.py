@@ -107,6 +107,21 @@ CONFIGS = {
         "mitigations": [{"method": "shrink_perturb", "trigger": "every_k_steps(150)"}],
         "logging": _LOGGING,
     },
+    # Soft shrink-and-perturb on every PPO gradient step, drawn ahead in
+    # batches, with redo drawing from the same stream between rollouts.
+    "ppo_grid_soft_snp_redo": {
+        "algo": "ppo",
+        "seed": 9,
+        "total_steps": 800,
+        "scenario": {"mode": "level_shift", "segment_length": 400, "n_segments": 2},
+        "network": {"hidden": [32, 32]},
+        "learner": {"rollout_len": 200, "n_minibatches": 4, "update_epochs": 2},
+        "mitigations": [
+            {"method": "shrink_perturb", "trigger": "per_gradient_step"},
+            {"method": "redo", "trigger": "every_k_steps(250)"},
+        ],
+        "logging": _LOGGING,
+    },
     "c51_grid_event_between_updates": {
         "algo": "c51",
         "seed": 8,
@@ -157,6 +172,11 @@ GOLDEN = {
         "metrics.jsonl": "2b4931d8340daab2f6ea12a8acc144d2699b0381fe53c5c6c8df867585086ca7",
         "episodes.csv": "75a7ca3bf323e3d7836dcdcb962154ba6d241df8826c0244cc29b323146c2333",
         "ckpt_final.bin": "6acf0924cc81bb4284d7be2729e29dbd3c8008261e5d4a1d0ee9114dc7fd145f",
+    },
+    "ppo_grid_soft_snp_redo": {
+        "metrics.jsonl": "9b992e4f45551e588e6d72fed609d0fb8ae7aa065820f102f3e982906a090d92",
+        "episodes.csv": "241e14fd192706a4867d27a8b956a8498f5315749f7f51856a5b402883ce66fe",
+        "ckpt_final.bin": "d8c649c4bbc5c3e6f47fba05c559d08c8304a7b41a9cfb57da6ca5e2cd59ff4e",
     },
     "c51_grid_event_between_updates": {
         "metrics.jsonl": "2858d3ddd15964638bcba8ac57998d55f6c2f5c871e8223761682431c63f9ff2",

@@ -141,6 +141,28 @@ class TestGae:
         to_go = np.cumsum(r[::-1])[::-1]
         np.testing.assert_allclose(adv, to_go - v, atol=1e-10)
 
+    def test_bit_identical_to_numpy_scalar_recurrence(self):
+        """The recurrence on numpy float64 scalars, as first written, is the oracle."""
+        stream = RngStream(13, 0)
+        for trial in range(60):
+            n = 1 + int(stream.randint(300)[0])
+            r = stream.normal(0.0, 3.0, n)
+            v = stream.normal(0.0, 10.0, n)
+            d = (stream.uniform(0.0, 1.0, n) < 0.1).astype(np.float64)
+            gamma, lam = ((0.99, 0.95), (1.0, 1.0), (0.0, 0.5), (0.9, 0.0))[trial % 4]
+            boot = float(stream.normal(0.0, 5.0, 1)[0])
+            want = np.zeros(n)
+            next_value, running = boot, 0.0
+            for t in range(n - 1, -1, -1):
+                mask = 1.0 - d[t]
+                delta = r[t] + gamma * mask * next_value - v[t]
+                running = delta + gamma * lam * mask * running
+                want[t] = running
+                next_value = v[t]
+            adv, ret = gae(r, v, d, boot, gamma, lam)
+            assert adv.dtype == np.float64 and adv.tobytes() == want.tobytes(), trial
+            assert ret.tobytes() == (want + v).tobytes(), trial
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             gae(np.zeros(3), np.zeros(4), np.zeros(3), 0.0, 0.9, 0.9)
@@ -364,6 +386,27 @@ class TestProjection:
         for i in range(60):
             oracle = projection_loop_oracle(dists[i], rewards[i], bool(dones[i]), 0.9, HEAD)
             np.testing.assert_allclose(m[i], oracle, atol=1e-10)
+
+    def test_bit_identical_to_two_scatter_adds(self):
+        """Oracle: the lower shares, then the upper ones, through np.add.at."""
+        stream = RngStream(35, 0)
+        for trial in range(200):
+            n = 1 + int(stream.randint(64)[0])
+            dists = np.stack([random_dist(stream, 51) for _ in range(n)])
+            rewards = stream.uniform(-14.0, 14.0, n)
+            rewards[: n // 4] = HEAD.atoms[stream.randint(51, n)[: n // 4]]  # aligned atoms
+            dones = (stream.uniform(0.0, 1.0, n) < 0.3).astype(np.float64)
+            gamma = (0.0, 0.9, 0.99, 1.0)[trial % 4]
+            tz = np.clip(rewards[:, None] + gamma * (1.0 - dones[:, None]) * HEAD.atoms, -10.0, 10.0)
+            got = categorical_projection_batch(dists, rewards, dones, gamma, HEAD)
+            b = c51_module._support_coords(tz, HEAD)
+            lo, hi = np.floor(b).astype(np.int64), np.ceil(b).astype(np.int64)
+            aligned = lo == hi
+            offsets = np.arange(n)[:, None] * 51
+            want = np.zeros(n * 51)
+            np.add.at(want, (lo + offsets).ravel(), np.where(aligned, dists, dists * (hi - b)).ravel())
+            np.add.at(want, (hi + offsets).ravel(), np.where(aligned, 0.0, dists * (b - lo)).ravel())
+            assert got.tobytes() == want.reshape(n, 51).tobytes(), trial
 
     def test_batch_matches_single(self):
         stream = RngStream(34, 0)

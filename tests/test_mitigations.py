@@ -7,6 +7,7 @@ from plastlab.errors import InvalidInputError, MitigationError, NumericError
 from plastlab.metrics import _params_l2, dormant_ratio
 from plastlab.mitigations import (
     REGISTRY,
+    DrawAhead,
     Trigger,
     apply_event_method,
     build_plan,
@@ -29,11 +30,15 @@ from plastlab.net import (
     add_injection_round,
     backward,
     clone_network,
+    draw_layers,
     forward,
     init_network,
     network_output,
 )
 from plastlab.numkit import RngStream
+from plastlab.runner import loop, resolve_config, run_experiment
+
+from helpers import single_draw_reference
 
 
 def drift(a, b):
@@ -121,6 +126,138 @@ class TestShrinkPerturb:
         shapes = {k: v.shape for k, v in net.params.items()}
         shrink_perturb(net, 0.3, RngStream(5, 1))
         assert {k: v.shape for k, v in net.params.items()} == shapes
+
+
+def shrink_perturb_reference(net, beta, stream):
+    """Oracle: shrink-and-perturb as first written, one fresh draw per layer
+    between the updates."""
+    keep = 1.0 - beta
+    for i, spec in enumerate(net.layers):
+        w_name, b_name = f"layer{i}.w", f"layer{i}.b"
+        if w_name not in net.frozen or b_name not in net.frozen:
+            w_draw, b_draw = single_draw_reference(spec, stream)
+            if w_name not in net.frozen:
+                net.params[w_name] = keep * net.params[w_name] + beta * w_draw
+            if b_name not in net.frozen:
+                net.params[b_name] = keep * net.params[b_name] + beta * b_draw
+        if spec.layer_norm and f"layer{i}.ln_gain" not in net.frozen:
+            net.params[f"layer{i}.ln_gain"] = keep * net.params[f"layer{i}.ln_gain"] + beta
+            net.params[f"layer{i}.ln_offset"] = keep * net.params[f"layer{i}.ln_offset"]
+    if net.injection_rounds:
+        last = len(net.layers) - 1
+        prefix = f"layer{last}.inj{net.injection_rounds}_train"
+        if f"{prefix}.w" not in net.frozen:
+            w_draw, b_draw = single_draw_reference(net.layers[last], stream)
+            net.params[f"{prefix}.w"] = keep * net.params[f"{prefix}.w"] + beta * w_draw
+            net.params[f"{prefix}.b"] = keep * net.params[f"{prefix}.b"] + beta * b_draw
+    return net
+
+
+def relu_net(seed=0, layer_norm=False):
+    return init_network(
+        [
+            LayerSpec(3, 6, "relu", layer_norm),
+            LayerSpec(6, 5, "relu", layer_norm, init="orthogonal(1.41)"),
+            LayerSpec(5, 2, "linear", init="orthogonal(0.01)"),
+        ],
+        RngStream(seed, 0),
+    )
+
+
+def _redo(net, stream, probe):
+    net.params["layer1.w"][2, :] = 0.0  # one dormant unit, so redo draws
+    net.params["layer1.b"][2] = 0.0
+    redo_reset(net, probe, 0.025, stream)
+
+
+def _freeze(*names):
+    def event(net, stream, probe):
+        net.frozen = net.frozen | set(names)
+    return event
+
+
+# other draws and chain changes interleaved with soft shrink-and-perturb on
+# one stream: redo every 4 steps, full resets, injection rounds (each freezes
+# a head) and hand-frozen weights
+INTERLEAVED_EVENTS = {
+    3: _redo,
+    5: lambda net, stream, probe: add_injection_round(net, stream),
+    7: _redo,
+    9: lambda net, stream, probe: reset_layers(net, "all", stream),
+    11: _redo,
+    12: lambda net, stream, probe: add_injection_round(net, stream),
+    14: _freeze("layer1.w"),
+    15: _redo,
+    19: _freeze("layer0.w", "layer0.b"),
+    21: lambda net, stream, probe: reset_layers(net, "final", stream),
+    23: _redo,
+}
+
+
+class TestDrawAhead:
+    """Soft shrink-and-perturb through a draw-ahead, bit for bit, against
+    the one-draw-per-layer oracle."""
+
+    @pytest.mark.parametrize("layer_norm", [False, True])
+    def test_interleaved_events_match_single_draws(self, layer_norm):
+        probe = RngStream(30, 1).normal(0.0, 1.0, 60).reshape(20, 3)
+        fast, ref = relu_net(30, layer_norm), relu_net(30, layer_norm)
+        fast_stream, ref_stream = RngStream(30, 3), RngStream(30, 3)
+        ahead = DrawAhead(loop.DRAW_AHEAD)
+        for step in range(40):
+            if step in INTERLEAVED_EVENTS:
+                INTERLEAVED_EVENTS[step](fast, fast_stream, probe)
+                INTERLEAVED_EVENTS[step](ref, ref_stream, probe)
+            shrink_perturb(fast, 1e-2, fast_stream, ahead)
+            shrink_perturb_reference(ref, 1e-2, ref_stream)
+            assert fast_stream.counter == ref_stream.counter, step
+            assert fast.param_order == ref.param_order and fast.frozen == ref.frozen
+            for name in ref.param_order:
+                assert fast.params[name].tobytes() == ref.params[name].tobytes(), (step, name)
+
+    def test_refills_every_draw_ahead_steps_on_an_undisturbed_stream(self):
+        net, stream = relu_net(31), RngStream(31, 3)
+        ahead, starts = DrawAhead(loop.DRAW_AHEAD), []
+        for _ in range(3 * loop.DRAW_AHEAD):
+            shrink_perturb(net, 1e-3, stream, ahead)
+            starts.append(ahead.start)
+        assert len(set(starts)) == 3
+        assert stream.counter == 3 * loop.DRAW_AHEAD * ahead.slots
+
+    def test_holds_at_most_draw_ahead_steps(self):
+        assert loop.DRAW_AHEAD == 8
+        net, stream = relu_net(32), RngStream(32, 3)
+        ahead = DrawAhead(loop.DRAW_AHEAD)
+        n_params = sum(net.params[n].size for n in net.param_order)
+        for step in range(20):
+            shrink_perturb(net, 1e-3, stream, ahead)
+            if step % 3 == 0:
+                stream.uniform(0.0, 1.0, 5)  # another draw moves the counter
+            assert all(w.shape[0] == b.shape[0] == loop.DRAW_AHEAD for w, b in ahead.draws)
+            held = sum(w.nbytes + b.nbytes for w, b in ahead.draws)
+            assert held == loop.DRAW_AHEAD * n_params * 8
+
+    def test_run_draws_at_most_draw_ahead_steps_at_once(self, tmp_path, monkeypatch):
+        from plastlab import mitigations
+
+        ks = []
+
+        def recording(specs, stream, k=1):
+            ks.append(k)
+            return draw_layers(specs, stream, k)
+
+        monkeypatch.setattr(mitigations, "draw_layers", recording)
+        cfg = {
+            "algo": "regression",
+            "seed": 3,
+            "total_steps": 40,
+            "scenario": {"mode": "level_shift", "segment_length": 20, "n_segments": 2},
+            "network": {"hidden": [8]},
+            "mitigations": [{"method": "shrink_perturb", "trigger": "per_gradient_step"}],
+            "logging": {"metric_interval": 20, "probe_batch": 8},
+        }
+        run_experiment(resolve_config(cfg), str(tmp_path / "run"))
+        assert ks == [loop.DRAW_AHEAD] * 5
 
 
 class TestInjection:

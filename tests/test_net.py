@@ -11,17 +11,22 @@ from plastlab.net import (
     _act_backward,
     _act_forward,
     _branch_names,
+    _draw_layer_params,
     _ln_backward,
     add_injection_round,
     backward,
     clone_network,
     deserialize_network,
+    draw_layers,
     forward,
     init_network,
     network_output,
     serialize_network,
 )
 from plastlab.numkit import RngStream
+from plastlab.runner import resolve_config, run_experiment
+
+from helpers import single_draw_reference
 
 
 def fd_grads(net, batch, coeff, h=1e-5):
@@ -92,6 +97,82 @@ def test_orthogonal_init_gram():
     net2 = init_network([LayerSpec(5, 3, "linear", init="orthogonal(2.0)")], RngStream(4))
     w2 = net2.params["layer0.w"]
     np.testing.assert_allclose(w2 @ w2.T, 4.0 * np.eye(3), atol=1e-6)
+
+
+DRAW_CHAINS = {
+    "orthogonal": [LayerSpec(16, 64), LayerSpec(64, 64), LayerSpec(64, 4, "linear")],
+    "orthogonal_gains_odd_sizes": [
+        LayerSpec(3, 5, init="orthogonal(1.41)"),
+        LayerSpec(5, 5, init="orthogonal(0.5)"),
+        LayerSpec(5, 7, init="orthogonal(1.41)"),
+        LayerSpec(7, 1, "linear", init="orthogonal(0.01)"),
+    ],
+    "uniform_fan_in": [LayerSpec(3, 7, init="uniform_fan_in"), LayerSpec(7, 1, "linear", init="uniform_fan_in")],
+    "normal": [LayerSpec(4, 3, init="normal(0.1,0.5)"), LayerSpec(3, 5, "linear", init="normal(-1.0,0.0)")],
+    "mixed": [
+        LayerSpec(5, 4, init="uniform_fan_in"),
+        LayerSpec(4, 3, "crelu", init="normal(0.0,2.0)"),
+        LayerSpec(6, 6),
+        LayerSpec(6, 2, "linear", init="orthogonal(2.0)"),
+    ],
+}
+
+
+class TestDrawLayers:
+    """The batched chain draw, bit for bit, against one-layer-at-a-time draws."""
+
+    @pytest.mark.parametrize("name", sorted(DRAW_CHAINS))
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_k_draws_equal_k_successive_single_draws(self, name, k):
+        specs = tuple(DRAW_CHAINS[name])
+        for start in ((0, 3, 0), (5, 3, 17), (2**64 - 1, 2**63, 2**40)):
+            fast, ref = RngStream(*start), RngStream(*start)
+            got = draw_layers(specs, fast, k)
+            for j in range(k):
+                for (w, b), spec in zip(got, specs):
+                    w_ref, b_ref = single_draw_reference(spec, ref)
+                    assert w[j].flags.c_contiguous and w[j].shape == w_ref.shape
+                    assert w[j].tobytes() == w_ref.tobytes(), (name, k, j, spec)
+                    assert b[j].tobytes() == b_ref.tobytes(), (name, k, j, spec)
+            assert fast.counter == ref.counter
+
+    @pytest.mark.parametrize("name", sorted(DRAW_CHAINS))
+    def test_one_layer_draw_is_the_k1_case(self, name):
+        fast, ref = RngStream(8, 3, 99), RngStream(8, 3, 99)
+        for spec in DRAW_CHAINS[name]:
+            w, b = _draw_layer_params(spec, fast)
+            w_ref, b_ref = single_draw_reference(spec, ref)
+            assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+            assert fast.counter == ref.counter
+
+
+def golden_layer_shapes(tmp_path) -> set[tuple[int, int]]:
+    """(rows, cols) of every QR input the golden configs build: the network
+    each one starts from, read back from a one-step run's checkpoint."""
+    from test_golden import CONFIGS
+
+    shapes = set()
+    for name, raw in CONFIGS.items():
+        art = run_experiment(resolve_config({**raw, "total_steps": 1}), str(tmp_path / name))
+        with open(art.checkpoint_paths[-1], "rb") as fh:
+            net = deserialize_network(fh.read())
+        for spec in net.layers:
+            shapes.add((max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim)))
+    return shapes
+
+
+def test_stacked_qr_equals_single_qr_on_golden_shapes(tmp_path):
+    shapes = golden_layer_shapes(tmp_path)
+    assert len(shapes) >= 5
+    stream = RngStream(21, 0)
+    for big, small in sorted(shapes):
+        # 16 matrices: two layers of one shape, eight draws each
+        stack = stream.normal(0.0, 1.0, 16 * big * small).reshape(16, big, small)
+        qs, rs = np.linalg.qr(stack)
+        for j in range(16):
+            q, r = np.linalg.qr(stack[j].copy())
+            assert qs[j].tobytes() == q.tobytes(), (big, small, j)
+            assert rs[j].tobytes() == r.tobytes(), (big, small, j)
 
 
 def test_init_determinism():
