@@ -155,15 +155,21 @@ def _params_l2(
     return l2, l2 / count if count else 0.0
 
 
-def gradient_norm(grads: Gradients | dict[str, np.ndarray]) -> float:
-    """sqrt of the summed squared L2 norms over all gradient entries."""
-    by_name = grads.by_name if isinstance(grads, Gradients) else grads
-    total = 0.0
+def check_finite(by_name: dict[str, np.ndarray]) -> None:
+    """Raise NumericError, with `.layer` set, for the first entry holding a NaN or inf."""
     for name, g in by_name.items():
         if not np.all(np.isfinite(g)):
             err = NumericError(f"non-finite gradient in {name}")
             err.layer = name
             raise err
+
+
+def gradient_norm(grads: Gradients | dict[str, np.ndarray]) -> float:
+    """sqrt of the summed squared L2 norms over all gradient entries."""
+    by_name = grads.by_name if isinstance(grads, Gradients) else grads
+    check_finite(by_name)
+    total = 0.0
+    for g in by_name.values():
         total += float(np.sum(g * g))
     return float(np.sqrt(total))
 

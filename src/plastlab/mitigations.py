@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, MitigationError, NumericError
-from .metrics import _layer_scores
+from .errors import InvalidInputError, MitigationError
+from .metrics import _layer_scores, check_finite
 from .net import (
     ForwardTrace,
     Gradients,
@@ -334,14 +334,6 @@ _ERFI_LIMIT = 6.0
 _ERFI_HALF_INV_SQRT2 = erfi(1.0 / np.sqrt(2.0))
 
 
-def _check_finite(grads: dict[str, np.ndarray]) -> None:
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            err = NumericError(f"non-finite gradient in {name}")
-            err.layer = name
-            raise err
-
-
 class Adam:
     """Bias-corrected Adam over the gradient entries, in place on flat buffers."""
 
@@ -383,7 +375,7 @@ class Adam:
         for name, grad in by_name.items():
             deltas[name][...] = grad
         if not np.isfinite(g).all():
-            _check_finite(by_name)
+            check_finite(by_name)
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
@@ -432,7 +424,7 @@ class Trac:
         are clamped and counted rather than raised.
         """
         by_name = grads.by_name
-        _check_finite(by_name)
+        check_finite(by_name)
         h = 0.0
         for name, g in by_name.items():
             if name not in self.theta_ref:  # injected after make_optimizer, still at its init
@@ -485,7 +477,7 @@ class Kron:
     def step(self, net: NetworkState, trace: ForwardTrace | None, grads: Gradients, lr: float) -> None:
         if trace is None:
             raise InvalidInputError("kron needs the forward trace")
-        _check_finite(grads.by_name)
+        check_finite(grads.by_name)
         covered: set[str] = set()
         for prefix, g_lin in grads.lin_grads.items():
             x = trace.layer_inputs[int(prefix.split(".")[0][len("layer") :])]

@@ -87,10 +87,10 @@ _PPO_DISCRETE_OVERRIDES = {
     "rollout_len": 1000,
 }
 
-# counts a zero would break: an empty split or epoch, an unfilled rollout, an
-# empty epsilon ramp (C51's total_steps), a modulo by zero
-_POSITIVE_LEARNER_INTS = ("n_minibatches", "update_epochs", "rollout_len", "total_steps",
-                          "train_frequency", "target_network_frequency")
+# counts a zero would break: an empty split, epoch or batch, an unfilled
+# rollout, an empty epsilon ramp (C51's total_steps), a modulo by zero
+_POSITIVE_INTS = ("n_minibatches", "update_epochs", "rollout_len", "total_steps", "train_frequency",
+                  "target_network_frequency", "batch_size", "metric_interval", "probe_batch")
 
 _DEFAULT_TOTALS = {"c51": 10_000_000, "ppo": 200_000, "regression": 100_000}
 _DEFAULT_SEGMENTS = {"level_shift": 2_000_000, "task_chain": 1_000_000}
@@ -167,7 +167,9 @@ def _resolve_scenario(raw, algo: str, seed: int) -> tuple[ScenarioConfig, int | 
         level_seed_base=_require_int(block.get("level_seed_base", seed), "scenario.level_seed_base"),
         level_offset=_require_int(block.get("level_offset", LEVEL_OFFSET), "scenario.level_offset", 1),
         frame_stack=_require_int(block.get("frame_stack", 1), "scenario.frame_stack", 1),
-        reward_normalization=bool(block.get("reward_normalization", algo == "ppo")),
+        reward_normalization=_coerce_field(
+            "scenario.reward_normalization", block.get("reward_normalization", algo == "ppo"), False
+        ),
     )
     explicit = block.get("segment_length")
     if explicit is not None:
@@ -175,16 +177,17 @@ def _resolve_scenario(raw, algo: str, seed: int) -> tuple[ScenarioConfig, int | 
     return scenario, explicit
 
 
-def _coerce_field(name: str, value, default):
-    """Type-check one learner override against its default's type. Catches the
-    YAML 1.1 gotcha where 1.0e11 (no exponent sign) parses as a string."""
-    path = f"learner.{name}"
+def _coerce_field(path: str, value, default):
+    """Type-check one config value against its default's type, so neither the
+    YAML 1.1 gotcha 1.0e11 (parsed as a string) nor a quoted "false" (true to
+    bool()) slips through; lr must be > 0 and gamma, gae_lambda in [0, 1]."""
+    name = path.rsplit(".", 1)[-1]
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"'{path}' must be a boolean, got {value!r}")
         return value
     if isinstance(default, int):
-        return _require_int(value, path, minimum=1 if name in _POSITIVE_LEARNER_INTS else 0)
+        return _require_int(value, path, minimum=1 if name in _POSITIVE_INTS else 0)
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"'{path}' must be a number, got {value!r}")
@@ -194,6 +197,10 @@ def _coerce_field(name: str, value, default):
             number = math.inf
         if not math.isfinite(number):
             raise ConfigError(f"'{path}' must be finite, got {value!r}")
+        if name == "lr" and number <= 0.0:
+            raise ConfigError(f"'{path}' must be > 0, got {value!r}")
+        if name in ("gamma", "gae_lambda") and not 0.0 <= number <= 1.0:
+            raise ConfigError(f"'{path}' must be in [0, 1], got {value!r}")
         return number
     if not isinstance(value, str):
         raise ConfigError(f"'{path}' must be a string, got {value!r}")
@@ -210,7 +217,7 @@ def _resolve_learner(raw, algo: str, scenario: ScenarioConfig, total_steps: int)
         values.update(_PPO_DISCRETE_OVERRIDES)
     if algo == "c51":
         values["total_steps"] = total_steps
-    values.update({k: _coerce_field(k, v, defaults[k]) for k, v in block.items()})
+    values.update({k: _coerce_field(f"learner.{k}", v, defaults[k]) for k, v in block.items()})
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
@@ -251,7 +258,7 @@ def _resolve_network(raw, mitigations: tuple[dict, ...]) -> NetworkConfig:
     activation = block.get("activation", "relu")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"'network.activation' must be one of {ACTIVATIONS}, got {activation!r}")
-    layer_norm = bool(block.get("layer_norm", False))
+    layer_norm = _coerce_field("network.layer_norm", block.get("layer_norm", False), False)
 
     # architecture-kind plan entries imply network settings; explicit
     # contradictions are configuration mistakes, not silent overrides
@@ -274,13 +281,9 @@ def _resolve_network(raw, mitigations: tuple[dict, ...]) -> NetworkConfig:
 
 def _resolve_logging(raw) -> LoggingConfig:
     block = _as_block(raw, "logging")
-    allowed = tuple(f.name for f in fields(LoggingConfig))
-    _check_keys(block, allowed, "logging.")
-    return LoggingConfig(
-        out_dir=str(block.get("out_dir", "runs")),
-        metric_interval=_require_int(block.get("metric_interval", 2000), "logging.metric_interval", 1),
-        probe_batch=_require_int(block.get("probe_batch", 256), "logging.probe_batch", 1),
-    )
+    defaults = {f.name: f.default for f in fields(LoggingConfig)}
+    _check_keys(block, tuple(defaults), "logging.")
+    return LoggingConfig(**{k: _coerce_field(f"logging.{k}", v, defaults[k]) for k, v in block.items()})
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:

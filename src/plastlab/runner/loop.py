@@ -1,4 +1,4 @@
-"""Deterministic experiment execution: train loops, trigger engine, logging.
+"""Deterministic experiment execution: the step loop, trigger engine, logging.
 
 Every byte written to the metrics JSONL and episodes CSV is a function of
 (config, seed). Per-component RNG streams keep env randomness unchanged when
@@ -48,7 +48,7 @@ ACTION_STREAM = 5
 UPDATE_STREAM = 6
 
 # most observations an act memo holds before it starts over; it is also
-# emptied whenever the parameters may have changed (see _run_rl)
+# emptied whenever the run's write count moved (see run_experiment)
 ACT_MEMO_CAP = 1024
 
 # gradient steps of fresh init draws a per-gradient-step shrink_perturb entry
@@ -91,20 +91,13 @@ def replay_metrics(
     return collect_metrics(net, probe)
 
 
-def _obs_dim_and_actions(cfg: ExperimentConfig, first_task) -> tuple[int, int, bool]:
+def _widths(cfg: ExperimentConfig, sched) -> tuple[int, int, int]:
+    """(input width, action count, head width) of the run's network."""
     if cfg.scenario.family == "probe":
-        return PROBE_DIM, PROBE_OUT, True
-    env, _ = make_env(first_task)
-    discrete = cfg.scenario.family == "gridworld"
-    return env.obs_dim * max(1, cfg.scenario.frame_stack), env.n_actions, discrete
-
-
-def _head_width(cfg: ExperimentConfig, n_actions: int) -> int:
-    if cfg.algo == "ppo":
-        return n_actions + 1
-    if cfg.algo == "c51":
-        return n_actions * cfg.learner.n_atoms
-    return PROBE_OUT
+        return PROBE_DIM, PROBE_OUT, PROBE_OUT
+    env, _ = make_env(schedule_shift(sched, 0)[0])
+    head = env.n_actions + 1 if cfg.algo == "ppo" else env.n_actions * cfg.learner.n_atoms
+    return env.obs_dim * max(1, cfg.scenario.frame_stack), env.n_actions, head
 
 
 def _build_env(cfg: ExperimentConfig, task):
@@ -137,11 +130,24 @@ class _Writers:
         self.episodes.close()
 
 
+def _task_rows(writers: _Writers, task_idx: int, task_start: int, losses: list[float]) -> None:
+    """The probe's per-task rows, written when the task ends (none before the first)."""
+    if not losses:
+        return
+    window = losses[:500]
+    k = min(50, max(1, len(window) // 2))
+    speed = float(np.mean(window[:k]) - np.mean(window[-k:]))
+    writers.metric_row(task_start, f"task{task_idx}", "adaptation_speed", speed)
+    writers.metric_row(task_start, f"task{task_idx}", "final_loss", float(np.mean(losses[-k:])))
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArtifacts:
     """Execute one experiment; returns paths and the final summary record.
 
-    Aborts with DivergenceError on a non-finite loss, after flushing all logs
-    and writing a diagnostic summary pointing at the failing step.
+    Every step runs the same schedule: task switch, mitigation events, metric
+    rows, checkpoint, then the learner's part of the step. Aborts with
+    DivergenceError on a non-finite loss, after flushing all logs and writing
+    a diagnostic summary pointing at the failing step.
     """
     out_dir = out_dir or cfg.logging.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -151,7 +157,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         fh.write(config_yaml(cfg))
 
     env_stream = RngStream(cfg.seed, ENV_STREAM)
-    init_stream = RngStream(cfg.seed, INIT_STREAM)
     mit_stream = RngStream(cfg.seed, MITIGATION_STREAM)
     act_stream = RngStream(cfg.seed, ACTION_STREAM)
     upd_stream = RngStream(cfg.seed, UPDATE_STREAM)
@@ -166,26 +171,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         cfg.scenario.horizon,
         cfg.scenario.level_offset,
     )
-    first_task, _ = schedule_shift(sched, 0)
-    obs_dim, n_actions, discrete = _obs_dim_and_actions(cfg, first_task)
+    obs_dim, n_actions, head_width = _widths(cfg, sched)
+    discrete = cfg.scenario.family == "gridworld"
     probe = probe_inputs(cfg.seed, obs_dim, cfg.logging.probe_batch)
 
     net = build_network(
         obs_dim,
-        _head_width(cfg, n_actions),
+        head_width,
         cfg.network.hidden,
         cfg.network.activation,
         cfg.network.layer_norm,
-        init_stream,
+        RngStream(cfg.seed, INIT_STREAM),
     )
     plan = build_plan(list(cfg.mitigations))
     validate_network_for_plan(plan, net)
 
     reg_terms = []
     opt_kind, opt_hyper = "adam", {}
-    event_entries: list[tuple[int, object]] = []
-    pgs_entries: list[tuple[int, object]] = []
-    counters = [0] * len(plan.entries)
+    events: list[tuple[int, object]] = []
     for i, entry in enumerate(plan.entries):
         kind = REGISTRY[entry.method].kind
         if kind == "loss":
@@ -194,16 +197,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
             reg_terms.append((_REG_KIND[entry.method], alpha, s))
         elif kind == "optimizer":
             opt_kind, opt_hyper = entry.method, dict(entry.params)
-        elif kind == "spec":
-            counters[i] = 1  # architecture checks fire once, at startup
-        elif entry.trigger.kind == "per_gradient_step":
-            pgs_entries.append((i, entry))
-        else:
-            event_entries.append((i, entry))
+        elif kind == "event":
+            events.append((i, entry))
+    pgs_entries = [(i, entry) for i, entry in events if entry.trigger.kind == "per_gradient_step"]
+    # only event entries count their firings; the other kinds are derived at the end
+    fires = {i: 0 for i, _ in events}
 
     opt = make_optimizer(opt_kind, net, **opt_hyper)
-    if cfg.algo == "ppo":
+    ppo = cfg.algo == "ppo"
+    reward_norm = ppo and cfg.scenario.reward_normalization
+    normalizer = RewardNormalizer(cfg.learner.gamma) if reward_norm else None
+    if ppo:
         learner = PPOLearner(net, n_actions, discrete, cfg.learner, opt, tuple(reg_terms))
+        rows = min(cfg.learner.rollout_len, cfg.total_steps)
+        rollout = Rollout(rows, obs_dim, None if discrete else n_actions)
     elif cfg.algo == "c51":
         # the ring never holds more rows than the run adds; capping it moves no sample
         c51_cfg = replace(cfg.learner, buffer_size=min(cfg.learner.buffer_size, cfg.total_steps))
@@ -211,14 +218,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     else:
         learner = RegressionLearner(net, opt, cfg.learner.lr, tuple(reg_terms))
 
-    state = {"gradient_steps": 0}
+    # gradient steps (with their per-gradient-step methods) and event firings
+    # are the only writes to net, and each bumps this count; acting reuses the
+    # forward of a repeated observation only while it stands still. Only
+    # discrete (gridworld) observations repeat, so continuous ones get no memo.
+    gradient_steps = writes = 0
+    memo_key = None
     aheads = {i: DrawAhead(DRAW_AHEAD) for i, entry in pgs_entries if entry.method == "shrink_perturb"}
 
     def _post_step():
-        state["gradient_steps"] += 1
+        nonlocal gradient_steps, writes
+        gradient_steps += 1
+        writes += 1
         for i, entry in pgs_entries:
             apply_event_method(entry, net, mit_stream, probe=probe, ahead=aheads.get(i))
-            counters[i] += 1
+            fires[i] += 1
 
     learner.post_step = _post_step
 
@@ -229,58 +243,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         for report in collect_metrics(net, probe, step=step):
             for name, value in report.rows():
                 writers.metric_row(step, report.scope, name, value)
-        state["last_metric_step"] = step
 
     def _checkpoint(step: int, name: str | None = None) -> None:
-        fname = name or f"ckpt_step{step}.bin"
-        path = os.path.join(out_dir, fname)
+        path = os.path.join(out_dir, name or f"ckpt_step{step}.bin")
         with open(path, "wb") as fh:
             fh.write(serialize_network(net))
         checkpoint_paths.append(path)
 
-    def _fire_events(step: int, switched: bool) -> None:
-        for i, entry in event_entries:
-            trig = entry.trigger
-            if trig.kind == "every_k_steps":
-                fire = step > 0 and step % trig.k == 0
-            elif trig.kind == "on_task_switch":
-                fire = switched
-            else:  # once_at
-                fire = step == trig.step
-            if fire:
-                info = apply_event_method(entry, net, mit_stream, probe=probe)
-                if entry.method == "reset_layers" and entry.params.get("scope") == "all":
-                    # a full redraw leaves no parameters the old moment
-                    # buffers describe; start the optimizer over as well
-                    learner.opt = make_optimizer(opt_kind, net, **opt_hyper)
-                counters[i] += 1
-                writers.metric_row(step, "event", entry.method, info.get("reset_count", 1.0))
-
-    # ------------------------------------------------------------- loops
-
-    episode_idx = 0
+    # step 0 always switches: it builds the env (RL) or opens the first task (probe)
     returns: list[float] = []
-
-    def _run_rl() -> None:
-        nonlocal episode_idx
-        env = None
-        obs = None
-        normalizer = RewardNormalizer(cfg.learner.gamma) if cfg.scenario.reward_normalization else None
-        ppo = cfg.algo == "ppo"
-        if ppo:
-            rows = min(cfg.learner.rollout_len, cfg.total_steps)
-            rollout = Rollout(rows, obs_dim, None if discrete else n_actions)
-        ep_return, ep_len = 0.0, 0
-        # gradient steps, per-gradient-step methods and events are the only
-        # writes to net, and each moves this key; acting reuses the forward
-        # of a repeated observation only while it stands still. Only discrete
-        # (gridworld) observations repeat, so continuous ones get no memo.
-        memo_key = None
-
+    task_idx, task_start, losses = -1, 0, []
+    error = None
+    step = last_metric_step = -1
+    try:
         for step in range(cfg.total_steps):
-            state["step"] = step
             task, switched = schedule_shift(sched, step)
-            if switched:
+            if switched and cfg.algo == "regression":
+                _task_rows(writers, task_idx, task_start, losses)
+                task_idx, task_start, losses = task_idx + 1, step, []
+            elif switched:
                 if ppo and rollout.size:
                     # truncate the rollout at the boundary so advantage
                     # estimation never bootstraps across tasks
@@ -289,15 +270,38 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 ep_return, ep_len = 0.0, 0
                 if normalizer is not None:
                     normalizer.ret = 0.0
-            _fire_events(step, switched)
+            for i, entry in events:
+                trig = entry.trigger
+                if trig.kind == "every_k_steps":
+                    fire = step > 0 and step % trig.k == 0
+                elif trig.kind == "on_task_switch":
+                    fire = switched
+                else:  # per_gradient_step entries fire in _post_step
+                    fire = trig.kind == "once_at" and step == trig.step
+                if fire:
+                    info = apply_event_method(entry, net, mit_stream, probe=probe)
+                    if entry.method == "reset_layers" and entry.params.get("scope") == "all":
+                        # a full redraw leaves no parameters the old moment
+                        # buffers describe; start the optimizer over as well
+                        learner.opt = make_optimizer(opt_kind, net, **opt_hyper)
+                    fires[i] += 1
+                    writes += 1
+                    writers.metric_row(step, "event", entry.method, info.get("reset_count", 1.0))
             if step % cfg.logging.metric_interval == 0:
                 _log_metrics(step)
+                last_metric_step = step
             if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
                 _checkpoint(step)
 
-            params_key = (state["gradient_steps"], sum(counters))
-            if discrete and (params_key != memo_key or len(learner.memo) >= ACT_MEMO_CAP):
-                learner.memo, memo_key = {}, params_key
+            if cfg.algo == "regression":
+                x, y = probe_task(task.level_seed, cfg.learner.batch_size, env_stream)
+                loss = learner.step(x, y)
+                losses.append(loss)
+                writers.metric_row(step, "train", "loss", loss)
+                continue
+
+            if discrete and (writes != memo_key or len(learner.memo) >= ACT_MEMO_CAP):
+                learner.memo, memo_key = {}, writes
             if ppo:
                 action, log_prob, value = learner.act(obs, act_stream)
                 env_action = action if discrete else np.tanh(action)
@@ -315,9 +319,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
             ep_return += reward
             ep_len += 1
             if done:
-                writers.episode_row(step, episode_idx, ep_return, ep_len)
+                writers.episode_row(step, len(returns), ep_return, ep_len)
                 returns.append(ep_return)
-                episode_idx += 1
                 ep_return, ep_len = 0.0, 0
                 next_obs = env.reset()
             obs = next_obs
@@ -329,83 +332,38 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 if not np.isfinite(stats["total"]):
                     raise NumericError(f"non-finite loss at step {step}")
                 rollout.size = 0
-
-    def _run_probe() -> None:
-        task_idx = -1
-        task_start = 0
-        losses: list[float] = []
-
-        def _finalize(step: int) -> None:
-            if task_idx < 0 or not losses:
-                return
-            window = losses[:500]
-            k = min(50, max(1, len(window) // 2))
-            speed = float(np.mean(window[:k]) - np.mean(window[-k:]))
-            writers.metric_row(task_start, f"task{task_idx}", "adaptation_speed", speed)
-            writers.metric_row(task_start, f"task{task_idx}", "final_loss", float(np.mean(losses[-k:])))
-
-        for step in range(cfg.total_steps):
-            state["step"] = step
-            task, switched = schedule_shift(sched, step)
-            if switched:
-                _finalize(step)
-                task_idx += 1
-                task_start = step
-                losses = []
-            _fire_events(step, switched)
-            if step % cfg.logging.metric_interval == 0:
-                _log_metrics(step)
-            if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
-                _checkpoint(step)
-            x, y = probe_task(task.level_seed, cfg.learner.batch_size, env_stream)
-            loss = learner.step(x, y)
-            losses.append(loss)
-            writers.metric_row(step, "train", "loss", loss)
-        _finalize(cfg.total_steps)
-
-    status = {"status": "ok"}
-    try:
-        if cfg.scenario.family == "probe":
-            _run_probe()
-        else:
-            _run_rl()
+        _task_rows(writers, task_idx, task_start, losses)
         _log_metrics(cfg.total_steps)
         _checkpoint(cfg.total_steps, "ckpt_final.bin")
     except NumericError as exc:
-        status = {
-            "status": "diverged",
-            "error": str(exc),
-            "step": state.get("step", -1),
-            "last_metric_step": state.get("last_metric_step", -1),
-        }
+        error = exc
 
-    # per-gradient-step loss/optimizer terms fire once per update by design
+    # spec entries (architecture checks) fire once, at startup; loss and optimizer ones per update
+    trigger_fires = {}
     for i, entry in enumerate(plan.entries):
-        if REGISTRY[entry.method].kind in ("loss", "optimizer"):
-            counters[i] = state["gradient_steps"]
-    trigger_fires = {
-        f"{i}:{entry.method}:{entry.trigger.kind}": counters[i]
-        for i, entry in enumerate(plan.entries)
-    }
+        derived = 1 if REGISTRY[entry.method].kind == "spec" else gradient_steps
+        trigger_fires[f"{i}:{entry.method}:{entry.trigger.kind}"] = fires.get(i, derived)
 
     summary = {
         "algo": cfg.algo,
         "checkpoints": [os.path.basename(p) for p in checkpoint_paths],
-        "episodes": episode_idx,
-        "gradient_steps": state["gradient_steps"],
+        "episodes": len(returns),
+        "gradient_steps": gradient_steps,
         "mean_return_last_10": float(np.mean(returns[-10:])) if returns else None,
         "seed": cfg.seed,
+        "status": "ok" if error is None else "diverged",
         "total_steps": cfg.total_steps,
         "trigger_fires": trigger_fires,
     }
-    summary.update(status)
+    if error is not None:
+        summary.update(error=str(error), step=step, last_metric_step=last_metric_step)
     summary_path = os.path.join(out_dir, "summary.json")
     writers.close()
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
-    if summary["status"] == "diverged":
-        raise DivergenceError(summary["error"], step=summary["step"])
+    if error is not None:
+        raise DivergenceError(str(error), step=step)
 
     return RunArtifacts(
         out_dir=out_dir,

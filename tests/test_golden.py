@@ -3,8 +3,9 @@
 The determinism tests elsewhere compare two runs of the same code with each
 other; these compare one run with bytes recorded from an earlier version of the
 package, so a change that shifts any trajectory by one ulp fails here. The
-digests were recorded with numpy 2.4.6 on Python 3.11. A change that moves a
-digest on purpose must replace it and say why in CHANGES.md.
+digests were recorded with numpy 2.4.6 on Python 3.11. The summary.json digest
+pins the trigger fire counts, gradient steps and episode count. A change that
+moves a digest on purpose must replace it and say why in CHANGES.md.
 """
 
 import hashlib
@@ -135,6 +136,40 @@ CONFIGS = {
         "mitigations": [{"method": "shrink_perturb", "trigger": "every_k_steps(90)"}],
         "logging": _LOGGING,
     },
+    # A full redraw on every switch restarts the optimizer; redo fires between
+    # the switches and checkpoints land on the switch steps.
+    "c51_grid_reset_all": {
+        "algo": "c51",
+        "seed": 10,
+        "total_steps": 600,
+        "scenario": {"mode": "level_shift", "segment_length": 200, "n_segments": 3, "horizon": 40},
+        "network": {"hidden": [32]},
+        "learner": {
+            "buffer_size": 1000, "batch_size": 16, "learning_starts": 50,
+            "train_frequency": 2, "target_network_frequency": 100, "n_atoms": 11,
+        },
+        "mitigations": [
+            {"method": "reset_layers", "params": {"scope": "all"}, "trigger": "on_task_switch"},
+            {"method": "redo", "trigger": "every_k_steps(150)"},
+        ],
+        "logging": _LOGGING,
+        "checkpoint_interval": 200,
+    },
+    # Events on the probe: redo on a fixed period and one reset of the final
+    # layer mid-task, with checkpoints between them.
+    "regression_probe_events": {
+        "algo": "regression",
+        "seed": 11,
+        "total_steps": 500,
+        "scenario": {"mode": "level_shift", "segment_length": 125, "n_segments": 4},
+        "network": {"hidden": [16, 16]},
+        "mitigations": [
+            {"method": "redo", "trigger": "every_k_steps(100)"},
+            {"method": "reset_layers", "trigger": "once_at(250)"},
+        ],
+        "logging": _LOGGING,
+        "checkpoint_interval": 250,
+    },
 }
 
 GOLDEN = {
@@ -142,46 +177,67 @@ GOLDEN = {
         "metrics.jsonl": "4b1a1709706b591f6d2874370ef0e82f0fb8b125614340a5c8ebf577f32e9ad8",
         "episodes.csv": "7249e4853dcc1ddeca086eb18d29b557d8f3d341e6ac3cdd78160806e565263f",
         "ckpt_final.bin": "26c8d7f63921940f407a3aefd95f5c8a9f47d9e73bd69530a60b4f9a8ec5633e",
+        "summary.json": "abf99b00afee5f4dca75e458d41f0e4ce6d1061b5ec1b3593ddb050ff88b7e64",
     },
     "ppo_pointmass_task_chain": {
         "metrics.jsonl": "1eaf3cd862432f2876cdcaba30803972c7de16134a40bd6ceeb42c134a075808",
         "episodes.csv": "2a43e22fa152fb95a61ee9ceb4c2913e3c64577dcf944eb901e7701584573407",
         "ckpt_final.bin": "ab402d83b29a4e92e40d8cd653143a890c05c0665d30a5586868a860711f9e2e",
+        "summary.json": "43ed990713b2843426e7a09d4e2fef04955bbc1ce7634d21591e30f20f49b517",
     },
     "c51_grid_standard": {
         "metrics.jsonl": "ce1608309840d3d5efbf64e24e1394d3d2deabb79abf5d0160540084f9b36c5b",
         "episodes.csv": "4c978df837831526c12cc65056e05644e07f2239a778fe1759d94b5cc9b3a56f",
         "ckpt_final.bin": "74fb998b19a20d4dbc886ab26cfa89d54e9b2477659dcc430db2f586d589d4f8",
+        "summary.json": "a8f7710bc7c6b3b451e6382f4074d5502965059d83f1a10f7ab68d8a848331bf",
     },
     "c51_grid_frame_stack": {
         "metrics.jsonl": "c515ffa8222d00356cf153e8a80501ebcffdc17aa72f5f264bd47d469aa8a452",
         "episodes.csv": "a3e3d85266fedb100be8ca9480140adb869adf71fa3a77ec8b46865e37c86633",
         "ckpt_final.bin": "45b736bd0452c2cd71db859f282d9c5fabf28ffac4bb24ec68adedcd162af648",
+        "summary.json": "2eafade191382e90faaf9c8e51186079104aad8e79354b5935475fce66277f46",
     },
     "regression_probe_level_shift": {
         "metrics.jsonl": "60dcb0f82adba3dbfef82112ac431c940ac0d9ae442e5dba85861933bcf96f62",
         "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
         "ckpt_final.bin": "e13c8633963b1ba2e0ff290e3f82ff44c9ba645e06786021286b0baab64bd491",
+        "summary.json": "98cd3ea51255cfa0e7ec7d6de601f28a95f23d42c34d3fed1c74afacdd76c264",
     },
     "regression_probe_injection": {
         "metrics.jsonl": "e7749c85f6bb19de3e038fe027a2ecff14477e212c5200487ed6f91ed1bd3334",
         "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
         "ckpt_final.bin": "a27d9816a4a2830c91cd67405cac34b9839cf699f3cd0668c7d9a851d284eee1",
+        "summary.json": "717df319202ad426faa1d3c747eb8dbcd997ad92377227478a5b072b5117bc6c",
     },
     "ppo_grid_event_between_updates": {
         "metrics.jsonl": "2b4931d8340daab2f6ea12a8acc144d2699b0381fe53c5c6c8df867585086ca7",
         "episodes.csv": "75a7ca3bf323e3d7836dcdcb962154ba6d241df8826c0244cc29b323146c2333",
         "ckpt_final.bin": "6acf0924cc81bb4284d7be2729e29dbd3c8008261e5d4a1d0ee9114dc7fd145f",
+        "summary.json": "12642cf6b534c0f3b7879e11dd6b692907155c7b210ccfc29a2fb6f130a78eb3",
     },
     "ppo_grid_soft_snp_redo": {
         "metrics.jsonl": "9b992e4f45551e588e6d72fed609d0fb8ae7aa065820f102f3e982906a090d92",
         "episodes.csv": "241e14fd192706a4867d27a8b956a8498f5315749f7f51856a5b402883ce66fe",
         "ckpt_final.bin": "d8c649c4bbc5c3e6f47fba05c559d08c8304a7b41a9cfb57da6ca5e2cd59ff4e",
+        "summary.json": "7d6b9c423717a96927d88e9c4022dfde30017b85e4bdfd2e8cac333f9759809a",
     },
     "c51_grid_event_between_updates": {
         "metrics.jsonl": "2858d3ddd15964638bcba8ac57998d55f6c2f5c871e8223761682431c63f9ff2",
         "episodes.csv": "15585e64036fdd645552010e94366db7b9c0bd181cd75841d2f486da8c819e3f",
         "ckpt_final.bin": "a4f9b0373d2af067f52f10aee1057216ea6e5da0ecf9b2fd73f804bf9232b351",
+        "summary.json": "1d09f75865542df1ee9077cff9467bde1d79fea0ff367e3dea192b7f872ad6c5",
+    },
+    "c51_grid_reset_all": {
+        "metrics.jsonl": "cee96eacff45dfe6a1e54b6bc0614a603d472d8261807b4929ab3222e91e1bbb",
+        "episodes.csv": "51fd81e7d0022a2a341aef12dcd2e8c9dcc1bbf6afc18ba925537c913ae96dd8",
+        "ckpt_final.bin": "57984fe896371fa5e1759b8cad8bb622a3489a13fcb28cfcb76093121fccf9df",
+        "summary.json": "2194e3487397e3735ecb167934511ba4174fc60793ddbed4adf0a2baa2c25335",
+    },
+    "regression_probe_events": {
+        "metrics.jsonl": "c7cb02f380c94fb35afcce40d8d4dcc3f8d98d0722983e4aa030c042b9bfa1e0",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "3fcdc17bf866ed8c6693eb0a4feea0951b15b2b576bbfd32c691618ee56a5aef",
+        "summary.json": "c80022adf567842b6f4167689cf1682dee71e0008dc720b60fb75d82504b8be2",
     },
 }
 

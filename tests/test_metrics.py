@@ -9,6 +9,7 @@ from plastlab.metrics import (
     MetricReport,
     _params_l2,
     active_fraction,
+    check_finite,
     collect_metrics,
     dormant_ratio,
     effective_rank,
@@ -255,6 +256,21 @@ class TestGradientNorm:
             gradient_norm({"layer3.w": np.array([np.inf])})
         assert exc.value.layer == "layer3.w"
         assert "layer3.w" in str(exc.value)
+
+    def test_sums_entry_by_entry(self):
+        stream = RngStream(51, 0)
+        grads = {f"layer{i}.w": stream.normal(0.0, 10.0 ** i, 7 * (i + 1)) for i in range(4)}
+        total = 0.0
+        for g in grads.values():
+            total += float(np.sum(g * g))
+        assert gradient_norm(grads) == float(np.sqrt(total))
+
+    def test_first_non_finite_entry_named(self):
+        grads = {"a": np.ones(3), "b": np.array([1.0, np.nan]), "c": np.array([np.inf])}
+        with pytest.raises(NumericError) as exc:
+            gradient_norm(grads)
+        assert exc.value.layer == "b"
+        check_finite({"a": np.ones(3), "d": np.full(2, 1e300)})  # finite, though its squares overflow
 
 
 class TestCollectMetrics:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plastlab.errors import InvalidInputError, MitigationError, NumericError
-from plastlab.metrics import _params_l2, dormant_ratio
+from plastlab.metrics import _params_l2, dormant_ratio, gradient_norm
 from plastlab.mitigations import (
     REGISTRY,
     DrawAhead,
@@ -578,6 +578,22 @@ class TestFlatAdam:
         assert opt.t == 0
         for name in net.param_order:
             assert net.params[name].tobytes() == before[name].tobytes()
+
+    @pytest.mark.parametrize("kind", ["adam", "trac", "kron"])
+    def test_optimizers_name_the_tensor_gradient_norm_names(self, kind):
+        net = tanh_net(56)
+        trace = forward(net, RngStream(56, 1).normal(0.0, 1.0, 12).reshape(4, 3))
+        grads = backward(net, trace, trace.outputs)
+        names = list(grads.by_name)
+        for name, value in ((names[1], np.inf), (names[2], np.nan)):
+            grads.by_name[name] = grads.by_name[name].copy()
+            grads.by_name[name].flat[0] = value
+        with pytest.raises(NumericError) as norm_info:
+            gradient_norm(grads)
+        with pytest.raises(NumericError) as step_info:
+            optimizer_step(make_optimizer(kind, net), net, trace, grads, 0.1)
+        assert step_info.value.layer == norm_info.value.layer == names[1]
+        assert str(step_info.value) == str(norm_info.value) == f"non-finite gradient in {names[1]}"
 
     def test_trac_candidate_comes_from_the_flat_base(self):
         net = tanh_net(55)

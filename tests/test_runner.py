@@ -140,6 +140,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="learner.batch_size"):
             resolve_config({"algo": "regression", "learner": {"batch_size": 2.5}})
 
+    @pytest.mark.parametrize("block,field", [("network", "layer_norm"), ("scenario", "reward_normalization")])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_booleans_are_strict(self, block, field, value):
+        with pytest.raises(ConfigError, match=rf"'{block}.{field}' must be a boolean"):
+            resolve_config({"algo": "ppo", block: {field: value}})
+
+    @pytest.mark.parametrize("text,expected", [("true", True), ("false", False), ("yes", True), ("no", False)])
+    def test_yaml_booleans_still_parse(self, text, expected, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"algo: ppo\nnetwork: {{layer_norm: {text}}}\nscenario: {{reward_normalization: {text}}}\n")
+        cfg = load_config(str(path))
+        assert cfg.network.layer_norm is expected
+        assert cfg.scenario.reward_normalization is expected
+
+    @pytest.mark.parametrize("value", [5, None, ["runs"]])
+    def test_out_dir_must_be_a_string(self, value):
+        with pytest.raises(ConfigError, match="'logging.out_dir' must be a string"):
+            resolve_config({"algo": "ppo", "logging": {"out_dir": value}})
+
     def test_c51_total_steps_follows_experiment(self):
         cfg = resolve_config({"algo": "c51", "total_steps": 777})
         assert cfg.learner.total_steps == 777
@@ -278,6 +297,20 @@ class TestRunArtifacts:
         assert n == cfg.total_steps
         assert art.summary["trigger_fires"]["0:l2_reg:per_gradient_step"] == n
         assert art.summary["trigger_fires"]["1:trac:per_gradient_step"] == n
+
+    def test_spec_entries_fire_once_and_loss_entries_per_update(self, tmp_path):
+        cfg = c51_cfg(mitigations=[
+            "layer_norm", "l2_reg", {"method": "redo", "trigger": "every_k_steps(100)"}, "kron",
+        ])
+        art = run_experiment(cfg, str(tmp_path / "r"))
+        n = art.summary["gradient_steps"]
+        assert 0 < n < cfg.total_steps  # C51 learns on every train_frequency-th step only
+        assert art.summary["trigger_fires"] == {
+            "0:layer_norm:once_at": 1,
+            "1:l2_reg:per_gradient_step": n,
+            "2:redo:every_k_steps": 3,
+            "3:kron:per_gradient_step": n,
+        }
 
     def test_trac_with_plasticity_injection_runs(self, tmp_path):
         cfg = resolve_config({
@@ -653,11 +686,37 @@ class TestCli:
     @pytest.mark.parametrize("algo,field", [
         ("ppo", "n_minibatches"), ("ppo", "update_epochs"), ("ppo", "rollout_len"),
         ("c51", "train_frequency"), ("c51", "target_network_frequency"), ("c51", "total_steps"),
+        ("c51", "batch_size"), ("regression", "batch_size"),
     ])
     def test_zero_loop_count_exit_2(self, algo, field, tmp_path, capsys):
         cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\nlearner: {{{field}: 0}}\n")
         assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert f"'learner.{field}' must be >= 1, got 0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
+
+    @pytest.mark.parametrize("algo,field,text,message", [
+        ("ppo", "gamma", "1.5", "must be in [0, 1], got 1.5"),
+        ("c51", "gamma", "-0.1", "must be in [0, 1], got -0.1"),
+        ("ppo", "gae_lambda", "1.01", "must be in [0, 1], got 1.01"),
+        ("regression", "lr", "-0.5", "must be > 0, got -0.5"),
+        ("ppo", "lr", "0.0", "must be > 0, got 0.0"),
+        ("c51", "lr", "0", "must be > 0, got 0"),
+    ])
+    def test_out_of_range_learner_float_exit_2(self, algo, field, text, message, tmp_path, capsys):
+        cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\nlearner: {{{field}: {text}}}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert f"'learner.{field}' {message}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_learner_range_edges_resolve(self):
+        cfg = resolve_config({"algo": "ppo", "learner": {"gamma": 0, "gae_lambda": 1, "lr": 1e-12}})
+        assert (cfg.learner.gamma, cfg.learner.gae_lambda, cfg.learner.lr) == (0.0, 1.0, 1e-12)
+
+    @pytest.mark.parametrize("line", ["network: {layer_norm: 'false'}", "scenario: {reward_normalization: 'false'}"])
+    def test_quoted_false_exit_2(self, line, tmp_path, capsys):
+        cfg = self._write(tmp_path, f"algo: ppo\ntotal_steps: 20\n{line}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "must be a boolean, got 'false'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r")
 
     def test_c51_replay_is_sized_to_the_run(self, tmp_path, monkeypatch):
