@@ -7,11 +7,13 @@ identity permutation (the base task).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..net import LayerSpec, init_network, network_output
-from ..numkit import RngStream
+from ..net import LayerSpec, _layer_forward, init_network
+from ..numkit import DrawAhead, RngStream, box_muller
 
 PROBE_DIM = 16
 PROBE_OUT = 4
@@ -39,11 +41,29 @@ def probe_permutation(perm_seed: int) -> np.ndarray:
     return RngStream(perm_seed, _PERM_STREAM).permutation(PROBE_DIM)
 
 
-def probe_task(perm_seed: int, n: int, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a batch of (inputs, teacher targets) for one permutation task."""
+def _task_batches(perm_seed: int, n: int, stream: RngStream, k: int) -> list:
+    """k successive batches of one task as one (k, n, PROBE_DIM) input and one
+    (k, n, PROBE_OUT) target array. Input row j is the box_muller row of one
+    uniform call, so it equals the j-th of k normal(n * PROBE_DIM) draws; the
+    stacked teacher pass runs one gemm per batch, as a per-batch forward does.
+    """
+    u = stream.uniform(0.0, 1.0, k * n * PROBE_DIM).reshape(k, n * PROBE_DIM)
+    x = box_muller(u).reshape(k, n, PROBE_DIM)
+    teacher = teacher_network()
+    y = x[:, :, probe_permutation(perm_seed)]
+    for i, spec in enumerate(teacher.layers):
+        w, b = teacher.params[f"layer{i}.w"], teacher.params[f"layer{i}.b"]
+        y = _layer_forward(spec, y, w, b, None, None)[2]
+    return [(x, y)]
+
+
+def probe_task(
+    perm_seed: int, n: int, stream: RngStream, ahead: DrawAhead | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a batch of (inputs, teacher targets) for one permutation task.
+    With `ahead`, it comes from there, with the same values and stream moves."""
     if n < 1:
         raise InvalidInputError(f"batch size must be >= 1, got {n}")
-    x = stream.normal(0.0, 1.0, n * PROBE_DIM).reshape(n, PROBE_DIM)
-    perm = probe_permutation(perm_seed)
-    y = network_output(teacher_network(), x[:, perm])
+    draw = partial(_task_batches, perm_seed, n)
+    ((x, y),) = (ahead or DrawAhead(1)).take((perm_seed, n), stream, draw)
     return x, y

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .metrics import _layer_scores, check_finite
 from .net import (
     ForwardTrace,
     Gradients,
-    LayerSpec,
     NetworkState,
     _WIDTH_DOUBLING,
     _draw_layer_params,
@@ -30,7 +30,7 @@ from .net import (
     draw_layers,
     forward,
 )
-from .numkit import RngStream, erfi
+from .numkit import DrawAhead, RngStream, erfi
 
 
 # ---------------------------------------------------------------------------
@@ -120,40 +120,6 @@ def build_plan(raw_entries: list[dict]) -> MitigationPlan:
 # reset family
 
 
-class DrawAhead:
-    """Fresh init draws made ahead for one soft shrink-and-perturb entry.
-
-    A chain draw is a pure function of the stream's (seed, id, counter) and
-    the layer specs, so `steps` chain draws made at once on a copy of the
-    stream are the draws the next calls would make. `take` serves draw j
-    while the stream stands j chain draws past the copy's start with the same
-    chain, and moves the stream past it; otherwise (other draws moved the
-    counter, the frozen set or the injection rounds changed the chain, or all
-    are used) it draws `steps` afresh. Not run state: an empty one serves the
-    same values.
-    """
-
-    def __init__(self, steps: int):
-        self.steps = steps
-        self.origin: tuple | None = None  # (seed, stream id, specs) of the draws
-        self.start = self.slots = 0  # stream counter before draw 0; slots per draw
-        self.draws: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def take(self, specs: tuple[LayerSpec, ...], stream: RngStream) -> list:
-        j = -1
-        if self.origin == (stream.seed, stream.stream_id, specs):
-            j, rem = divmod(stream.counter - self.start, self.slots)
-            j = j if rem == 0 and j < self.steps else -1
-        if j < 0:
-            copy = RngStream(stream.seed, stream.stream_id, stream.counter)
-            self.draws = draw_layers(specs, copy, self.steps)
-            self.origin = (stream.seed, stream.stream_id, specs)
-            self.start, self.slots = stream.counter, (copy.counter - stream.counter) // self.steps
-            j = 0
-        stream.counter += self.slots
-        return [(w[j], b[j]) for w, b in self.draws]
-
-
 def shrink_perturb(
     net: NetworkState, beta: float, stream: RngStream, ahead: DrawAhead | None = None
 ) -> NetworkState:
@@ -181,10 +147,7 @@ def shrink_perturb(
         if f"{prefix}.w" not in net.frozen:
             targets.append((net.layers[last], f"{prefix}.w", f"{prefix}.b"))
     specs = tuple(spec for spec, _, _ in targets)
-    if ahead is not None and specs:
-        draws = ahead.take(specs, stream)
-    else:
-        draws = [_draw_layer_params(spec, stream) for spec in specs]
+    draws = (ahead or DrawAhead(1)).take(specs, stream, partial(draw_layers, specs)) if specs else []
     for (_, w_name, b_name), (w_draw, b_draw) in zip(targets, draws):
         if w_name not in net.frozen:
             net.params[w_name] = keep * net.params[w_name] + beta * w_draw

@@ -327,6 +327,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("the probe family and the regression algo require each other")
     if scenario.mode == "task_chain" and scenario.family != "pointmass":
         raise ConfigError(f"task_chain needs pointmass task variants, got family {scenario.family!r}")
+    if scenario.reward_normalization and algo != "ppo":
+        raise ConfigError(f"'scenario.reward_normalization' is a ppo setting, got algo {algo!r}")
+    if scenario.frame_stack > 1 and scenario.family == "probe":
+        raise ConfigError("'scenario.frame_stack' > 1 has no frames to stack on the probe family")
 
     mitigations = _resolve_mitigations(block.get("mitigations"))
     network = _resolve_network(block.get("network"), mitigations)

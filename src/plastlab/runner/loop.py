@@ -29,14 +29,13 @@ from ..learners import C51Learner, PPOLearner, RegressionLearner, Rollout, build
 from ..metrics import MetricReport, collect_metrics
 from ..mitigations import (
     REGISTRY,
-    DrawAhead,
     apply_event_method,
     build_plan,
     make_optimizer,
     validate_network_for_plan,
 )
 from ..net import deserialize_network, network_output, serialize_network
-from ..numkit import RngStream
+from ..numkit import DrawAhead, RngStream
 from .config import ExperimentConfig, config_yaml
 
 # distinct stream ids per component, all derived from the master seed
@@ -51,9 +50,11 @@ UPDATE_STREAM = 6
 # emptied whenever the run's write count moved (see run_experiment)
 ACT_MEMO_CAP = 1024
 
-# gradient steps of fresh init draws a per-gradient-step shrink_perturb entry
-# makes at once (see mitigations.DrawAhead); it holds at most this many
+# draws a holder (numkit.DrawAhead) makes at once: gradient steps of fresh
+# inits for a per-gradient-step shrink_perturb entry, probe steps of training
+# batches. Past one draw, a holder keeps no more than AHEAD_BYTES.
 DRAW_AHEAD = 8
+AHEAD_BYTES = 1 << 20
 
 _REG_KIND = {"l2_reg": "l2", "regenerative_reg": "regenerative", "parseval_reg": "parseval"}
 
@@ -98,6 +99,12 @@ def _widths(cfg: ExperimentConfig, sched) -> tuple[int, int, int]:
     env, _ = make_env(schedule_shift(sched, 0)[0])
     head = env.n_actions + 1 if cfg.algo == "ppo" else env.n_actions * cfg.learner.n_atoms
     return env.obs_dim * max(1, cfg.scenario.frame_stack), env.n_actions, head
+
+
+def _draw_ahead(draw_bytes: int, draws: int = DRAW_AHEAD) -> DrawAhead:
+    """A holder for at most DRAW_AHEAD draws, no more than the run makes
+    (`draws`) and, past one, no more than fit in AHEAD_BYTES."""
+    return DrawAhead(max(1, min(DRAW_AHEAD, draws, AHEAD_BYTES // draw_bytes)))
 
 
 def _build_env(cfg: ExperimentConfig, task):
@@ -205,8 +212,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
 
     opt = make_optimizer(opt_kind, net, **opt_hyper)
     ppo = cfg.algo == "ppo"
-    reward_norm = ppo and cfg.scenario.reward_normalization
-    normalizer = RewardNormalizer(cfg.learner.gamma) if reward_norm else None
+    normalizer = RewardNormalizer(cfg.learner.gamma) if cfg.scenario.reward_normalization else None
     if ppo:
         learner = PPOLearner(net, n_actions, discrete, cfg.learner, opt, tuple(reg_terms))
         rows = min(cfg.learner.rollout_len, cfg.total_steps)
@@ -217,6 +223,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         learner = C51Learner(net, n_actions, c51_cfg, opt, obs_dim, tuple(reg_terms))
     else:
         learner = RegressionLearner(net, opt, cfg.learner.lr, tuple(reg_terms))
+        batches = _draw_ahead(cfg.learner.batch_size * (PROBE_DIM + PROBE_OUT) * 8, cfg.total_steps)
 
     # gradient steps (with their per-gradient-step methods) and event firings
     # are the only writes to net, and each bumps this count; acting reuses the
@@ -224,7 +231,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     # discrete (gridworld) observations repeat, so continuous ones get no memo.
     gradient_steps = writes = 0
     memo_key = None
-    aheads = {i: DrawAhead(DRAW_AHEAD) for i, entry in pgs_entries if entry.method == "shrink_perturb"}
+    init_bytes = sum(net.params[name].nbytes for name in net.param_order)
+    aheads = {i: _draw_ahead(init_bytes) for i, entry in pgs_entries if entry.method == "shrink_perturb"}
 
     def _post_step():
         nonlocal gradient_steps, writes
@@ -294,7 +302,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 _checkpoint(step)
 
             if cfg.algo == "regression":
-                x, y = probe_task(task.level_seed, cfg.learner.batch_size, env_stream)
+                x, y = probe_task(task.level_seed, cfg.learner.batch_size, env_stream, batches)
                 loss = learner.step(x, y)
                 losses.append(loss)
                 writers.metric_row(step, "train", "loss", loss)

@@ -25,7 +25,8 @@ from plastlab.envs import (
 from plastlab.envs.gridworld import FREE, HAZARD, WALL
 from plastlab.errors import InvalidInputError, SpecError
 from plastlab.net import network_output
-from plastlab.numkit import RngStream
+from plastlab.numkit import DrawAhead, RngStream
+from plastlab.runner import loop
 
 
 # ---------------------------------------------------------------- specs
@@ -288,6 +289,76 @@ class TestProbe:
     def test_bad_batch_size(self):
         with pytest.raises(InvalidInputError):
             probe_task(0, 0, RngStream(1, 0))
+
+
+def probe_task_reference(perm_seed, n, stream):
+    """Oracle: one normal call and one teacher forward per batch."""
+    x = stream.normal(0.0, 1.0, n * PROBE_DIM).reshape(n, PROBE_DIM)
+    return x, network_output(teacher_network(), x[:, probe_permutation(perm_seed)])
+
+
+class TestProbeBatchBlocks:
+    """Training batches served from a block drawn ahead, bit for bit and
+    counter for counter, against one draw and one forward per batch."""
+
+    def _assert_next_equal(self, perm_seed, n, fast, ref, ahead):
+        x, y = probe_task(perm_seed, n, fast, ahead)
+        x_ref, y_ref = probe_task_reference(perm_seed, n, ref)
+        assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+        assert x.shape == (n, PROBE_DIM) and y.shape == y_ref.shape
+        assert fast.counter == ref.counter
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    @pytest.mark.parametrize("seed,perm_seed", [(0, 0), (3, 5), (11, 2), (40, 17)])
+    def test_block_matches_per_step_draws(self, n, seed, perm_seed):
+        fast, ref = RngStream(seed, 1), RngStream(seed, 1)
+        ahead = DrawAhead(loop.DRAW_AHEAD)
+        for _ in range(2 * loop.DRAW_AHEAD + 3):
+            self._assert_next_equal(perm_seed, n, fast, ref, ahead)
+        assert fast.counter == (2 * loop.DRAW_AHEAD + 3) * n * PROBE_DIM
+        # no holder: the one-batch case of the same draw
+        self._assert_next_equal(perm_seed, n, fast, ref, None)
+
+    def test_refills_every_draw_ahead_steps_on_an_undisturbed_stream(self):
+        stream, ahead, starts = RngStream(5, 1), DrawAhead(loop.DRAW_AHEAD), []
+        for _ in range(3 * loop.DRAW_AHEAD):
+            probe_task(3, 10, stream, ahead)
+            starts.append(ahead.start)
+        block = loop.DRAW_AHEAD * 10 * PROBE_DIM
+        assert sorted(set(starts)) == [0, block, 2 * block]
+
+    def test_foreign_draw_mid_block_redraws(self):
+        fast, ref, ahead = RngStream(6, 1), RngStream(6, 1), DrawAhead(loop.DRAW_AHEAD)
+        for _ in range(3):
+            self._assert_next_equal(4, 12, fast, ref, ahead)
+        fast.uniform(0.0, 1.0, 5)
+        ref.uniform(0.0, 1.0, 5)
+        moved = fast.counter
+        for _ in range(loop.DRAW_AHEAD + 2):
+            self._assert_next_equal(4, 12, fast, ref, ahead)
+            assert ahead.start >= moved
+
+    def test_task_switch_mid_block_redraws(self):
+        fast, ref, ahead = RngStream(7, 1), RngStream(7, 1), DrawAhead(loop.DRAW_AHEAD)
+        for _ in range(3):
+            self._assert_next_equal(4, 12, fast, ref, ahead)
+        switched = fast.counter
+        for _ in range(3):
+            self._assert_next_equal(9, 12, fast, ref, ahead)
+            assert ahead.start == switched and ahead.origin[2] == (9, 12)
+        # back to the first task: its block is gone, so it draws afresh
+        self._assert_next_equal(4, 12, fast, ref, ahead)
+        assert ahead.start == switched + 3 * 12 * PROBE_DIM
+
+    def test_other_batch_size_or_stream_redraws(self):
+        fast, ref, ahead = RngStream(8, 1), RngStream(8, 1), DrawAhead(loop.DRAW_AHEAD)
+        self._assert_next_equal(2, 12, fast, ref, ahead)
+        self._assert_next_equal(2, 13, fast, ref, ahead)
+        assert ahead.origin[2] == (2, 13)
+        # another stream standing where the block expects the next take
+        other, other_ref = RngStream(8, 2, fast.counter), RngStream(8, 2, fast.counter)
+        self._assert_next_equal(2, 13, other, other_ref, ahead)
+        assert ahead.origin[:2] == (8, 2)
 
 
 # ---------------------------------------------------------------- schedule

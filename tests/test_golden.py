@@ -170,6 +170,18 @@ CONFIGS = {
         "logging": _LOGGING,
         "checkpoint_interval": 250,
     },
+    # Plain-Adam probe with 37-step tasks and a 24-row batch: training
+    # batches are drawn ahead in blocks, so blocks straddle every task end
+    # and the end of the run.
+    "regression_probe_batch_blocks": {
+        "algo": "regression",
+        "seed": 12,
+        "total_steps": 111,
+        "scenario": {"mode": "level_shift", "segment_length": 37, "n_segments": 3},
+        "network": {"hidden": [16, 16]},
+        "learner": {"batch_size": 24},
+        "logging": _LOGGING,
+    },
 }
 
 GOLDEN = {
@@ -238,6 +250,12 @@ GOLDEN = {
         "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
         "ckpt_final.bin": "3fcdc17bf866ed8c6693eb0a4feea0951b15b2b576bbfd32c691618ee56a5aef",
         "summary.json": "c80022adf567842b6f4167689cf1682dee71e0008dc720b60fb75d82504b8be2",
+    },
+    "regression_probe_batch_blocks": {
+        "metrics.jsonl": "8173d6178652b66b8e0975f42562fd0bed20c356c967522835d1dba1061f545b",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "db2be6211d0e3ee7a4e82f269f4960ce0c1ed4d992858eb7cc94af22fd194475",
+        "summary.json": "64e8e3f1c76a57db8f29ba3550e45ff377306c0f7003a30acc9e8cb82d2e8dc7",
     },
 }
 

@@ -4,11 +4,13 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
+from plastlab.envs import PROBE_DIM, PROBE_OUT
 from plastlab.errors import CheckpointError, ConfigError, DivergenceError
 from plastlab.learners import Rollout, build_network
 from plastlab.metrics import _params_l2
@@ -414,6 +416,61 @@ _MEMO_PLANS = {
 }
 
 
+class TestProbeBatches:
+    def test_one_probe_task_call_per_step(self, tmp_path, monkeypatch):
+        """The traced bench counts loop.probe_task calls as probe steps."""
+        calls = []
+        real = loop.probe_task
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(loop, "probe_task", counting)
+        cfg = probe_cfg(total_steps=30, scenario={"mode": "level_shift", "segment_length": 10, "n_segments": 3})
+        run_experiment(cfg, str(tmp_path / "r"))
+        assert len(calls) == 30 and len(set(calls)) == 3
+
+    def test_large_batches_are_not_drawn_ahead(self, tmp_path, monkeypatch):
+        """A block of DRAW_AHEAD such batches would be 10 MB; the holder
+        keeps about one, and soft shrink-and-perturb's holder, for a net
+        whose draw passes a MB, one draw."""
+        n = 8_000
+        batch_bytes = n * (PROBE_DIM + PROBE_OUT) * 8
+        holders = {}
+        real_task, real_event = loop.probe_task, loop.apply_event_method
+
+        def task(perm_seed, n, stream, ahead=None):
+            holders["probe"] = ahead
+            return real_task(perm_seed, n, stream, ahead)
+
+        def event(entry, net, stream, probe=None, ahead=None):
+            holders["snp"] = ahead
+            return real_event(entry, net, stream, probe=probe, ahead=ahead)
+
+        monkeypatch.setattr(loop, "probe_task", task)
+        monkeypatch.setattr(loop, "apply_event_method", event)
+        cfg = probe_cfg(
+            total_steps=3,
+            learner={"batch_size": n},
+            network={"hidden": [512, 512]},
+            mitigations=[{"method": "shrink_perturb", "trigger": "per_gradient_step"}],
+        )
+        run_experiment(cfg, str(tmp_path / "r"))
+        assert holders["probe"].steps == holders["snp"].steps == 1
+        snp_held = sum(a.nbytes for arrays in holders["snp"].draws for a in arrays)
+        assert snp_held == (16 * 512 + 512 + 512 * 512 + 512 + 512 * 4 + 4) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x, y = real_task(1, n, RngStream(0, 1), holders["probe"])
+            del x, y
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert batch_bytes <= kept < 1.1 * batch_bytes
+
+
 class TestActMemo:
     """The act memo reuses forwards only; every log byte is the recompute's."""
 
@@ -718,6 +775,23 @@ class TestCli:
         assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert "must be a boolean, got 'false'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r")
+
+    @pytest.mark.parametrize("algo,scenario,message", [
+        ("c51", "reward_normalization: true", "'scenario.reward_normalization' is a ppo setting, got algo 'c51'"),
+        ("regression", "reward_normalization: true", "is a ppo setting, got algo 'regression'"),
+        ("regression", "frame_stack: 2", "'scenario.frame_stack' > 1 has no frames to stack on the probe"),
+    ])
+    def test_settings_the_run_ignores_exit_2(self, algo, scenario, message, tmp_path, capsys):
+        cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\nscenario: {{{scenario}}}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_settings_that_apply_still_resolve(self):
+        assert resolve_config({"algo": "ppo", "scenario": {"reward_normalization": True}}).scenario.reward_normalization
+        assert resolve_config({"algo": "c51", "scenario": {"frame_stack": 2}}).scenario.frame_stack == 2
+        cfg = resolve_config({"algo": "regression", "scenario": {"reward_normalization": False, "frame_stack": 1}})
+        assert (cfg.scenario.reward_normalization, cfg.scenario.frame_stack) == (False, 1)
 
     def test_c51_replay_is_sized_to_the_run(self, tmp_path, monkeypatch):
         capacities = []
