@@ -3,7 +3,7 @@ supervised permutation probe."""
 
 from .gridworld import ACTIONS, GridWorldEnv
 from .pointmass import TARGET_SPEEDS, PointMassEnv
-from .probe import PROBE_DIM, PROBE_OUT, probe_permutation, probe_task, teacher_network
+from .probe import PROBE_DIM, PROBE_OUT, batch_work_bytes, probe_permutation, probe_task, teacher_network
 from .schedule import (
     LEVEL_OFFSET,
     ScenarioSchedule,
@@ -27,6 +27,7 @@ __all__ = [
     "ScenarioSchedule",
     "TARGET_SPEEDS",
     "TaskSpec",
+    "batch_work_bytes",
     "build_schedule",
     "env_step",
     "make_env",

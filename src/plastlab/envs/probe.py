@@ -19,6 +19,7 @@ PROBE_DIM = 16
 PROBE_OUT = 4
 _TEACHER_SEED = 0x7EAC4E12
 _PERM_STREAM = 103
+_TEACHER_HIDDEN = 32
 
 _teacher = None
 
@@ -28,8 +29,8 @@ def teacher_network():
     global _teacher
     if _teacher is None:
         layers = [
-            LayerSpec(PROBE_DIM, 32, activation="tanh"),
-            LayerSpec(32, PROBE_OUT, activation="linear"),
+            LayerSpec(PROBE_DIM, _TEACHER_HIDDEN, activation="tanh"),
+            LayerSpec(_TEACHER_HIDDEN, PROBE_OUT, activation="linear"),
         ]
         _teacher = init_network(layers, RngStream(_TEACHER_SEED, 0))
     return _teacher
@@ -41,14 +42,22 @@ def probe_permutation(perm_seed: int) -> np.ndarray:
     return RngStream(perm_seed, _PERM_STREAM).permutation(PROBE_DIM)
 
 
+def batch_work_bytes(n: int) -> int:
+    """Bytes one batch of n rows takes at the peak of a `_task_batches` call:
+    its inputs, their permuted copy, and the teacher's hidden layer before
+    and after its activation, all float64."""
+    return 8 * n * (2 * PROBE_DIM + 2 * _TEACHER_HIDDEN)
+
+
 def _task_batches(perm_seed: int, n: int, stream: RngStream, k: int) -> list:
     """k successive batches of one task as one (k, n, PROBE_DIM) input and one
     (k, n, PROBE_OUT) target array. Input row j is the box_muller row of one
     uniform call, so it equals the j-th of k normal(n * PROBE_DIM) draws; the
     stacked teacher pass runs one gemm per batch, as a per-batch forward does.
     """
-    u = stream.uniform(0.0, 1.0, k * n * PROBE_DIM).reshape(k, n * PROBE_DIM)
-    x = box_muller(u).reshape(k, n, PROBE_DIM)
+    # the uniforms are freed once box_muller has read them
+    x = box_muller(stream.uniform(0.0, 1.0, k * n * PROBE_DIM).reshape(k, n * PROBE_DIM))
+    x = x.reshape(k, n, PROBE_DIM)
     teacher = teacher_network()
     y = x[:, :, probe_permutation(perm_seed)]
     for i, spec in enumerate(teacher.layers):

@@ -119,65 +119,89 @@ def gae(
     return advantages, advantages + values
 
 
-def _byte_copies(obs, next_obs) -> tuple[np.ndarray, np.ndarray] | None:
-    """uint8 copies of both observations, or None unless every value is a
-    whole number in [0, 255] that reads back bit for bit as float64 (NaN,
-    inf and -0.0 do not)."""
-    obs = np.asarray(obs, dtype=np.float64)
-    next_obs = np.asarray(next_obs, dtype=np.float64)
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
+def _bit_rows(rows: np.ndarray) -> np.ndarray | None:
+    """The float64 rows packed at one bit per value, or None unless every
+    value is +0.0 or 1.0 bit for bit (-0.0, NaN, inf and 0.5 are not): the
+    count of nonzero patterns must equal the count of 1.0 patterns."""
+    u = rows.view(np.uint64)
+    ones = u == _ONE_BITS
+    if np.count_nonzero(ones) != np.count_nonzero(u):
+        return None
+    return np.packbits(ones, axis=-1)
+
+
+def _byte_rows(rows: np.ndarray) -> np.ndarray | None:
+    """uint8 copies of the float64 rows, or None unless every value is a
+    whole number in [0, 255] that reads back bit for bit as float64."""
     with np.errstate(invalid="ignore"):  # a lossy cast fails the comparison below
-        small, next_small = obs.astype(np.uint8), next_obs.astype(np.uint8)
-    if (
-        small.astype(np.float64).tobytes() == obs.tobytes()
-        and next_small.astype(np.float64).tobytes() == next_obs.tobytes()
-    ):
-        return small, next_small
-    return None
+        small = rows.astype(np.uint8)
+    return small if small.astype(np.float64).tobytes() == rows.tobytes() else None
+
+
+# storage tiers, narrowest first: how a tier encodes float64 rows (None when
+# it cannot hold them exactly) and the dtype of its unpacked values
+_TIERS = ((_bit_rows, np.uint8), (_byte_rows, np.uint8), (lambda rows: rows, np.float64))
 
 
 class ReplayBuffer:
     """Fixed-capacity ring of (s, a, r, s', done) transitions.
 
-    Observations are stored as uint8 while every one added is a whole number
-    in [0, 255] (gridworld observations are 0/1), i.e. 1 byte per value
-    instead of 8. The first observation that is not widens `obs` and
-    `next_obs` to float64 for good, copying the filled rows exactly.
-    `sample` returns float64 either way, so learners read the same values.
+    `obs` and `next_obs` are views of the two halves of `store`, one
+    (2, capacity, width) array in the narrowest tier that holds every added
+    observation exactly: packed at one bit per value while every value is +0.0
+    or 1.0 (gridworld and FrameStack observations), then one byte per value
+    while each is a whole number in [0, 255], then float64. The first
+    observation a tier cannot hold widens the buffer to the next tier that
+    can, for good, re-storing the filled rows exactly. `sample` returns
+    float64 rows in every tier, so learners read the same values.
     """
 
     def __init__(self, capacity: int, obs_dim: int):
         if capacity < 1:
             raise InvalidInputError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim), dtype=np.uint8)
-        self.next_obs = np.zeros((capacity, obs_dim), dtype=np.uint8)
+        self.obs_dim = obs_dim
+        self.tier = 0
+        self.store = np.zeros((2, capacity, -(-obs_dim // 8)), dtype=np.uint8)
+        self.obs, self.next_obs = self.store
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
         self.dones = np.zeros(capacity)
         self.cursor = 0
         self.size = 0
+        self._pair = np.zeros((2, obs_dim))  # the float64 (obs, next_obs) being added
 
     def __len__(self) -> int:
         return self.size
 
-    def _widen(self) -> None:
-        for name in ("obs", "next_obs"):
-            wide = np.zeros(getattr(self, name).shape)
-            wide[: self.size] = getattr(self, name)[: self.size]
-            setattr(self, name, wide)
+    def _values(self, stored: np.ndarray) -> np.ndarray:
+        """Stored rows as values of the tier's dtype."""
+        if self.tier == 0:
+            return np.unpackbits(stored, axis=-1, count=self.obs_dim)
+        return stored
+
+    def _widen(self, tier: int) -> None:
+        wide = np.zeros((2, self.capacity, self.obs_dim), dtype=_TIERS[tier][1])
+        wide[:, : self.size] = self._values(self.store[:, : self.size])
+        self.store, self.tier = wide, tier
+        self.obs, self.next_obs = wide
 
     def add(self, obs, action, reward, next_obs, done) -> None:
         i = self.cursor
-        if self.obs.dtype == np.uint8:
-            small = _byte_copies(obs, next_obs)
-            if small is None:
-                self._widen()
-            else:
-                obs, next_obs = small
-        self.obs[i] = obs
+        rows = self._pair
+        rows[0], rows[1] = obs, next_obs
+        for tier in range(self.tier, len(_TIERS)):
+            stored = _TIERS[tier][0](rows)
+            if stored is not None:
+                break
+        if tier != self.tier:
+            self._widen(tier)
+        self.store[:, i] = stored
         self.actions[i] = action
         self.rewards[i] = reward
-        self.next_obs[i] = next_obs
         self.dones[i] = float(done)
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -186,11 +210,12 @@ class ReplayBuffer:
         if self.size < 1:
             raise InvalidInputError("cannot sample from an empty buffer")
         idx = stream.randint(self.size, batch_size)
+        obs, next_obs = self._values(self.store.take(idx, axis=1)).astype(np.float64, copy=False)
         return {
-            "obs": self.obs[idx].astype(np.float64, copy=False),
+            "obs": obs,
             "actions": self.actions[idx],
             "rewards": self.rewards[idx],
-            "next_obs": self.next_obs[idx].astype(np.float64, copy=False),
+            "next_obs": next_obs,
             "dones": self.dones[idx],
         }
 

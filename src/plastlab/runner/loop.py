@@ -18,6 +18,7 @@ from ..envs import (
     PROBE_DIM,
     PROBE_OUT,
     RewardNormalizer,
+    batch_work_bytes,
     build_schedule,
     env_step,
     make_env,
@@ -52,7 +53,8 @@ ACT_MEMO_CAP = 1024
 
 # draws a holder (numkit.DrawAhead) makes at once: gradient steps of fresh
 # inits for a per-gradient-step shrink_perturb entry, probe steps of training
-# batches. Past one draw, a holder keeps no more than AHEAD_BYTES.
+# batches (no more than the task has left). Past one draw, a refill takes no
+# more than AHEAD_BYTES: the inits a holder keeps, the batches' working set.
 DRAW_AHEAD = 8
 AHEAD_BYTES = 1 << 20
 
@@ -101,10 +103,10 @@ def _widths(cfg: ExperimentConfig, sched) -> tuple[int, int, int]:
     return env.obs_dim * max(1, cfg.scenario.frame_stack), env.n_actions, head
 
 
-def _draw_ahead(draw_bytes: int, draws: int = DRAW_AHEAD) -> DrawAhead:
-    """A holder for at most DRAW_AHEAD draws, no more than the run makes
-    (`draws`) and, past one, no more than fit in AHEAD_BYTES."""
-    return DrawAhead(max(1, min(DRAW_AHEAD, draws, AHEAD_BYTES // draw_bytes)))
+def _draw_ahead(draw_bytes: int) -> DrawAhead:
+    """A holder for at most DRAW_AHEAD draws and, past one, no more than fit
+    in AHEAD_BYTES."""
+    return DrawAhead(max(1, min(DRAW_AHEAD, AHEAD_BYTES // draw_bytes)))
 
 
 def _build_env(cfg: ExperimentConfig, task):
@@ -223,7 +225,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         learner = C51Learner(net, n_actions, c51_cfg, opt, obs_dim, tuple(reg_terms))
     else:
         learner = RegressionLearner(net, opt, cfg.learner.lr, tuple(reg_terms))
-        batches = _draw_ahead(cfg.learner.batch_size * (PROBE_DIM + PROBE_OUT) * 8, cfg.total_steps)
+        batches = _draw_ahead(batch_work_bytes(cfg.learner.batch_size))
 
     # gradient steps (with their per-gradient-step methods) and event firings
     # are the only writes to net, and each bumps this count; acting reuses the
@@ -269,6 +271,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
             if switched and cfg.algo == "regression":
                 _task_rows(writers, task_idx, task_start, losses)
                 task_idx, task_start, losses = task_idx + 1, step, []
+                # refills stop at the task's end: the next switch, or the run's end
+                end = step + sched.segment_length if task_idx + 1 < len(sched.segments) else cfg.total_steps
+                batches.left = min(end, cfg.total_steps) - step
             elif switched:
                 if ppo and rollout.size:
                     # truncate the rollout at the boundary so advantage

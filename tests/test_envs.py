@@ -327,6 +327,15 @@ class TestProbeBatchBlocks:
         block = loop.DRAW_AHEAD * 10 * PROBE_DIM
         assert sorted(set(starts)) == [0, block, 2 * block]
 
+    def test_refills_stop_at_the_takes_left(self):
+        fast, ref, ahead = RngStream(9, 1), RngStream(9, 1), DrawAhead(loop.DRAW_AHEAD)
+        ahead.left, counts = loop.DRAW_AHEAD + 3, []
+        for _ in range(loop.DRAW_AHEAD + 5):  # two takes past `left` draw one each
+            self._assert_next_equal(6, 11, fast, ref, ahead)
+            counts.append(ahead.count)
+        assert counts == [loop.DRAW_AHEAD] * loop.DRAW_AHEAD + [3, 3, 3, 1, 1]
+        assert ahead.left == -2
+
     def test_foreign_draw_mid_block_redraws(self):
         fast, ref, ahead = RngStream(6, 1), RngStream(6, 1), DrawAhead(loop.DRAW_AHEAD)
         for _ in range(3):

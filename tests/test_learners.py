@@ -1100,6 +1100,75 @@ class TestReplayByteStorage:
         assert buf.obs.nbytes + buf.next_obs.nbytes <= 0.65e9
 
 
+def _binary_rows(count: int, dim: int, seed: int) -> np.ndarray:
+    """`count` rows of +0.0/1.0, about one value in four set."""
+    return (RngStream(seed, 0).uniform(0.0, 1.0, count * dim) < 0.25).astype(np.float64).reshape(count, dim)
+
+
+def _assert_sample_matches(buf, oracle, seed):
+    """A sample equals the float64 rows the oracle ring holds at the same draws."""
+    batch = buf.sample(16, RngStream(seed, 1))
+    idx = RngStream(seed, 1).randint(buf.size, 16)
+    for name in ("obs", "next_obs"):
+        want = np.array([oracle[name][i] for i in idx])
+        assert batch[name].dtype == np.float64 and batch[name].shape == want.shape
+        assert batch[name].tobytes() == want.tobytes(), name
+
+
+class TestReplayBitStorage:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([1, 7, 8, 9, 324, 648]),
+        st.integers(1, 12),
+        st.integers(1, 30),
+        st.integers(0, 2**31),
+    )
+    def test_binary_rows_round_trip_through_the_packed_tier(self, dim, capacity, adds, seed):
+        rows = _binary_rows(adds + 1, dim, seed)
+        buf = ReplayBuffer(capacity, dim)
+        oracle = {"obs": {}, "next_obs": {}}
+        for i in range(adds):
+            slot = buf.cursor
+            buf.add(rows[i], i % 4, 0.0, rows[i + 1], False)
+            oracle["obs"][slot], oracle["next_obs"][slot] = rows[i], rows[i + 1]
+        assert buf.tier == 0 and buf.obs.dtype == np.uint8
+        assert buf.obs.shape == buf.next_obs.shape == (capacity, -(-dim // 8))
+        _assert_sample_matches(buf, oracle, seed)
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["before_wrap", "after_wrap"])
+    def test_widening_chain_keeps_earlier_rows_bit_exact(self, wrapped):
+        capacity, dim = 8, 9
+        b = capacity + 3 if wrapped else 3  # the first byte row; the first float64 row is b + 4
+        rows = _binary_rows(b + 6, dim, 4)
+        rows[b, 3] = 255.0
+        rows[b + 4, 5] = 0.5
+        buf = ReplayBuffer(capacity, dim)
+        oracle = {"obs": {}, "next_obs": {}}
+        tiers, full_at_widening = [], []
+        for i in range(b + 5):
+            slot = buf.cursor
+            buf.add(rows[i], 1, float(i), rows[i + 1], i % 5 == 0)
+            oracle["obs"][slot], oracle["next_obs"][slot] = rows[i], rows[i + 1]
+            if buf.tier != (tiers or [0])[-1]:
+                full_at_widening.append(buf.size == capacity)
+            tiers.append(buf.tier)
+            if buf.tier > 0:  # the unpacked tiers hold the values themselves
+                for name in ("obs", "next_obs"):
+                    for j, row in oracle[name].items():
+                        assert getattr(buf, name)[j].astype(np.float64).tobytes() == row.tobytes(), (name, j)
+            _assert_sample_matches(buf, oracle, i)
+        # next_obs meets each wider row one add before obs does
+        assert tiers == [0] * (b - 1) + [1] * 4 + [2] * 2
+        assert full_at_widening == [wrapped, wrapped]
+        assert buf.obs.dtype == np.float64
+
+    def test_default_capacity_reserves_at_most_011_gb(self):
+        # np.zeros maps untouched pages; only nbytes is read here
+        buf = ReplayBuffer(1_000_000, 324)
+        columns = (buf.store, buf.actions, buf.rewards, buf.dones)
+        assert sum(a.nbytes for a in columns) <= 0.11e9
+
+
 class TestBuildNetwork:
     def test_width_doubling_chain(self):
         net = build_network(6, 3, [8, 8], "crelu", False, RngStream(50, 0))

@@ -15,7 +15,7 @@ from plastlab.errors import CheckpointError, ConfigError, DivergenceError
 from plastlab.learners import Rollout, build_network
 from plastlab.metrics import _params_l2
 from plastlab.net import serialize_network
-from plastlab.numkit import RngStream
+from plastlab.numkit import DrawAhead, RngStream
 from plastlab.runner import (
     config_yaml,
     load_config,
@@ -469,6 +469,58 @@ class TestProbeBatches:
         finally:
             tracemalloc.stop()
         assert batch_bytes <= kept < 1.1 * batch_bytes
+
+
+    @pytest.mark.parametrize(
+        "total_steps,segments,refills",
+        [
+            (30, 3, [8, 2, 8, 2, 8, 2]),
+            (25, 3, [8, 2, 8, 2, 5]),
+            (30, 2, [8, 2, 8, 8, 4]),  # the last task runs to the end of the run
+            (3, 1, [3]),
+        ],
+    )
+    def test_batch_refills_stop_at_the_task_end(self, total_steps, segments, refills, tmp_path, monkeypatch):
+        from plastlab.envs import probe
+
+        ks, values = [], []
+        real = probe._task_batches
+
+        def recording(perm_seed, n, stream, k):
+            ks.append(k)
+            start = stream.counter
+            out = real(perm_seed, n, stream, k)
+            values.append(stream.counter - start)
+            return out
+
+        monkeypatch.setattr(probe, "_task_batches", recording)
+        scenario = {"mode": "level_shift", "segment_length": 10, "n_segments": segments}
+        run_experiment(probe_cfg(total_steps=total_steps, scenario=scenario), str(tmp_path / "r"))
+        assert ks == refills
+        assert sum(values) == total_steps * 64 * PROBE_DIM
+
+    @pytest.mark.parametrize("n,k", [(64, 8), (169, 8), (453, 3), (1000, 1), (1365, 1)])
+    def test_batch_refill_peak_stays_near_ahead_bytes(self, n, k, tmp_path, monkeypatch):
+        """The run sizes its holder from what a refill uses, not only from
+        what it keeps (at 1,000 rows, 6 kept batches once peaked at 5.4 MB)."""
+        holders = []
+        real = loop.probe_task
+
+        def task(perm_seed, n, stream, ahead=None):
+            holders.append(ahead)
+            return real(perm_seed, n, stream, ahead)
+
+        monkeypatch.setattr(loop, "probe_task", task)
+        run_experiment(probe_cfg(total_steps=8, learner={"batch_size": n}), str(tmp_path / "r"))
+        ahead = DrawAhead(holders[0].steps)
+        tracemalloc.start()
+        try:
+            x, y = real(1, n, RngStream(0, 1), ahead)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ahead.count == k
+        assert peak < 1.1 * loop.AHEAD_BYTES
 
 
 class TestActMemo:
