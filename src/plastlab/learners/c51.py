@@ -17,6 +17,10 @@ from ..numkit import RngStream
 from ..mitigations import Optimizer, optimizer_step, reg_loss
 from .common import ReplayBuffer, _log_softmax, add_regularizers
 
+# most next observations a target memo holds before it starts over, as many
+# as the run loop's act memo
+TARGET_MEMO_CAP = 1024
+
 
 @dataclass
 class C51Config:
@@ -132,6 +136,26 @@ def _dist_probs(net: NetworkState, obs: np.ndarray, n_actions: int, n_atoms: int
     return np.exp(_log_softmax(out))
 
 
+def _target_probs(
+    target: NetworkState, batch: dict, n_actions: int, n_atoms: int, memo: dict
+) -> np.ndarray:
+    """The target net's atom probabilities for each sampled next observation,
+    one batch-of-one forward per distinct stored encoding (`next_codes`) not
+    yet in `memo`. The memo must be emptied whenever the target net changes;
+    past TARGET_MEMO_CAP entries it starts over."""
+    codes, next_obs = batch["next_codes"], batch["next_obs"]
+    keys = codes.view(f"V{codes.strides[0]}").ravel().tolist()  # each row as one bytes key
+    rows = []
+    for i, key in enumerate(keys):
+        probs = memo.get(key)
+        if probs is None:
+            if len(memo) >= TARGET_MEMO_CAP:
+                memo.clear()
+            probs = memo[key] = _dist_probs(target, next_obs[i : i + 1], n_actions, n_atoms)[0]
+        rows.append(probs)
+    return np.array(rows)
+
+
 def c51_update(
     buffer: ReplayBuffer,
     online: NetworkState,
@@ -142,13 +166,16 @@ def c51_update(
     stream: RngStream,
     learning_starts: int = 0,
     action_selection: str = "target",
+    memo: dict | None = None,
 ) -> tuple[float, Gradients, ForwardTrace] | None:
     """One distributional Bellman fit on a sampled batch.
 
     Returns None (skip, not failure) while the buffer is below the
     learning-starts threshold. Greedy next actions come from the target
     network by default; action_selection="online" switches the argmax to
-    the online network while still bootstrapping from the target.
+    the online network while still bootstrapping from the target. The
+    target's probabilities come from `memo` (see _target_probs; a throwaway
+    one when None), so they never depend on what it holds.
     """
     if len(buffer) < max(learning_starts, batch_size):
         return None
@@ -157,7 +184,7 @@ def c51_update(
     batch = buffer.sample(batch_size, stream)
     n_actions = online.layers[-1].width_out // head.n_atoms
 
-    target_probs = _dist_probs(target, batch["next_obs"], n_actions, head.n_atoms)
+    target_probs = _target_probs(target, batch, n_actions, head.n_atoms, {} if memo is None else memo)
     if action_selection == "online":
         select_probs = _dist_probs(online, batch["next_obs"], n_actions, head.n_atoms)
     else:
@@ -176,9 +203,7 @@ def c51_update(
 
     block = (np.exp(log_p) - m) / batch_size
     output_grad = np.zeros((batch_size, n_actions * head.n_atoms))
-    for a in range(n_actions):
-        rows = actions == a
-        output_grad[rows, a * head.n_atoms : (a + 1) * head.n_atoms] = block[rows]
+    output_grad.reshape(batch_size, n_actions, head.n_atoms)[np.arange(batch_size), actions] = block
     grads = backward(online, trace, output_grad)
     return loss, grads, trace
 
@@ -210,6 +235,7 @@ class C51Learner:
         self.buffer = ReplayBuffer(cfg.buffer_size, obs_dim)
         self.post_step = None  # callable fired after each gradient step
         self.memo = None  # obs bytes -> greedy action while params stay put
+        self.target_memo: dict = {}  # stored next_obs encoding -> target atom probabilities
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         probs = _dist_probs(self.net, np.atleast_2d(obs), self.n_actions, self.head.n_atoms)
@@ -230,7 +256,10 @@ class C51Learner:
         return self.memo[key]
 
     def remember(self, obs, action, reward, next_obs, done) -> None:
+        tier = self.buffer.tier
         self.buffer.add(obs, action, reward, next_obs, done)
+        if self.buffer.tier != tier:  # codes of two tiers can collide (1-value rows)
+            self.target_memo = {}
 
     def update(self, step: int, stream: RngStream) -> dict[str, float] | None:
         """Train every train_frequency steps; hard-sync the target on schedule."""
@@ -242,6 +271,7 @@ class C51Learner:
                 cfg.batch_size, cfg.gamma, stream,
                 learning_starts=cfg.learning_starts,
                 action_selection=cfg.action_selection,
+                memo=self.target_memo,
             )
             if result is not None:
                 loss, grads, trace = result
@@ -253,4 +283,5 @@ class C51Learner:
                 stats = {"loss": loss}
         if step % cfg.target_network_frequency == 0:
             self.target = clone_network(self.net)
+            self.target_memo = {}
         return stats

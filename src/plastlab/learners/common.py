@@ -156,7 +156,9 @@ class ReplayBuffer:
     while each is a whole number in [0, 255], then float64. The first
     observation a tier cannot hold widens the buffer to the next tier that
     can, for good, re-storing the filled rows exactly. `sample` returns
-    float64 rows in every tier, so learners read the same values.
+    float64 rows in every tier, so learners read the same values, and each
+    next observation's stored row as `next_codes` (two rows hold the same
+    observation exactly when their codes are equal, within one tier).
     """
 
     def __init__(self, capacity: int, obs_dim: int):
@@ -210,12 +212,14 @@ class ReplayBuffer:
         if self.size < 1:
             raise InvalidInputError("cannot sample from an empty buffer")
         idx = stream.randint(self.size, batch_size)
-        obs, next_obs = self._values(self.store.take(idx, axis=1)).astype(np.float64, copy=False)
+        stored = self.store.take(idx, axis=1)
+        obs, next_obs = self._values(stored).astype(np.float64, copy=False)
         return {
             "obs": obs,
             "actions": self.actions[idx],
             "rewards": self.rewards[idx],
             "next_obs": next_obs,
+            "next_codes": stored[1],
             "dones": self.dones[idx],
         }
 

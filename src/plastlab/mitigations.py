@@ -348,9 +348,14 @@ class Adam:
         np.multiply(g, 1.0 - self.beta2, out=tmp)
         tmp *= g
         v += tmp
-        np.divide(m, correct1, out=g)
-        g *= -lr
-        np.sqrt(np.divide(v, correct2, out=tmp), out=tmp)
+        # x / 1.0 == x for every double, so once a correction rounds to 1.0
+        # (t >= 356 and t >= 37,412 at the default betas) its divide is skipped
+        if correct1 == 1.0:
+            np.multiply(m, -lr, out=g)
+        else:
+            np.divide(m, correct1, out=g)
+            g *= -lr
+        np.sqrt(v if correct2 == 1.0 else np.divide(v, correct2, out=tmp), out=tmp)
         tmp += self.eps
         g /= tmp
         return deltas
@@ -361,12 +366,16 @@ class Adam:
 
 
 class Trac:
-    """Parameter-free scaling between a reference point and a base Adam's
-    candidate; the scale comes from per-discount erfi tuners."""
+    """Parameter-free scaling between a reference point and a base iterate
+    that only a plain Adam moves; the scale comes from per-discount erfi
+    tuners (Fast TRAC, Muppidi et al. 2024, on the Mechanic tuner of
+    Cutkosky et al. 2023)."""
 
     def __init__(self, net: NetworkState, trac_eps: float = 1e-8):
         self.base = Adam()
         self.theta_ref = {k: v.copy() for k, v in net.params.items()}
+        self.iterate = {k: v.copy() for k, v in net.params.items()}
+        self.written = {k: v.copy() for k, v in net.params.items()}  # what the last step wrote
         self.discounts = _TRAC_DISCOUNTS
         self.trac_eps = trac_eps
         self.trac_v = np.zeros(len(_TRAC_DISCOUNTS))
@@ -375,16 +384,17 @@ class Trac:
         self.saturation_warnings = 0
 
     def step(self, net: NetworkState, trace: ForwardTrace | None, grads: Gradients, lr: float) -> None:
-        deltas = self.base.deltas(grads.by_name, lr)
-        self.pull(net, grads, {name: net.params[name] + d for name, d in deltas.items()})
+        self.pull(net, grads, self.base.deltas(grads.by_name, lr))
 
-    def pull(self, net: NetworkState, grads: Gradients, candidate: dict[str, np.ndarray]) -> None:
-        """Pull the candidate toward the reference point.
+    def pull(self, net: NetworkState, grads: Gradients, deltas: dict[str, np.ndarray]) -> None:
+        """Move the base iterate by `deltas` and pull it toward the reference point.
 
-        theta_new = theta_ref + s_t * (candidate - theta_ref). The scale s_t is
-        the clipped sum of per-discount tuners driven by <g_t, theta_t -
-        theta_ref> through the erfi potential; arguments beyond the erfi domain
-        are clamped and counted rather than raised.
+        theta_new = theta_ref + s_t * (iterate - theta_ref). The scale s_t is
+        the clipped sum of per-discount tuners driven by <g_t, iterate_t -
+        theta_ref>, taken before the move, through the erfi potential;
+        arguments beyond the erfi domain are clamped and counted rather than
+        raised. A change made to the parameters since the last step (an
+        event) moves the iterate by as much.
         """
         by_name = grads.by_name
         check_finite(by_name)
@@ -392,7 +402,11 @@ class Trac:
         for name, g in by_name.items():
             if name not in self.theta_ref:  # injected after make_optimizer, still at its init
                 self.theta_ref[name] = net.params[name].copy()
-            h += float(np.sum(g * (net.params[name] - self.theta_ref[name])))
+                self.iterate[name] = net.params[name].copy()
+            else:
+                self.iterate[name] += net.params[name] - self.written[name]
+            h += float(np.sum(g * (self.iterate[name] - self.theta_ref[name])))
+            self.iterate[name] += deltas[name]
         betas = np.asarray(self.discounts)
         self.trac_v = betas**2 * self.trac_v + h * h
         self.trac_sigma_sum = betas * self.trac_sigma_sum - h
@@ -406,7 +420,8 @@ class Trac:
             sigmas[j] = (self.trac_eps / _ERFI_HALF_INV_SQRT2) * erfi(float(arg))
         self.trac_scale = max(0.0, float(sigmas.sum()))
         for name in by_name:
-            net.params[name] = trac_combine(self.theta_ref[name], candidate[name], self.trac_scale)
+            self.written[name] = trac_combine(self.theta_ref[name], self.iterate[name], self.trac_scale)
+            net.params[name] = self.written[name].copy()
 
 
 def trac_combine(ref: np.ndarray, candidate: np.ndarray, scale: float) -> np.ndarray:

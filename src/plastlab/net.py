@@ -145,6 +145,41 @@ class Gradients:
     lin_grads: dict[str, np.ndarray]
 
 
+def _chain_blocks(specs: tuple[LayerSpec, ...]) -> tuple[list, int]:
+    """Per layer (init kind, args, slot offset, weight and bias value counts),
+    and the slots S one chain draw uses."""
+    blocks = []
+    slots = 0
+    for spec in specs:
+        kind, args = _parse_init(spec.init)
+        sizes = (spec.out_dim * spec.in_dim,) + (() if kind == "orthogonal" else (spec.out_dim,))
+        blocks.append((kind, args, slots, sizes))
+        # uniform takes one slot per value, normal one Box-Muller pair per two
+        slots += sum(sizes if kind == "uniform_fan_in" else (2 * ((n + 1) // 2) for n in sizes))
+    return blocks, slots
+
+
+# bytes a `draw_layers` call takes beyond its draws' own: numpy's ufunc
+# buffers in the sign-fixing multiply, at most two of getbufsize() doubles
+DRAW_FIXED_BYTES = 2 * 8 * np.getbufsize()
+
+
+def draw_work_bytes(specs: tuple[LayerSpec, ...]) -> int:
+    """Bytes one chain draw adds to the peak of a `draw_layers` call: the
+    values it keeps, its unit draws, and the QR of its largest orthogonal
+    group (the input's copy, Q and R; one more copy when the group stacks
+    several layers)."""
+    blocks, slots = _chain_blocks(specs)
+    kept, groups = 0, {}
+    for spec, (kind, _, _, sizes) in zip(specs, blocks):
+        kept += sum(sizes) + (spec.out_dim if kind == "orthogonal" else 0)
+        if kind == "orthogonal":
+            shape = (max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim))
+            groups.setdefault(shape, []).append(sizes[0])
+    qr = max((sum(g) * (3 + (len(g) > 1)) for g in groups.values()), default=0)
+    return 8 * (kept + slots + qr)
+
+
 def draw_layers(
     specs: tuple[LayerSpec, ...], stream: RngStream, k: int = 1
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -156,14 +191,7 @@ def draw_layers(
     chain draws returns. Orthogonal weights of one shape share one stacked QR.
     Returns per layer C-ordered weights (k, out, in) and biases (k, out).
     """
-    blocks = []  # per layer: (init kind, args, slot offset, weight and bias value counts)
-    slots = 0
-    for spec in specs:
-        kind, args = _parse_init(spec.init)
-        sizes = (spec.out_dim * spec.in_dim,) + (() if kind == "orthogonal" else (spec.out_dim,))
-        blocks.append((kind, args, slots, sizes))
-        # uniform takes one slot per value, normal one Box-Muller pair per two
-        slots += sum(sizes if kind == "uniform_fan_in" else (2 * ((n + 1) // 2) for n in sizes))
+    blocks, slots = _chain_blocks(specs)
     u = stream.uniform(0.0, 1.0, k * slots).reshape(k, slots)
     out: list = []
     qr_groups: dict[tuple[int, int], list[int]] = {}

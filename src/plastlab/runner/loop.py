@@ -35,7 +35,13 @@ from ..mitigations import (
     make_optimizer,
     validate_network_for_plan,
 )
-from ..net import deserialize_network, network_output, serialize_network
+from ..net import (
+    DRAW_FIXED_BYTES,
+    deserialize_network,
+    draw_work_bytes,
+    network_output,
+    serialize_network,
+)
 from ..numkit import DrawAhead, RngStream
 from .config import ExperimentConfig, config_yaml
 
@@ -53,10 +59,10 @@ ACT_MEMO_CAP = 1024
 
 # draws a holder (numkit.DrawAhead) makes at once: gradient steps of fresh
 # inits for a per-gradient-step shrink_perturb entry, probe steps of training
-# batches (no more than the task has left). Past one draw, a refill takes no
-# more than AHEAD_BYTES: the inits a holder keeps, the batches' working set.
+# batches (no more than the task has left). Past one draw, a refill's working
+# set (net.draw_work_bytes, envs.batch_work_bytes) stays within AHEAD_BYTES.
 DRAW_AHEAD = 8
-AHEAD_BYTES = 1 << 20
+AHEAD_BYTES = 2 << 20  # 2 MiB: eight draws of the probe net's inits
 
 _REG_KIND = {"l2_reg": "l2", "regenerative_reg": "regenerative", "parseval_reg": "parseval"}
 
@@ -103,10 +109,10 @@ def _widths(cfg: ExperimentConfig, sched) -> tuple[int, int, int]:
     return env.obs_dim * max(1, cfg.scenario.frame_stack), env.n_actions, head
 
 
-def _draw_ahead(draw_bytes: int) -> DrawAhead:
+def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0) -> DrawAhead:
     """A holder for at most DRAW_AHEAD draws and, past one, no more than fit
-    in AHEAD_BYTES."""
-    return DrawAhead(max(1, min(DRAW_AHEAD, AHEAD_BYTES // draw_bytes)))
+    in AHEAD_BYTES beside a refill's `fixed_bytes`."""
+    return DrawAhead(max(1, min(DRAW_AHEAD, (AHEAD_BYTES - fixed_bytes) // draw_bytes)))
 
 
 def _build_env(cfg: ExperimentConfig, task):
@@ -233,8 +239,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     # discrete (gridworld) observations repeat, so continuous ones get no memo.
     gradient_steps = writes = 0
     memo_key = None
-    init_bytes = sum(net.params[name].nbytes for name in net.param_order)
-    aheads = {i: _draw_ahead(init_bytes) for i, entry in pgs_entries if entry.method == "shrink_perturb"}
+    aheads = {
+        i: _draw_ahead(draw_work_bytes(net.layers), DRAW_FIXED_BYTES)
+        for i, entry in pgs_entries
+        if entry.method == "shrink_perturb"
+    }
 
     def _post_step():
         nonlocal gradient_steps, writes

@@ -182,6 +182,17 @@ CONFIGS = {
         "learner": {"batch_size": 24},
         "logging": _LOGGING,
     },
+    # TRAC scaling a base Adam iterate, with redo editing the parameters
+    # between two steps.
+    "regression_probe_trac_redo": {
+        "algo": "regression",
+        "seed": 13,
+        "total_steps": 300,
+        "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 3},
+        "network": {"hidden": [16, 16]},
+        "mitigations": ["trac", {"method": "redo", "trigger": "every_k_steps(70)"}],
+        "logging": _LOGGING,
+    },
 }
 
 GOLDEN = {
@@ -198,15 +209,15 @@ GOLDEN = {
         "summary.json": "43ed990713b2843426e7a09d4e2fef04955bbc1ce7634d21591e30f20f49b517",
     },
     "c51_grid_standard": {
-        "metrics.jsonl": "ce1608309840d3d5efbf64e24e1394d3d2deabb79abf5d0160540084f9b36c5b",
+        "metrics.jsonl": "a49ba520e2fed92d0954011c857bb349072379235285c1aa09cf549ffc0dd16a",
         "episodes.csv": "4c978df837831526c12cc65056e05644e07f2239a778fe1759d94b5cc9b3a56f",
-        "ckpt_final.bin": "74fb998b19a20d4dbc886ab26cfa89d54e9b2477659dcc430db2f586d589d4f8",
+        "ckpt_final.bin": "a43060c4f729361407b2bd7c42b2e9e123a7b9604355713f281eb6cd4da312a5",
         "summary.json": "a8f7710bc7c6b3b451e6382f4074d5502965059d83f1a10f7ab68d8a848331bf",
     },
     "c51_grid_frame_stack": {
-        "metrics.jsonl": "c515ffa8222d00356cf153e8a80501ebcffdc17aa72f5f264bd47d469aa8a452",
+        "metrics.jsonl": "c312224e4a5eb7f006b5e3f8105bee1caf1c38dcb44493d3b7990d83dd30e36c",
         "episodes.csv": "a3e3d85266fedb100be8ca9480140adb869adf71fa3a77ec8b46865e37c86633",
-        "ckpt_final.bin": "45b736bd0452c2cd71db859f282d9c5fabf28ffac4bb24ec68adedcd162af648",
+        "ckpt_final.bin": "e494c56b0d2378a3143b23c4c24b9606e495cb89c8c0f0903ae7da59978b712d",
         "summary.json": "2eafade191382e90faaf9c8e51186079104aad8e79354b5935475fce66277f46",
     },
     "regression_probe_level_shift": {
@@ -234,15 +245,15 @@ GOLDEN = {
         "summary.json": "7d6b9c423717a96927d88e9c4022dfde30017b85e4bdfd2e8cac333f9759809a",
     },
     "c51_grid_event_between_updates": {
-        "metrics.jsonl": "2858d3ddd15964638bcba8ac57998d55f6c2f5c871e8223761682431c63f9ff2",
+        "metrics.jsonl": "c4ef33726935c11140d6db71a7a49a51ea38bc1fcf2f4a6059702884f1c283f7",
         "episodes.csv": "15585e64036fdd645552010e94366db7b9c0bd181cd75841d2f486da8c819e3f",
-        "ckpt_final.bin": "a4f9b0373d2af067f52f10aee1057216ea6e5da0ecf9b2fd73f804bf9232b351",
+        "ckpt_final.bin": "b30eadf54e12c029e4333316fd0ff982c7644184b8de5d41fcdcc3d31edb779b",
         "summary.json": "1d09f75865542df1ee9077cff9467bde1d79fea0ff367e3dea192b7f872ad6c5",
     },
     "c51_grid_reset_all": {
         "metrics.jsonl": "cee96eacff45dfe6a1e54b6bc0614a603d472d8261807b4929ab3222e91e1bbb",
         "episodes.csv": "51fd81e7d0022a2a341aef12dcd2e8c9dcc1bbf6afc18ba925537c913ae96dd8",
-        "ckpt_final.bin": "57984fe896371fa5e1759b8cad8bb622a3489a13fcb28cfcb76093121fccf9df",
+        "ckpt_final.bin": "58e22a47646e9c27b558d5c2c011f78e5eb85e875d19aa9bc19848e4fd24f932",
         "summary.json": "2194e3487397e3735ecb167934511ba4174fc60793ddbed4adf0a2baa2c25335",
     },
     "regression_probe_events": {
@@ -256,6 +267,12 @@ GOLDEN = {
         "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
         "ckpt_final.bin": "db2be6211d0e3ee7a4e82f269f4960ce0c1ed4d992858eb7cc94af22fd194475",
         "summary.json": "64e8e3f1c76a57db8f29ba3550e45ff377306c0f7003a30acc9e8cb82d2e8dc7",
+    },
+    "regression_probe_trac_redo": {
+        "metrics.jsonl": "6d878b6d44bd7de078989042b10b2b3c9ef4e3922e15c550ff1399e7ee4be408",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "bec3988b7b4d08fa613771d95dea7fc841406e5a8b06e2c6b834ba3af6c58e21",
+        "summary.json": "7683fb63cdf1a812377a62b93c8986c3f0cc8953b4670e3c29944460546e42b5",
     },
 }
 

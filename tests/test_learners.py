@@ -661,6 +661,96 @@ class TestC51Update:
         assert acts == {greedy}
 
 
+
+def fill_binary_replay(learner, n=96, seed=14):
+    """Transitions between a handful of 0/1 observations, as on the gridworld."""
+    stream = RngStream(seed, 0)
+    states = (stream.uniform(0.0, 1.0, 5 * learner.buffer.obs_dim) < 0.5).astype(np.float64)
+    states = states.reshape(5, learner.buffer.obs_dim)
+    for i in range(n):
+        learner.remember(states[i % 5], i % 2, float(np.sin(i)), states[(i * 3 + 1) % 5], i % 11 == 0)
+
+
+class TestC51TargetMemo:
+    """The target memo reuses batch-of-one target forwards; c51_update's numbers
+    never depend on what it holds."""
+
+    @pytest.mark.parametrize("selection", ["target", "online"])
+    def test_memo_leaves_loss_and_gradients_unchanged(self, selection):
+        learner, _ = make_c51(15, obs_dim=12)
+        fill_binary_replay(learner)
+        memo = {}
+
+        def update(memo_arg, seed):
+            return c51_update(learner.buffer, learner.net, learner.target, learner.head,
+                              16, 0.9, RngStream(seed, 0), action_selection=selection,
+                              memo=memo_arg)
+
+        update(memo, 3)  # fills the memo from another batch
+        assert 0 < len(memo) <= 5
+        held = dict(memo)
+        with_memo, without = update(memo, 4), update(None, 4)
+        assert with_memo[0] == without[0]
+        for name, g in without[1].by_name.items():
+            assert with_memo[1].by_name[name].tobytes() == g.tobytes()
+        assert all(memo[key] is probs for key, probs in held.items())
+
+    def test_rows_match_the_batched_target_forward(self):
+        learner, _ = make_c51(16, obs_dim=12, n_actions=3)
+        fill_binary_replay(learner)
+        batch = learner.buffer.sample(32, RngStream(5, 0))
+        rows = c51_module._target_probs(learner.target, batch, 3, 51, {})
+        batched = c51_module._dist_probs(learner.target, batch["next_obs"], 3, 51)
+        np.testing.assert_allclose(rows, batched, rtol=0.0, atol=1e-15)
+        for i in range(32):
+            one = c51_module._dist_probs(learner.target, batch["next_obs"][i : i + 1], 3, 51)
+            assert rows[i].tobytes() == one[0].tobytes()
+
+    def test_cap_bounds_the_memo(self, monkeypatch):
+        learner, _ = make_c51(17, obs_dim=12)
+        fill_binary_replay(learner)
+        monkeypatch.setattr(c51_module, "TARGET_MEMO_CAP", 3)
+        memo = {}
+        for seed in range(6):
+            batch = learner.buffer.sample(16, RngStream(seed, 0))
+            c51_module._target_probs(learner.target, batch, 2, 51, memo)
+            assert 1 <= len(memo) <= 3
+
+    def test_target_sync_empties_the_memo(self):
+        learner, _ = make_c51(18, obs_dim=12)
+        learner.cfg.target_network_frequency = 4
+        fill_binary_replay(learner)
+        ustream = RngStream(6, 0)
+        learner.update(1, ustream)
+        assert learner.target_memo
+        learner.update(4, ustream)
+        assert learner.target_memo == {}
+
+    def test_widening_the_replay_empties_the_memo(self):
+        # one-value rows: the packed code of 1.0 and the byte code of 128.0
+        # are both the byte 0x80
+        learner, _ = make_c51(19, obs_dim=1)
+        for i in range(40):
+            learner.remember(np.ones(1), i % 2, 0.0, np.ones(1), False)
+        learner.update(1, RngStream(7, 0))
+        assert len(learner.target_memo) == 1
+        learner.remember(np.full(1, 128.0), 0, 0.0, np.full(1, 128.0), False)
+        assert learner.buffer.tier == 1 and learner.target_memo == {}
+
+    def test_action_scatter_equals_the_per_action_loop(self):
+        stream = RngStream(20, 0)
+        for n_actions in (1, 2, 5):
+            actions = stream.randint(n_actions, 32)
+            block = stream.normal(0.0, 1.0, 32 * 51).reshape(32, 51)
+            looped = np.zeros((32, n_actions * 51))
+            for a in range(n_actions):
+                rows = actions == a
+                looped[rows, a * 51 : (a + 1) * 51] = block[rows]
+            scattered = np.zeros((32, n_actions * 51))
+            scattered.reshape(32, n_actions, 51)[np.arange(32), actions] = block
+            assert scattered.tobytes() == looped.tobytes()
+
+
 # ---------------------------------------------------------------- PPO learner
 
 

@@ -35,7 +35,7 @@ from plastlab.net import (
     init_network,
     network_output,
 )
-from plastlab.numkit import RngStream
+from plastlab.numkit import RngStream, erfi
 from plastlab.runner import loop, resolve_config, run_experiment
 
 from helpers import single_draw_reference
@@ -564,6 +564,31 @@ class TestFlatAdam:
         trainable = sum(net.params[n].size for n in net.trainable_names())
         assert sum(a.size for a in opt.flat[1:5]) == 4 * trainable
 
+    @pytest.mark.parametrize("t", [355, 356, 37_411, 37_412])
+    def test_bias_correction_shortcut_is_bitwise(self, t):
+        """Past t = 355 (beta1) and 37,411 (beta2) a correction rounds to 1.0
+        and its divide is skipped; the deltas equal the full formula's bits."""
+        net = tanh_net(57)
+        opt = make_optimizer("adam", net)
+        stream = RngStream(57, 1)
+        names = net.trainable_names()
+
+        def grads():
+            return {n: stream.normal(0.0, 1.0, net.params[n].size).reshape(net.params[n].shape) for n in names}
+
+        opt.deltas(grads(), 1e-3)
+        opt.t = t - 1
+        m, v = opt.flat[1].copy(), opt.flat[2].copy()
+        g = grads()
+        got = np.concatenate([d.ravel() for d in opt.deltas(g, 1e-3).values()])
+        flat = np.concatenate([g[n].ravel() for n in names])
+        m = m * 0.9 + flat * (1.0 - 0.9)
+        v = v * 0.999 + flat * (1.0 - 0.999) * flat
+        want = m / (1.0 - 0.9**t) * -1e-3 / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        assert got.tobytes() == want.tobytes()
+        assert (1.0 - 0.9**t == 1.0) == (t >= 356)
+        assert (1.0 - 0.999**t == 1.0) == (t >= 37_412)
+
     def test_nan_in_second_tensor_names_it(self):
         net = tanh_net(54)
         opt = make_optimizer("adam", net)
@@ -599,22 +624,56 @@ class TestFlatAdam:
         net = tanh_net(55)
         opt = make_optimizer("trac", net)
         opt.trac_sigma_sum = np.full(4, 1e6)  # a scale far from 0 and 1
+        ref = TracReference(net.params, sigma_sum=1e6)
         batch = RngStream(55, 1).normal(0.0, 1.0, 12).reshape(4, 3)
-        ref, scales = AdamReference(), []
+        scales = []
         for _ in range(5):
             trace = forward(net, batch)
             grads = backward(net, trace, trace.outputs)
-            cand = {n: net.params[n].copy() for n in grads.by_name}
-            ref.step(cand, {k: g.copy() for k, g in grads.by_name.items()}, 1e-3)
+            want = ref.step({k: g.copy() for k, g in grads.by_name.items()}, 1e-3)
             optimizer_step(opt, net, None, grads, 1e-3)
             assert opt.base.flat is not None
+            assert opt.trac_scale == ref.scale
             scales.append(opt.trac_scale)
             for name in grads.by_name:
-                want = trac_combine(opt.theta_ref[name], cand[name], opt.trac_scale)
-                assert net.params[name].tobytes() == want.tobytes()
-                assert opt.base.m[name].tobytes() == ref.m[name].tobytes()
-                assert opt.base.v[name].tobytes() == ref.v[name].tobytes()
+                assert net.params[name].tobytes() == want[name].tobytes()
+                assert opt.base.m[name].tobytes() == ref.adam.m[name].tobytes()
+                assert opt.base.v[name].tobytes() == ref.adam.v[name].tobytes()
         assert any(scale not in (0.0, 1.0) for scale in scales)
+
+
+class TracReference:
+    """Oracle: Fast TRAC one step at a time on per-tensor dicts. A base
+    iterate takes plain Adam steps from theta_ref; each step feeds the
+    tuners h = <g, iterate - theta_ref> from before the move and returns
+    theta_ref + s * (iterate - theta_ref)."""
+
+    def __init__(self, params, sigma_sum=0.0, eps=1e-8):
+        self.adam = AdamReference()
+        self.theta_ref = {k: v.copy() for k, v in params.items()}
+        self.iterate = {k: v.copy() for k, v in params.items()}
+        self.v = [0.0] * 4
+        self.sigma_sum = [sigma_sum] * 4
+        self.eps, self.scale = eps, 0.0
+
+    def step(self, grads, lr):
+        h = 0.0
+        for name, g in grads.items():
+            h += float(np.sum(g * (self.iterate[name] - self.theta_ref[name])))
+        for name, delta in self.adam.deltas(grads, lr).items():
+            self.iterate[name] = self.iterate[name] + delta
+        total = 0.0
+        for j, beta in enumerate((0.9, 0.99, 0.999, 0.9999)):
+            self.v[j] = beta**2 * self.v[j] + h * h
+            self.sigma_sum[j] = beta * self.sigma_sum[j] - h
+            arg = self.sigma_sum[j] / (np.sqrt(2.0 * self.v[j]) + 1e-30)
+            arg = min(max(arg, -6.0), 6.0)
+            total += self.eps / erfi(1.0 / np.sqrt(2.0)) * erfi(arg)
+        self.scale = max(0.0, total)
+        return {
+            name: self.theta_ref[name] + self.scale * (self.iterate[name] - self.theta_ref[name])
+            for name in grads
+        }
 
 
 class TestTrac:
@@ -669,12 +728,44 @@ class TestTrac:
         opt = make_optimizer("trac", net)
         # drive the tuners hard enough that the scale becomes positive
         grads = grads_of({"layer0.w": np.array([[1.0]]), "layer0.b": np.array([0.0])})
-        net.params["layer0.w"][:] = -1.0  # theta - ref = -1, h = -1
-        cand = {"layer0.w": np.array([[3.0]]), "layer0.b": np.array([0.0])}
-        opt.pull(net, grads, cand)
+        net.params["layer0.w"][:] = -1.0  # an edit moves the iterate: iterate - ref = -1, h = -1
+        deltas = {"layer0.w": np.array([[3.0]]), "layer0.b": np.array([0.0])}
+        opt.pull(net, grads, deltas)
         assert opt.trac_scale > 0.0
-        want = opt.theta_ref["layer0.w"] + opt.trac_scale * (cand["layer0.w"] - opt.theta_ref["layer0.w"])
+        assert opt.iterate["layer0.w"][0, 0] == 2.0
+        want = opt.theta_ref["layer0.w"] + opt.trac_scale * (opt.iterate["layer0.w"] - opt.theta_ref["layer0.w"])
         np.testing.assert_allclose(net.params["layer0.w"], want, atol=1e-15)
+
+    def test_an_edit_between_steps_moves_the_iterate(self):
+        net = tanh_net(64)
+        opt = make_optimizer("trac", net)
+        batch = RngStream(64, 1).normal(0.0, 1.0, 12).reshape(4, 3)
+        for _ in range(3):
+            trace = forward(net, batch)
+            optimizer_step(opt, net, None, backward(net, trace, trace.outputs), 1e-2)
+        before = {n: opt.iterate[n].copy() for n in net.trainable_names()}
+        net.params["layer0.w"] += 0.25  # an event's edit, in place
+        zero = {n: np.zeros_like(net.params[n]) for n in net.trainable_names()}
+        opt.pull(net, grads_of(zero), zero)
+        np.testing.assert_allclose(opt.iterate["layer0.w"], before["layer0.w"] + 0.25, rtol=0.0, atol=1e-15)
+        assert opt.iterate["layer1.w"].tobytes() == before["layer1.w"].tobytes()
+
+    def test_scale_grows_and_the_fit_improves(self):
+        # the base iterate keeps Adam's progress while the scale is small,
+        # so the output leaves theta_ref and the loss falls
+        net = tanh_net(65)
+        stream = RngStream(65, 1)
+        x = stream.normal(0.0, 1.0, 64 * 3).reshape(64, 3)
+        y = np.tanh(x @ stream.normal(0.0, 1.0, 6).reshape(3, 2))
+        opt = make_optimizer("trac", net)
+        losses = []
+        for _ in range(400):
+            trace = forward(net, x)
+            err = trace.outputs - y
+            losses.append(float(np.mean(err**2)))
+            optimizer_step(opt, net, None, backward(net, trace, 2.0 * err / err.size), 1e-2)
+        assert opt.trac_scale > 0.1
+        assert losses[-1] < 0.25 * losses[0]
 
     def test_injected_branch_reference_is_its_init(self):
         net = tanh_net(63)

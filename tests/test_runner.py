@@ -5,6 +5,7 @@ import json
 import os
 import struct
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from plastlab.envs import PROBE_DIM, PROBE_OUT
 from plastlab.errors import CheckpointError, ConfigError, DivergenceError
 from plastlab.learners import Rollout, build_network
 from plastlab.metrics import _params_l2
-from plastlab.net import serialize_network
+from plastlab.net import draw_layers, serialize_network
 from plastlab.numkit import DrawAhead, RngStream
 from plastlab.runner import (
     config_yaml,
@@ -499,7 +500,7 @@ class TestProbeBatches:
         assert ks == refills
         assert sum(values) == total_steps * 64 * PROBE_DIM
 
-    @pytest.mark.parametrize("n,k", [(64, 8), (169, 8), (453, 3), (1000, 1), (1365, 1)])
+    @pytest.mark.parametrize("n,k", [(64, 8), (169, 8), (453, 6), (1000, 2), (1365, 2)])
     def test_batch_refill_peak_stays_near_ahead_bytes(self, n, k, tmp_path, monkeypatch):
         """The run sizes its holder from what a refill uses, not only from
         what it keeps (at 1,000 rows, 6 kept batches once peaked at 5.4 MB)."""
@@ -521,6 +522,41 @@ class TestProbeBatches:
             tracemalloc.stop()
         assert ahead.count == k
         assert peak < 1.1 * loop.AHEAD_BYTES
+
+    @pytest.mark.parametrize(
+        "hidden,k",
+        [((32,), 8), ((64, 64), 8), ((100,), 8), ((64, 64, 64), 4), ((128, 128), 2)],
+        ids=["32", "64-64", "100", "64-64-64", "128-128"],
+    )
+    def test_init_refill_peak_stays_near_ahead_bytes(self, hidden, k, tmp_path, monkeypatch):
+        """Soft shrink-and-perturb's holder is sized from what a refill uses,
+        not from the inits it keeps (on the default 64-64 net, eight kept
+        draws of 0.35 MB once peaked at 1.59 MB). The default net still
+        draws eight gradient steps at once."""
+        holders = []
+        real = loop.apply_event_method
+
+        def event(entry, net, stream, probe=None, ahead=None):
+            holders.append((ahead.steps, net.layers))
+            return real(entry, net, stream, probe=probe, ahead=ahead)
+
+        monkeypatch.setattr(loop, "apply_event_method", event)
+        cfg = probe_cfg(
+            total_steps=2,
+            network={"hidden": list(hidden)},
+            mitigations=[{"method": "shrink_perturb", "trigger": "per_gradient_step"}],
+        )
+        run_experiment(cfg, str(tmp_path / "r"))
+        steps, specs = holders[0]
+        ahead = DrawAhead(steps)
+        tracemalloc.start()
+        try:
+            ahead.take(specs, RngStream(0, 3), partial(draw_layers, specs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ahead.count == k
+        assert peak <= 1.07 * loop.AHEAD_BYTES
 
 
 class TestActMemo:
@@ -597,6 +633,41 @@ class TestActMemo:
         for file_name, digest in golden.GOLDEN[name].items():
             data = open(os.path.join(art.out_dir, file_name), "rb").read()
             assert hashlib.sha256(data).hexdigest() == digest, file_name
+
+
+class TestTargetMemo:
+    """C51's target memo reuses forwards only; every log byte is the recompute's."""
+
+    @pytest.mark.parametrize(
+        "name", ["c51_grid_standard", "c51_grid_frame_stack", "c51_grid_reset_all"]
+    )
+    def test_logs_equal_a_run_with_the_memo_capped_at_zero(self, name, tmp_path, monkeypatch):
+        files = ("metrics.jsonl", "episodes.csv", "ckpt_final.bin")
+
+        def run(out):
+            art = run_experiment(resolve_config(golden.CONFIGS[name]), str(tmp_path / out))
+            return [open(os.path.join(art.out_dir, f), "rb").read() for f in files]
+
+        memo_logs = run("memo")
+        monkeypatch.setattr(c51, "TARGET_MEMO_CAP", 0)
+        assert run("capped") == memo_logs
+
+    def test_repeated_next_observations_skip_the_target_forward(self, tmp_path, monkeypatch):
+        rows, misses = [], []
+        real = c51._target_probs
+
+        def counting(target, batch, n_actions, n_atoms, memo):
+            before = len(memo)
+            out = real(target, batch, n_actions, n_atoms, memo)
+            rows.append(len(out))
+            misses.append(len(memo) - before)
+            return out
+
+        monkeypatch.setattr(c51, "_target_probs", counting)
+        run_experiment(resolve_config(golden.CONFIGS["c51_grid_standard"]), str(tmp_path / "r"))
+        # 275 updates of 16 rows; a 9x9 level has at most 81 next observations per sync
+        assert sum(rows) == 275 * 16
+        assert 0 < sum(misses) < sum(rows) // 10
 
 
 # Switches at steps 150 and 300 fall mid-rollout (64 rows), so both truncate
