@@ -100,7 +100,7 @@ def build_plan(raw_entries: list[dict]) -> MitigationPlan:
             params[key] = value
         trigger = spec.default_trigger
         if raw.get("trigger") is not None:
-            trigger = parse_trigger(raw["trigger"]) if isinstance(raw["trigger"], str) else raw["trigger"]
+            trigger = parse_trigger(raw["trigger"])
         # the per-gradient-step mode of SnP (soft SnP) wants a much milder beta
         if (
             name == "shrink_perturb"

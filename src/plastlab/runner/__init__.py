@@ -6,7 +6,6 @@ from .config import (
     NetworkConfig,
     RegressionConfig,
     ScenarioConfig,
-    config_to_dict,
     config_yaml,
     load_config,
     resolve_config,
@@ -26,7 +25,6 @@ __all__ = [
     "RegressionConfig",
     "RunArtifacts",
     "ScenarioConfig",
-    "config_to_dict",
     "config_yaml",
     "load_config",
     "main",

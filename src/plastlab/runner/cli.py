@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 from ..errors import (
     CheckpointError,
@@ -30,8 +31,10 @@ _VALIDATION_ERRORS = (ConfigError, MitigationError, SpecError, InvalidInputError
 _CATEGORY_ORDER = ("reset", "normalization", "regularization", "activation", "optimizer")
 
 
-def _parse_seed_range(text: str) -> list[int]:
-    """Accepts 'a..b' (inclusive) or a comma-separated list."""
+def _parse_seed_range(text: str) -> range | list[int]:
+    """Accepts 'a..b' (inclusive, as a range, so no list is built) or a
+    comma-separated list of distinct seeds: two runs of one seed would write
+    the same seed<N>/ directory at once."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -40,11 +43,15 @@ def _parse_seed_range(text: str) -> list[int]:
             raise ConfigError(f"malformed seed range {text!r}, expected a..b") from None
         if end < start:
             raise ConfigError(f"empty seed range {text!r}")
-        return list(range(start, end + 1))
+        return range(start, end + 1)
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ConfigError(f"malformed seed list {text!r}") from None
+    repeated = sorted(seed for seed, n in Counter(seeds).items() if n > 1)
+    if repeated:
+        raise ConfigError(f"seed list {text!r} repeats seed(s) {repeated}")
+    return seeds
 
 
 def _registry_document() -> list[dict]:

@@ -1,8 +1,12 @@
 """Experiment configuration: YAML parsing, per-protocol defaults, strict validation.
 
-Unknown keys are rejected with their full dotted path; defaults come from the
-published hyperparameter tables for each algo/scenario pairing, so a minimal
-config like {algo: c51, scenario: standard} expands to the full C51 recipe.
+Each block resolves to its dataclass: a field takes its given value, else a
+default derived from the algo/scenario pairing (the published hyperparameter
+tables, so a minimal config like {algo: c51, scenario: standard} expands to
+the full C51 recipe), else the field default. Every value, derived ones too,
+is checked against its field default's type and then `_CHOICES` or `_BOUNDS`;
+unknown keys are rejected with their full dotted path. A setting the run
+never reads is an error unless it equals the value the run uses.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ class ScenarioConfig:
     mode: str = "standard"
     family: str = "gridworld"
     segment_length: int = 0
-    n_segments: int = 1
     variants: tuple[str, ...] = ()
+    n_segments: int = 1
     horizon: int = 100
     level_seed_base: int = 0
     level_offset: int = LEVEL_OFFSET
@@ -71,12 +75,6 @@ class ExperimentConfig:
     checkpoint_interval: int = 0
 
 
-_TOP_KEYS = (
-    "seed", "algo", "total_steps", "scenario", "learner", "network",
-    "mitigations", "logging", "checkpoint_interval",
-)
-_MITIGATION_KEYS = ("method", "params", "trigger")
-
 _LEARNER_CLS = {"ppo": PPOConfig, "c51": C51Config, "regression": RegressionConfig}
 
 # table F.2 rows that differ from the continuous-control PPO defaults
@@ -87,257 +85,222 @@ _PPO_DISCRETE_OVERRIDES = {
     "rollout_len": 1000,
 }
 
-# counts a zero would break: an empty split, epoch or batch, an unfilled
-# rollout, an empty epsilon ramp (C51's total_steps), a modulo by zero
-_POSITIVE_INTS = ("n_minibatches", "update_epochs", "rollout_len", "total_steps", "train_frequency",
-                  "target_network_frequency", "batch_size", "metric_interval", "probe_batch")
-
 _DEFAULT_TOTALS = {"c51": 10_000_000, "ppo": 200_000, "regression": 100_000}
 _DEFAULT_SEGMENTS = {"level_shift": 2_000_000, "task_chain": 1_000_000}
 
+# fields, by name, whose null (or empty list) means "use the default"
+_OPTIONAL = ("total_steps", "segment_length", "variants")
 
-def _check_keys(block: dict, allowed: tuple[str, ...], path: str) -> None:
-    unknown = sorted(k for k in block if k not in allowed)
-    if unknown:
-        listed = ", ".join(f"'{path}{k}'" for k in unknown)
-        raise ConfigError(f"unknown config key(s): {listed}")
+_CHOICES = {
+    "algo": ALGOS,
+    "mode": MODES,
+    "family": FAMILIES,
+    "variants": tuple(TARGET_SPEEDS),
+    "activation": ACTIVATIONS,
+    "action_selection": ("target", "online"),
+    "method": tuple(REGISTRY),
+    "scope": ("final", "all"),
+}
+
+# numeric bounds by field name, in interval notation; a bound may name an
+# earlier field of the same block. An integer field not listed is a count a
+# zero would break (an empty split, batch or ramp, a modulo by zero): [1, inf).
+_BOUNDS = {
+    "seed": "[0, inf)",
+    "level_seed_base": "[0, inf)",
+    "learning_starts": "[0, inf)",
+    "checkpoint_interval": "[0, inf)",
+    "n_atoms": "[2, inf)",
+    "lr": "(0, inf)",
+    "clip_eps": "(0, inf)",
+    "init_std": "(0, inf)",
+    "gamma": "[0, 1]",
+    "gae_lambda": "[0, 1]",
+    "v_max": "(v_min, inf)",
+    "exploration_fraction": "(0, 1]",
+    "beta": "[0, 1]",
+    "alpha": "[0, inf)",
+    "s": "(0, inf)",
+}
+
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _as_block(value, path: str) -> dict:
-    if value is None:
+def _block(raw, path: str, names) -> dict:
+    """`raw` as a mapping with no key outside `names`; null is empty. `path`
+    is the block's dotted prefix, '' at the top level."""
+    if raw is None:
         return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{path}' must be a mapping, got {type(value).__name__}")
-    return dict(value)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{path[:-1] or 'config'}' must be a mapping, got {type(raw).__name__}")
+    unknown = sorted(str(k) for k in raw if k not in names)
+    if unknown:
+        raise ConfigError("unknown config key(s): " + ", ".join(f"'{path}{k}'" for k in unknown))
+    return dict(raw)
 
 
-def _require_int(value, path: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{path}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"'{path}' must be >= {minimum}, got {value}")
-    return value
-
-
-def _resolve_scenario(raw, algo: str, seed: int) -> tuple[ScenarioConfig, int | None]:
-    """Expand the scenario block; returns (config, explicit segment_length)."""
-    if isinstance(raw, str):
-        raw = {"mode": raw}
-    block = _as_block(raw, "scenario")
-    allowed = tuple(f.name for f in fields(ScenarioConfig))
-    _check_keys(block, allowed, "scenario.")
-
-    mode = block.get("mode", "standard")
-    if mode not in MODES:
-        raise ConfigError(f"'scenario.mode' must be one of {MODES}, got {mode!r}")
-
-    if "family" in block:
-        family = block["family"]
-    elif algo == "regression":
-        family = "probe"
-    elif algo == "ppo" and mode == "task_chain":
-        family = "pointmass"
-    else:
-        family = "gridworld"
-    if family not in FAMILIES:
-        raise ConfigError(f"'scenario.family' must be one of {FAMILIES}, got {family!r}")
-
-    variants = tuple(block.get("variants") or ())
-    if not variants and mode == "task_chain":
-        variants = ("stand", "walk", "run", "trot")
-    if family == "pointmass":
-        bad = sorted(set(v for v in variants) - set(TARGET_SPEEDS))
-        if bad:
-            raise ConfigError(f"'scenario.variants' has unknown pointmass variants {bad}")
-    elif variants and mode == "task_chain":
-        raise ConfigError(f"task_chain variants are only defined for pointmass, not {family!r}")
-
-    horizon = block.get("horizon", {"gridworld": 100, "pointmass": 200}.get(family, 1))
-    n_segments = block.get(
-        "n_segments",
-        1 if mode == "standard" else (len(variants) if mode == "task_chain" else 10),
-    )
-    scenario = ScenarioConfig(
-        mode=mode,
-        family=family,
-        segment_length=0,
-        n_segments=_require_int(n_segments, "scenario.n_segments", 1),
-        variants=variants,
-        horizon=_require_int(horizon, "scenario.horizon", 1),
-        level_seed_base=_require_int(block.get("level_seed_base", seed), "scenario.level_seed_base"),
-        level_offset=_require_int(block.get("level_offset", LEVEL_OFFSET), "scenario.level_offset", 1),
-        frame_stack=_require_int(block.get("frame_stack", 1), "scenario.frame_stack", 1),
-        reward_normalization=_coerce_field(
-            "scenario.reward_normalization", block.get("reward_normalization", algo == "ppo"), False
-        ),
-    )
-    explicit = block.get("segment_length")
-    if explicit is not None:
-        explicit = _require_int(explicit, "scenario.segment_length", 1)
-    return scenario, explicit
-
-
-def _coerce_field(path: str, value, default):
-    """Type-check one config value against its default's type, so neither the
-    YAML 1.1 gotcha 1.0e11 (parsed as a string) nor a quoted "false" (true to
-    bool()) slips through; lr must be > 0 and gamma, gae_lambda in [0, 1]."""
-    name = path.rsplit(".", 1)[-1]
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"'{path}' must be a boolean, got {value!r}")
-        return value
-    if isinstance(default, int):
-        return _require_int(value, path, minimum=1 if name in _POSITIVE_INTS else 0)
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'{path}' must be a number, got {value!r}")
+def _coerce_field(path: str, value, default, peers: dict | None = None, name: str | None = None):
+    """Check one config value against its default's type (so neither YAML 1.1's
+    1.0e11, parsed as a string, nor a quoted "false", true to bool(), slips
+    through), then against its field's choices or bounds. An int where a float
+    belongs becomes a float; a list becomes a tuple of checked items."""
+    name = name or path.rsplit(".", 1)[-1]
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or (default and not value):
+            raise ConfigError(f"'{path}' must be a {'non-empty ' if default else ''}list, got {value!r}")
+        item = default[0] if default else ""
+        return tuple(_coerce_field(f"{path}[{i}]", v, item, name=name) for i, v in enumerate(value))
+    if isinstance(default, float) and isinstance(value, int) and not isinstance(value, bool):
         try:
-            number = float(value)
+            value = float(value)
         except OverflowError:  # an int past the float range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(f"'{path}' must be finite, got {value!r}")
-        if name == "lr" and number <= 0.0:
-            raise ConfigError(f"'{path}' must be > 0, got {value!r}")
-        if name in ("gamma", "gae_lambda") and not 0.0 <= number <= 1.0:
-            raise ConfigError(f"'{path}' must be in [0, 1], got {value!r}")
-        return number
-    if not isinstance(value, str):
-        raise ConfigError(f"'{path}' must be a string, got {value!r}")
+            value = math.inf
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, type(default)):
+        raise ConfigError(f"'{path}' must be {_KINDS[type(default)]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"'{path}' must be finite, got {value!r}")
+    if name in _CHOICES and value not in _CHOICES[name]:
+        raise ConfigError(f"'{path}' must be one of {_CHOICES[name]}, got {value!r}")
+    text = _BOUNDS.get(name, "[1, inf)" if type(value) is int else None)
+    if text is not None:
+        low, high = text[1:-1].split(", ")
+        lo, hi = (float((peers or {}).get(t, t)) for t in (low, high))
+        if not ((lo <= value if text[0] == "[" else lo < value) and (value <= hi if text[-1] == "]" else value < hi)):
+            want = f"{'>=' if text[0] == '[' else '>'} {low}" if high == "inf" else f"in {text}"
+            raise ConfigError(f"'{path}' must be {want}, got {value!r}")
     return value
 
 
-def _resolve_learner(raw, algo: str, scenario: ScenarioConfig, total_steps: int):
-    block = _as_block(raw, "learner")
-    cls = _LEARNER_CLS[algo]
-    defaults = {f.name: f.default for f in fields(cls)}
-    _check_keys(block, tuple(defaults), "learner.")
-    values: dict = {}
-    if algo == "ppo" and scenario.family == "gridworld":
-        values.update(_PPO_DISCRETE_OVERRIDES)
-    if algo == "c51":
-        values["total_steps"] = total_steps
-    values.update({k: _coerce_field(f"learner.{k}", v, defaults[k]) for k, v in block.items()})
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid learner block: {exc}") from exc
+def _fill(cls, raw, path: str, derived: dict | None = None, fixed=lambda values: {}):
+    """The block `raw` as a `cls`. A field not given takes its `derived` entry
+    (a value, or a function of the fields before it), else its default.
+    `fixed(values)` maps the fields the run never reads to why; a given value
+    for one must equal what it would have taken."""
+    block = _block(raw, path, [f.name for f in fields(cls)])
+    values, auto = {}, {}
+    for f in fields(cls):
+        default = (derived or {}).get(f.name, f.default)
+        auto[f.name] = default(values) if callable(default) else default
+        given = block.get(f.name)
+        if f.name not in block or (f.name in _OPTIONAL and given in (None, [])):
+            given = auto[f.name]
+        values[f.name] = _coerce_field(path + f.name, given, f.default, values)
+    for name, why in fixed(values).items():
+        if values[name] != auto[name]:
+            raise ConfigError(f"'{path}{name}' {why}")
+    return cls(**values)
+
+
+def _resolve_scenario(raw, algo: str, seed: int, total: int | None) -> ScenarioConfig:
+    """`total` is the given total_steps, or None; standard mode runs one
+    segment of it."""
+    derived = {
+        "family": lambda v: "probe" if algo == "regression" else (
+            "pointmass" if algo == "ppo" and v["mode"] == "task_chain" else "gridworld"),
+        "segment_length": lambda v: (
+            (total or _DEFAULT_TOTALS[algo]) if v["mode"] == "standard" else _DEFAULT_SEGMENTS[v["mode"]]),
+        "variants": lambda v: tuple(TARGET_SPEEDS) if v["mode"] == "task_chain" else (),
+        "n_segments": lambda v: {"standard": 1, "task_chain": len(v["variants"])}.get(v["mode"], 10),
+        "horizon": lambda v: {"gridworld": 100, "pointmass": 200}.get(v["family"], 1),
+        "level_seed_base": seed,
+        "reward_normalization": algo == "ppo",
+    }
+
+    def fixed(v: dict) -> dict:
+        mode, family = v["mode"], v["family"]
+        rules = {
+            "variants": (family != "pointmass", f"names pointmass tasks, got family {family!r}"),
+            "n_segments": (mode == "standard", "has no effect in standard mode, which runs one segment"),
+            "segment_length": (mode == "standard", "has no effect in standard mode; total_steps sets the run"),
+            "level_offset": (mode != "level_shift", f"only spaces level_shift levels, got mode {mode!r}"),
+            "horizon": (family == "probe", "has no effect on the probe family, which has no episodes"),
+            "frame_stack": (family == "probe", "> 1 has no frames to stack on the probe family"),
+            "reward_normalization": (algo != "ppo", f"is a ppo setting, got algo {algo!r}"),
+        }
+        return {name: why for name, (inert, why) in rules.items() if inert}
+
+    scenario = _fill(ScenarioConfig, {"mode": raw} if isinstance(raw, str) else raw, "scenario.", derived, fixed)
+    family = scenario.family
+    if algo == "c51" and family != "gridworld":
+        raise ConfigError(f"c51 requires a discrete-action env (gridworld), got family {family!r}")
+    if family == "pointmass" and algo != "ppo":
+        raise ConfigError(f"pointmass is continuous-action and requires ppo, got algo {algo!r}")
+    if (family == "probe") != (algo == "regression"):
+        raise ConfigError("the probe family and the regression algo require each other")
+    if scenario.mode == "task_chain" and family != "pointmass":
+        raise ConfigError(f"task_chain needs pointmass task variants, got family {family!r}")
+    return scenario
 
 
 def _resolve_mitigations(raw) -> tuple[dict, ...]:
+    """The entries as given, with a bare name or a `name:` key spelled as
+    `method:`; each given param is checked against its registry default."""
     if raw is None:
         return ()
     if not isinstance(raw, (list, tuple)):
         raise ConfigError("'mitigations' must be a list of entries")
     entries = []
     for i, item in enumerate(raw):
+        path = f"mitigations[{i}]"
         if isinstance(item, str):
             item = {"method": item}
-        entry = _as_block(item, f"mitigations[{i}]")
-        if "name" in entry and "method" not in entry:
-            entry["method"] = entry.pop("name")
-        _check_keys(entry, _MITIGATION_KEYS, f"mitigations[{i}].")
+        elif isinstance(item, dict) and "name" in item and "method" not in item:
+            item = {("method" if k == "name" else k): v for k, v in item.items()}
+        entry = _block(item, path + ".", ("method", "params", "trigger"))
         if "method" not in entry:
-            raise ConfigError(f"'mitigations[{i}]' needs a 'method' key")
+            raise ConfigError(f"'{path}' needs a 'method' key")
+        _coerce_field(f"{path}.method", entry["method"], "")
+        if not isinstance(entry.get("params") or {}, dict):
+            raise ConfigError(f"'{path}.params' must be a mapping, got {entry['params']!r}")
+        if entry.get("trigger") is not None:
+            _coerce_field(f"{path}.trigger", entry["trigger"], "")
         entries.append(entry)
     try:
-        build_plan(entries)
+        plan = build_plan(entries)
     except MitigationError as exc:
         raise ConfigError(f"invalid mitigation plan: {exc}") from exc
+    for i, (entry, planned) in enumerate(zip(entries, plan.entries)):
+        for key in entry.get("params") or {}:
+            default = REGISTRY[planned.method].params[key]
+            _coerce_field(f"mitigations[{i}].params.{key}", planned.params[key], default)
     return tuple(entries)
 
 
 def _resolve_network(raw, mitigations: tuple[dict, ...]) -> NetworkConfig:
-    block = _as_block(raw, "network")
-    allowed = tuple(f.name for f in fields(NetworkConfig))
-    _check_keys(block, allowed, "network.")
-
-    hidden = tuple(block.get("hidden", (64, 64)))
-    if not hidden or any(isinstance(h, bool) or not isinstance(h, int) or h < 1 for h in hidden):
-        raise ConfigError(f"'network.hidden' must be positive integers, got {list(hidden)}")
-    activation = block.get("activation", "relu")
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"'network.activation' must be one of {ACTIVATIONS}, got {activation!r}")
-    layer_norm = _coerce_field("network.layer_norm", block.get("layer_norm", False), False)
-
     # architecture-kind plan entries imply network settings; explicit
     # contradictions are configuration mistakes, not silent overrides
-    methods = [e["method"] for e in mitigations if e["method"] in REGISTRY]
-    acts = [m for m in methods if m in ("crelu", "fourier")]
-    if len(set(acts)) > 1:
+    methods = {e["method"] for e in mitigations}
+    acts = sorted(methods & {"crelu", "fourier"})
+    if len(acts) > 1:
         raise ConfigError("mitigation plan requests both crelu and fourier activations")
-    if acts:
-        if "activation" in block and activation != acts[0]:
-            raise ConfigError(
-                f"mitigation '{acts[0]}' conflicts with network.activation {activation!r}"
-            )
-        activation = acts[0]
-    if "layer_norm" in methods or "nap" in methods:
-        if "layer_norm" in block and not layer_norm:
-            raise ConfigError("layer_norm/nap mitigation conflicts with network.layer_norm false")
-        layer_norm = True
-    return NetworkConfig(hidden=hidden, activation=activation, layer_norm=layer_norm)
-
-
-def _resolve_logging(raw) -> LoggingConfig:
-    block = _as_block(raw, "logging")
-    defaults = {f.name: f.default for f in fields(LoggingConfig)}
-    _check_keys(block, tuple(defaults), "logging.")
-    return LoggingConfig(**{k: _coerce_field(f"logging.{k}", v, defaults[k]) for k, v in block.items()})
+    implied = {"activation": acts[0]} if acts else {}
+    if methods & {"layer_norm", "nap"}:
+        implied["layer_norm"] = True
+    why = {k: f"conflicts with the mitigation plan, which sets {v!r}" for k, v in implied.items()}
+    return _fill(NetworkConfig, raw, "network.", implied, lambda v: why)
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Fill defaults and cross-validate one parsed config tree."""
-    block = _as_block(raw, "config")
-    _check_keys(block, _TOP_KEYS, "")
-
-    algo = block.get("algo")
-    if algo is None:
+    block = _block(raw, "", [f.name for f in fields(ExperimentConfig)])
+    if block.get("algo") is None:
         raise ConfigError("missing required key 'algo'")
-    if algo not in ALGOS:
-        raise ConfigError(f"'algo' must be one of {ALGOS}, got {algo!r}")
-    seed = _require_int(block.get("seed", 0), "seed")
-
-    scenario, explicit_segment = _resolve_scenario(block.get("scenario"), algo, seed)
-
-    total_steps = block.get("total_steps")
-    if total_steps is None:
-        if scenario.mode == "standard":
-            total_steps = _DEFAULT_TOTALS[algo]
-        else:
-            seg = explicit_segment or _DEFAULT_SEGMENTS[scenario.mode]
-            total_steps = seg * scenario.n_segments
-    total_steps = _require_int(total_steps, "total_steps", 1)
-
-    if explicit_segment is not None:
-        segment_length = explicit_segment
-    elif scenario.mode == "standard":
-        segment_length = total_steps
-    else:
-        segment_length = _DEFAULT_SEGMENTS[scenario.mode]
-    scenario = dataclasses.replace(scenario, segment_length=segment_length)
-
-    if algo == "c51" and scenario.family != "gridworld":
-        raise ConfigError(
-            f"c51 requires a discrete-action env (gridworld), got family {scenario.family!r}"
-        )
-    if scenario.family == "pointmass" and algo != "ppo":
-        raise ConfigError(f"pointmass is continuous-action and requires ppo, got algo {algo!r}")
-    if (scenario.family == "probe") != (algo == "regression"):
-        raise ConfigError("the probe family and the regression algo require each other")
-    if scenario.mode == "task_chain" and scenario.family != "pointmass":
-        raise ConfigError(f"task_chain needs pointmass task variants, got family {scenario.family!r}")
-    if scenario.reward_normalization and algo != "ppo":
-        raise ConfigError(f"'scenario.reward_normalization' is a ppo setting, got algo {algo!r}")
-    if scenario.frame_stack > 1 and scenario.family == "probe":
-        raise ConfigError("'scenario.frame_stack' > 1 has no frames to stack on the probe family")
+    algo = _coerce_field("algo", block["algo"], "")
+    seed = _coerce_field("seed", block.get("seed", 0), 0)
+    total = block.get("total_steps")
+    if total is not None:
+        total = _coerce_field("total_steps", total, 0)
+    scenario = _resolve_scenario(block.get("scenario"), algo, seed, total)
+    total_steps = total or scenario.segment_length * scenario.n_segments
 
     mitigations = _resolve_mitigations(block.get("mitigations"))
     network = _resolve_network(block.get("network"), mitigations)
-    learner = _resolve_learner(block.get("learner"), algo, scenario, total_steps)
-    logging = _resolve_logging(block.get("logging"))
-    checkpoint_interval = _require_int(block.get("checkpoint_interval", 0), "checkpoint_interval")
-
+    discrete_ppo = algo == "ppo" and scenario.family == "gridworld"
+    learner = _fill(
+        _LEARNER_CLS[algo], block.get("learner"), "learner.",
+        {**(_PPO_DISCRETE_OVERRIDES if discrete_ppo else {}), "total_steps": total_steps},
+        lambda v: {"init_std": "sets the gaussian policy's std; gridworld ppo acts discretely"} if discrete_ppo else {},
+    )
     return ExperimentConfig(
         seed=seed,
         algo=algo,
@@ -346,8 +309,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         learner=learner,
         network=network,
         mitigations=mitigations,
-        logging=logging,
-        checkpoint_interval=checkpoint_interval,
+        logging=_fill(LoggingConfig, block.get("logging"), "logging."),
+        checkpoint_interval=_coerce_field("checkpoint_interval", block.get("checkpoint_interval", 0), 0),
     )
 
 
@@ -355,18 +318,19 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a YAML config file and resolve it; `overrides` replaces top-level
     keys (the CLI's --seed/--out plumbing) before resolution."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config {path!r} is not valid YAML: {exc}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
     for key, value in (overrides or {}).items():
-        if key == "out_dir":
-            logging_block = dict(raw.get("logging") or {})
-            logging_block["out_dir"] = value
-            raw["logging"] = logging_block
-        else:
+        if key != "out_dir":
             raw[key] = value
+        elif isinstance(raw.get("logging") or {}, dict):  # else resolving rejects it
+            raw["logging"] = {**(raw.get("logging") or {}), "out_dir": value}
     return resolve_config(raw)
 
 
@@ -380,10 +344,6 @@ def _plain(value):
     return value
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return _plain(cfg)
-
-
 def config_yaml(cfg: ExperimentConfig) -> str:
     """Canonical resolved-config document; byte-stable for identical configs."""
-    return yaml.safe_dump(config_to_dict(cfg), sort_keys=True, default_flow_style=False)
+    return yaml.safe_dump(_plain(cfg), sort_keys=True, default_flow_style=False)

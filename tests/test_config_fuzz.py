@@ -1,0 +1,99 @@
+"""Config fuzzing: the golden configs with one value replaced by a wrong type,
+a negative, NaN/inf, null, a huge int or an unknown key. Every example runs
+`plastlab run` in this process for at most 20 steps and must exit 0, 2 or 3;
+no exception may escape."""
+
+import copy
+import dataclasses
+import os
+import shutil
+
+import numpy as np
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import test_golden as golden
+from plastlab.learners import C51Config, PPOConfig
+from plastlab.mitigations import REGISTRY
+from plastlab.runner import LoggingConfig, NetworkConfig, RegressionConfig, ScenarioConfig
+from plastlab.runner.cli import main
+
+_TOTAL = 20
+
+# fields that size an array or a per-segment table: no huge ints here until
+# the run checks its footprint before allocating
+_SIZES = ("hidden", "batch_size", "probe_batch", "rollout_len", "buffer_size", "n_atoms",
+          "frame_stack", "n_segments")
+
+_BLOCKS = {
+    "scenario": ScenarioConfig,
+    "network": NetworkConfig,
+    "logging": LoggingConfig,
+    "learner": {"ppo": PPOConfig, "c51": C51Config, "regression": RegressionConfig},
+}
+_TOP = ("seed", "algo", "total_steps", "checkpoint_interval", "mitigations") + tuple(_BLOCKS)
+
+_BAD = st.one_of(
+    st.sampled_from(["x", "", "1.0e11", "false", -1, 0, 1, None, True, False, [], [1], ["x"], {"a": 1}, 2.5]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 1e300]),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_HUGE = st.integers(10**9, 10**30)
+
+
+def _paths(cfg: dict) -> list[tuple]:
+    """Every field of the config's blocks, given or not, plus its mitigation
+    entries' keys and params."""
+    paths = [(key,) for key in _TOP]
+    for block, cls in _BLOCKS.items():
+        cls = cls[cfg["algo"]] if isinstance(cls, dict) else cls
+        paths += [(block, f.name) for f in dataclasses.fields(cls) if f.name != "out_dir"]
+    for i, entry in enumerate(cfg.get("mitigations", [])):
+        paths += [("mitigations", i, key) for key in ("method", "params", "trigger")]
+        paths += [("mitigations", i, "params", p) for p in REGISTRY[entry["method"]].params]
+    return paths
+
+
+def _entries(cfg: dict) -> dict:
+    cfg["mitigations"] = [{"method": e} if isinstance(e, str) else e for e in cfg.get("mitigations", [])]
+    return cfg
+
+
+def _set(cfg: dict, path: tuple, value) -> None:
+    node = cfg
+    for key in path[:-1]:
+        if isinstance(node, dict) and not isinstance(node.get(key), (dict, list)):
+            node[key] = {} if node.get(key) is None else {"mode": node[key]}
+        node = node[key]
+    node[path[-1]] = value
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = _entries(copy.deepcopy(golden.CONFIGS[draw(st.sampled_from(sorted(golden.CONFIGS)))]))
+    cfg["total_steps"] = _TOTAL
+    path = draw(st.sampled_from(_paths(cfg)))
+    if draw(st.integers(0, 9)) == 0:  # an unknown key beside the field
+        path = path[:-1] + (draw(st.sampled_from(["lrr", "extra", "name", "1"])),)
+    huge_ok = path[-1] not in _SIZES and path[-1] != "total_steps"
+    value = draw(st.one_of(_BAD, _HUGE) if huge_ok else _BAD)
+    if path == ("total_steps",) and (value is None or (type(value) is int and value > _TOTAL)):
+        value = _TOTAL
+    _set(cfg, path, value)
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=mutated_configs())
+def test_mutated_golden_configs_exit_0_2_or_3(cfg, tmp_path):
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = main(["run", str(path), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 2:  # a config error ends the run before its directory is made
+        assert not os.path.exists(out)
+    shutil.rmtree(out, ignore_errors=True)

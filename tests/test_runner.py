@@ -202,6 +202,39 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="warp"):
             resolve_config({"algo": "ppo", "mitigations": [{"method": "warp"}]})
 
+    @pytest.mark.parametrize("raw,message", [
+        ({"network": {"hidden": 64}}, "'network.hidden' must be a non-empty list, got 64"),
+        ({"network": {"hidden": []}}, "'network.hidden' must be a non-empty list, got []"),
+        ({"network": {"hidden": [16, 0]}}, "'network.hidden[1]' must be >= 1, got 0"),
+        ({"network": {"hidden": [16, 2.5]}}, "'network.hidden[1]' must be an integer, got 2.5"),
+        ({"network": {"activation": "gelu"}}, "'network.activation' must be one of"),
+        ({"scenario": {"mode": ["standard"]}}, "'scenario.mode' must be a string"),
+        ({"scenario": {"family": "maze"}}, "'scenario.family' must be one of"),
+        ({"scenario": {"mode": "task_chain", "variants": "walk"}}, "'scenario.variants' must be a list"),
+        ({"scenario": {"mode": "task_chain", "variants": ["walk", "fly"]}}, "'scenario.variants[1]' must be one of"),
+        ({"algo": "c51", "learner": {"action_selection": "greedy"}}, "'learner.action_selection' must be one of"),
+        ({"mitigations": [{"method": ["redo"]}]}, "'mitigations[0].method' must be a string"),
+        ({"mitigations": ["redo", {"method": "redo", "trigger": 5}]}, "'mitigations[1].trigger' must be a string"),
+        ({"mitigations": [{"method": "redo", "params": [1]}]}, "'mitigations[0].params' must be a mapping"),
+        ({"mitigations": [{"method": "redo", "params": {"tau": "x"}}]}, "'mitigations[0].params.tau' must be a number"),
+        ({"mitigations": [{"method": "redo", "params": {"rate": 1}}]}, "redo does not take parameter 'rate'"),
+        ({"logging": {"probe_batch": True}}, "'logging.probe_batch' must be an integer, got True"),
+    ])
+    def test_every_value_is_checked_against_its_field(self, raw, message):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"algo": "ppo", **raw})
+        assert message in str(err.value)
+
+    def test_null_optional_values_take_the_default(self):
+        cfg = resolve_config({
+            "algo": "ppo",
+            "total_steps": None,
+            "scenario": {"mode": "level_shift", "segment_length": None},
+            "mitigations": [{"method": "redo", "trigger": None}],
+        })
+        assert (cfg.total_steps, cfg.scenario.segment_length) == (20_000_000, 2_000_000)
+        assert cfg.mitigations == ({"method": "redo", "trigger": None},)
+
     def test_config_yaml_deterministic_and_resolved(self):
         a = config_yaml(probe_cfg())
         b = config_yaml(probe_cfg())
@@ -866,7 +899,7 @@ class TestCli:
     @pytest.mark.parametrize("algo,field", [
         ("ppo", "n_minibatches"), ("ppo", "update_epochs"), ("ppo", "rollout_len"),
         ("c51", "train_frequency"), ("c51", "target_network_frequency"), ("c51", "total_steps"),
-        ("c51", "batch_size"), ("regression", "batch_size"),
+        ("c51", "batch_size"), ("regression", "batch_size"), ("c51", "buffer_size"),
     ])
     def test_zero_loop_count_exit_2(self, algo, field, tmp_path, capsys):
         cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\nlearner: {{{field}: 0}}\n")
@@ -881,6 +914,10 @@ class TestCli:
         ("regression", "lr", "-0.5", "must be > 0, got -0.5"),
         ("ppo", "lr", "0.0", "must be > 0, got 0.0"),
         ("c51", "lr", "0", "must be > 0, got 0"),
+        ("ppo", "clip_eps", "0", "must be > 0, got 0.0"),
+        ("c51", "exploration_fraction", "0", "must be in (0, 1], got 0.0"),
+        ("c51", "exploration_fraction", "1.5", "must be in (0, 1], got 1.5"),
+        ("c51", "n_atoms", "1", "must be >= 2, got 1"),
     ])
     def test_out_of_range_learner_float_exit_2(self, algo, field, text, message, tmp_path, capsys):
         cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\nlearner: {{{field}: {text}}}\n")
@@ -903,6 +940,13 @@ class TestCli:
         ("c51", "reward_normalization: true", "'scenario.reward_normalization' is a ppo setting, got algo 'c51'"),
         ("regression", "reward_normalization: true", "is a ppo setting, got algo 'regression'"),
         ("regression", "frame_stack: 2", "'scenario.frame_stack' > 1 has no frames to stack on the probe"),
+        ("c51", "variants: [walk]", "'scenario.variants' names pointmass tasks, got family 'gridworld'"),
+        ("regression", "mode: level_shift, variants: [run]", "got family 'probe'"),
+        ("ppo", "n_segments: 3", "'scenario.n_segments' has no effect in standard mode"),
+        ("ppo", "segment_length: 10", "'scenario.segment_length' has no effect in standard mode"),
+        ("c51", "level_offset: 7", "'scenario.level_offset' only spaces level_shift levels, got mode 'standard'"),
+        ("ppo", "mode: task_chain, level_offset: 7", "got mode 'task_chain'"),
+        ("regression", "horizon: 50", "'scenario.horizon' has no effect on the probe family"),
     ])
     def test_settings_the_run_ignores_exit_2(self, algo, scenario, message, tmp_path, capsys):
         cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\nscenario: {{{scenario}}}\n")
@@ -915,6 +959,55 @@ class TestCli:
         assert resolve_config({"algo": "c51", "scenario": {"frame_stack": 2}}).scenario.frame_stack == 2
         cfg = resolve_config({"algo": "regression", "scenario": {"reward_normalization": False, "frame_stack": 1}})
         assert (cfg.scenario.reward_normalization, cfg.scenario.frame_stack) == (False, 1)
+        cfg = resolve_config({
+            "algo": "ppo",
+            "total_steps": 500,
+            "scenario": {"n_segments": 1, "segment_length": 500, "level_offset": 20, "variants": []},
+            "learner": {"init_std": 1.0},
+        })
+        assert (cfg.scenario.n_segments, cfg.scenario.segment_length, cfg.learner.init_std) == (1, 500, 1.0)
+        assert resolve_config({"algo": "regression", "scenario": {"horizon": 1}}).scenario.horizon == 1
+        cfg = resolve_config({
+            "algo": "ppo",
+            "scenario": {"mode": "level_shift", "family": "pointmass", "variants": ["run"], "level_offset": 7},
+            "learner": {"init_std": 0.5},
+        })
+        assert (cfg.scenario.variants, cfg.scenario.level_offset, cfg.learner.init_std) == (("run",), 7, 0.5)
+
+    # values that passed validation once failed partway through the run, or
+    # at its first event (shrink_perturb's beta only when it fired), or were
+    # never read (init_std on the gridworld)
+    @pytest.mark.parametrize("algo,lines,message", [
+        ("ppo", "scenario: task_chain\nlearner: {init_std: -1}", "'learner.init_std' must be > 0, got -1.0"),
+        ("ppo", "learner: {init_std: 0.5}", "'learner.init_std' sets the gaussian policy's std"),
+        ("c51", "learner: {v_min: 5, v_max: 5}", "'learner.v_max' must be > v_min, got 5.0"),
+        ("c51", "learner: {v_min: 20}", "'learner.v_max' must be > v_min, got 10.0"),
+        ("regression",
+         "mitigations: [{method: shrink_perturb, params: {beta: 5.0}, trigger: every_k_steps(2500)}]",
+         "'mitigations[0].params.beta' must be in [0, 1], got 5.0"),
+        ("regression", "mitigations: [{method: l2_reg, params: {alpha: -1.0e-3}}]",
+         "'mitigations[0].params.alpha' must be >= 0, got -0.001"),
+        ("regression", "mitigations: [l2_reg, {method: parseval_reg, params: {s: 0}}]",
+         "'mitigations[1].params.s' must be > 0, got 0"),
+        ("regression", "mitigations: [{method: reset_layers, params: {scope: some}}]",
+         "'mitigations[0].params.scope' must be one of ('final', 'all'), got 'some'"),
+        ("regression", "mitigations: [{method: kron, params: {t_inv: 0}}]",
+         "'mitigations[0].params.t_inv' must be >= 1, got 0"),
+    ])
+    def test_values_that_failed_mid_run_exit_2(self, algo, lines, message, tmp_path, capsys):
+        cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\n{lines}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_unparsable_yaml_and_bad_logging_block_exit_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "algo: ppo\nnetwork: {hidden: [64\n")
+        assert main(["run", cfg]) == 2
+        assert "is not valid YAML" in capsys.readouterr().err
+        cfg = self._write(tmp_path, "algo: ppo\nlogging: runs\n", "e2.yaml")
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "'logging' must be a mapping, got str" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
 
     def test_c51_replay_is_sized_to_the_run(self, tmp_path, monkeypatch):
         capacities = []
@@ -979,29 +1072,53 @@ class TestCli:
             assert summary["seed"] == seed
             assert summary["status"] == "ok"
 
-    def test_sweep_keeps_at_most_cpu_count_children(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def fake_popen(self, monkeypatch):
+        """The sweep's Popen, faked: records each child's seed and the peak
+        number alive; seed 2 exits with code 3, every other seed with 0."""
         from plastlab.runner import cli
 
-        live, peak, started = [], [0], []
-
         class FakePopen:
+            live, peak, started = [], [0], []
+
             def __init__(self, cmd):
                 self.seed = int(cmd[cmd.index("--seed") + 1])
-                started.append(self.seed)
-                live.append(self)
-                peak[0] = max(peak[0], len(live))
+                self.started.append(self.seed)
+                self.live.append(self)
+                self.peak[0] = max(self.peak[0], len(self.live))
 
             def wait(self):
-                live.remove(self)
+                self.live.remove(self)
                 return 3 if self.seed == 2 else 0
 
         monkeypatch.setattr(cli.subprocess, "Popen", FakePopen)
+        return FakePopen
+
+    def test_sweep_keeps_at_most_cpu_count_children(self, tmp_path, monkeypatch, capsys, fake_popen):
+        from plastlab.runner import cli
+
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
         assert main(["sweep", cfg, "--seeds", "0..3", "--out", str(tmp_path / "s")]) == 3
-        assert started == [0, 1, 2, 3]
-        assert peak[0] == 2 and live == []
+        assert fake_popen.started == [0, 1, 2, 3]
+        assert fake_popen.peak[0] == 2 and fake_popen.live == []
         assert capsys.readouterr().err.strip() == "seed 2 exited with code 3"
+
+    @pytest.mark.parametrize("seeds,repeated", [("1,1", [1]), ("3, 01,1,3", [1, 3])])
+    def test_sweep_repeated_seed_exit_2_before_spawning(self, seeds, repeated, tmp_path, capsys, fake_popen):
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
+        assert main(["sweep", cfg, "--seeds", seeds, "--out", str(tmp_path / "s")]) == 2
+        assert f"repeats seed(s) {repeated}" in capsys.readouterr().err
+        assert fake_popen.started == []
+
+    def test_sweep_seed_range_is_never_listed(self, tmp_path, fake_popen):
+        from plastlab.runner import cli
+
+        # a range's length and equality cost nothing, however long it is
+        assert cli._parse_seed_range("5..1000000000000") == range(5, 10**12 + 1)
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
+        assert main(["sweep", cfg, "--seeds", "7..9", "--out", str(tmp_path / "s")]) == 0
+        assert fake_popen.started == [7, 8, 9]
 
     def test_replay_metrics_defaults_to_the_runs_probe(self, tmp_path, capsys):
         cfg = self._write(
