@@ -11,7 +11,7 @@ from .c51 import (
     epsilon_schedule,
 )
 from .common import ReplayBuffer, Rollout, TrajectoryBatch, build_network, clip_gradients, gae
-from .ppo import PPOConfig, PPOLearner, gaussian_policy, normalize_advantages, ppo_loss
+from .ppo import PPOConfig, PPOLearner, gaussian_policy, normalize_advantages
 from .regression import RegressionLearner
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "gae",
     "gaussian_policy",
     "normalize_advantages",
-    "ppo_loss",
 ]

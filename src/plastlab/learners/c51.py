@@ -256,10 +256,9 @@ class C51Learner:
         return self.memo[key]
 
     def remember(self, obs, action, reward, next_obs, done) -> None:
-        tier = self.buffer.tier
+        # a widening keeps the target memo: a packed code is ceil(d/8) bytes,
+        # a float64 code 8d, so codes of the two tiers never share a key
         self.buffer.add(obs, action, reward, next_obs, done)
-        if self.buffer.tier != tier:  # codes of two tiers can collide (1-value rows)
-            self.target_memo = {}
 
     def update(self, step: int, stream: RngStream) -> dict[str, float] | None:
         """Train every train_frequency steps; hard-sync the target on schedule."""

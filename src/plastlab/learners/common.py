@@ -133,32 +133,17 @@ def _bit_rows(rows: np.ndarray) -> np.ndarray | None:
     return np.packbits(ones, axis=-1)
 
 
-def _byte_rows(rows: np.ndarray) -> np.ndarray | None:
-    """uint8 copies of the float64 rows, or None unless every value is a
-    whole number in [0, 255] that reads back bit for bit as float64."""
-    with np.errstate(invalid="ignore"):  # a lossy cast fails the comparison below
-        small = rows.astype(np.uint8)
-    return small if small.astype(np.float64).tobytes() == rows.tobytes() else None
-
-
-# storage tiers, narrowest first: how a tier encodes float64 rows (None when
-# it cannot hold them exactly) and the dtype of its unpacked values
-_TIERS = ((_bit_rows, np.uint8), (_byte_rows, np.uint8), (lambda rows: rows, np.float64))
-
-
 class ReplayBuffer:
     """Fixed-capacity ring of (s, a, r, s', done) transitions.
 
     `obs` and `next_obs` are views of the two halves of `store`, one
-    (2, capacity, width) array in the narrowest tier that holds every added
-    observation exactly: packed at one bit per value while every value is +0.0
-    or 1.0 (gridworld and FrameStack observations), then one byte per value
-    while each is a whole number in [0, 255], then float64. The first
-    observation a tier cannot hold widens the buffer to the next tier that
-    can, for good, re-storing the filled rows exactly. `sample` returns
-    float64 rows in every tier, so learners read the same values, and each
-    next observation's stored row as `next_codes` (two rows hold the same
-    observation exactly when their codes are equal, within one tier).
+    (2, capacity, width) array packed at one bit per value while every added
+    observation is +0.0 or 1.0 (gridworld and FrameStack observations), as
+    float64 from the first one that is not: that add widens the buffer for
+    good, re-storing the filled rows exactly. `sample` returns float64 rows
+    in both tiers, so learners read the same values, and each next
+    observation's stored row as `next_codes` (two rows hold the same
+    observation exactly when their codes are equal).
     """
 
     def __init__(self, capacity: int, obs_dim: int):
@@ -166,7 +151,7 @@ class ReplayBuffer:
             raise InvalidInputError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.obs_dim = obs_dim
-        self.tier = 0
+        self.tier = 0  # 0: packed bits, 1: float64
         self.store = np.zeros((2, capacity, -(-obs_dim // 8)), dtype=np.uint8)
         self.obs, self.next_obs = self.store
         self.actions = np.zeros(capacity, dtype=np.int64)
@@ -180,27 +165,25 @@ class ReplayBuffer:
         return self.size
 
     def _values(self, stored: np.ndarray) -> np.ndarray:
-        """Stored rows as values of the tier's dtype."""
+        """Stored rows as values: unpacked bits, or the float64 rows themselves."""
         if self.tier == 0:
             return np.unpackbits(stored, axis=-1, count=self.obs_dim)
         return stored
 
-    def _widen(self, tier: int) -> None:
-        wide = np.zeros((2, self.capacity, self.obs_dim), dtype=_TIERS[tier][1])
+    def _widen(self) -> None:
+        wide = np.zeros((2, self.capacity, self.obs_dim))
         wide[:, : self.size] = self._values(self.store[:, : self.size])
-        self.store, self.tier = wide, tier
+        self.store, self.tier = wide, 1
         self.obs, self.next_obs = wide
 
     def add(self, obs, action, reward, next_obs, done) -> None:
         i = self.cursor
         rows = self._pair
         rows[0], rows[1] = obs, next_obs
-        for tier in range(self.tier, len(_TIERS)):
-            stored = _TIERS[tier][0](rows)
-            if stored is not None:
-                break
-        if tier != self.tier:
-            self._widen(tier)
+        stored = _bit_rows(rows) if self.tier == 0 else rows
+        if stored is None:
+            self._widen()
+            stored = rows
         self.store[:, i] = stored
         self.actions[i] = action
         self.rewards[i] = reward

@@ -42,33 +42,17 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
     return (adv - adv.mean()) / (adv.std() + 1e-8)
 
 
-def ppo_loss(
-    batch: TrajectoryBatch,
-    new_log_probs: np.ndarray,
-    new_values: np.ndarray,
-    entropy: np.ndarray,
-    clip_eps: float,
-    vf_coef: float,
-    ent_coef: float,
-    value_clip: float = 0.2,
-) -> tuple[float, dict[str, float]]:
-    """Clipped surrogate + clipped value regression - entropy bonus.
+def _clipped_objective(
+    batch, new_log_probs, new_values, entropy, clip_eps, vf_coef, ent_coef, value_clip
+):
+    """Clipped surrogate + clipped value regression - entropy bonus, as
+    (total, parts, terms): the per-sample terms its analytic gradient reads
+    are (normalized advantages, ratio, value error, clipped value error).
 
     Advantages are normalized here, per mini-batch. The value term regresses
     against GAE returns, keeping the clipped branch when it is worse (the
     pessimistic max).
     """
-    return _clipped_objective(
-        batch, new_log_probs, new_values, entropy, clip_eps, vf_coef, ent_coef, value_clip
-    )[:2]
-
-
-def _clipped_objective(
-    batch, new_log_probs, new_values, entropy, clip_eps, vf_coef, ent_coef, value_clip
-):
-    """ppo_loss's (total, parts), plus the per-sample terms its analytic
-    gradient reads: (normalized advantages, ratio, value error, clipped
-    value error)."""
     if clip_eps <= 0.0:
         raise InvalidInputError(f"clip_eps must be > 0, got {clip_eps}")
     if batch.advantages is None or batch.returns is None:
@@ -120,7 +104,7 @@ def gaussian_policy(
 class PPOLearner:
     """Rollout-consuming PPO update loop over one shared-torso network.
 
-    `reg_terms` is a list of (kind, alpha, s) regularizers added to every
+    `reg_terms` is a list of (method, alpha, s) regularizers added to every
     minibatch loss; the optimizer is whatever the mitigation plan selected.
     """
 

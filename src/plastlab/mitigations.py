@@ -6,8 +6,8 @@ structured optimizers. Every mutating operation is deterministic given the
 network state and the stream handed to it.
 
 The registry at the bottom is the single source of truth for method names,
-parameter schemas, default triggers, and the original publications the
-methods come from; the CLI and config validation both read it.
+parameter schemas, default triggers, network needs and the original
+publications; the CLI, config validation and the run loop all read it.
 """
 
 from __future__ import annotations
@@ -40,36 +40,36 @@ from .numkit import DrawAhead, RngStream, erfi
 @dataclass(frozen=True)
 class Trigger:
     """When a plan entry fires: every_k_steps(k), on_task_switch,
-    once_at(step), or per_gradient_step."""
+    once_at(step), or per_gradient_step. `str` gives the spelling `parse` reads."""
 
     kind: str
-    k: int | None = None
-    step: int | None = None
+    arg: int | None = None  # k or step
 
     def __post_init__(self) -> None:
         if self.kind not in ("every_k_steps", "on_task_switch", "once_at", "per_gradient_step"):
             raise MitigationError(f"unknown trigger kind {self.kind!r}")
-        if self.kind == "every_k_steps" and (self.k is None or self.k < 1):
-            raise MitigationError("every_k_steps needs k >= 1")
-        if self.kind == "once_at" and (self.step is None or self.step < 0):
-            raise MitigationError("once_at needs step >= 0")
+        least = {"every_k_steps": 1, "once_at": 0}.get(self.kind)  # None: the kind takes no argument
+        if least is None and self.arg is not None:
+            raise MitigationError(f"trigger {self.kind} takes no argument")
+        if least is not None and (self.arg is None or self.arg < least):
+            raise MitigationError(f"{self.kind} needs an argument >= {least}")
 
+    @classmethod
+    def parse(cls, text: str) -> Trigger:
+        m = re.fullmatch(r"([a-z_]+)(?:\((\d+)\))?", text.strip())
+        if m is None:
+            raise MitigationError(f"malformed trigger {text!r}")
+        return cls(m.group(1), None if m.group(2) is None else int(m.group(2)))
 
-_TRIGGER_RE = re.compile(r"^([a-z_]+)(?:\((\d+)\))?$")
+    def __str__(self) -> str:
+        return self.kind if self.arg is None else f"{self.kind}({self.arg})"
 
-
-def parse_trigger(text: str) -> Trigger:
-    m = _TRIGGER_RE.match(text.strip())
-    if m is None:
-        raise MitigationError(f"malformed trigger {text!r}")
-    kind, arg = m.group(1), m.group(2)
-    if kind == "every_k_steps":
-        return Trigger(kind, k=int(arg) if arg else None)
-    if kind == "once_at":
-        return Trigger(kind, step=int(arg) if arg else None)
-    if arg is not None:
-        raise MitigationError(f"trigger {kind} takes no argument")
-    return Trigger(kind)
+    def fires(self, step: int, switched: bool) -> bool:
+        """Whether the entry runs before `step` (`switched`: the step opens a
+        task); per_gradient_step entries run after each gradient step instead."""
+        if self.kind == "every_k_steps":
+            return step > 0 and step % self.arg == 0
+        return switched if self.kind == "on_task_switch" else step == self.arg
 
 
 @dataclass(frozen=True)
@@ -79,41 +79,34 @@ class PlanEntry:
     trigger: Trigger
 
 
-@dataclass(frozen=True)
-class MitigationPlan:
-    entries: tuple[PlanEntry, ...]
-
-
-def build_plan(raw_entries: list[dict]) -> MitigationPlan:
-    """Validate raw config entries against the registry and fill defaults."""
+def build_plan(raw_entries: list[dict]) -> tuple[PlanEntry, ...]:
+    """Validate raw config entries against the registry and fill defaults.
+    Only event methods take a trigger other than their default; any other
+    trigger is an error, not a setting ignored."""
     entries = []
-    optimizers = 0
-    for raw in raw_entries:
-        name = raw.get("method")
-        if name not in REGISTRY:
-            raise MitigationError(f"unknown mitigation method {name!r}")
-        spec = REGISTRY[name]
-        params = dict(spec.params)
-        for key, value in (raw.get("params") or {}).items():
-            if key not in spec.params:
-                raise MitigationError(f"{name} does not take parameter {key!r}")
-            params[key] = value
-        trigger = spec.default_trigger
-        if raw.get("trigger") is not None:
-            trigger = parse_trigger(raw["trigger"])
+    for i, raw in enumerate(raw_entries):
+        try:
+            name, given = raw.get("method"), raw.get("params") or {}
+            if name not in REGISTRY:
+                raise MitigationError(f"unknown mitigation method {name!r}")
+            spec = REGISTRY[name]
+            for key in given:
+                if key not in spec.params:
+                    raise MitigationError(f"{name} does not take parameter {key!r}")
+            trigger = spec.default_trigger if raw.get("trigger") is None else Trigger.parse(raw["trigger"])
+            if spec.kind != "event" and trigger != spec.default_trigger:
+                raise MitigationError(
+                    f"the {spec.kind} method {name} always runs {spec.default_trigger}; "
+                    f"trigger {trigger} has no effect"
+                )
+        except MitigationError as exc:
+            raise MitigationError(f"mitigations[{i}]: {exc}") from None
         # the per-gradient-step mode of SnP (soft SnP) wants a much milder beta
-        if (
-            name == "shrink_perturb"
-            and trigger.kind == "per_gradient_step"
-            and "beta" not in (raw.get("params") or {})
-        ):
-            params["beta"] = 1e-4
-        if spec.kind == "optimizer":
-            optimizers += 1
-        entries.append(PlanEntry(name, params, trigger))
-    if optimizers > 1:
+        soft = {"beta": 1e-4} if name == "shrink_perturb" and trigger.kind == "per_gradient_step" else {}
+        entries.append(PlanEntry(name, {**spec.params, **soft, **given}, trigger))
+    if sum(REGISTRY[entry.method].kind == "optimizer" for entry in entries) > 1:
         raise MitigationError("at most one optimizer method per plan")
-    return MitigationPlan(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -243,33 +236,28 @@ def nap_project(net: NetworkState) -> NetworkState:
 
 
 def reg_loss(
-    kind: str, net: NetworkState, alpha: float, s: float = 1.0
+    method: str, net: NetworkState, alpha: float, s: float = 1.0
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Regularizer value and its gradient contribution per trainable param.
+    """A regularization method's value and its gradient contribution per
+    trainable param, by registry name.
 
-    l2: alpha*||theta||^2. regenerative: alpha*||theta - theta_init||^2.
-    parseval: alpha * sum over hidden weights of ||W W^T - s I||_F (not
+    l2_reg: alpha*||theta||^2. regenerative_reg: alpha*||theta - theta_init||^2.
+    parseval_reg: alpha * sum over hidden weights of ||W W^T - s I||_F (not
     squared), pushing rows toward an orthonormal frame of scale sqrt(s).
     """
     if alpha < 0.0:
         raise InvalidInputError(f"alpha must be >= 0, got {alpha}")
-    if kind == "parseval" and s <= 0.0:
+    if method == "parseval_reg" and s <= 0.0:
         raise InvalidInputError(f"parseval scale must be > 0, got {s}")
     value = 0.0
     grads: dict[str, np.ndarray] = {}
-    if kind == "l2":
+    if method in ("l2_reg", "regenerative_reg"):
         for name in net.trainable_names():
-            theta = net.params[name]
-            value += float(np.sum(theta * theta))
-            grads[name] = 2.0 * alpha * theta
-        return alpha * value, grads
-    if kind == "regenerative":
-        for name in net.trainable_names():
-            d = net.params[name] - net.init_snapshot[name]
+            d = net.params[name] if method == "l2_reg" else net.params[name] - net.init_snapshot[name]
             value += float(np.sum(d * d))
             grads[name] = 2.0 * alpha * d
         return alpha * value, grads
-    if kind == "parseval":
+    if method == "parseval_reg":
         eye_cache: dict[int, np.ndarray] = {}
         for i in range(len(net.layers) - 1):
             name = f"layer{i}.w"
@@ -285,7 +273,7 @@ def reg_loss(
             # differentiable at M = 0, so take the zero subgradient there
             grads[name] = (2.0 * alpha / norm) * (m @ w) if norm > 1e-12 else np.zeros_like(w)
         return alpha * value, grads
-    raise InvalidInputError(f"unknown regularizer kind {kind!r}")
+    raise InvalidInputError(f"unknown regularization method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +408,18 @@ class Trac:
             sigmas[j] = (self.trac_eps / _ERFI_HALF_INV_SQRT2) * erfi(float(arg))
         self.trac_scale = max(0.0, float(sigmas.sum()))
         for name in by_name:
-            self.written[name] = trac_combine(self.theta_ref[name], self.iterate[name], self.trac_scale)
+            self.written[name] = self.combine(self.theta_ref[name], self.iterate[name], self.trac_scale)
             net.params[name] = self.written[name].copy()
 
-
-def trac_combine(ref: np.ndarray, candidate: np.ndarray, scale: float) -> np.ndarray:
-    """theta_ref + scale * (candidate - theta_ref); scale 0 and 1 return the
-    endpoints exactly."""
-    if scale == 0.0:
-        return ref.copy()
-    if scale == 1.0:
-        return candidate.copy()
-    return ref + scale * (candidate - ref)
+    @staticmethod
+    def combine(ref: np.ndarray, candidate: np.ndarray, scale: float) -> np.ndarray:
+        """theta_ref + scale * (candidate - theta_ref); scale 0 and 1 return the
+        endpoints exactly."""
+        if scale == 0.0:
+            return ref.copy()
+        if scale == 1.0:
+            return candidate.copy()
+        return ref + scale * (candidate - ref)
 
 
 class Kron:
@@ -470,7 +458,7 @@ class Kron:
                 self.factors_a[prefix] = a_new
                 self.factors_s[prefix] = s_new
             w_name, b_name = f"{prefix}.w", f"{prefix}.b"
-            pre_w, pre_b = kron_precondition(self, prefix, grads.by_name[w_name], grads.by_name[b_name])
+            pre_w, pre_b = self.precondition(prefix, grads.by_name[w_name], grads.by_name[b_name])
             net.params[w_name] = net.params[w_name] - lr * pre_w
             net.params[b_name] = net.params[b_name] - lr * pre_b
             covered |= {w_name, b_name}
@@ -479,27 +467,24 @@ class Kron:
                 net.params[name] = net.params[name] - lr * g
         self.t += 1
 
-
-def kron_precondition(
-    opt: Kron, prefix: str, g_w: np.ndarray, g_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply (S + lambda I)^-1 G (A + lambda I)^-1 with the bias folded into
-    G's last column; falls back to diagonal preconditioning when a factor
-    does not invert."""
-    g_ext = np.concatenate([g_w, g_b[:, None]], axis=1)
-    a, s = opt.factors_a[prefix], opt.factors_s[prefix]
-    if prefix not in opt.inv_a or opt.t % opt.t_inv == 0:
-        try:
-            opt.inv_a[prefix] = np.linalg.inv(a + opt.damping * np.eye(a.shape[0]))
-            opt.inv_s[prefix] = np.linalg.inv(s + opt.damping * np.eye(s.shape[0]))
-        except np.linalg.LinAlgError:
-            opt.fallback_count += 1
-            opt.inv_a.pop(prefix, None)
-            opt.inv_s.pop(prefix, None)
-            pre = g_ext / (np.diag(s) + opt.damping)[:, None] / (np.diag(a) + opt.damping)[None, :]
-            return pre[:, :-1], pre[:, -1]
-    pre = opt.inv_s[prefix] @ g_ext @ opt.inv_a[prefix]
-    return pre[:, :-1], pre[:, -1]
+    def precondition(self, prefix: str, g_w: np.ndarray, g_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Apply (S + lambda I)^-1 G (A + lambda I)^-1 with the bias folded into
+        G's last column; falls back to diagonal preconditioning when a factor
+        does not invert."""
+        g_ext = np.concatenate([g_w, g_b[:, None]], axis=1)
+        a, s = self.factors_a[prefix], self.factors_s[prefix]
+        if prefix not in self.inv_a or self.t % self.t_inv == 0:
+            try:
+                self.inv_a[prefix] = np.linalg.inv(a + self.damping * np.eye(a.shape[0]))
+                self.inv_s[prefix] = np.linalg.inv(s + self.damping * np.eye(s.shape[0]))
+            except np.linalg.LinAlgError:
+                self.fallback_count += 1
+                self.inv_a.pop(prefix, None)
+                self.inv_s.pop(prefix, None)
+                pre = g_ext / (np.diag(s) + self.damping)[:, None] / (np.diag(a) + self.damping)[None, :]
+                return pre[:, :-1], pre[:, -1]
+        pre = self.inv_s[prefix] @ g_ext @ self.inv_a[prefix]
+        return pre[:, :-1], pre[:, -1]
 
 
 Optimizer = Adam | Trac | Kron
@@ -534,7 +519,8 @@ class MethodSpec:
     kind: "event" methods mutate the network when their trigger fires;
     "loss" methods add a differentiable term each gradient step; "optimizer"
     methods replace the update rule; "spec" methods are architecture choices
-    checked once at startup.
+    checked once at startup. network: the (field, value) pairs the method
+    needs on every hidden layer; the config sets them and the run checks them.
     """
 
     name: str
@@ -544,10 +530,7 @@ class MethodSpec:
     default_trigger: Trigger
     reference: str
     summary: str
-
-
-def _spec_trigger() -> Trigger:
-    return Trigger("once_at", step=0)
+    network: tuple[tuple[str, object], ...] = ()
 
 
 REGISTRY: dict[str, MethodSpec] = {
@@ -567,7 +550,7 @@ REGISTRY: dict[str, MethodSpec] = {
         ),
         MethodSpec(
             "redo", "reset", "event", {"tau": 0.025},
-            Trigger("every_k_steps", k=1000), "Sokar et al. (2023)",
+            Trigger("every_k_steps", 1000), "Sokar et al. (2023)",
             "reinitialize dormant units and zero their outgoing weights",
         ),
         MethodSpec(
@@ -577,13 +560,15 @@ REGISTRY: dict[str, MethodSpec] = {
         ),
         MethodSpec(
             "layer_norm", "normalization", "spec", {},
-            _spec_trigger(), "Ba et al. (2016)",
+            Trigger("once_at", 0), "Ba et al. (2016)",
             "normalize pre-activations on every hidden layer",
+            network=(("layer_norm", True),),
         ),
         MethodSpec(
             "nap", "normalization", "event", {},
             Trigger("per_gradient_step"), "Lyle et al. (2024)",
             "layer_norm plus periodic projection of weight norms to init",
+            network=(("layer_norm", True),),
         ),
         MethodSpec(
             "l2_reg", "regularization", "loss", {"alpha": 1e-4},
@@ -602,13 +587,15 @@ REGISTRY: dict[str, MethodSpec] = {
         ),
         MethodSpec(
             "crelu", "activation", "spec", {},
-            _spec_trigger(), "Abbas et al. (2023)",
+            Trigger("once_at", 0), "Abbas et al. (2023)",
             "concatenated ReLU activations, doubling layer width",
+            network=(("activation", "crelu"),),
         ),
         MethodSpec(
             "fourier", "activation", "spec", {},
-            _spec_trigger(), "Lewandowski et al. (2025)",
+            Trigger("once_at", 0), "Lewandowski et al. (2025)",
             "concatenated sin/cos activations, doubling layer width",
+            network=(("activation", "fourier"),),
         ),
         MethodSpec(
             "trac", "optimizer", "optimizer", {"trac_eps": 1e-8},
@@ -624,17 +611,12 @@ REGISTRY: dict[str, MethodSpec] = {
 }
 
 
-def validate_network_for_plan(plan: MitigationPlan, net: NetworkState) -> None:
-    """Check architecture-level methods against the actual network spec."""
-    hidden = net.layers[:-1]
-    for entry in plan.entries:
-        if entry.method == "layer_norm" and not all(s.layer_norm for s in hidden):
-            raise MitigationError("layer_norm plan entry requires layer_norm on hidden layers")
-        if entry.method == "nap" and not all(s.layer_norm for s in hidden):
-            raise MitigationError("nap requires layer_norm on hidden layers")
-        if entry.method in ("crelu", "fourier"):
-            if not any(s.activation == entry.method for s in net.layers):
-                raise MitigationError(f"{entry.method} plan entry but no layer uses it")
+def validate_network_for_plan(plan: tuple[PlanEntry, ...], net: NetworkState) -> None:
+    """Check each entry's `network` needs against every hidden layer."""
+    for entry in plan:
+        for field, value in REGISTRY[entry.method].network:
+            if any(getattr(spec, field) != value for spec in net.layers[:-1]):
+                raise MitigationError(f"{entry.method} requires {field} {value!r} on every hidden layer")
 
 
 def apply_event_method(

@@ -28,8 +28,6 @@ from .loop import replay_metrics, run_experiment
 
 _VALIDATION_ERRORS = (ConfigError, MitigationError, SpecError, InvalidInputError, CheckpointError)
 
-_CATEGORY_ORDER = ("reset", "normalization", "regularization", "activation", "optimizer")
-
 
 def _parse_seed_range(text: str) -> range | list[int]:
     """Accepts 'a..b' (inclusive, as a range, so no list is built) or a
@@ -55,29 +53,19 @@ def _parse_seed_range(text: str) -> range | list[int]:
 
 
 def _registry_document() -> list[dict]:
-    doc = []
-    for category in _CATEGORY_ORDER:
-        for name, spec in REGISTRY.items():
-            if spec.category != category:
-                continue
-            trig = spec.default_trigger
-            trigger = trig.kind
-            if trig.k is not None:
-                trigger = f"{trig.kind}({trig.k})"
-            elif trig.step is not None:
-                trigger = f"{trig.kind}({trig.step})"
-            doc.append(
-                {
-                    "name": name,
-                    "category": category,
-                    "kind": spec.kind,
-                    "params": dict(spec.params),
-                    "default_trigger": trigger,
-                    "reference": spec.reference,
-                    "summary": spec.summary,
-                }
-            )
-    return doc
+    # the registry lists each category's methods together
+    return [
+        {
+            "name": name,
+            "category": spec.category,
+            "kind": spec.kind,
+            "params": dict(spec.params),
+            "default_trigger": str(spec.default_trigger),
+            "reference": spec.reference,
+            "summary": spec.summary,
+        }
+        for name, spec in REGISTRY.items()
+    ]
 
 
 def _cmd_run(args) -> int:

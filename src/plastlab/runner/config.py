@@ -116,6 +116,9 @@ _BOUNDS = {
     "init_std": "(0, inf)",
     "gamma": "[0, 1]",
     "gae_lambda": "[0, 1]",
+    "vf_coef": "[0, inf)",
+    "ent_coef": "[0, inf)",
+    "value_clip": "[0, inf)",
     "v_max": "(v_min, inf)",
     "exploration_fraction": "(0, 1]",
     "beta": "[0, 1]",
@@ -259,7 +262,7 @@ def _resolve_mitigations(raw) -> tuple[dict, ...]:
         plan = build_plan(entries)
     except MitigationError as exc:
         raise ConfigError(f"invalid mitigation plan: {exc}") from exc
-    for i, (entry, planned) in enumerate(zip(entries, plan.entries)):
+    for i, (entry, planned) in enumerate(zip(entries, plan)):
         for key in entry.get("params") or {}:
             default = REGISTRY[planned.method].params[key]
             _coerce_field(f"mitigations[{i}].params.{key}", planned.params[key], default)
@@ -267,15 +270,13 @@ def _resolve_mitigations(raw) -> tuple[dict, ...]:
 
 
 def _resolve_network(raw, mitigations: tuple[dict, ...]) -> NetworkConfig:
-    # architecture-kind plan entries imply network settings; explicit
+    # a method's registry `network` needs become derived defaults; explicit
     # contradictions are configuration mistakes, not silent overrides
-    methods = {e["method"] for e in mitigations}
-    acts = sorted(methods & {"crelu", "fourier"})
-    if len(acts) > 1:
-        raise ConfigError("mitigation plan requests both crelu and fourier activations")
-    implied = {"activation": acts[0]} if acts else {}
-    if methods & {"layer_norm", "nap"}:
-        implied["layer_norm"] = True
+    implied: dict = {}
+    for entry in mitigations:
+        for name, value in REGISTRY[entry["method"]].network:
+            if implied.setdefault(name, value) != value:
+                raise ConfigError(f"mitigation plan requests both {implied[name]!r} and {value!r} as network.{name}")
     why = {k: f"conflicts with the mitigation plan, which sets {v!r}" for k, v in implied.items()}
     return _fill(NetworkConfig, raw, "network.", implied, lambda v: why)
 

@@ -64,8 +64,6 @@ ACT_MEMO_CAP = 1024
 DRAW_AHEAD = 8
 AHEAD_BYTES = 2 << 20  # 2 MiB: eight draws of the probe net's inits
 
-_REG_KIND = {"l2_reg": "l2", "regenerative_reg": "regenerative", "parseval_reg": "parseval"}
-
 
 @dataclass
 class RunArtifacts:
@@ -201,19 +199,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     plan = build_plan(list(cfg.mitigations))
     validate_network_for_plan(plan, net)
 
-    reg_terms = []
-    opt_kind, opt_hyper = "adam", {}
-    events: list[tuple[int, object]] = []
-    for i, entry in enumerate(plan.entries):
-        kind = REGISTRY[entry.method].kind
-        if kind == "loss":
-            alpha = float(entry.params["alpha"])
-            s = float(entry.params.get("s", 1.0))
-            reg_terms.append((_REG_KIND[entry.method], alpha, s))
-        elif kind == "optimizer":
-            opt_kind, opt_hyper = entry.method, dict(entry.params)
-        elif kind == "event":
-            events.append((i, entry))
+    kinds = [REGISTRY[entry.method].kind for entry in plan]
+    reg_terms = tuple(
+        (entry.method, float(entry.params["alpha"]), float(entry.params.get("s", 1.0)))
+        for entry, kind in zip(plan, kinds) if kind == "loss"
+    )
+    # build_plan allows one optimizer entry at most; without one, plain Adam
+    opt_kind, opt_hyper = next(
+        ((entry.method, entry.params) for entry, kind in zip(plan, kinds) if kind == "optimizer"), ("adam", {})
+    )
+    events = [(i, entry) for i, (entry, kind) in enumerate(zip(plan, kinds)) if kind == "event"]
     pgs_entries = [(i, entry) for i, entry in events if entry.trigger.kind == "per_gradient_step"]
     # only event entries count their firings; the other kinds are derived at the end
     fires = {i: 0 for i, _ in events}
@@ -222,15 +217,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     ppo = cfg.algo == "ppo"
     normalizer = RewardNormalizer(cfg.learner.gamma) if cfg.scenario.reward_normalization else None
     if ppo:
-        learner = PPOLearner(net, n_actions, discrete, cfg.learner, opt, tuple(reg_terms))
+        learner = PPOLearner(net, n_actions, discrete, cfg.learner, opt, reg_terms)
         rows = min(cfg.learner.rollout_len, cfg.total_steps)
         rollout = Rollout(rows, obs_dim, None if discrete else n_actions)
     elif cfg.algo == "c51":
         # the ring never holds more rows than the run adds; capping it moves no sample
         c51_cfg = replace(cfg.learner, buffer_size=min(cfg.learner.buffer_size, cfg.total_steps))
-        learner = C51Learner(net, n_actions, c51_cfg, opt, obs_dim, tuple(reg_terms))
+        learner = C51Learner(net, n_actions, c51_cfg, opt, obs_dim, reg_terms)
     else:
-        learner = RegressionLearner(net, opt, cfg.learner.lr, tuple(reg_terms))
+        learner = RegressionLearner(net, opt, cfg.learner.lr, reg_terms)
         batches = _draw_ahead(batch_work_bytes(cfg.learner.batch_size))
 
     # gradient steps (with their per-gradient-step methods) and event firings
@@ -293,14 +288,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 if normalizer is not None:
                     normalizer.ret = 0.0
             for i, entry in events:
-                trig = entry.trigger
-                if trig.kind == "every_k_steps":
-                    fire = step > 0 and step % trig.k == 0
-                elif trig.kind == "on_task_switch":
-                    fire = switched
-                else:  # per_gradient_step entries fire in _post_step
-                    fire = trig.kind == "once_at" and step == trig.step
-                if fire:
+                if entry.trigger.fires(step, switched):
                     info = apply_event_method(entry, net, mit_stream, probe=probe)
                     if entry.method == "reset_layers" and entry.params.get("scope") == "all":
                         # a full redraw leaves no parameters the old moment
@@ -361,10 +349,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         error = exc
 
     # spec entries (architecture checks) fire once, at startup; loss and optimizer ones per update
-    trigger_fires = {}
-    for i, entry in enumerate(plan.entries):
-        derived = 1 if REGISTRY[entry.method].kind == "spec" else gradient_steps
-        trigger_fires[f"{i}:{entry.method}:{entry.trigger.kind}"] = fires.get(i, derived)
+    trigger_fires = {
+        f"{i}:{entry.method}:{entry.trigger.kind}": fires.get(i, 1 if kind == "spec" else gradient_steps)
+        for i, (entry, kind) in enumerate(zip(plan, kinds))
+    }
 
     summary = {
         "algo": cfg.algo,

@@ -22,8 +22,8 @@ from plastlab.learners import (
     c51_support,
     categorical_projection_batch,
     gae,
-    ppo_loss,
 )
+from plastlab.learners.ppo import _clipped_objective
 from plastlab.metrics import (
     active_fraction,
     dormant_ratio,
@@ -32,14 +32,13 @@ from plastlab.metrics import (
     stable_rank,
 )
 from plastlab.mitigations import (
-    kron_precondition,
     make_optimizer,
     nap_project,
     optimizer_step,
     redo_reset,
     reg_loss,
     shrink_perturb,
-    trac_combine,
+    Trac,
 )
 from plastlab.net import (
     ForwardTrace,
@@ -68,7 +67,7 @@ def headline(num, name, ok, detail):
 #    x layer_norm x each loss regularizer
 
 
-_REGS = {"l2": (1e-2, 1.0), "regenerative": (1e-2, 1.0), "parseval": (1e-3, 1.0)}
+_REGS = {"l2_reg": (1e-2, 1.0), "regenerative_reg": (1e-2, 1.0), "parseval_reg": (1e-3, 1.0)}
 
 
 def _total_loss(net, x, y, kind, alpha, s):
@@ -434,10 +433,10 @@ def test_5_policy_gradient_machinery():
     )
     batch.advantages = stream.normal(0.0, 2.0, 64)
     batch.returns = batch.advantages + batch.values
-    _, parts = ppo_loss(
+    _, parts = _clipped_objective(
         batch, batch.log_probs.copy(), batch.values.copy(),
-        entropy=np.full(64, 1.3), clip_eps=0.2, vf_coef=0.5, ent_coef=0.0,
-    )
+        entropy=np.full(64, 1.3), clip_eps=0.2, vf_coef=0.5, ent_coef=0.0, value_clip=0.2,
+    )[:2]
     old_policy_loss = abs(parts["policy"])
 
     best = [_gridworld_best_window(seed) for seed in (0, 1, 2, 3)]
@@ -602,7 +601,7 @@ def test_8_optimizer_contracts():
     optimizer_step(opt, net, None, random_grads(), lr=1e-3)
     at_ref = all(np.array_equal(net.params[k], opt.theta_ref[k]) for k in names)
     ref = np.array([1.0, -2.0])
-    combine_exact = np.array_equal(trac_combine(ref, np.array([5.0, 7.0]), 0.0), ref)
+    combine_exact = np.array_equal(Trac.combine(ref, np.array([5.0, 7.0]), 0.0), ref)
 
     # a zero scale parks the parameters exactly on the reference, where the
     # correlation signal vanishes; keep the tuner live by nudging off it
@@ -628,7 +627,7 @@ def test_8_optimizer_contracts():
     kron.factors_s["layer0"] = np.eye(6)
     g_w = RngStream(65, 0).normal(0.0, 1.0, 30).reshape(6, 5)
     g_b = RngStream(66, 0).normal(0.0, 1.0, 6)
-    pre_w, pre_b = kron_precondition(kron, "layer0", g_w, g_b)
+    pre_w, pre_b = kron.precondition("layer0", g_w, g_b)
     kron_err = max(
         float(np.max(np.abs(pre_w - g_w))), float(np.max(np.abs(pre_b - g_b)))
     )

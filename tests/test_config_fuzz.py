@@ -1,7 +1,7 @@
 """Config fuzzing: the golden configs with one value replaced by a wrong type,
-a negative, NaN/inf, null, a huge int or an unknown key. Every example runs
-`plastlab run` in this process for at most 20 steps and must exit 0, 2 or 3;
-no exception may escape."""
+a negative, NaN/inf, null, a huge int, trigger text or an unknown key. Every
+example runs `plastlab run` in this process for at most 20 steps and must exit
+0, 2 or 3; no exception may escape."""
 
 import copy
 import dataclasses
@@ -41,6 +41,13 @@ _BAD = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _HUGE = st.integers(10**9, 10**30)
+# well-formed trigger text of every kind: args 0, 1 and 10**30, a missing
+# arg and a spare one
+_TRIGGERS = st.sampled_from([
+    f"{kind}{arg}"
+    for kind in ("every_k_steps", "once_at", "on_task_switch", "per_gradient_step")
+    for arg in ("", "(0)", "(1)", f"({10**30})")
+])
 
 
 def _paths(cfg: dict) -> list[tuple]:
@@ -79,6 +86,8 @@ def mutated_configs(draw):
         path = path[:-1] + (draw(st.sampled_from(["lrr", "extra", "name", "1"])),)
     huge_ok = path[-1] not in _SIZES and path[-1] != "total_steps"
     value = draw(st.one_of(_BAD, _HUGE) if huge_ok else _BAD)
+    if path[-1] == "trigger" and draw(st.booleans()):
+        value = draw(_TRIGGERS)
     if path == ("total_steps",) and (value is None or (type(value) is int and value > _TOTAL)):
         value = _TOTAL
     _set(cfg, path, value)

@@ -21,7 +21,6 @@ from plastlab.learners import (
     gae,
     gaussian_policy,
     normalize_advantages,
-    ppo_loss,
 )
 from plastlab.learners import c51 as c51_module
 from plastlab.learners import ppo as ppo_module
@@ -178,9 +177,9 @@ class TestGae:
 class TestPpoLoss:
     def test_on_policy_identity(self):
         batch = random_batch(RngStream(5, 0), 32)
-        total, parts = ppo_loss(
-            batch, batch.log_probs.copy(), batch.values.copy(), np.ones(32), 0.2, 0.5, 0.0
-        )
+        total, parts = _clipped_objective(
+            batch, batch.log_probs.copy(), batch.values.copy(), np.ones(32), 0.2, 0.5, 0.0, 0.2
+        )[:2]
         assert abs(parts["policy"]) < 1e-8
 
     def test_matches_transcription_oracle(self):
@@ -189,7 +188,7 @@ class TestPpoLoss:
         nlp = batch.log_probs + stream.normal(0, 0.3, 24)
         nv = batch.values + stream.normal(0, 0.5, 24)
         ent = np.abs(stream.normal(1, 0.2, 24))
-        total, _ = ppo_loss(batch, nlp, nv, ent, 0.2, 0.5, 0.01)
+        total, _ = _clipped_objective(batch, nlp, nv, ent, 0.2, 0.5, 0.01, 0.2)[:2]
         oracle = ppo_loss_transcription(batch, nlp, nv, ent, 0.2, 0.5, 0.01, 0.2)
         assert abs(total - oracle) < 1e-10
 
@@ -202,7 +201,7 @@ class TestPpoLoss:
         for bump in (2.0, 3.0):
             nlp = batch.log_probs.copy()
             nlp[0] += np.log(1.0 + bump * 0.2)
-            _, parts = ppo_loss(batch, nlp, batch.values, np.zeros(2), 0.2, 0.0, 0.0)
+            _, parts = _clipped_objective(batch, nlp, batch.values, np.zeros(2), 0.2, 0.0, 0.0, 0.2)[:2]
             seen.append(parts["policy"])
         assert seen[0] == seen[1]
 
@@ -214,7 +213,7 @@ class TestPpoLoss:
         eps = 0.2
         nlp = batch.log_probs.copy()
         nlp[0] += np.log(1.0 + 2 * eps)
-        _, parts = ppo_loss(batch, nlp, batch.values, np.zeros(2), eps, 0.0, 0.0)
+        _, parts = _clipped_objective(batch, nlp, batch.values, np.zeros(2), eps, 0.0, 0.0, 0.2)[:2]
         adv = normalize_advantages(batch.advantages)
         expected = -((1.0 + eps) * adv[0] + 1.0 * adv[1]) / 2.0
         assert abs(parts["policy"] - expected) < 1e-12
@@ -223,14 +222,14 @@ class TestPpoLoss:
         batch = random_batch(RngStream(9, 0), 8)
         nlp = batch.log_probs + 1e4
         with pytest.raises(NumericError):
-            ppo_loss(batch, nlp, batch.values, np.zeros(8), 0.2, 0.5, 0.0)
+            _clipped_objective(batch, nlp, batch.values, np.zeros(8), 0.2, 0.5, 0.0, 0.2)
 
     def test_missing_advantages_rejected(self):
         stream = RngStream(10, 0)
         batch = random_batch(stream, 8)
         batch.advantages = None
         with pytest.raises(InvalidInputError):
-            ppo_loss(batch, batch.log_probs, batch.values, np.zeros(8), 0.2, 0.5, 0.0)
+            _clipped_objective(batch, batch.log_probs, batch.values, np.zeros(8), 0.2, 0.5, 0.0, 0.2)
 
     def test_saturated_samples_have_zero_gradient(self):
         # with every ratio pushed above the band, samples whose normalized
@@ -243,7 +242,7 @@ class TestPpoLoss:
         h = 1e-6
 
         def policy_term(v):
-            return ppo_loss(batch, v, batch.values, np.zeros(12), 0.2, 0.0, 0.0)[0]
+            return _clipped_objective(batch, v, batch.values, np.zeros(12), 0.2, 0.0, 0.0, 0.2)[0]
 
         assert np.any(adv > 0) and np.any(adv < 0)
         for i in range(12):
@@ -726,16 +725,23 @@ class TestC51TargetMemo:
         learner.update(4, ustream)
         assert learner.target_memo == {}
 
-    def test_widening_the_replay_empties_the_memo(self):
-        # one-value rows: the packed code of 1.0 and the byte code of 128.0
-        # are both the byte 0x80
-        learner, _ = make_c51(19, obs_dim=1)
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 324])
+    def test_codes_of_the_two_tiers_differ_in_length(self, dim):
+        # a packed code is ceil(d/8) bytes and a float64 code 8d, so a memo
+        # kept across a widening never answers a new row with an old entry
+        learner, _ = make_c51(19, obs_dim=dim)
         for i in range(40):
-            learner.remember(np.ones(1), i % 2, 0.0, np.ones(1), False)
+            learner.remember(np.ones(dim), i % 2, 0.0, np.ones(dim), False)
         learner.update(1, RngStream(7, 0))
-        assert len(learner.target_memo) == 1
-        learner.remember(np.full(1, 128.0), 0, 0.0, np.full(1, 128.0), False)
-        assert learner.buffer.tier == 1 and learner.target_memo == {}
+        packed = learner.buffer.sample(16, RngStream(8, 0))["next_codes"]
+        learner.remember(np.full(dim, 128.0), 0, 0.0, np.full(dim, 128.0), False)
+        assert learner.buffer.tier == 1 and len(learner.target_memo) == 1
+        batch = learner.buffer.sample(32, RngStream(8, 1))
+        for codes, width in ((packed, -(-dim // 8)), (batch["next_codes"], 8 * dim)):
+            keys = codes.view(f"V{codes.strides[0]}").ravel().tolist()
+            assert {len(key) for key in keys} == {width}
+        kept = c51_module._target_probs(learner.target, batch, 2, 51, learner.target_memo)
+        assert kept.tobytes() == c51_module._target_probs(learner.target, batch, 2, 51, {}).tobytes()
 
     def test_action_scatter_equals_the_per_action_loop(self):
         stream = RngStream(20, 0)
@@ -779,8 +785,8 @@ def collect_synthetic(learner, stream, n=64, obs_dim=4):
 def ppo_total_loss(learner, mb):
     _, nlp, ent, nv, _ = learner.evaluate_actions(mb.observations, mb.actions)
     cfg = learner.cfg
-    total, _ = ppo_loss(mb, nlp, nv, ent, cfg.clip_eps, cfg.vf_coef, cfg.ent_coef,
-                        cfg.value_clip)
+    total, _ = _clipped_objective(mb, nlp, nv, ent, cfg.clip_eps, cfg.vf_coef, cfg.ent_coef,
+                                  cfg.value_clip)[:2]
     return total
 
 
@@ -893,8 +899,8 @@ def two_pass_minibatch_step(learner, mb):
         ent = -np.sum(np.exp(log_all) * log_all, axis=1)
     else:
         _, nlp, ent = gaussian_policy(out[:, :-1], net.params["log_std"], actions=mb.actions)
-    total, parts = ppo_loss(mb, nlp, nv, ent, cfg.clip_eps, cfg.vf_coef, cfg.ent_coef,
-                            cfg.value_clip)
+    total, parts = _clipped_objective(mb, nlp, nv, ent, cfg.clip_eps, cfg.vf_coef, cfg.ent_coef,
+                                      cfg.value_clip)[:2]
     b = len(mb)
     adv = normalize_advantages(mb.advantages)
     ratio = np.exp(nlp - mb.log_probs)
@@ -947,7 +953,7 @@ class TestSharedLossTerms:
         learners = []
         for _ in range(2):
             learner, _ = make_ppo(39, discrete=discrete, n_actions=3, ent_coef=0.01)
-            learner.reg_terms = (("l2", 1e-3, 1.0),)
+            learner.reg_terms = (("l2_reg", 1e-3, 1.0),)
             learners.append(learner)
         shared, reference = learners
         traj = collect_synthetic(shared, RngStream(39, 2))
@@ -1113,8 +1119,9 @@ def _grid_row(i: int, dim: int = 6) -> np.ndarray:
     return row
 
 
-NON_BYTE_VALUES = {
+NON_BIT_VALUES = {
     "half": 0.5,
+    "whole_number": 255.0,
     "negative": -1.0,
     "above_255": 256.0,
     "nan": np.nan,
@@ -1126,19 +1133,6 @@ NON_BYTE_VALUES = {
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestReplayByteStorage:
-    def test_binary_and_byte_rows_round_trip_exactly(self):
-        rows = [_grid_row(i) for i in range(5)] + [np.arange(250.0, 256.0), np.arange(6.0)]
-        buf = ReplayBuffer(len(rows), 6)
-        for i, row in enumerate(rows):
-            buf.add(row, 0, 0.0, rows[(i + 1) % len(rows)], False)
-        assert buf.obs.dtype == np.uint8 and buf.next_obs.dtype == np.uint8
-        for i, row in enumerate(rows):
-            assert buf.obs[i].astype(np.float64).tobytes() == row.tobytes()
-        batch = buf.sample(32, RngStream(3, 0))
-        for name in ("obs", "next_obs"):
-            assert batch[name].dtype == np.float64
-            assert all(any(np.array_equal(got, r) for r in rows) for got in batch[name])
-
     def test_gridworld_observations_stay_bytes(self):
         from plastlab.envs import FrameStack, GridWorldEnv
 
@@ -1154,7 +1148,7 @@ class TestReplayByteStorage:
 
     @pytest.mark.parametrize("side", ["obs", "next_obs"])
     @pytest.mark.parametrize("wrapped", [False, True], ids=["before_wrap", "after_wrap"])
-    @pytest.mark.parametrize("kind", sorted(NON_BYTE_VALUES))
+    @pytest.mark.parametrize("kind", sorted(NON_BIT_VALUES))
     def test_widening_keeps_earlier_rows_bit_exact(self, kind, wrapped, side):
         capacity = 5
         buf = ReplayBuffer(capacity, 6)
@@ -1165,10 +1159,10 @@ class TestReplayByteStorage:
             expect["obs"][slot], expect["next_obs"][slot] = _grid_row(i), _grid_row(i + 1)
         assert buf.obs.dtype == np.uint8
         odd = _grid_row(7)
-        if NON_BYTE_VALUES[kind] is None:
+        if NON_BIT_VALUES[kind] is None:
             odd = RngStream(9, 0).normal(0.0, 1.0, 6)
         else:
-            odd[2] = NON_BYTE_VALUES[kind]
+            odd[2] = NON_BIT_VALUES[kind]
         new = {"obs": _grid_row(8), "next_obs": _grid_row(9)}
         new[side] = odd
         slot = buf.cursor
@@ -1225,31 +1219,31 @@ class TestReplayBitStorage:
         assert buf.obs.shape == buf.next_obs.shape == (capacity, -(-dim // 8))
         _assert_sample_matches(buf, oracle, seed)
 
+    @pytest.mark.parametrize("odd", [255.0, 0.5], ids=["whole_number", "fraction"])
     @pytest.mark.parametrize("wrapped", [False, True], ids=["before_wrap", "after_wrap"])
-    def test_widening_chain_keeps_earlier_rows_bit_exact(self, wrapped):
+    def test_widening_to_float64_keeps_earlier_rows_bit_exact(self, wrapped, odd):
         capacity, dim = 8, 9
-        b = capacity + 3 if wrapped else 3  # the first byte row; the first float64 row is b + 4
-        rows = _binary_rows(b + 6, dim, 4)
-        rows[b, 3] = 255.0
-        rows[b + 4, 5] = 0.5
+        b = capacity + 3 if wrapped else 3  # the first row that is not 0/1
+        rows = _binary_rows(b + 3, dim, 4)
+        rows[b, 3] = odd
         buf = ReplayBuffer(capacity, dim)
         oracle = {"obs": {}, "next_obs": {}}
         tiers, full_at_widening = [], []
-        for i in range(b + 5):
+        for i in range(b + 2):
             slot = buf.cursor
             buf.add(rows[i], 1, float(i), rows[i + 1], i % 5 == 0)
             oracle["obs"][slot], oracle["next_obs"][slot] = rows[i], rows[i + 1]
             if buf.tier != (tiers or [0])[-1]:
                 full_at_widening.append(buf.size == capacity)
             tiers.append(buf.tier)
-            if buf.tier > 0:  # the unpacked tiers hold the values themselves
+            if buf.tier == 1:  # the float64 tier holds the values themselves
                 for name in ("obs", "next_obs"):
                     for j, row in oracle[name].items():
-                        assert getattr(buf, name)[j].astype(np.float64).tobytes() == row.tobytes(), (name, j)
+                        assert getattr(buf, name)[j].tobytes() == row.tobytes(), (name, j)
             _assert_sample_matches(buf, oracle, i)
-        # next_obs meets each wider row one add before obs does
-        assert tiers == [0] * (b - 1) + [1] * 4 + [2] * 2
-        assert full_at_widening == [wrapped, wrapped]
+        # next_obs meets the wider row one add before obs does
+        assert tiers == [0] * (b - 1) + [1] * 3
+        assert full_at_widening == [wrapped]
         assert buf.obs.dtype == np.float64
 
     def test_default_capacity_reserves_at_most_011_gb(self):

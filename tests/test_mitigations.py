@@ -11,16 +11,14 @@ from plastlab.mitigations import (
     Trigger,
     apply_event_method,
     build_plan,
-    kron_precondition,
     make_optimizer,
     nap_project,
     optimizer_step,
-    parse_trigger,
     redo_reset,
     reg_loss,
     reset_layers,
     shrink_perturb,
-    trac_combine,
+    Trac,
     validate_network_for_plan,
 )
 from plastlab.net import (
@@ -426,7 +424,7 @@ def fd_reg_grads(kind, net, alpha, s=1.0, h=1e-5):
 
 class TestRegLoss:
     def test_regenerative_zero_at_init(self):
-        value, grads = reg_loss("regenerative", tanh_net(40), 0.7)
+        value, grads = reg_loss("regenerative_reg", tanh_net(40), 0.7)
         assert value == 0.0
         for g in grads.values():
             assert not np.any(g)
@@ -436,11 +434,11 @@ class TestRegLoss:
             [LayerSpec(4, 2, "tanh", init="orthogonal(1.0)"), LayerSpec(2, 1, "linear")],
             RngStream(41, 0),
         )
-        value, grads = reg_loss("parseval", net, 0.5, 1.0)
+        value, grads = reg_loss("parseval_reg", net, 0.5, 1.0)
         assert value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grads["layer0.w"], 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["l2", "regenerative", "parseval"])
+    @pytest.mark.parametrize("kind", ["l2_reg", "regenerative_reg", "parseval_reg"])
     def test_gradient_matches_finite_differences(self, kind):
         net = tanh_net(42)
         net.params["layer0.w"] += 0.2
@@ -456,7 +454,7 @@ class TestRegLoss:
             assert (np.abs(a - f) / denom).max() < 1e-4, name
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 1000), st.sampled_from(["l2", "regenerative", "parseval"]))
+    @given(st.integers(0, 1000), st.sampled_from(["l2_reg", "regenerative_reg", "parseval_reg"]))
     def test_non_negative(self, seed, kind):
         net = tanh_net(seed)
         net.params["layer0.w"] += RngStream(seed, 8).normal(0.0, 0.05, 18).reshape(6, 3)
@@ -464,9 +462,9 @@ class TestRegLoss:
 
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
-            reg_loss("l2", tanh_net(), -0.1)
+            reg_loss("l2_reg", tanh_net(), -0.1)
         with pytest.raises(InvalidInputError):
-            reg_loss("parseval", tanh_net(), 0.1, s=0.0)
+            reg_loss("parseval_reg", tanh_net(), 0.1, s=0.0)
         with pytest.raises(InvalidInputError):
             reg_loss("dropout", tanh_net(), 0.1)
 
@@ -680,9 +678,9 @@ class TestTrac:
     def test_combine_endpoints(self):
         ref = np.array([1.0, 2.0])
         cand = np.array([5.0, -3.0])
-        np.testing.assert_array_equal(trac_combine(ref, cand, 0.0), ref)
-        np.testing.assert_array_equal(trac_combine(ref, cand, 1.0), cand)
-        np.testing.assert_allclose(trac_combine(ref, cand, 0.25), [2.0, 0.75])
+        np.testing.assert_array_equal(Trac.combine(ref, cand, 0.0), ref)
+        np.testing.assert_array_equal(Trac.combine(ref, cand, 1.0), cand)
+        np.testing.assert_allclose(Trac.combine(ref, cand, 0.25), [2.0, 0.75])
 
     def test_zero_gradients_pin_to_reference(self):
         net = tanh_net(60)
@@ -809,7 +807,7 @@ class TestKron:
             opt = make_optimizer("kron", None, damping=lam)
             opt.factors_a["layer0"] = np.eye(4)
             opt.factors_s["layer0"] = np.eye(2)
-            pre_w, pre_b = kron_precondition(opt, "layer0", g_w, g_b)
+            pre_w, pre_b = opt.precondition("layer0", g_w, g_b)
             norms.append(np.sqrt(np.sum(pre_w**2) + np.sum(pre_b**2)))
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
@@ -840,7 +838,7 @@ class TestKron:
         opt = make_optimizer("kron", None, damping=0.0)
         opt.factors_a["layer0"] = np.ones((3, 3))  # rank one, singular
         opt.factors_s["layer0"] = np.eye(2)
-        pre_w, pre_b = kron_precondition(opt, "layer0", np.ones((2, 2)), np.ones(2))
+        pre_w, pre_b = opt.precondition("layer0", np.ones((2, 2)), np.ones(2))
         assert opt.fallback_count == 1
         assert np.all(np.isfinite(pre_w)) and np.all(np.isfinite(pre_b))
 
@@ -872,6 +870,18 @@ class TestMakeOptimizer:
             make_optimizer("sgd", tanh_net())
 
 
+def loop_chain_fires(trig, step, switched):
+    """The run loop's trigger if-chain before Trigger.fires owned it (a
+    trigger's k and step are its one `arg`)."""
+    if trig.kind == "every_k_steps":
+        fire = step > 0 and step % trig.arg == 0
+    elif trig.kind == "on_task_switch":
+        fire = switched
+    else:  # per_gradient_step entries fire in _post_step
+        fire = trig.kind == "once_at" and step == trig.arg
+    return fire
+
+
 class TestRegistryAndPlan:
     def test_catalog_contents(self):
         assert set(REGISTRY) == {
@@ -888,24 +898,24 @@ class TestRegistryAndPlan:
 
     def test_build_plan_fills_defaults(self):
         plan = build_plan([{"method": "shrink_perturb"}])
-        assert plan.entries[0].params == {"beta": 0.2}
-        assert plan.entries[0].trigger == Trigger("on_task_switch")
+        assert plan[0].params == {"beta": 0.2}
+        assert plan[0].trigger == Trigger("on_task_switch")
 
     def test_soft_snp_is_a_trigger_mode(self):
         plan = build_plan([{"method": "shrink_perturb", "trigger": "per_gradient_step"}])
-        assert plan.entries[0].params == {"beta": 1e-4}
+        assert plan[0].params == {"beta": 1e-4}
         explicit = build_plan([
             {"method": "shrink_perturb", "trigger": "per_gradient_step",
              "params": {"beta": 0.01}},
         ])
-        assert explicit.entries[0].params == {"beta": 0.01}
+        assert explicit[0].params == {"beta": 0.01}
 
     def test_build_plan_overrides(self):
         plan = build_plan(
             [{"method": "redo", "params": {"tau": 0.1}, "trigger": "every_k_steps(500)"}]
         )
-        assert plan.entries[0].params == {"tau": 0.1}
-        assert plan.entries[0].trigger == Trigger("every_k_steps", k=500)
+        assert plan[0].params == {"tau": 0.1}
+        assert plan[0].trigger == Trigger("every_k_steps", 500)
 
     def test_build_plan_rejects_unknown(self):
         with pytest.raises(MitigationError):
@@ -918,15 +928,61 @@ class TestRegistryAndPlan:
             build_plan([{"method": "trac"}, {"method": "kron"}])
 
     def test_parse_trigger(self):
-        assert parse_trigger("on_task_switch") == Trigger("on_task_switch")
-        assert parse_trigger("once_at(0)") == Trigger("once_at", step=0)
-        assert parse_trigger("every_k_steps(10)") == Trigger("every_k_steps", k=10)
+        assert Trigger.parse("on_task_switch") == Trigger("on_task_switch")
+        assert Trigger.parse("once_at(0)") == Trigger("once_at", 0)
+        assert Trigger.parse("every_k_steps(10)") == Trigger("every_k_steps", 10)
         with pytest.raises(MitigationError):
-            parse_trigger("every_k_steps(0)")
+            Trigger.parse("every_k_steps(0)")
         with pytest.raises(MitigationError):
-            parse_trigger("every_k_steps")
+            Trigger.parse("every_k_steps")
         with pytest.raises(MitigationError):
-            parse_trigger("sometimes")
+            Trigger.parse("sometimes")
+
+    def test_trigger_text_round_trips(self):
+        forms = [spec.default_trigger for spec in REGISTRY.values()] + [
+            Trigger("every_k_steps", 1), Trigger("every_k_steps", 10**30), Trigger("once_at", 0),
+            Trigger("once_at", 7), Trigger("on_task_switch"), Trigger("per_gradient_step"),
+        ]
+        for trigger in forms:
+            assert Trigger.parse(str(trigger)) == trigger
+        assert str(REGISTRY["redo"].default_trigger) == "every_k_steps(1000)"
+        assert str(REGISTRY["crelu"].default_trigger) == "once_at(0)"
+        assert Trigger.parse(" once_at(5) ") == Trigger("once_at", 5)
+
+    def test_fires_matches_the_loop_chain(self):
+        triggers = [Trigger("every_k_steps", k) for k in (1, 2, 3, 7, 1000, 10**30)]
+        triggers += [Trigger("once_at", s) for s in (0, 1, 5, 999, 10**30)]
+        triggers += [Trigger("on_task_switch"), Trigger("per_gradient_step")]
+        for trigger in triggers:
+            for step in [*range(2002), 10**12, 10**30]:
+                for switched in (False, True):
+                    assert trigger.fires(step, switched) == loop_chain_fires(trigger, step, switched)
+
+    @pytest.mark.parametrize("name", sorted(n for n, m in REGISTRY.items() if m.kind != "event"))
+    def test_non_event_methods_take_only_their_default_trigger(self, name):
+        default = REGISTRY[name].default_trigger
+        assert build_plan([{"method": name, "trigger": str(default)}])[0].trigger == default
+        for text in ("every_k_steps(3)", "on_task_switch", "once_at(1)"):
+            with pytest.raises(MitigationError, match=rf"mitigations\[1\]: .* {name} .*has no effect"):
+                build_plan([{"method": "redo"}, {"method": name, "trigger": text}])
+
+    @pytest.mark.parametrize("name", sorted(n for n, m in REGISTRY.items() if m.kind == "event"))
+    def test_event_methods_take_any_trigger(self, name):
+        for text in ("every_k_steps(3)", "on_task_switch", "once_at(1)", "per_gradient_step"):
+            assert build_plan([{"method": name, "trigger": text}])[0].trigger == Trigger.parse(text)
+
+    def test_each_category_is_contiguous(self):
+        categories = [spec.category for spec in REGISTRY.values()]
+        starts = [c for i, c in enumerate(categories) if i == 0 or c != categories[i - 1]]
+        assert len(starts) == len(set(categories))
+
+    def test_network_needs_are_registry_data(self):
+        assert {name: spec.network for name, spec in REGISTRY.items() if spec.network} == {
+            "layer_norm": (("layer_norm", True),),
+            "nap": (("layer_norm", True),),
+            "crelu": (("activation", "crelu"),),
+            "fourier": (("activation", "fourier"),),
+        }
 
     def test_network_validation(self):
         plan = build_plan([{"method": "layer_norm"}])
@@ -936,12 +992,14 @@ class TestRegistryAndPlan:
         crelu_plan = build_plan([{"method": "crelu"}])
         with pytest.raises(MitigationError):
             validate_network_for_plan(crelu_plan, tanh_net(0))
+        with pytest.raises(MitigationError, match="nap requires layer_norm True"):
+            validate_network_for_plan(build_plan([{"method": "nap"}]), tanh_net(0))
 
     def test_apply_event_dispatch(self):
         net = tanh_net(80)
         plan = build_plan([{"method": "reset_layers"}])
-        info = apply_event_method(plan.entries[0], net, RngStream(80, 1))
+        info = apply_event_method(plan[0], net, RngStream(80, 1))
         assert info == {"scope": "final"}
         redo_plan = build_plan([{"method": "redo"}])
         with pytest.raises(MitigationError):
-            apply_event_method(redo_plan.entries[0], net, RngStream(80, 2))
+            apply_event_method(redo_plan[0], net, RngStream(80, 2))

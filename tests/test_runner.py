@@ -918,12 +918,36 @@ class TestCli:
         ("c51", "exploration_fraction", "0", "must be in (0, 1], got 0.0"),
         ("c51", "exploration_fraction", "1.5", "must be in (0, 1], got 1.5"),
         ("c51", "n_atoms", "1", "must be >= 2, got 1"),
+        ("ppo", "value_clip", "-1", "must be >= 0, got -1.0"),
+        ("ppo", "vf_coef", "-1", "must be >= 0, got -1.0"),
+        ("ppo", "ent_coef", "-1", "must be >= 0, got -1.0"),
     ])
     def test_out_of_range_learner_float_exit_2(self, algo, field, text, message, tmp_path, capsys):
         cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\nlearner: {{{field}: {text}}}\n")
         assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert f"'learner.{field}' {message}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r")
+
+    @pytest.mark.parametrize("entries,message", [
+        ("[{method: l2_reg, trigger: every_k_steps(50)}]",
+         "mitigations[0]: the loss method l2_reg always runs per_gradient_step"),
+        ("[redo, {method: trac, trigger: on_task_switch}]",
+         "mitigations[1]: the optimizer method trac always runs per_gradient_step"),
+        ("[{method: crelu, trigger: every_k_steps(3)}]",
+         "mitigations[0]: the spec method crelu always runs once_at(0)"),
+    ])
+    def test_inert_trigger_exit_2(self, entries, message, tmp_path, capsys):
+        cfg = self._write(tmp_path, f"algo: regression\ntotal_steps: 20\nmitigations: {entries}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_default_trigger_spelled_out_resolves(self):
+        plain = resolve_config({"algo": "regression", "mitigations": ["l2_reg", "crelu"]})
+        spelled = resolve_config({"algo": "regression", "mitigations": [
+            {"method": "l2_reg", "trigger": "per_gradient_step"}, {"method": "crelu", "trigger": "once_at(0)"},
+        ]})
+        assert (plain.network, plain.learner) == (spelled.network, spelled.learner)
 
     def test_learner_range_edges_resolve(self):
         cfg = resolve_config({"algo": "ppo", "learner": {"gamma": 0, "gae_lambda": 1, "lr": 1e-12}})
