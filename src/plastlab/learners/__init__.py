@@ -10,7 +10,7 @@ from .c51 import (
     categorical_projection_batch,
     epsilon_schedule,
 )
-from .common import ReplayBuffer, Rollout, TrajectoryBatch, build_network, clip_gradients, gae
+from .common import ReplayBuffer, Rollout, TrajectoryBatch, clip_gradients, gae, network_specs
 from .ppo import PPOConfig, PPOLearner, gaussian_policy, normalize_advantages
 from .regression import RegressionLearner
 
@@ -24,7 +24,6 @@ __all__ = [
     "ReplayBuffer",
     "Rollout",
     "TrajectoryBatch",
-    "build_network",
     "c51_support",
     "c51_update",
     "categorical_projection_batch",
@@ -32,5 +31,6 @@ __all__ = [
     "epsilon_schedule",
     "gae",
     "gaussian_policy",
+    "network_specs",
     "normalize_advantages",
 ]

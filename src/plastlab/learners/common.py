@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 from ..metrics import gradient_norm
-from ..net import LayerSpec, NetworkState, init_network
+from ..net import LayerSpec
 from ..numkit import RngStream
 
 
@@ -238,15 +238,14 @@ def clip_gradients(by_name: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
-def build_network(
+def network_specs(
     obs_dim: int,
     out_dim: int,
     hidden: tuple[int, ...],
     activation: str,
     layer_norm: bool,
-    stream: RngStream,
     head_gain: float = 0.01,
-) -> NetworkState:
+) -> tuple[LayerSpec, ...]:
     """Torso of identically shaped hidden layers plus a small-gain linear head.
 
     Width-doubling activations are chained at their doubled width. Hidden
@@ -261,4 +260,5 @@ def build_network(
         specs.append(spec)
         width = spec.width_out
     specs.append(LayerSpec(width, out_dim, "linear", False, f"orthogonal({head_gain})"))
-    return init_network(specs, stream)
+    return tuple(specs)
+

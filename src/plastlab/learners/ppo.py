@@ -131,11 +131,7 @@ class PPOLearner:
         self.post_step = None  # callable fired after each gradient step
         self.memo = None  # obs bytes -> pure act results while params stay put
         if not discrete and "log_std" not in net.params:
-            net.params["log_std"] = np.full(n_actions, float(np.log(cfg.init_std)))
-            net.param_order = net.param_order + ("log_std",)
-            snap = net.params["log_std"].copy()
-            snap.flags.writeable = False
-            net.init_snapshot["log_std"] = snap
+            net.add({"log_std": np.full(n_actions, float(np.log(cfg.init_std)))})
 
     # ---------------------------------------------------------- acting
 

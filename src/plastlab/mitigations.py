@@ -24,11 +24,10 @@ from .net import (
     ForwardTrace,
     Gradients,
     NetworkState,
-    _WIDTH_DOUBLING,
-    _draw_layer_params,
     add_injection_round,
     draw_layers,
     forward,
+    layer_params,
 )
 from .numkit import DrawAhead, RngStream, erfi
 
@@ -126,19 +125,16 @@ def shrink_perturb(
     if not 0.0 <= beta <= 1.0:
         raise InvalidInputError(f"beta must be in [0, 1], got {beta}")
     keep = 1.0 - beta
-    targets = []  # (spec, weight name, bias name) in draw order
-    for i, spec in enumerate(net.layers):
-        w_name, b_name = f"layer{i}.w", f"layer{i}.b"
+    targets = []  # (spec, weight name, bias name) in draw order: the layers, then the head's branches
+    last = len(net.layers) - 1
+    for i, prefix in enumerate([f"layer{j}" for j in range(last)] + list(net.head_prefixes())):
+        spec = net.layers[min(i, last)]
+        w_name, b_name = f"{prefix}.w", f"{prefix}.b"
         if w_name not in net.frozen or b_name not in net.frozen:
             targets.append((spec, w_name, b_name))
-        if spec.layer_norm and f"layer{i}.ln_gain" not in net.frozen:
-            net.params[f"layer{i}.ln_gain"] = keep * net.params[f"layer{i}.ln_gain"] + beta
-            net.params[f"layer{i}.ln_offset"] = keep * net.params[f"layer{i}.ln_offset"]
-    if net.injection_rounds:
-        last = len(net.layers) - 1
-        prefix = f"layer{last}.inj{net.injection_rounds}_train"
-        if f"{prefix}.w" not in net.frozen:
-            targets.append((net.layers[last], f"{prefix}.w", f"{prefix}.b"))
+        if spec.layer_norm and f"{prefix}.ln_gain" not in net.frozen:
+            net.params[f"{prefix}.ln_gain"] = keep * net.params[f"{prefix}.ln_gain"] + beta
+            net.params[f"{prefix}.ln_offset"] = keep * net.params[f"{prefix}.ln_offset"]
     specs = tuple(spec for spec, _, _ in targets)
     draws = (ahead or DrawAhead(1)).take(specs, stream, partial(draw_layers, specs)) if specs else []
     for (_, w_name, b_name), (w_draw, b_draw) in zip(targets, draws):
@@ -149,9 +145,7 @@ def shrink_perturb(
     return net
 
 
-def redo_reset(
-    net: NetworkState, probe: np.ndarray, tau: float, stream: RngStream
-) -> tuple[NetworkState, int]:
+def redo_reset(net: NetworkState, probe: np.ndarray, tau: float, stream: RngStream) -> int:
     """Revive dormant hidden units: redraw their incoming row and bias, zero
     every outgoing weight that reads them. Returns the number of units reset.
 
@@ -164,26 +158,23 @@ def redo_reset(
     for i in range(last):
         spec = net.layers[i]
         dormant = _layer_scores(trace.postacts[i]) <= tau
-        if spec.activation in _WIDTH_DOUBLING:
+        doubled = spec.width_out != spec.out_dim
+        if doubled:
             # a unit is dormant only when both of its output copies are
             dormant = dormant[: spec.out_dim] & dormant[spec.out_dim :]
         units = np.nonzero(dormant)[0]
         if units.size == 0:
             continue
-        w_draw, b_draw = _draw_layer_params(spec, stream)
-        net.params[f"layer{i}.w"][units, :] = w_draw[units, :]
-        net.params[f"layer{i}.b"][units] = b_draw[units]
-        out_cols = units
-        if spec.activation in _WIDTH_DOUBLING:
-            out_cols = np.concatenate([units, units + spec.out_dim])
-        next_prefixes = [f"layer{i + 1}"]
-        if i + 1 == last and net.injection_rounds:
-            for r in range(1, net.injection_rounds + 1):
-                next_prefixes += [f"layer{last}.inj{r}_train", f"layer{last}.inj{r}_frozen"]
-        for prefix in next_prefixes:
-            net.params[f"{prefix}.w"][:, out_cols] = 0.0
+        w_name, b_name = f"layer{i}.w", f"layer{i}.b"
+        fresh = layer_params(i, spec, stream)
+        net.params[w_name][units, :] = fresh[w_name][units, :]
+        net.params[b_name][units] = fresh[b_name][units]
+        cols = np.concatenate([units, units + spec.out_dim]) if doubled else units
+        # the next layer reads the units; after the last hidden layer, every head branch does
+        for prefix in net.head_prefixes() if i + 1 == last else (f"layer{i + 1}",):
+            net.params[f"{prefix}.w"][:, cols] = 0.0
         total += int(units.size)
-    return net, total
+    return total
 
 
 def reset_layers(net: NetworkState, scope: str, stream: RngStream) -> NetworkState:
@@ -197,13 +188,7 @@ def reset_layers(net: NetworkState, scope: str, stream: RngStream) -> NetworkSta
         raise InvalidInputError(f"scope must be 'final' or 'all', got {scope!r}")
     targets = range(len(net.layers)) if scope == "all" else [len(net.layers) - 1]
     for i in targets:
-        spec = net.layers[i]
-        w, b = _draw_layer_params(spec, stream)
-        net.params[f"layer{i}.w"] = w
-        net.params[f"layer{i}.b"] = b
-        if spec.layer_norm:
-            net.params[f"layer{i}.ln_gain"] = np.ones(spec.out_dim)
-            net.params[f"layer{i}.ln_offset"] = np.zeros(spec.out_dim)
+        net.params.update(layer_params(i, net.layers[i], stream))
     return net
 
 
@@ -468,20 +453,26 @@ class Kron:
         self.t += 1
 
     def precondition(self, prefix: str, g_w: np.ndarray, g_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply (S + lambda I)^-1 G (A + lambda I)^-1 with the bias folded into
-        G's last column; falls back to diagonal preconditioning when a factor
-        does not invert."""
+        """Apply (S + sqrt(lambda)/pi I)^-1 G (A + pi sqrt(lambda) I)^-1 with the
+        bias folded into G's last column: factored Tikhonov damping, where pi^2
+        is the ratio of A's and S's mean eigenvalues (pi = 1 when either trace
+        is 0 or not finite). Falls back to diagonal preconditioning with the
+        same damping when a factor does not invert."""
         g_ext = np.concatenate([g_w, g_b[:, None]], axis=1)
         a, s = self.factors_a[prefix], self.factors_s[prefix]
+        tr_a, tr_s = float(np.trace(a)) / a.shape[0], float(np.trace(s)) / s.shape[0]
+        ratio = tr_a / tr_s if tr_s > 0.0 else 0.0  # NaN, 0 and inf all mean pi = 1
+        pi = np.sqrt(ratio) if 0.0 < ratio < np.inf else 1.0
+        damp_a, damp_s = pi * np.sqrt(self.damping), np.sqrt(self.damping) / pi
         if prefix not in self.inv_a or self.t % self.t_inv == 0:
             try:
-                self.inv_a[prefix] = np.linalg.inv(a + self.damping * np.eye(a.shape[0]))
-                self.inv_s[prefix] = np.linalg.inv(s + self.damping * np.eye(s.shape[0]))
+                self.inv_a[prefix] = np.linalg.inv(a + damp_a * np.eye(a.shape[0]))
+                self.inv_s[prefix] = np.linalg.inv(s + damp_s * np.eye(s.shape[0]))
             except np.linalg.LinAlgError:
                 self.fallback_count += 1
                 self.inv_a.pop(prefix, None)
                 self.inv_s.pop(prefix, None)
-                pre = g_ext / (np.diag(s) + self.damping)[:, None] / (np.diag(a) + self.damping)[None, :]
+                pre = g_ext / (np.diag(s) + damp_s)[:, None] / (np.diag(a) + damp_a)[None, :]
                 return pre[:, :-1], pre[:, -1]
         pre = self.inv_s[prefix] @ g_ext @ self.inv_a[prefix]
         return pre[:, :-1], pre[:, -1]
@@ -625,25 +616,22 @@ def apply_event_method(
     stream: RngStream,
     probe: np.ndarray | None = None,
     ahead: DrawAhead | None = None,
-) -> dict:
-    """Run one event-kind method; returns details worth logging. Only
-    shrink_perturb reads `ahead`."""
-    name = entry.method
-    if name == "shrink_perturb":
-        shrink_perturb(net, float(entry.params["beta"]), stream, ahead)
-        return {"beta": float(entry.params["beta"])}
-    if name == "plasticity_injection":
-        add_injection_round(net, stream)
-        return {"rounds": net.injection_rounds}
+) -> float:
+    """Run one event-kind method; returns the value its event row logs: the
+    number of units redo reset, else 1. Only shrink_perturb reads `ahead`."""
+    name, params = entry.method, entry.params
     if name == "redo":
         if probe is None:
             raise MitigationError("redo needs a probe batch")
-        _, count = redo_reset(net, probe, float(entry.params["tau"]), stream)
-        return {"reset_count": count}
-    if name == "reset_layers":
-        reset_layers(net, str(entry.params["scope"]), stream)
-        return {"scope": entry.params["scope"]}
-    if name == "nap":
+        return float(redo_reset(net, probe, float(params["tau"]), stream))
+    if name == "shrink_perturb":
+        shrink_perturb(net, float(params["beta"]), stream, ahead)
+    elif name == "plasticity_injection":
+        add_injection_round(net, stream)
+    elif name == "reset_layers":
+        reset_layers(net, str(params["scope"]), stream)
+    elif name == "nap":
         nap_project(net)
-        return {}
-    raise MitigationError(f"{name} is not an event-kind method")
+    else:
+        raise MitigationError(f"{name} is not an event-kind method")
+    return 1.0

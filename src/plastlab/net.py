@@ -24,38 +24,28 @@ from .numkit import RngStream, box_muller, ensure_matrix
 ACTIVATIONS = ("relu", "tanh", "crelu", "fourier", "linear")
 _WIDTH_DOUBLING = ("crelu", "fourier")
 _LN_EPS = 1e-5
-_INIT_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
+_INIT_RE = re.compile(r"^orthogonal(?:\(([^)]*)\))?$")
 _CHECKPOINT_VERSION = 1
 
 
 @lru_cache(maxsize=None)
-def _parse_init(text: str) -> tuple[str, tuple[float, ...]]:
-    """Split an init descriptor like "orthogonal(1.0)" into (kind, args)."""
+def _init_gain(text: str) -> float:
+    """The gain of an init descriptor "orthogonal(<gain>)"; bare "orthogonal"
+    has gain 1."""
     m = _INIT_RE.match(text.strip())
-    if m is None:
-        raise SpecError(f"malformed init descriptor {text!r}")
-    kind, raw = m.group(1), m.group(2)
-    args = tuple(float(tok) for tok in raw.split(",")) if raw else ()
-    if kind == "orthogonal":
-        if len(args) > 1:
-            raise SpecError("orthogonal init takes at most one gain argument")
-        args = args or (1.0,)
-    elif kind == "uniform_fan_in":
-        if args:
-            raise SpecError("uniform_fan_in init takes no arguments")
-    elif kind == "normal":
-        if len(args) != 2:
-            raise SpecError("normal init takes (mean, std)")
-        if args[1] < 0:
-            raise SpecError("normal init std must be >= 0")
-    else:
-        raise SpecError(f"unknown init kind {kind!r}")
-    return kind, args
+    try:
+        gain = 1.0 if m.group(1) is None else float(m.group(1))
+    except (AttributeError, ValueError):  # no match, or a gain that is not a number
+        raise SpecError(f"init must be orthogonal(<gain>), got {text!r}") from None
+    if not np.isfinite(gain):
+        raise SpecError(f"orthogonal init gain must be finite, got {text!r}")
+    return gain
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One dense layer: linear map, optional LayerNorm, then a nonlinearity."""
+    """One dense layer: linear map, optional LayerNorm, then a nonlinearity.
+    Weights start orthogonal times the init's gain, biases at zero."""
 
     in_dim: int
     out_dim: int
@@ -68,7 +58,7 @@ class LayerSpec:
             raise SpecError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
         if self.activation not in ACTIVATIONS:
             raise SpecError(f"unknown activation {self.activation!r}")
-        _parse_init(self.init)
+        _init_gain(self.init)
 
     @property
     def width_out(self) -> int:
@@ -110,6 +100,21 @@ class NetworkState:
     def trainable_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.param_order if n not in self.frozen)
 
+    def add(self, params: dict[str, np.ndarray], frozen=()) -> None:
+        """Append `params` to `param_order` in their order, each with a
+        read-only snapshot of its value; the names in `frozen` get no gradient."""
+        self.params.update(params)
+        self.param_order += tuple(params)
+        self.init_snapshot.update(_freeze_values(params))
+        self.frozen |= frozenset(frozen)
+
+    def head_prefixes(self) -> tuple[str, ...]:
+        """The final layer's parameter prefixes: the base head, then each
+        injection round's trainable and frozen branch."""
+        last = len(self.layers) - 1
+        branches = (p for r in range(1, self.injection_rounds + 1) for p in _branch_names(last, r))
+        return (f"layer{last}",) + tuple(branches)
+
 
 @dataclass
 class ForwardTrace:
@@ -146,17 +151,20 @@ class Gradients:
 
 
 def _chain_blocks(specs: tuple[LayerSpec, ...]) -> tuple[list, int]:
-    """Per layer (init kind, args, slot offset, weight and bias value counts),
-    and the slots S one chain draw uses."""
+    """Per layer (gain, slot offset, weight value count), and the slots S one
+    chain draw uses: one Box-Muller pair per two weight values."""
     blocks = []
     slots = 0
     for spec in specs:
-        kind, args = _parse_init(spec.init)
-        sizes = (spec.out_dim * spec.in_dim,) + (() if kind == "orthogonal" else (spec.out_dim,))
-        blocks.append((kind, args, slots, sizes))
-        # uniform takes one slot per value, normal one Box-Muller pair per two
-        slots += sum(sizes if kind == "uniform_fan_in" else (2 * ((n + 1) // 2) for n in sizes))
+        n = spec.out_dim * spec.in_dim
+        blocks.append((_init_gain(spec.init), slots, n))
+        slots += 2 * ((n + 1) // 2)
     return blocks, slots
+
+
+def _qr_shape(spec: LayerSpec) -> tuple[int, int]:
+    """(rows, cols) of the normal matrix whose QR gives the layer's weight."""
+    return max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim)
 
 
 # bytes a `draw_layers` call takes beyond its draws' own: numpy's ufunc
@@ -166,17 +174,15 @@ DRAW_FIXED_BYTES = 2 * 8 * np.getbufsize()
 
 def draw_work_bytes(specs: tuple[LayerSpec, ...]) -> int:
     """Bytes one chain draw adds to the peak of a `draw_layers` call: the
-    values it keeps, its unit draws, and the QR of its largest orthogonal
-    group (the input's copy, Q and R; one more copy when the group stacks
-    several layers)."""
-    blocks, slots = _chain_blocks(specs)
+    values it keeps, its unit draws, and the QR of its largest group of
+    same-shaped weights (the input's copy, Q and R; one more copy when the
+    group stacks several layers)."""
+    _, slots = _chain_blocks(specs)
     kept, groups = 0, {}
-    for spec, (kind, _, _, sizes) in zip(specs, blocks):
-        kept += sum(sizes) + (spec.out_dim if kind == "orthogonal" else 0)
-        if kind == "orthogonal":
-            shape = (max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim))
-            groups.setdefault(shape, []).append(sizes[0])
-    qr = max((sum(g) * (3 + (len(g) > 1)) for g in groups.values()), default=0)
+    for spec in specs:
+        kept += spec.out_dim * (spec.in_dim + 1)
+        groups.setdefault(_qr_shape(spec), []).append(spec.out_dim * spec.in_dim)
+    qr = max(sum(g) * (3 + (len(g) > 1)) for g in groups.values())
     return 8 * (kept + slots + qr)
 
 
@@ -185,44 +191,26 @@ def draw_layers(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """k successive init draws of a layer chain, from one stream call.
 
-    One chain draw takes each layer in turn, weight before bias, and uses a
-    fixed number S of slots; draw j reads slots j*S .. (j+1)*S of a single
-    uniform(0, 1, k*S) call, so it equals what the j-th of k one-at-a-time
-    chain draws returns. Orthogonal weights of one shape share one stacked QR.
-    Returns per layer C-ordered weights (k, out, in) and biases (k, out).
+    One chain draw takes each layer's weight in turn and uses a fixed number
+    S of slots; draw j reads slots j*S .. (j+1)*S of a single uniform(0, 1,
+    k*S) call, so it equals what the j-th of k one-at-a-time chain draws
+    returns. Weights of one shape share one stacked QR. Returns per layer
+    C-ordered weights (k, out, in) and zero biases (k, out).
     """
     blocks, slots = _chain_blocks(specs)
     u = stream.uniform(0.0, 1.0, k * slots).reshape(k, slots)
     out: list = []
     qr_groups: dict[tuple[int, int], list[int]] = {}
-    for spec, (kind, args, off, sizes) in zip(specs, blocks):
-        values = []
-        for n in sizes:
-            if kind == "uniform_fan_in":  # stream.uniform(lo, hi, n)'s ops on the unit draws
-                lo, hi = -1.0 / np.sqrt(spec.in_dim), 1.0 / np.sqrt(spec.in_dim)
-                v = u[:, off : off + n]
-                v *= hi - lo
-                v += lo
-                off += n
-            else:
-                mu, sigma = (0.0, 1.0) if kind == "orthogonal" else args
-                span = 2 * ((n + 1) // 2)
-                v = box_muller(u[:, off : off + span], mu, sigma)[:, :n]
-                off += span
-            values.append(v)
-        if kind == "orthogonal":
-            big, small = max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim)
-            qr_groups.setdefault((big, small), []).append(len(out))
-            out.append((values[0].reshape(k, big, small), np.zeros((k, spec.out_dim))))
-        else:
-            w, b = (np.ascontiguousarray(v) for v in values)
-            out.append((w.reshape(k, spec.out_dim, spec.in_dim), b))
-    for (big, small), idx in qr_groups.items():
+    for spec, (_, off, n) in zip(specs, blocks):
+        normals = box_muller(u[:, off : off + 2 * ((n + 1) // 2)])[:, :n]
+        qr_groups.setdefault(_qr_shape(spec), []).append(len(out))
+        out.append((normals.reshape(k, *_qr_shape(spec)), np.zeros((k, spec.out_dim))))
+    for idx in qr_groups.values():
         a = out[idx[0]][0] if len(idx) == 1 else np.concatenate([out[i][0] for i in idx])
         qs, rs = np.linalg.qr(a)
         for g, i in enumerate(idx):
             spec, q, r = specs[i], qs[g * k : (g + 1) * k], rs[g * k : (g + 1) * k]
-            gain = blocks[i][1][0]
+            gain = blocks[i][0]
             # column signs that make diag(r) >= 0, times the gain, in one multiply
             fac = np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, gain, -gain)
             w = np.empty((k, spec.out_dim, spec.in_dim))
@@ -234,10 +222,16 @@ def draw_layers(
     return out
 
 
-def _draw_layer_params(spec: LayerSpec, stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """Weight and bias for one layer: the k = 1 case of draw_layers."""
-    (w, b), = draw_layers((spec,), stream)
-    return w[0], b[0]
+def layer_params(i: int, spec: LayerSpec, stream: RngStream) -> dict[str, np.ndarray]:
+    """Fresh parameters of layer i by name: weight and bias drawn from its
+    init (the k = 1 case of draw_layers), then LayerNorm gain 1 and offset 0."""
+    ((w, b),) = draw_layers((spec,), stream)
+    w_name, b_name, gain_name, offset_name = _layer_names(i)
+    params = {w_name: w[0], b_name: b[0]}
+    if spec.layer_norm:
+        params[gain_name] = np.ones(spec.out_dim)
+        params[offset_name] = np.zeros(spec.out_dim)
+    return params
 
 
 def _freeze_values(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -252,28 +246,15 @@ def _freeze_values(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 def init_network(layers: tuple[LayerSpec, ...] | list[LayerSpec], stream: RngStream) -> NetworkState:
     """Draw parameters for a validated layer chain from one stream.
 
-    Layers consume the stream in declaration order, weight before bias, so a
-    fresh network from an identically positioned stream is bit-identical.
+    Layers consume the stream in declaration order, so a fresh network from
+    an identically positioned stream is bit-identical.
     """
     layers = tuple(layers)
     validate_chain(layers)
-    params: dict[str, np.ndarray] = {}
-    order: list[str] = []
+    net = NetworkState(layers=layers, params={}, init_snapshot={}, param_order=())
     for i, spec in enumerate(layers):
-        w, b = _draw_layer_params(spec, stream)
-        params[f"layer{i}.w"] = w
-        params[f"layer{i}.b"] = b
-        order += [f"layer{i}.w", f"layer{i}.b"]
-        if spec.layer_norm:
-            params[f"layer{i}.ln_gain"] = np.ones(spec.out_dim)
-            params[f"layer{i}.ln_offset"] = np.zeros(spec.out_dim)
-            order += [f"layer{i}.ln_gain", f"layer{i}.ln_offset"]
-    return NetworkState(
-        layers=layers,
-        params=params,
-        init_snapshot=_freeze_values(params),
-        param_order=tuple(order),
-    )
+        net.add(layer_params(i, spec, stream))
+    return net
 
 
 def clone_network(net: NetworkState) -> NetworkState:
@@ -351,26 +332,14 @@ def add_injection_round(net: NetworkState, stream: RngStream) -> NetworkState:
     spec = net.layers[last]
     if spec.layer_norm:
         raise MitigationError("plasticity injection requires a plain final layer")
-    r = net.injection_rounds + 1
-    train_prefix, frozen_prefix = _branch_names(last, r)
-    w, b = _draw_layer_params(spec, stream)
-    newly_frozen = {f"layer{last}.w", f"layer{last}.b"}
-    if r > 1:
-        prev_train, _ = _branch_names(last, r - 1)
-        newly_frozen |= {f"{prev_train}.w", f"{prev_train}.b"}
-    net.params[f"{train_prefix}.w"] = w.copy()
-    net.params[f"{train_prefix}.b"] = b.copy()
-    net.params[f"{frozen_prefix}.w"] = w.copy()
-    net.params[f"{frozen_prefix}.b"] = b.copy()
-    added = (f"{train_prefix}.w", f"{train_prefix}.b", f"{frozen_prefix}.w", f"{frozen_prefix}.b")
-    net.param_order = net.param_order + added
-    # distance-from-init bookkeeping needs a reference for the new branches
-    for name in added:
-        snap = net.params[name].copy()
-        snap.flags.writeable = False
-        net.init_snapshot[name] = snap
-    net.frozen = net.frozen | newly_frozen | {f"{frozen_prefix}.w", f"{frozen_prefix}.b"}
-    net.injection_rounds = r
+    w, b = layer_params(last, spec, stream).values()
+    net.frozen |= {f"{prefix}.{p}" for prefix in net.head_prefixes() for p in "wb"}
+    train, frozen = _branch_names(last, net.injection_rounds + 1)
+    net.add(
+        {f"{train}.w": w, f"{train}.b": b, f"{frozen}.w": w.copy(), f"{frozen}.b": b.copy()},
+        frozen=(f"{frozen}.w", f"{frozen}.b"),
+    )
+    net.injection_rounds += 1
     return net
 
 
@@ -419,19 +388,16 @@ def forward(net: NetworkState, batch: np.ndarray) -> ForwardTrace:
     outputs = postacts[-1]
     head_branches: list[dict[str, tuple[np.ndarray, np.ndarray]]] = []
     if net.injection_rounds:
-        last = len(net.layers) - 1
-        spec = net.layers[last]
-        head_in = layer_inputs[last]
-        for r in range(1, net.injection_rounds + 1):
+        spec, head_in, prefixes = net.layers[-1], layer_inputs[-1], net.head_prefixes()
+        for train, frozen in zip(prefixes[1::2], prefixes[2::2]):
             branches = {}
-            for prefix in _branch_names(last, r):
+            for prefix in (train, frozen):
                 _, pre, post, _ = _layer_forward(
                     spec, head_in, net.params[f"{prefix}.w"], net.params[f"{prefix}.b"], None, None
                 )
                 branches[prefix] = (pre, post)
             head_branches.append(branches)
-            train_prefix, frozen_prefix = _branch_names(last, r)
-            outputs = outputs + branches[train_prefix][1] - branches[frozen_prefix][1]
+            outputs = outputs + branches[train][1] - branches[frozen][1]
         postacts[-1] = outputs
     return ForwardTrace(
         batch=batch,
@@ -489,11 +455,11 @@ def backward(net: NetworkState, trace: ForwardTrace, output_grad: np.ndarray) ->
     base_post = trace.postacts[last]
     if net.injection_rounds:
         base_post = _act_forward(net.layers[last].activation, trace.preacts[last])
-    head = [(f"layer{last}", trace.preacts[last], base_post, output_grad, trace.ln_caches[last])]
-    for r, branches in enumerate(trace.head_branches, start=1):
-        train_prefix, frozen_prefix = _branch_names(last, r)
-        head.append((train_prefix, *branches[train_prefix], output_grad, None))
-        head.append((frozen_prefix, *branches[frozen_prefix], -output_grad, None))
+    prefixes = net.head_prefixes()
+    head = [(prefixes[0], trace.preacts[last], base_post, output_grad, trace.ln_caches[last])]
+    for train, frozen, branches in zip(prefixes[1::2], prefixes[2::2], trace.head_branches):
+        head.append((train, *branches[train], output_grad, None))
+        head.append((frozen, *branches[frozen], -output_grad, None))
     g_input = None
     for prefix, pre, post, g_post, cache in head:
         g_lin = layer_grads(last, prefix, pre, post, g_post, cache)

@@ -124,6 +124,8 @@ _BOUNDS = {
     "beta": "[0, 1]",
     "alpha": "[0, inf)",
     "s": "(0, inf)",
+    "damping": "[0, inf)",
+    "ema": "[0, 1]",
 }
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}

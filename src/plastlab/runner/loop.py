@@ -25,8 +25,9 @@ from ..envs import (
     probe_task,
     schedule_shift,
 )
-from ..errors import CheckpointError, DivergenceError, NumericError
-from ..learners import C51Learner, PPOLearner, RegressionLearner, Rollout, build_network
+from ..errors import CheckpointError, ConfigError, DivergenceError, NumericError
+from ..learners import C51Learner, PPOLearner, RegressionLearner, Rollout, network_specs
+from ..learners.c51 import TARGET_MEMO_CAP
 from ..metrics import MetricReport, collect_metrics
 from ..mitigations import (
     REGISTRY,
@@ -37,8 +38,10 @@ from ..mitigations import (
 )
 from ..net import (
     DRAW_FIXED_BYTES,
+    LayerSpec,
     deserialize_network,
     draw_work_bytes,
+    init_network,
     network_output,
     serialize_network,
 )
@@ -113,6 +116,42 @@ def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0) -> DrawAhead:
     return DrawAhead(max(1, min(DRAW_AHEAD, (AHEAD_BYTES - fixed_bytes) // draw_bytes)))
 
 
+def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
+    """An upper estimate of the peak bytes of a run of `cfg` on the network
+    `specs`: the parameters once per copy (values, init snapshot, gradients
+    and their clipped copy, C51's target net, four checkpoint copies, the
+    optimizer state), the forward and backward traces of the probe and update
+    batches (four values per layer feature and row, six with LayerNorm), PPO's
+    rollout, an init draw's work, the draw-ahead holders, C51's replay rows
+    and the act and target memos."""
+    obs_dim, head_width, learner = specs[0].in_dim, specs[-1].out_dim, cfg.learner
+    plan = build_plan(list(cfg.mitigations))
+    opt = next((e.method for e in plan if REGISTRY[e.method].kind == "optimizer"), "adam")
+    n_params = sum(s.out_dim * (s.in_dim + 1 + 2 * s.layer_norm) for s in specs)
+    values = n_params * (9 + {"adam": 4, "trac": 7, "kron": 2}[opt])
+    if opt == "kron":  # two factors and their inverses per layer
+        values += sum(2 * ((s.in_dim + 1) ** 2 + s.out_dim**2) for s in specs)
+    if cfg.algo == "ppo":
+        rows = min(learner.rollout_len, cfg.total_steps)
+        values += 2 * rows * (obs_dim + head_width + 6)  # the rollout and a batch copy of it
+        rows = -(-rows // learner.n_minibatches)
+    else:  # C51's batch passes through both nets
+        rows = learner.batch_size * (2 if cfg.algo == "c51" else 1)
+    values += (cfg.logging.probe_batch + rows) * (obs_dim + sum((4 + 2 * s.layer_norm) * s.width_out for s in specs))
+    if cfg.scenario.family == "gridworld":
+        values += ACT_MEMO_CAP * head_width
+    work = draw_work_bytes(specs)
+    total = 8 * values + work + DRAW_FIXED_BYTES
+    if any(e.method == "shrink_perturb" and e.trigger.kind == "per_gradient_step" for e in plan):
+        total += _draw_ahead(work, DRAW_FIXED_BYTES).steps * work
+    if cfg.algo == "regression":
+        total += _draw_ahead(batch_work_bytes(learner.batch_size)).steps * batch_work_bytes(learner.batch_size)
+    if cfg.algo == "c51":  # a replay row holds the packed obs pair, action, reward and done
+        total += min(learner.buffer_size, cfg.total_steps) * (2 * -(-obs_dim // 8) + 24)
+        total += 8 * TARGET_MEMO_CAP * head_width
+    return total
+
+
 def _build_env(cfg: ExperimentConfig, task):
     env, obs = make_env(task)
     if cfg.scenario.frame_stack > 1:
@@ -163,17 +202,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     a diagnostic summary pointing at the failing step.
     """
     out_dir = out_dir or cfg.logging.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-
-    config_path = os.path.join(out_dir, "config.yaml")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        fh.write(config_yaml(cfg))
-
-    env_stream = RngStream(cfg.seed, ENV_STREAM)
-    mit_stream = RngStream(cfg.seed, MITIGATION_STREAM)
-    act_stream = RngStream(cfg.seed, ACTION_STREAM)
-    upd_stream = RngStream(cfg.seed, UPDATE_STREAM)
-
     sched = build_schedule(
         cfg.scenario.mode,
         cfg.scenario.family,
@@ -185,17 +213,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         cfg.scenario.level_offset,
     )
     obs_dim, n_actions, head_width = _widths(cfg, sched)
+    net_cfg = cfg.network
+    specs = network_specs(obs_dim, head_width, net_cfg.hidden, net_cfg.activation, net_cfg.layer_norm)
+    need, half = footprint_bytes(cfg, specs), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    if need > half:
+        raise ConfigError(f"the run would take about {need / 2**30:.1f} GiB at its peak, over half of physical memory")
+
+    os.makedirs(out_dir, exist_ok=True)
+    config_path = os.path.join(out_dir, "config.yaml")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(config_yaml(cfg))
+
+    env_stream = RngStream(cfg.seed, ENV_STREAM)
+    mit_stream = RngStream(cfg.seed, MITIGATION_STREAM)
+    act_stream = RngStream(cfg.seed, ACTION_STREAM)
+    upd_stream = RngStream(cfg.seed, UPDATE_STREAM)
     discrete = cfg.scenario.family == "gridworld"
     probe = probe_inputs(cfg.seed, obs_dim, cfg.logging.probe_batch)
 
-    net = build_network(
-        obs_dim,
-        head_width,
-        cfg.network.hidden,
-        cfg.network.activation,
-        cfg.network.layer_norm,
-        RngStream(cfg.seed, INIT_STREAM),
-    )
+    net = init_network(specs, RngStream(cfg.seed, INIT_STREAM))
     plan = build_plan(list(cfg.mitigations))
     validate_network_for_plan(plan, net)
 
@@ -289,14 +325,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                     normalizer.ret = 0.0
             for i, entry in events:
                 if entry.trigger.fires(step, switched):
-                    info = apply_event_method(entry, net, mit_stream, probe=probe)
+                    value = apply_event_method(entry, net, mit_stream, probe=probe)
                     if entry.method == "reset_layers" and entry.params.get("scope") == "all":
                         # a full redraw leaves no parameters the old moment
                         # buffers describe; start the optimizer over as well
                         learner.opt = make_optimizer(opt_kind, net, **opt_hyper)
                     fires[i] += 1
                     writes += 1
-                    writers.metric_row(step, "event", entry.method, info.get("reset_count", 1.0))
+                    writers.metric_row(step, "event", entry.method, value)
             if step % cfg.logging.metric_interval == 0:
                 _log_metrics(step)
                 last_metric_step = step

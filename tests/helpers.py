@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from plastlab.learners import C51Config, C51Learner, build_network
+from plastlab.learners import C51Config, C51Learner, network_specs
 from plastlab.mitigations import make_optimizer
+from plastlab.net import NetworkState, init_network
 from plastlab.numkit import RngStream
 
 # Deterministic 2-state chain: s0 -(a1, r .5)-> s1 -(a0, r 1, terminal)->.
@@ -56,21 +57,29 @@ def chain_q_estimates(learner: C51Learner) -> np.ndarray:
     return learner.q_values(np.eye(2))
 
 
+def build_network(obs_dim, out_dim, hidden, activation, layer_norm, stream, head_gain=0.01):
+    """The runner's network for these widths, drawn from `stream`."""
+    return init_network(network_specs(obs_dim, out_dim, hidden, activation, layer_norm, head_gain), stream)
+
+
 def single_draw_reference(spec, stream):
     """Oracle: one layer's init drawn the way the first numkit did it, one
-    normal or uniform call per tensor and one QR per orthogonal weight."""
-    kind, args = spec.init.split("(")[0], spec.init
-    if kind == "orthogonal":
-        gain = float(args[len("orthogonal(") : -1])
-        big, small = max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim)
-        q, r = np.linalg.qr(stream.normal(0.0, 1.0, big * small).reshape(big, small))
-        q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-        w = q if spec.out_dim >= spec.in_dim else q.T
-        return np.ascontiguousarray(gain * w), np.zeros(spec.out_dim)
-    if kind == "uniform_fan_in":
-        bound = 1.0 / np.sqrt(spec.in_dim)
-        w = stream.uniform(-bound, bound, spec.out_dim * spec.in_dim).reshape(spec.out_dim, spec.in_dim)
-        return w, stream.uniform(-bound, bound, spec.out_dim)
-    mu, sigma = (float(t) for t in args[len("normal(") : -1].split(","))
-    w = stream.normal(mu, sigma, spec.out_dim * spec.in_dim).reshape(spec.out_dim, spec.in_dim)
-    return w, stream.normal(mu, sigma, spec.out_dim)
+    normal call and one QR per orthogonal weight."""
+    gain = float(spec.init[len("orthogonal(") : -1])
+    big, small = max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim)
+    q, r = np.linalg.qr(stream.normal(0.0, 1.0, big * small).reshape(big, small))
+    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    w = q if spec.out_dim >= spec.in_dim else q.T
+    return np.ascontiguousarray(gain * w), np.zeros(spec.out_dim)
+
+
+def constant_network(specs, value=0.0):
+    """A network whose every weight and bias, and their init snapshot, is
+    `value`; LayerNorm gains and offsets keep their init 1 and 0."""
+    drawn = init_network(specs, RngStream(0))
+    net = NetworkState(drawn.layers, {}, {}, ())
+    net.add({
+        name: np.full_like(arr, value) if name.endswith((".w", ".b")) else arr
+        for name, arr in drawn.params.items()
+    })
+    return net

@@ -18,7 +18,6 @@ from plastlab.learners import (
     C51Config,
     CategoricalHead,
     TrajectoryBatch,
-    build_network,
     c51_support,
     categorical_projection_batch,
     gae,
@@ -43,17 +42,19 @@ from plastlab.mitigations import (
 from plastlab.net import (
     ForwardTrace,
     Gradients,
-    _draw_layer_params,
     add_injection_round,
     backward,
     deserialize_network,
     forward,
+    layer_params,
     network_output,
     serialize_network,
 )
 from plastlab.numkit import RngStream, erfi
 from plastlab.runner import replay_metrics, resolve_config, run_experiment
 from plastlab.runner.cli import main as cli_main
+
+from helpers import build_network
 
 
 def headline(num, name, ok, detail):
@@ -230,7 +231,7 @@ def test_3_reset_semantics():
     out_before = trace.outputs.copy()
     w0, b0 = net2.params["layer0.w"].copy(), net2.params["layer0.b"].copy()
     w1, b1 = net2.params["layer1.w"].copy(), net2.params["layer1.b"].copy()
-    _, n_reset = redo_reset(net2, probe2, 0.05, RngStream(33, 3))
+    n_reset = redo_reset(net2, probe2, 0.05, RngStream(33, 3))
     others = [i for i in range(8) if i != d]
     redo_exact = (
         n_reset == 1
@@ -275,7 +276,8 @@ def test_3_reset_semantics():
     replica = RngStream(99, 3)
     snp_fresh = True
     for i, spec in enumerate(net5.layers):
-        w, b = _draw_layer_params(spec, replica)
+        fresh = layer_params(i, spec, replica)
+        w, b = fresh[f"layer{i}.w"], fresh[f"layer{i}.b"]
         snp_fresh = snp_fresh and np.array_equal(net5.params[f"layer{i}.w"], w)
         snp_fresh = snp_fresh and np.array_equal(net5.params[f"layer{i}.b"], b)
         if spec.layer_norm:

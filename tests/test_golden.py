@@ -193,6 +193,17 @@ CONFIGS = {
         "mitigations": ["trac", {"method": "redo", "trigger": "every_k_steps(70)"}],
         "logging": _LOGGING,
     },
+    # Kron at its registry defaults, preconditioning the injected head
+    # branches as well as the base layers.
+    "regression_probe_kron": {
+        "algo": "regression",
+        "seed": 14,
+        "total_steps": 300,
+        "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 3},
+        "network": {"hidden": [16, 16]},
+        "mitigations": ["kron", "plasticity_injection"],
+        "logging": _LOGGING,
+    },
 }
 
 GOLDEN = {
@@ -273,6 +284,12 @@ GOLDEN = {
         "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
         "ckpt_final.bin": "bec3988b7b4d08fa613771d95dea7fc841406e5a8b06e2c6b834ba3af6c58e21",
         "summary.json": "7683fb63cdf1a812377a62b93c8986c3f0cc8953b4670e3c29944460546e42b5",
+    },
+    "regression_probe_kron": {
+        "metrics.jsonl": "166ca574900459e0896434c3980574d4f57713eb9825af081c1ed97b16848810",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "30bd1521bcc1c935c4808c070d6a9aea53b0e080170d337fc3528e0db2a0a699",
+        "summary.json": "54e6eea1e6bc64873d5bc9653d05383006e0f1d85d9f12418946d8efc3754cc6",
     },
 }
 

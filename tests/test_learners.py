@@ -13,7 +13,6 @@ from plastlab.learners import (
     ReplayBuffer,
     Rollout,
     TrajectoryBatch,
-    build_network,
     c51_support,
     c51_update,
     categorical_projection_batch,
@@ -32,6 +31,7 @@ from plastlab.net import forward
 from plastlab.numkit import RngStream
 
 import helpers
+from helpers import build_network
 
 
 # ---------------------------------------------------------------- oracles

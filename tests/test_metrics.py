@@ -27,6 +27,8 @@ from plastlab.net import (
 )
 from plastlab.numkit import RngStream, svd_values
 
+from helpers import constant_network
+
 
 def fake_trace(postacts):
     postacts = [np.asarray(p, dtype=np.float64) for p in postacts]
@@ -120,7 +122,7 @@ class TestActiveFraction:
         assert active_fraction(fake_trace([np.full((3, 4), 0.2)]))["all"] == 1.0
 
     def test_crelu_doubled_width(self):
-        net = init_network([LayerSpec(2, 2, "crelu", init="normal(0.0,0.0)")], RngStream(0))
+        net = constant_network([LayerSpec(2, 2, "crelu")])
         net.params["layer0.w"][:] = np.eye(2)
         trace = forward(net, np.array([[1.0, -2.0]]))
         assert active_fraction(trace)["layer0"] == 0.5

@@ -24,19 +24,19 @@ from plastlab.mitigations import (
 from plastlab.net import (
     Gradients,
     LayerSpec,
-    _draw_layer_params,
     add_injection_round,
     backward,
     clone_network,
     draw_layers,
     forward,
     init_network,
+    layer_params,
     network_output,
 )
 from plastlab.numkit import RngStream, erfi
 from plastlab.runner import loop, resolve_config, run_experiment
 
-from helpers import single_draw_reference
+from helpers import constant_network, single_draw_reference
 
 
 def drift(a, b):
@@ -60,10 +60,10 @@ def tanh_net(seed=0, layer_norm=False):
 
 
 def degenerate_net(value=0.5):
-    """Every fresh init draw is exactly `value`."""
-    return init_network(
-        [LayerSpec(2, 3, "tanh", init=f"normal({value},0.0)"), LayerSpec(3, 1, "linear", init=f"normal({value},0.0)")],
-        RngStream(0, 0),
+    """Every weight and bias is `value`; every fresh init draw is exactly 0."""
+    return constant_network(
+        [LayerSpec(2, 3, "tanh", init="orthogonal(0.0)"), LayerSpec(3, 1, "linear", init="orthogonal(0.0)")],
+        value,
     )
 
 
@@ -81,7 +81,7 @@ class TestShrinkPerturb:
         shrink_perturb(net, 1.0, RngStream(9, 9))
         replay = RngStream(9, 9)
         for i, spec in enumerate(net.layers):
-            w, b = _draw_layer_params(spec, replay)
+            w, b = layer_params(i, spec, replay).values()
             np.testing.assert_array_equal(net.params[f"layer{i}.w"], w)
             np.testing.assert_array_equal(net.params[f"layer{i}.b"], b)
 
@@ -91,7 +91,7 @@ class TestShrinkPerturb:
             net.params[name][:] = 1.0
         shrink_perturb(net, 0.2, RngStream(3, 3))
         for name in net.param_order:
-            np.testing.assert_allclose(net.params[name], 0.9, atol=1e-12)
+            np.testing.assert_allclose(net.params[name], 0.8 * 1.0 + 0.2 * 0.0, atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.0, 1.0))
@@ -292,7 +292,7 @@ class TestRedo:
     def test_constructed_dormant_unit_reset(self):
         net, probe = self.zeroed_net()
         before_out = network_output(net, probe)
-        _, count = redo_reset(net, probe, 0.025, RngStream(10, 2))
+        count = redo_reset(net, probe, 0.025, RngStream(10, 2))
         assert count >= 1
         assert np.any(net.params["layer1.w"][2, :] != 0.0)
         np.testing.assert_array_equal(net.params["layer2.w"][:, 2], 0.0)
@@ -302,7 +302,7 @@ class TestRedo:
         net = tanh_net(11)
         probe = RngStream(11, 1).normal(0.0, 1.0, 30).reshape(10, 3)
         before = {k: v.copy() for k, v in net.params.items()}
-        _, count = redo_reset(net, probe, 0.025, RngStream(11, 2))
+        count = redo_reset(net, probe, 0.025, RngStream(11, 2))
         assert count == 0
         for name in net.param_order:
             assert net.params[name].tobytes() == before[name].tobytes()
@@ -321,7 +321,7 @@ class TestRedo:
         net.params["layer0.w"][1, :] = 0.0
         net.params["layer0.b"][1] = 0.0
         probe = RngStream(12, 1).normal(0.0, 1.0, 16).reshape(8, 2)
-        _, count = redo_reset(net, probe, 0.025, RngStream(12, 2))
+        count = redo_reset(net, probe, 0.025, RngStream(12, 2))
         assert count == 1
         np.testing.assert_array_equal(net.params["layer1.w"][:, 1], 0.0)
         np.testing.assert_array_equal(net.params["layer1.w"][:, 4], 0.0)
@@ -471,7 +471,7 @@ class TestRegLoss:
 
 class TestAdam:
     def test_hand_computed_first_step(self):
-        net = init_network([LayerSpec(1, 1, "linear", init="normal(0.0,0.0)")], RngStream(0))
+        net = constant_network([LayerSpec(1, 1, "linear")])
         net.params["layer0.w"][:] = 2.0
         opt = make_optimizer("adam", net)
         optimizer_step(opt, net, None, grads_of({"layer0.w": np.array([[1.0]])}), 0.1)
@@ -722,7 +722,7 @@ class TestTrac:
         assert np.isfinite(opt.trac_scale)
 
     def test_explicit_candidate_endpoint(self):
-        net = init_network([LayerSpec(1, 1, "linear", init="normal(0.0,0.0)")], RngStream(0))
+        net = constant_network([LayerSpec(1, 1, "linear")])
         opt = make_optimizer("trac", net)
         # drive the tuners hard enough that the scale becomes positive
         grads = grads_of({"layer0.w": np.array([[1.0]]), "layer0.b": np.array([0.0])})
@@ -781,7 +781,7 @@ class TestTrac:
 
 class TestKron:
     def identity_setup(self):
-        net = init_network([LayerSpec(1, 1, "linear", init="normal(0.0,0.0)")], RngStream(0))
+        net = constant_network([LayerSpec(1, 1, "linear")])
         net.params["layer0.w"][:] = 1.0
         opt = make_optimizer("kron", net, damping=0.0, ema=0.0)
         batch = np.array([[1.0], [-1.0]])
@@ -819,7 +819,7 @@ class TestKron:
         y = x @ w_true.T
 
         def run(use_kron, steps=40, lr=0.05):
-            net = init_network([LayerSpec(2, 1, "linear", init="normal(0.0,0.0)")], RngStream(0))
+            net = constant_network([LayerSpec(2, 1, "linear")])
             opt = make_optimizer("kron", net) if use_kron else None
             for _ in range(steps):
                 trace = forward(net, x)
@@ -998,8 +998,7 @@ class TestRegistryAndPlan:
     def test_apply_event_dispatch(self):
         net = tanh_net(80)
         plan = build_plan([{"method": "reset_layers"}])
-        info = apply_event_method(plan[0], net, RngStream(80, 1))
-        assert info == {"scope": "final"}
+        assert apply_event_method(plan[0], net, RngStream(80, 1)) == 1.0
         redo_plan = build_plan([{"method": "redo"}])
         with pytest.raises(MitigationError):
             apply_event_method(redo_plan[0], net, RngStream(80, 2))

@@ -10,8 +10,8 @@ from plastlab.net import (
     LayerSpec,
     _act_backward,
     _act_forward,
+    NetworkState,
     _branch_names,
-    _draw_layer_params,
     _ln_backward,
     add_injection_round,
     backward,
@@ -20,13 +20,14 @@ from plastlab.net import (
     draw_layers,
     forward,
     init_network,
+    layer_params,
     network_output,
     serialize_network,
 )
 from plastlab.numkit import RngStream
 from plastlab.runner import resolve_config, run_experiment
 
-from helpers import single_draw_reference
+from helpers import constant_network, single_draw_reference
 
 
 def fd_grads(net, batch, coeff, h=1e-5):
@@ -57,13 +58,9 @@ def assert_grads_close(analytic, numeric, names):
 
 
 def small_net(activation, layer_norm, seed):
-    specs = [
-        LayerSpec(3, 4, activation, layer_norm, "orthogonal(1.3)"),
-        LayerSpec(LayerSpec(3, 4, activation).width_out if activation in ("crelu", "fourier") else 4,
-                  2, "linear", False, "uniform_fan_in"),
-    ]
-    specs[1] = LayerSpec(specs[0].width_out, 2, "linear", False, "uniform_fan_in")
-    return init_network(specs, RngStream(seed, 1))
+    first = LayerSpec(3, 4, activation, layer_norm, "orthogonal(1.3)")
+    head = LayerSpec(first.width_out, 2, "linear", False, "orthogonal(0.7)")
+    return init_network([first, head], RngStream(seed, 1))
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh", "crelu", "fourier", "linear"])
@@ -107,11 +104,9 @@ DRAW_CHAINS = {
         LayerSpec(5, 7, init="orthogonal(1.41)"),
         LayerSpec(7, 1, "linear", init="orthogonal(0.01)"),
     ],
-    "uniform_fan_in": [LayerSpec(3, 7, init="uniform_fan_in"), LayerSpec(7, 1, "linear", init="uniform_fan_in")],
-    "normal": [LayerSpec(4, 3, init="normal(0.1,0.5)"), LayerSpec(3, 5, "linear", init="normal(-1.0,0.0)")],
-    "mixed": [
-        LayerSpec(5, 4, init="uniform_fan_in"),
-        LayerSpec(4, 3, "crelu", init="normal(0.0,2.0)"),
+    "zero_and_negative_gains_crelu": [
+        LayerSpec(5, 4, init="orthogonal(0.0)"),
+        LayerSpec(4, 3, "crelu", init="orthogonal(-2.0)"),
         LayerSpec(6, 6),
         LayerSpec(6, 2, "linear", init="orthogonal(2.0)"),
     ],
@@ -139,8 +134,8 @@ class TestDrawLayers:
     @pytest.mark.parametrize("name", sorted(DRAW_CHAINS))
     def test_one_layer_draw_is_the_k1_case(self, name):
         fast, ref = RngStream(8, 3, 99), RngStream(8, 3, 99)
-        for spec in DRAW_CHAINS[name]:
-            w, b = _draw_layer_params(spec, fast)
+        for i, spec in enumerate(DRAW_CHAINS[name]):
+            w, b = layer_params(i, spec, fast).values()
             w_ref, b_ref = single_draw_reference(spec, ref)
             assert w.tobytes() == w_ref.tobytes() and b.tobytes() == b_ref.tobytes()
             assert fast.counter == ref.counter
@@ -176,7 +171,7 @@ def test_stacked_qr_equals_single_qr_on_golden_shapes(tmp_path):
 
 
 def test_init_determinism():
-    specs = [LayerSpec(3, 4), LayerSpec(4, 2, "linear", init="uniform_fan_in")]
+    specs = [LayerSpec(3, 4), LayerSpec(4, 2, "linear", init="orthogonal(0.5)")]
     a = init_network(specs, RngStream(7, 3))
     b = init_network(specs, RngStream(7, 3))
     for name in a.param_order:
@@ -207,13 +202,13 @@ def test_layer_norm_constant_row():
 
 
 def test_crelu_and_fourier_values():
-    net = init_network([LayerSpec(2, 2, "crelu", init="normal(0.0,0.0)")], RngStream(0))
+    net = constant_network([LayerSpec(2, 2, "crelu")])
     net.params["layer0.w"][:] = np.eye(2)
     trace = forward(net, np.array([[1.0, -2.0]]))
     np.testing.assert_array_equal(trace.postacts[0], [[1.0, 0.0, 0.0, 2.0]])
     assert trace.postacts[0].shape[1] == 2 * trace.preacts[0].shape[1]
 
-    netf = init_network([LayerSpec(1, 1, "fourier", init="normal(0.0,0.0)")], RngStream(0))
+    netf = constant_network([LayerSpec(1, 1, "fourier")])
     tracef = forward(netf, np.array([[0.0]]))
     np.testing.assert_array_equal(tracef.postacts[0], [[0.0, 1.0]])
 
@@ -366,7 +361,7 @@ class TestBackwardOracle:
             width = specs[-1].width_out
         # injection needs a plain head
         head_ln = layer_norm and not rounds
-        specs.append(LayerSpec(width, 3, "linear", head_ln, "uniform_fan_in"))
+        specs.append(LayerSpec(width, 3, "linear", head_ln, "orthogonal(0.8)"))
         net = init_network(specs, RngStream(seed, 1))
         for r in range(rounds):
             add_injection_round(net, RngStream(seed, 2 + r))
@@ -486,6 +481,10 @@ BAD_MANIFESTS = {
     "layer_norm an int": _set(["layers", 0, "layer_norm"], 0),
     "unknown activation": _set(["layers", 0, "activation"], "swish"),
     "malformed init": _set(["layers", 0, "init"], "orthogonal(1.0"),
+    "init gain not a number": _set(["layers", 0, "init"], "orthogonal(x)"),
+    "init gain nan": _set(["layers", 0, "init"], "orthogonal(nan)"),
+    "init gain inf": _set(["layers", 0, "init"], "orthogonal(-inf)"),
+    "init of another kind": _set(["layers", 0, "init"], "normal(0.0,1.0)"),
 }
 
 
@@ -514,3 +513,73 @@ def test_clone_is_independent():
     twin = clone_network(net)
     twin.params["layer0.w"] += 1.0
     assert not np.array_equal(twin.params["layer0.w"], net.params["layer0.w"])
+
+
+class TestLayout:
+    """The layout helpers: NetworkState.add, head_prefixes and layer_params."""
+
+    def test_add_appends_in_order_with_read_only_snapshots(self):
+        net = init_network([LayerSpec(2, 3), LayerSpec(3, 1, "linear")], RngStream(30))
+        before = net.param_order
+        extra = {"x.w": np.arange(6.0).reshape(2, 3), "x.b": np.ones(2), "log_std": np.zeros(1)}
+        net.add(extra, frozen=("x.b",))
+        assert net.param_order == before + ("x.w", "x.b", "log_std")
+        assert net.frozen == frozenset({"x.b"})
+        assert "x.b" not in net.trainable_names() and "x.w" in net.trainable_names()
+        for name, value in extra.items():
+            assert net.params[name] is value
+            snap = net.init_snapshot[name]
+            assert snap is not value and snap.tobytes() == value.tobytes()
+            with pytest.raises(ValueError):
+                snap[...] = 7.0
+        net.params["x.w"] += 1.0
+        assert net.init_snapshot["x.w"][0, 0] == 0.0
+        # frozen names accumulate
+        net.add({"y.w": np.zeros((1, 1))}, frozen=("y.w",))
+        assert net.frozen == frozenset({"x.b", "y.w"})
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_head_prefixes_follow_the_injection_rounds(self, depth):
+        specs = [LayerSpec(3, 3, "tanh") for _ in range(depth - 1)] + [LayerSpec(3, 2, "linear")]
+        net = init_network(specs, RngStream(31))
+        last = depth - 1
+        for rounds in range(4):
+            want = (f"layer{last}",) + tuple(
+                name for r in range(1, rounds + 1) for name in _branch_names(last, r)
+            )
+            assert net.head_prefixes() == want
+            for prefix in want:
+                assert f"{prefix}.w" in net.params and f"{prefix}.b" in net.params
+            add_injection_round(net, RngStream(31, rounds + 1))
+
+    def test_layer_params_is_init_networks_draw(self):
+        specs = [
+            LayerSpec(4, 5, "relu", True, "orthogonal(1.41)"),
+            LayerSpec(5, 3, "crelu", False, "orthogonal(0.5)"),
+            LayerSpec(6, 2, "linear", True, "orthogonal(0.01)"),
+        ]
+        net = init_network(specs, RngStream(32, 4))
+        stream = RngStream(32, 4)
+        drawn = {}
+        for i, spec in enumerate(specs):
+            drawn.update(layer_params(i, spec, stream))
+        assert tuple(drawn) == net.param_order
+        for name in net.param_order:
+            assert drawn[name].tobytes() == net.params[name].tobytes(), name
+        assert drawn["layer0.ln_gain"].tolist() == [1.0] * 5
+        assert drawn["layer2.ln_offset"].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "init", ["uniform_fan_in", "normal(0.0,1.0)", "orthogonal(x)", "orthogonal(nan)",
+             "orthogonal(inf)", "orthogonal(1.0,2.0)", "orthogonal()", "Orthogonal(1.0)"],
+)
+def test_only_finite_orthogonal_init(init):
+    with pytest.raises(SpecError):
+        LayerSpec(2, 2, init=init)
+
+
+def test_orthogonal_gain_spellings():
+    for init in ("orthogonal", " orthogonal(1.0) ", "orthogonal(1)", "orthogonal(1e0)"):
+        w = init_network([LayerSpec(3, 3, init=init)], RngStream(33)).params["layer0.w"]
+        assert w.tobytes() == init_network([LayerSpec(3, 3)], RngStream(33)).params["layer0.w"].tobytes()

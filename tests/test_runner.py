@@ -13,7 +13,7 @@ import yaml
 
 from plastlab.envs import PROBE_DIM, PROBE_OUT
 from plastlab.errors import CheckpointError, ConfigError, DivergenceError
-from plastlab.learners import Rollout, build_network
+from plastlab.learners import Rollout, network_specs
 from plastlab.metrics import _params_l2
 from plastlab.net import draw_layers, serialize_network
 from plastlab.numkit import DrawAhead, RngStream
@@ -31,6 +31,7 @@ from plastlab.runner import loop
 from plastlab.runner.cli import main
 
 import test_golden as golden
+from helpers import build_network
 
 
 def probe_cfg(**over):
@@ -590,6 +591,47 @@ class TestProbeBatches:
             tracemalloc.stop()
         assert ahead.count == k
         assert peak <= 1.07 * loop.AHEAD_BYTES
+
+
+def _footprint(cfg) -> int:
+    s, net = cfg.scenario, cfg.network
+    sched = loop.build_schedule(
+        s.mode, s.family, s.level_seed_base, s.segment_length, s.n_segments, s.variants, s.horizon, s.level_offset
+    )
+    obs_dim, _, head_width = loop._widths(cfg, sched)
+    specs = network_specs(obs_dim, head_width, net.hidden, net.activation, net.layer_norm)
+    return loop.footprint_bytes(cfg, specs)
+
+
+class TestFootprint:
+    @pytest.mark.parametrize(
+        "name",
+        ["ppo_grid_level_shift", "ppo_pointmass_task_chain", "c51_grid_frame_stack",
+         "regression_probe_level_shift", "regression_probe_trac_redo"],
+    )
+    def test_estimate_bounds_the_traced_peak_within_3x(self, name, tmp_path):
+        cfg = resolve_config(golden.CONFIGS[name])
+        # a first run pays the one-time costs (lazy imports, caches) no run holds
+        run_experiment(cfg, str(tmp_path / "warm"))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, str(tmp_path / "run"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        est = _footprint(cfg)
+        assert peak <= est <= 3 * peak, (peak, est)
+
+    def test_too_large_a_run_exits_2_before_its_directory(self, tmp_path, capsys):
+        cfg = dict(golden.CONFIGS["c51_grid_standard"], total_steps=20)
+        cfg["scenario"] = {**cfg["scenario"], "frame_stack": 293025}
+        assert _footprint(resolve_config(cfg)) > 22 * 2**30  # its init draw alone takes 22.6 GiB
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "run"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestActMemo:
@@ -1226,6 +1268,22 @@ class TestCli:
         path.write_bytes(struct.pack("<Q", len(head)) + head + blob[8 + head_len :])
         assert main(["replay-metrics", str(path), "--probe-seed", "4"]) == 2
         assert "frozen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("init", ["orthogonal(x)", "orthogonal(nan)", "orthogonal(inf)", "uniform_fan_in"])
+    def test_replay_metrics_bad_init_exit_2(self, tmp_path, capsys, init):
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 5\nnetwork: {hidden: [8]}\n")
+        out = tmp_path / "run"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        path = out / "ckpt_final.bin"
+        blob = path.read_bytes()
+        (head_len,) = struct.unpack_from("<Q", blob, 0)
+        manifest = json.loads(blob[8 : 8 + head_len])
+        manifest["layers"][0]["init"] = init
+        head = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(struct.pack("<Q", len(head)) + head + blob[8 + head_len :])
+        capsys.readouterr()
+        assert main(["replay-metrics", str(path)]) == 2
+        assert "bad checkpoint layer entry" in capsys.readouterr().err
 
     def test_bad_seed_range_exit_2(self, tmp_path):
         cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
