@@ -155,6 +155,21 @@ CONFIGS = {
         "logging": _LOGGING,
         "checkpoint_interval": 200,
     },
+    # Double-DQN-style selection: the online net picks each next action and
+    # the target net's distribution for it is projected, across a level switch.
+    "c51_grid_online_selection": {
+        "algo": "c51",
+        "seed": 9,
+        "total_steps": 600,
+        "scenario": {"mode": "level_shift", "segment_length": 300, "n_segments": 2, "horizon": 40},
+        "network": {"hidden": [32]},
+        "learner": {
+            "buffer_size": 1000, "batch_size": 16, "learning_starts": 50,
+            "train_frequency": 2, "target_network_frequency": 100, "n_atoms": 11,
+            "action_selection": "online",
+        },
+        "logging": _LOGGING,
+    },
     # Events on the probe: redo on a fixed period and one reset of the final
     # layer mid-task, with checkpoints between them.
     "regression_probe_events": {
@@ -266,6 +281,12 @@ GOLDEN = {
         "episodes.csv": "51fd81e7d0022a2a341aef12dcd2e8c9dcc1bbf6afc18ba925537c913ae96dd8",
         "ckpt_final.bin": "58e22a47646e9c27b558d5c2c011f78e5eb85e875d19aa9bc19848e4fd24f932",
         "summary.json": "2194e3487397e3735ecb167934511ba4174fc60793ddbed4adf0a2baa2c25335",
+    },
+    "c51_grid_online_selection": {
+        "metrics.jsonl": "d0f9e87ee2f6f4d799a7497fbd45bb00a299f11fc67a3c04fc8a3f0b3aaefbe5",
+        "episodes.csv": "e2935cb6b7c4181846869a8f2908787cefeae733640c172dab34203a7aeaf95e",
+        "ckpt_final.bin": "c59430ad42dc48bd95b9732bd666b55bcbc57053738ba576e21bb804f1a35996",
+        "summary.json": "d62b363fb8ce1ff0eab44d334e543e92b90ddc5dc25f97619eab69d0970a2c0a",
     },
     "regression_probe_events": {
         "metrics.jsonl": "c7cb02f380c94fb35afcce40d8d4dcc3f8d98d0722983e4aa030c042b9bfa1e0",
