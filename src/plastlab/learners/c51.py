@@ -17,8 +17,8 @@ from ..numkit import RngStream
 from ..mitigations import Optimizer, optimizer_step, reg_loss
 from .common import ReplayBuffer, _log_softmax, add_regularizers
 
-# most next observations a target memo holds before it starts over, as many
-# as the run loop's act memo
+# most entries each target memo holds before it starts over, as many as the
+# run loop's act memo
 TARGET_MEMO_CAP = 1024
 
 
@@ -136,24 +136,44 @@ def _dist_probs(net: NetworkState, obs: np.ndarray, n_actions: int, n_atoms: int
     return np.exp(_log_softmax(out))
 
 
-def _target_probs(
-    target: NetworkState, batch: dict, n_actions: int, n_atoms: int, memo: dict
+def _target_rows(
+    target: NetworkState, batch: dict, head: CategoricalHead, gamma: float,
+    memos: tuple[dict, dict], picks: list[int] | None = None,
 ) -> np.ndarray:
-    """The target net's atom probabilities for each sampled next observation,
-    one batch-of-one forward per distinct stored encoding (`next_codes`) not
-    yet in `memo`. The memo must be emptied whenever the target net changes;
-    past TARGET_MEMO_CAP entries it starts over."""
-    codes, next_obs = batch["next_codes"], batch["next_obs"]
+    """Each sampled transition's projected target row. `memos` holds two
+    dicts that must be emptied whenever the target net changes; past
+    TARGET_MEMO_CAP entries each starts over. The first maps a stored next
+    observation encoding (`next_codes`) to the target net's per-action atom
+    probabilities, from the batch-of-one forward acting uses, and their greedy
+    action. The second maps the exact bits of (encoding, reward, done, chosen
+    action) to the row projected on its own: bincount sums each bin in the
+    same order for one row as for a batch. The chosen actions are `picks`
+    when given, else the target's greedy ones."""
+    dists, rows = memos
+    codes, rewards, dones = batch["next_codes"], batch["rewards"], batch["dones"]
     keys = codes.view(f"V{codes.strides[0]}").ravel().tolist()  # each row as one bytes key
-    rows = []
+    n_actions = target.layers[-1].width_out // head.n_atoms
+    found = []
     for i, key in enumerate(keys):
-        probs = memo.get(key)
-        if probs is None:
-            if len(memo) >= TARGET_MEMO_CAP:
-                memo.clear()
-            probs = memo[key] = _dist_probs(target, next_obs[i : i + 1], n_actions, n_atoms)[0]
-        rows.append(probs)
-    return np.array(rows)
+        hit = dists.get(key)
+        if hit is None:
+            if len(dists) >= TARGET_MEMO_CAP:
+                dists.clear()
+            probs = _dist_probs(target, batch["next_obs"][i : i + 1], n_actions, head.n_atoms)[0]
+            hit = dists[key] = probs, int(np.argmax(np.sum(probs * head.atoms, axis=1)))
+        found.append(hit)
+    if picks is None:
+        picks = [greedy for _, greedy in found]
+    out = []
+    bits = zip(keys, rewards.view(np.int64).tolist(), dones.view(np.int64).tolist(), picks)
+    for i, (key, (probs, _)) in enumerate(zip(bits, found)):
+        row = rows.get(key)
+        if row is None:
+            if len(rows) >= TARGET_MEMO_CAP:
+                rows.clear()
+            row = rows[key] = categorical_projection_batch(probs[key[3]], rewards[i], dones[i], gamma, head)[0]
+        out.append(row)
+    return np.array(out)
 
 
 def c51_update(
@@ -166,7 +186,7 @@ def c51_update(
     stream: RngStream,
     learning_starts: int = 0,
     action_selection: str = "target",
-    memo: dict | None = None,
+    memos: tuple[dict, dict] | None = None,
 ) -> tuple[float, Gradients, ForwardTrace] | None:
     """One distributional Bellman fit on a sampled batch.
 
@@ -174,8 +194,8 @@ def c51_update(
     learning-starts threshold. Greedy next actions come from the target
     network by default; action_selection="online" switches the argmax to
     the online network while still bootstrapping from the target. The
-    target's probabilities come from `memo` (see _target_probs; a throwaway
-    one when None), so they never depend on what it holds.
+    target rows come from `memos` (see _target_rows; throwaway ones when
+    None), so they never depend on what the memos hold.
     """
     if len(buffer) < max(learning_starts, batch_size):
         return None
@@ -184,15 +204,11 @@ def c51_update(
     batch = buffer.sample(batch_size, stream)
     n_actions = online.layers[-1].width_out // head.n_atoms
 
-    target_probs = _target_probs(target, batch, n_actions, head.n_atoms, {} if memo is None else memo)
+    picks = None
     if action_selection == "online":
         select_probs = _dist_probs(online, batch["next_obs"], n_actions, head.n_atoms)
-    else:
-        select_probs = target_probs
-    q_next = np.sum(select_probs * head.atoms, axis=2)
-    best = np.argmax(q_next, axis=1)
-    next_dist = target_probs[np.arange(batch_size), best]
-    m = categorical_projection_batch(next_dist, batch["rewards"], batch["dones"], gamma, head)
+        picks = np.argmax(np.sum(select_probs * head.atoms, axis=2), axis=1).tolist()
+    m = _target_rows(target, batch, head, gamma, ({}, {}) if memos is None else memos, picks)
 
     trace = forward(online, batch["obs"])
     out = trace.outputs.reshape(batch_size, n_actions, head.n_atoms)
@@ -235,7 +251,7 @@ class C51Learner:
         self.buffer = ReplayBuffer(cfg.buffer_size, obs_dim)
         self.post_step = None  # callable fired after each gradient step
         self.memo = None  # obs bytes -> greedy action while params stay put
-        self.target_memo: dict = {}  # stored next_obs encoding -> target atom probabilities
+        self.target_memos: tuple[dict, dict] = ({}, {})  # see _target_rows
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         probs = _dist_probs(self.net, np.atleast_2d(obs), self.n_actions, self.head.n_atoms)
@@ -256,7 +272,7 @@ class C51Learner:
         return self.memo[key]
 
     def remember(self, obs, action, reward, next_obs, done) -> None:
-        # a widening keeps the target memo: a packed code is ceil(d/8) bytes,
+        # a widening keeps the target memos: a packed code is ceil(d/8) bytes,
         # a float64 code 8d, so codes of the two tiers never share a key
         self.buffer.add(obs, action, reward, next_obs, done)
 
@@ -270,7 +286,7 @@ class C51Learner:
                 cfg.batch_size, cfg.gamma, stream,
                 learning_starts=cfg.learning_starts,
                 action_selection=cfg.action_selection,
-                memo=self.target_memo,
+                memos=self.target_memos,
             )
             if result is not None:
                 loss, grads, trace = result
@@ -282,5 +298,5 @@ class C51Learner:
                 stats = {"loss": loss}
         if step % cfg.target_network_frequency == 0:
             self.target = clone_network(self.net)
-            self.target_memo = {}
+            self.target_memos = ({}, {})
         return stats

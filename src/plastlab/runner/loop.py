@@ -148,7 +148,9 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
         total += _draw_ahead(batch_work_bytes(learner.batch_size)).steps * batch_work_bytes(learner.batch_size)
     if cfg.algo == "c51":  # a replay row holds the packed obs pair, action, reward and done
         total += min(learner.buffer_size, cfg.total_steps) * (2 * -(-obs_dim // 8) + 24)
-        total += 8 * TARGET_MEMO_CAP * head_width
+        # each memo pair holds a target row set and a projected row, plus about
+        # 0.8 KB of keys, array headers and dict slots
+        total += TARGET_MEMO_CAP * (8 * (head_width + learner.n_atoms) + 1024)
     return total
 
 

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from plastlab.errors import InvalidInputError, NumericError
 from plastlab.learners import (
@@ -670,78 +673,130 @@ def fill_binary_replay(learner, n=96, seed=14):
         learner.remember(states[i % 5], i % 2, float(np.sin(i)), states[(i * 3 + 1) % 5], i % 11 == 0)
 
 
+# rewards for the projection: both zeros, support points (exactly aligned at
+# gamma 0 or 1, or when done), values clipped at v_min/v_max, and any float
+_REWARDS = st.one_of(
+    st.sampled_from([0.0, -0.0, -10.0, 10.0, 0.4, -3.2, 9.6, -14.0, 25.0]),
+    st.floats(-25.0, 25.0),
+)
+
+
 class TestC51TargetMemo:
-    """The target memo reuses batch-of-one target forwards; c51_update's numbers
-    never depend on what it holds."""
+    """The target memos reuse batch-of-one target forwards and one-row
+    projections; c51_update's numbers never depend on what they hold."""
 
     @pytest.mark.parametrize("selection", ["target", "online"])
     def test_memo_leaves_loss_and_gradients_unchanged(self, selection):
         learner, _ = make_c51(15, obs_dim=12)
         fill_binary_replay(learner)
-        memo = {}
+        memos = ({}, {})
 
-        def update(memo_arg, seed):
+        def update(memos_arg, seed):
             return c51_update(learner.buffer, learner.net, learner.target, learner.head,
                               16, 0.9, RngStream(seed, 0), action_selection=selection,
-                              memo=memo_arg)
+                              memos=memos_arg)
 
-        update(memo, 3)  # fills the memo from another batch
-        assert 0 < len(memo) <= 5
-        held = dict(memo)
-        with_memo, without = update(memo, 4), update(None, 4)
+        update(memos, 3)  # fills the memos from another batch
+        assert 0 < len(memos[0]) <= 5 and 0 < len(memos[1])
+        held = [dict(memo) for memo in memos]
+        with_memo, without = update(memos, 4), update(None, 4)
         assert with_memo[0] == without[0]
         for name, g in without[1].by_name.items():
             assert with_memo[1].by_name[name].tobytes() == g.tobytes()
-        assert all(memo[key] is probs for key, probs in held.items())
+        for memo, kept in zip(memos, held):
+            assert all(memo[key] is value for key, value in kept.items())
 
-    def test_rows_match_the_batched_target_forward(self):
+    def test_rows_project_the_batch_of_one_target_forward(self):
         learner, _ = make_c51(16, obs_dim=12, n_actions=3)
         fill_binary_replay(learner)
         batch = learner.buffer.sample(32, RngStream(5, 0))
-        rows = c51_module._target_probs(learner.target, batch, 3, 51, {})
+        memos = ({}, {})
+        rows = c51_module._target_rows(learner.target, batch, learner.head, 0.9, memos)
         batched = c51_module._dist_probs(learner.target, batch["next_obs"], 3, 51)
-        np.testing.assert_allclose(rows, batched, rtol=0.0, atol=1e-15)
-        for i in range(32):
-            one = c51_module._dist_probs(learner.target, batch["next_obs"][i : i + 1], 3, 51)
-            assert rows[i].tobytes() == one[0].tobytes()
+        ones = np.concatenate(
+            [c51_module._dist_probs(learner.target, batch["next_obs"][i : i + 1], 3, 51) for i in range(32)]
+        )
+        np.testing.assert_allclose(ones, batched, rtol=0.0, atol=1e-15)
+        codes = batch["next_codes"]
+        for key, one in zip(codes.view(f"V{codes.strides[0]}").ravel().tolist(), ones):
+            assert memos[0][key][0].tobytes() == one.tobytes()
+        best = np.argmax(np.sum(ones * learner.head.atoms, axis=2), axis=1)
+        want = categorical_projection_batch(
+            ones[np.arange(32), best], batch["rewards"], batch["dones"], 0.9, learner.head
+        )
+        assert rows.tobytes() == want.tobytes()
 
-    def test_cap_bounds_the_memo(self, monkeypatch):
+    def test_cap_bounds_the_memos(self, monkeypatch):
         learner, _ = make_c51(17, obs_dim=12)
         fill_binary_replay(learner)
         monkeypatch.setattr(c51_module, "TARGET_MEMO_CAP", 3)
-        memo = {}
+        memos = ({}, {})
         for seed in range(6):
             batch = learner.buffer.sample(16, RngStream(seed, 0))
-            c51_module._target_probs(learner.target, batch, 2, 51, memo)
-            assert 1 <= len(memo) <= 3
+            picks = RngStream(seed, 1).randint(2, 16).tolist()
+            c51_module._target_rows(learner.target, batch, learner.head, 0.9, memos, picks)
+            assert all(1 <= len(memo) <= 3 for memo in memos)
 
-    def test_target_sync_empties_the_memo(self):
+    def test_target_sync_empties_the_memos(self):
         learner, _ = make_c51(18, obs_dim=12)
         learner.cfg.target_network_frequency = 4
         fill_binary_replay(learner)
         ustream = RngStream(6, 0)
         learner.update(1, ustream)
-        assert learner.target_memo
+        assert all(learner.target_memos)
         learner.update(4, ustream)
-        assert learner.target_memo == {}
+        assert learner.target_memos == ({}, {})
 
     @pytest.mark.parametrize("dim", [1, 7, 8, 9, 324])
     def test_codes_of_the_two_tiers_differ_in_length(self, dim):
-        # a packed code is ceil(d/8) bytes and a float64 code 8d, so a memo
-        # kept across a widening never answers a new row with an old entry
+        # a packed code is ceil(d/8) bytes and a float64 code 8d, so memos
+        # kept across a widening never answer a new row with an old entry
         learner, _ = make_c51(19, obs_dim=dim)
         for i in range(40):
             learner.remember(np.ones(dim), i % 2, 0.0, np.ones(dim), False)
         learner.update(1, RngStream(7, 0))
         packed = learner.buffer.sample(16, RngStream(8, 0))["next_codes"]
         learner.remember(np.full(dim, 128.0), 0, 0.0, np.full(dim, 128.0), False)
-        assert learner.buffer.tier == 1 and len(learner.target_memo) == 1
+        assert learner.buffer.tier == 1 and len(learner.target_memos[0]) == 1
         batch = learner.buffer.sample(32, RngStream(8, 1))
         for codes, width in ((packed, -(-dim // 8)), (batch["next_codes"], 8 * dim)):
             keys = codes.view(f"V{codes.strides[0]}").ravel().tolist()
             assert {len(key) for key in keys} == {width}
-        kept = c51_module._target_probs(learner.target, batch, 2, 51, learner.target_memo)
-        assert kept.tobytes() == c51_module._target_probs(learner.target, batch, 2, 51, {}).tobytes()
+        kept = c51_module._target_rows(learner.target, batch, learner.head, 0.9, learner.target_memos)
+        fresh = c51_module._target_rows(learner.target, batch, learner.head, 0.9, ({}, {}))
+        assert kept.tobytes() == fresh.tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        weights=arrays(np.float64, (6, 3, 51), elements=st.floats(0.0, 1.0)),
+        codes=st.lists(st.integers(0, 5), min_size=32, max_size=32),
+        rewards=st.lists(_REWARDS, min_size=32, max_size=32),
+        dones=st.lists(st.booleans(), min_size=32, max_size=32),
+        gamma=st.one_of(st.sampled_from([0.0, 0.5, 0.99, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_one_row_equals_its_row_of_the_batch(self, weights, codes, rewards, dones, gamma):
+        """A one-row projection and a one-row greedy pick are bit for bit the
+        matching row of the 32-row computation, so memoized rows change no
+        log byte."""
+        weights[weights.sum(axis=2) == 0.0] = 1.0
+        probs = weights / weights.sum(axis=2, keepdims=True)
+        rewards, dones = np.array(rewards), np.array(dones, dtype=np.float64)
+        dists = probs[codes]
+        best = np.argmax(np.sum(dists * HEAD.atoms, axis=2), axis=1)
+        m = categorical_projection_batch(dists[np.arange(32), best], rewards, dones, gamma, HEAD)
+        for i, (c, a) in enumerate(zip(codes, best)):
+            one = categorical_projection_batch(probs[c, a], rewards[i], dones[i], gamma, HEAD)
+            assert one.tobytes() == m[i].tobytes()
+        # the same rows through _target_rows, its target forward answered by `probs`
+        target = SimpleNamespace(layers=[SimpleNamespace(width_out=3 * 51)])
+        batch = {"next_codes": np.array(codes, dtype=np.uint8)[:, None], "next_obs": np.array(codes)[:, None],
+                 "rewards": rewards, "dones": dones}
+        memos = ({}, {})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(c51_module, "_dist_probs", lambda net, obs, *_: probs[obs[:, 0]])
+            rows = c51_module._target_rows(target, batch, HEAD, gamma, memos)
+        assert [memos[0][bytes([c])][1] for c in codes] == best.tolist()
+        assert rows.tobytes() == m.tobytes()
 
     def test_action_scatter_equals_the_per_action_loop(self):
         stream = RngStream(20, 0)

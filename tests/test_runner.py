@@ -10,11 +10,14 @@ from functools import partial
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plastlab.envs import PROBE_DIM, PROBE_OUT
 from plastlab.errors import CheckpointError, ConfigError, DivergenceError
 from plastlab.learners import Rollout, network_specs
 from plastlab.metrics import _params_l2
+from plastlab.mitigations import REGISTRY
 from plastlab.net import draw_layers, serialize_network
 from plastlab.numkit import DrawAhead, RngStream
 from plastlab.runner import (
@@ -603,16 +606,48 @@ def _footprint(cfg) -> int:
     return loop.footprint_bytes(cfg, specs)
 
 
+# C51 whose target memos both reach TARGET_MEMO_CAP before a sync: random
+# acting over 16 levels of four stacked frames gives more than 1,024 distinct
+# next observations.
+_FULL_TARGET_MEMO = {
+    "algo": "c51",
+    "seed": 1,
+    "total_steps": 1600,
+    "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 16, "horizon": 40, "frame_stack": 4},
+    "network": {"hidden": [32]},
+    "learner": {
+        "buffer_size": 1600, "batch_size": 64, "learning_starts": 50, "train_frequency": 2,
+        "target_network_frequency": 10**6, "exploration_fraction": 1.0, "end_epsilon": 1.0,
+    },
+    "logging": {"metric_interval": 800, "probe_batch": 32},
+}
+
+_FOOTPRINT_NAMES = ["ppo_grid_level_shift", "ppo_pointmass_task_chain", "c51_grid_frame_stack",
+                    "regression_probe_level_shift", "regression_probe_trac_redo"]
+
+
 class TestFootprint:
     @pytest.mark.parametrize(
-        "name",
-        ["ppo_grid_level_shift", "ppo_pointmass_task_chain", "c51_grid_frame_stack",
-         "regression_probe_level_shift", "regression_probe_trac_redo"],
+        "raw",
+        [golden.CONFIGS[name] for name in _FOOTPRINT_NAMES] + [_FULL_TARGET_MEMO],
+        ids=_FOOTPRINT_NAMES + ["c51_full_target_memo"],
     )
-    def test_estimate_bounds_the_traced_peak_within_3x(self, name, tmp_path):
-        cfg = resolve_config(golden.CONFIGS[name])
+    def test_estimate_bounds_the_traced_peak_within_3x(self, raw, tmp_path, monkeypatch):
+        cfg = resolve_config(raw)
+        most = [0, 0]
+        real = c51._target_rows
+
+        def sizing(target, batch, head, gamma, memos, picks=None):
+            out = real(target, batch, head, gamma, memos, picks)
+            most[:] = [max(n, len(memo)) for n, memo in zip(most, memos)]
+            return out
+
         # a first run pays the one-time costs (lazy imports, caches) no run holds
-        run_experiment(cfg, str(tmp_path / "warm"))
+        with monkeypatch.context() as patch:
+            patch.setattr(c51, "_target_rows", sizing)
+            run_experiment(cfg, str(tmp_path / "warm"))
+        if raw is _FULL_TARGET_MEMO:
+            assert min(most) >= c51.TARGET_MEMO_CAP - 2
         tracemalloc.start()
         try:
             run_experiment(cfg, str(tmp_path / "run"))
@@ -711,10 +746,11 @@ class TestActMemo:
 
 
 class TestTargetMemo:
-    """C51's target memo reuses forwards only; every log byte is the recompute's."""
+    """C51's target memos reuse forwards and projections only; every log byte
+    is the recompute's."""
 
     @pytest.mark.parametrize(
-        "name", ["c51_grid_standard", "c51_grid_frame_stack", "c51_grid_reset_all"]
+        "name", ["c51_grid_standard", "c51_grid_frame_stack", "c51_grid_reset_all", "c51_grid_online_selection"]
     )
     def test_logs_equal_a_run_with_the_memo_capped_at_zero(self, name, tmp_path, monkeypatch):
         files = ("metrics.jsonl", "episodes.csv", "ckpt_final.bin")
@@ -728,21 +764,23 @@ class TestTargetMemo:
         assert run("capped") == memo_logs
 
     def test_repeated_next_observations_skip_the_target_forward(self, tmp_path, monkeypatch):
-        rows, misses = [], []
-        real = c51._target_probs
+        rows, misses = [], [[], []]
+        real = c51._target_rows
 
-        def counting(target, batch, n_actions, n_atoms, memo):
-            before = len(memo)
-            out = real(target, batch, n_actions, n_atoms, memo)
+        def counting(target, batch, head, gamma, memos, picks=None):
+            before = [len(memo) for memo in memos]
+            out = real(target, batch, head, gamma, memos, picks)
             rows.append(len(out))
-            misses.append(len(memo) - before)
+            for count, memo, n in zip(misses, memos, before):
+                count.append(len(memo) - n)
             return out
 
-        monkeypatch.setattr(c51, "_target_probs", counting)
+        monkeypatch.setattr(c51, "_target_rows", counting)
         run_experiment(resolve_config(golden.CONFIGS["c51_grid_standard"]), str(tmp_path / "r"))
         # 275 updates of 16 rows; a 9x9 level has at most 81 next observations per sync
         assert sum(rows) == 275 * 16
-        assert 0 < sum(misses) < sum(rows) // 10
+        for count in misses:
+            assert 0 < sum(count) < sum(rows) // 10
 
 
 # Switches at steps 150 and 300 fall mid-rollout (64 rows), so both truncate
@@ -763,6 +801,90 @@ _ROLLOUT_RUNS = {
         "logging": _MEMO_LOGGING,
     },
 }
+
+
+_EVENT_METHODS = sorted(name for name, spec in REGISTRY.items() if spec.kind == "event")
+_OTHER_METHODS = sorted(name for name, spec in REGISTRY.items() if spec.kind != "event")
+_FAST_PATH_TOTAL = 120
+
+
+@st.composite
+def small_runs(draw):
+    """A short run of any algo and mode with up to two event methods on any
+    trigger, plus one other method, frame stacking, action selection and
+    drawn intervals."""
+    algo = draw(st.sampled_from(["ppo", "c51", "regression"]))
+    modes = {"ppo": ["standard", "level_shift", "task_chain"], "c51": ["standard", "level_shift"]}
+    mode = draw(st.sampled_from(modes.get(algo, ["standard", "level_shift"])))
+    scenario = {"mode": mode}
+    if mode != "standard":
+        scenario["segment_length"] = draw(st.sampled_from([30, 50, 80]))
+        scenario["n_segments"] = -(-_FAST_PATH_TOTAL // scenario["segment_length"])
+    if algo != "regression":
+        scenario["horizon"] = 30
+    if mode != "task_chain" and algo != "regression":
+        scenario["frame_stack"] = draw(st.integers(1, 3))
+    learner = {
+        "ppo": {"rollout_len": draw(st.sampled_from([24, 40])), "n_minibatches": 2, "update_epochs": 1},
+        "c51": {
+            "buffer_size": 100, "batch_size": 8, "learning_starts": 20, "n_atoms": 11,
+            "train_frequency": draw(st.integers(1, 3)),
+            "target_network_frequency": draw(st.sampled_from([10, 25, 60])),
+            "action_selection": draw(st.sampled_from(["target", "online"])),
+        },
+        "regression": {"batch_size": 16},
+    }[algo]
+    mitigations = []
+    for method in draw(st.lists(st.sampled_from(_EVENT_METHODS), max_size=2, unique=True)):
+        kinds = ["on_task_switch", "every_k_steps", "once_at"]
+        if method != "plasticity_injection":  # its rounds grow without bound per gradient step
+            kinds.append("per_gradient_step")
+        trigger = draw(st.sampled_from(kinds))
+        if trigger == "every_k_steps":
+            trigger += f"({draw(st.integers(20, 70))})"
+        elif trigger == "once_at":
+            trigger += f"({draw(st.integers(0, _FAST_PATH_TOTAL))})"
+        mitigations.append({"method": method, "trigger": trigger})
+    other = draw(st.sampled_from([None] + _OTHER_METHODS))
+    if other is not None:
+        mitigations.append(other)
+    return {
+        "algo": algo, "seed": draw(st.integers(0, 99)), "total_steps": _FAST_PATH_TOTAL,
+        "scenario": scenario, "network": {"hidden": [16]}, "learner": learner,
+        "mitigations": mitigations,
+        "logging": {"metric_interval": draw(st.sampled_from([15, 40, 120])), "probe_batch": 16},
+        "checkpoint_interval": draw(st.sampled_from([0, 30, 70])),
+    }
+
+
+class TestFastPathsOff:
+    """The act memo, the target memos and draw-ahead reuse or batch work
+    only: with all three off, a run writes the same bytes."""
+
+    @staticmethod
+    def _artifacts(raw, out):
+        try:
+            out_dir = run_experiment(resolve_config(raw), out).out_dir
+            error = None
+        except DivergenceError as exc:
+            out_dir, error = out, str(exc)
+        files = ("metrics.jsonl", "episodes.csv", "ckpt_final.bin")
+        paths = [os.path.join(out_dir, name) for name in files]
+        return error, [open(path, "rb").read() if os.path.exists(path) else None for path in paths]
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=small_runs())
+    def test_fast_paths_off_write_the_same_bytes(self, raw, tmp_path_factory):
+        root = tmp_path_factory.mktemp("run")
+        on = self._artifacts(raw, str(root / "on"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loop, "ACT_MEMO_CAP", 0)
+            patch.setattr(c51, "TARGET_MEMO_CAP", 0)
+            patch.setattr(loop, "DRAW_AHEAD", 1)
+            off = self._artifacts(raw, str(root / "off"))
+        assert on[1][0] is not None
+        assert off == on
 
 
 class TestRolloutStore:
