@@ -4,15 +4,7 @@ supervised permutation probe."""
 from .gridworld import ACTIONS, GridWorldEnv
 from .pointmass import TARGET_SPEEDS, PointMassEnv
 from .probe import PROBE_DIM, PROBE_OUT, batch_work_bytes, probe_permutation, probe_task, teacher_network
-from .schedule import (
-    LEVEL_OFFSET,
-    ScenarioSchedule,
-    TaskSpec,
-    build_schedule,
-    env_step,
-    make_env,
-    schedule_shift,
-)
+from .schedule import LEVEL_OFFSET, ScenarioConfig, TaskSpec, env_step, make_env
 from .wrappers import FrameStack, RewardNormalizer
 
 __all__ = [
@@ -24,15 +16,13 @@ __all__ = [
     "PROBE_OUT",
     "PointMassEnv",
     "RewardNormalizer",
-    "ScenarioSchedule",
+    "ScenarioConfig",
     "TARGET_SPEEDS",
     "TaskSpec",
     "batch_work_bytes",
-    "build_schedule",
     "env_step",
     "make_env",
     "probe_permutation",
     "probe_task",
-    "schedule_shift",
     "teacher_network",
 ]

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError, SpecError
+from ..errors import SpecError
 from .gridworld import GridWorldEnv
 from .pointmass import PointMassEnv
 
 FAMILIES = ("gridworld", "pointmass", "probe")
+MODES = ("standard", "level_shift", "task_chain")
 LEVEL_OFFSET = 20
 
 
@@ -28,76 +29,40 @@ class TaskSpec:
             raise SpecError(f"horizon must be >= 1, got {self.horizon}")
 
 
-@dataclass
-class ScenarioSchedule:
-    mode: str
-    segment_length: int
-    segments: tuple[TaskSpec, ...]
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("standard", "level_shift", "task_chain"):
-            raise SpecError(f"unknown scenario mode {self.mode!r}")
-        if self.mode == "standard" and len(self.segments) != 1:
-            raise SpecError("standard mode needs exactly one segment")
-        if self.segment_length < 1:
-            raise SpecError("segment_length must be >= 1")
-
-
-def build_schedule(
-    mode: str,
-    family: str,
-    base_seed: int,
-    segment_length: int,
-    n_segments: int,
-    variants: tuple[str, ...] = (),
-    horizon: int = 100,
-    level_offset: int = LEVEL_OFFSET,
-) -> ScenarioSchedule:
-    """Expand a scenario description into explicit per-segment task specs.
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A scenario and its schedule: n_segments segments of segment_length
+    steps, segment i running `task(i)`. `resolve_config` checks the values.
 
     standard: one fixed task. level_shift: same variant, level_seed stepped
     by level_offset per segment. task_chain: cycles the variant sequence on
     a fixed level_seed.
     """
-    if mode == "standard":
-        variant = variants[0] if variants else ""
-        segments = (TaskSpec(family, base_seed, variant, horizon),)
-        return ScenarioSchedule(mode, segment_length, segments)
-    if n_segments < 1:
-        raise SpecError("continual scenarios need n_segments >= 1")
-    if mode == "level_shift":
-        variant = variants[0] if variants else ""
-        segments = tuple(
-            TaskSpec(family, base_seed + i * level_offset, variant, horizon)
-            for i in range(n_segments)
-        )
-        return ScenarioSchedule(mode, segment_length, segments)
-    if mode == "task_chain":
-        if not variants:
-            raise SpecError("task_chain needs a variant sequence")
-        segments = tuple(
-            TaskSpec(family, base_seed, variants[i % len(variants)], horizon)
-            for i in range(n_segments)
-        )
-        return ScenarioSchedule(mode, segment_length, segments)
-    raise SpecError(f"unknown scenario mode {mode!r}")
 
+    mode: str = "standard"
+    family: str = "gridworld"
+    segment_length: int = 0
+    variants: tuple[str, ...] = ()
+    n_segments: int = 1
+    horizon: int = 100
+    level_seed_base: int = 0
+    level_offset: int = LEVEL_OFFSET
+    frame_stack: int = 1
+    reward_normalization: bool = False
 
-def schedule_shift(sched: ScenarioSchedule, global_step: int) -> tuple[TaskSpec, bool]:
-    """Task spec active at global_step, plus a flag firing at each boundary.
+    def task(self, i: int) -> TaskSpec:
+        """Segment i's task; past the last segment, the last task holds."""
+        i = min(i, self.n_segments - 1)
+        seed = self.level_seed_base + (i * self.level_offset if self.mode == "level_shift" else 0)
+        if not self.variants:
+            return TaskSpec(self.family, seed, "", self.horizon)
+        k = i % len(self.variants) if self.mode == "task_chain" else 0
+        return TaskSpec(self.family, seed, self.variants[k], self.horizon)
 
-    The flag is true at step 0 and whenever a new (unclamped) segment starts;
-    once the schedule is exhausted the last segment holds and the flag stays
-    false.
-    """
-    if not sched.segments:
-        raise SpecError("schedule has no segments")
-    if global_step < 0:
-        raise InvalidInputError(f"global_step must be >= 0, got {global_step}")
-    raw = global_step // sched.segment_length
-    idx = min(raw, len(sched.segments) - 1)
-    switched = global_step % sched.segment_length == 0 and raw < len(sched.segments)
-    return sched.segments[idx], switched
+    def switches(self, step: int) -> bool:
+        """Whether `step` opens a segment: step 0 and each boundary until the
+        last segment has started."""
+        return step % self.segment_length == 0 and step // self.segment_length < self.n_segments
 
 
 def make_env(spec: TaskSpec):

@@ -32,7 +32,8 @@ _VALIDATION_ERRORS = (ConfigError, MitigationError, SpecError, InvalidInputError
 def _parse_seed_range(text: str) -> range | list[int]:
     """Accepts 'a..b' (inclusive, as a range, so no list is built) or a
     comma-separated list of distinct seeds: two runs of one seed would write
-    the same seed<N>/ directory at once."""
+    the same seed<N>/ directory at once. Every seed is >= 0, and there is one
+    at least."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -41,6 +42,8 @@ def _parse_seed_range(text: str) -> range | list[int]:
             raise ConfigError(f"malformed seed range {text!r}, expected a..b") from None
         if end < start:
             raise ConfigError(f"empty seed range {text!r}")
+        if start < 0:
+            raise ConfigError(f"seeds must be >= 0, got {start} in {text!r}")
         return range(start, end + 1)
     try:
         seeds = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -49,6 +52,10 @@ def _parse_seed_range(text: str) -> range | list[int]:
     repeated = sorted(seed for seed, n in Counter(seeds).items() if n > 1)
     if repeated:
         raise ConfigError(f"seed list {text!r} repeats seed(s) {repeated}")
+    if not seeds:
+        raise ConfigError(f"seed list {text!r} names no seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {min(seeds)} in {text!r}")
     return seeds
 
 

@@ -17,29 +17,14 @@ from dataclasses import dataclass, fields
 
 import yaml
 
-from ..envs import TARGET_SPEEDS, LEVEL_OFFSET
-from ..envs.schedule import FAMILIES
+from ..envs import TARGET_SPEEDS
+from ..envs.schedule import FAMILIES, MODES, ScenarioConfig
 from ..errors import ConfigError, MitigationError
 from ..learners import C51Config, PPOConfig
 from ..mitigations import REGISTRY, build_plan
 from ..net import ACTIVATIONS
 
 ALGOS = ("ppo", "c51", "regression")
-MODES = ("standard", "level_shift", "task_chain")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    mode: str = "standard"
-    family: str = "gridworld"
-    segment_length: int = 0
-    variants: tuple[str, ...] = ()
-    n_segments: int = 1
-    horizon: int = 100
-    level_seed_base: int = 0
-    level_offset: int = LEVEL_OFFSET
-    frame_stack: int = 1
-    reward_normalization: bool = False
 
 
 @dataclass(frozen=True)
@@ -237,9 +222,10 @@ def _resolve_scenario(raw, algo: str, seed: int, total: int | None) -> ScenarioC
     return scenario
 
 
-def _resolve_mitigations(raw) -> tuple[dict, ...]:
+def _resolve_mitigations(raw, total_steps: int) -> tuple[dict, ...]:
     """The entries as given, with a bare name or a `name:` key spelled as
-    `method:`; each given param is checked against its registry default."""
+    `method:`; each given param is checked against its registry default, and
+    a given trigger must fire within the run's `total_steps`."""
     if raw is None:
         return ()
     if not isinstance(raw, (list, tuple)):
@@ -268,6 +254,8 @@ def _resolve_mitigations(raw) -> tuple[dict, ...]:
         for key in entry.get("params") or {}:
             default = REGISTRY[planned.method].params[key]
             _coerce_field(f"mitigations[{i}].params.{key}", planned.params[key], default)
+        if entry.get("trigger") is not None and (planned.trigger.arg or 0) >= total_steps:
+            raise ConfigError(f"mitigations[{i}]: trigger {planned.trigger} never fires in a {total_steps}-step run")
     return tuple(entries)
 
 
@@ -296,7 +284,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     scenario = _resolve_scenario(block.get("scenario"), algo, seed, total)
     total_steps = total or scenario.segment_length * scenario.n_segments
 
-    mitigations = _resolve_mitigations(block.get("mitigations"))
+    mitigations = _resolve_mitigations(block.get("mitigations"), total_steps)
     network = _resolve_network(block.get("network"), mitigations)
     discrete_ppo = algo == "ppo" and scenario.family == "gridworld"
     learner = _fill(

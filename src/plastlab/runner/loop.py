@@ -19,11 +19,9 @@ from ..envs import (
     PROBE_OUT,
     RewardNormalizer,
     batch_work_bytes,
-    build_schedule,
     env_step,
     make_env,
     probe_task,
-    schedule_shift,
 )
 from ..errors import CheckpointError, ConfigError, DivergenceError, NumericError
 from ..learners import C51Learner, PPOLearner, RegressionLearner, Rollout, network_specs
@@ -101,11 +99,11 @@ def replay_metrics(
     return collect_metrics(net, probe)
 
 
-def _widths(cfg: ExperimentConfig, sched) -> tuple[int, int, int]:
+def _widths(cfg: ExperimentConfig) -> tuple[int, int, int]:
     """(input width, action count, head width) of the run's network."""
     if cfg.scenario.family == "probe":
         return PROBE_DIM, PROBE_OUT, PROBE_OUT
-    env, _ = make_env(schedule_shift(sched, 0)[0])
+    env, _ = make_env(cfg.scenario.task(0))
     head = env.n_actions + 1 if cfg.algo == "ppo" else env.n_actions * cfg.learner.n_atoms
     return env.obs_dim * max(1, cfg.scenario.frame_stack), env.n_actions, head
 
@@ -204,17 +202,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     a diagnostic summary pointing at the failing step.
     """
     out_dir = out_dir or cfg.logging.out_dir
-    sched = build_schedule(
-        cfg.scenario.mode,
-        cfg.scenario.family,
-        cfg.scenario.level_seed_base,
-        cfg.scenario.segment_length,
-        cfg.scenario.n_segments,
-        cfg.scenario.variants,
-        cfg.scenario.horizon,
-        cfg.scenario.level_offset,
-    )
-    obs_dim, n_actions, head_width = _widths(cfg, sched)
+    scenario = cfg.scenario
+    obs_dim, n_actions, head_width = _widths(cfg)
     net_cfg = cfg.network
     specs = network_specs(obs_dim, head_width, net_cfg.hidden, net_cfg.activation, net_cfg.layer_norm)
     need, half = footprint_bytes(cfg, specs), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
@@ -230,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     mit_stream = RngStream(cfg.seed, MITIGATION_STREAM)
     act_stream = RngStream(cfg.seed, ACTION_STREAM)
     upd_stream = RngStream(cfg.seed, UPDATE_STREAM)
-    discrete = cfg.scenario.family == "gridworld"
+    discrete = scenario.family == "gridworld"
     probe = probe_inputs(cfg.seed, obs_dim, cfg.logging.probe_batch)
 
     net = init_network(specs, RngStream(cfg.seed, INIT_STREAM))
@@ -253,7 +242,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
 
     opt = make_optimizer(opt_kind, net, **opt_hyper)
     ppo = cfg.algo == "ppo"
-    normalizer = RewardNormalizer(cfg.learner.gamma) if cfg.scenario.reward_normalization else None
+    normalizer = RewardNormalizer(cfg.learner.gamma) if scenario.reward_normalization else None
     if ppo:
         learner = PPOLearner(net, n_actions, discrete, cfg.learner, opt, reg_terms)
         rows = min(cfg.learner.rollout_len, cfg.total_steps)
@@ -309,12 +298,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     step = last_metric_step = -1
     try:
         for step in range(cfg.total_steps):
-            task, switched = schedule_shift(sched, step)
+            switched = scenario.switches(step)
+            if switched:
+                task = scenario.task(step // scenario.segment_length)
             if switched and cfg.algo == "regression":
                 _task_rows(writers, task_idx, task_start, losses)
                 task_idx, task_start, losses = task_idx + 1, step, []
                 # refills stop at the task's end: the next switch, or the run's end
-                end = step + sched.segment_length if task_idx + 1 < len(sched.segments) else cfg.total_steps
+                end = step + scenario.segment_length if task_idx + 1 < scenario.n_segments else cfg.total_steps
                 batches.left = min(end, cfg.total_steps) - step
             elif switched:
                 if ppo and rollout.size:

@@ -9,22 +9,23 @@ import os
 import shutil
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_golden as golden
 from plastlab.learners import C51Config, PPOConfig
-from plastlab.mitigations import REGISTRY
-from plastlab.runner import LoggingConfig, NetworkConfig, RegressionConfig, ScenarioConfig
+from plastlab.mitigations import REGISTRY, Trigger
+from plastlab.runner import LoggingConfig, NetworkConfig, RegressionConfig, ScenarioConfig, resolve_config, run_experiment
 from plastlab.runner.cli import main
 
 _TOTAL = 20
 
-# fields that size an array or a per-segment table: no huge ints here until
-# the run checks its footprint before allocating
-_SIZES = ("hidden", "batch_size", "probe_batch", "rollout_len", "buffer_size", "n_atoms",
-          "frame_stack", "n_segments")
+# fields that size an array: no huge ints here until the run checks its
+# footprint before allocating. A schedule holds no per-segment table, so
+# n_segments may be huge.
+_SIZES = ("hidden", "batch_size", "probe_batch", "rollout_len", "buffer_size", "n_atoms", "frame_stack")
 
 _BLOCKS = {
     "scenario": ScenarioConfig,
@@ -77,10 +78,22 @@ def _set(cfg: dict, path: tuple, value) -> None:
     node[path[-1]] = value
 
 
+def _seed(name: str) -> dict:
+    """A golden config cut to _TOTAL steps. Each given trigger's argument is
+    clamped below _TOTAL: a trigger that cannot fire is a config error, and it
+    would end every mutation of the seed before the blocks checked after it."""
+    cfg = _entries(copy.deepcopy(golden.CONFIGS[name]))
+    cfg["total_steps"] = _TOTAL
+    for entry in cfg["mitigations"]:
+        trigger = Trigger.parse(entry["trigger"]) if entry.get("trigger") else None
+        if trigger is not None and trigger.arg is not None:
+            entry["trigger"] = str(dataclasses.replace(trigger, arg=min(trigger.arg, _TOTAL - 1)))
+    return cfg
+
+
 @st.composite
 def mutated_configs(draw):
-    cfg = _entries(copy.deepcopy(golden.CONFIGS[draw(st.sampled_from(sorted(golden.CONFIGS)))]))
-    cfg["total_steps"] = _TOTAL
+    cfg = _seed(draw(st.sampled_from(sorted(golden.CONFIGS))))
     path = draw(st.sampled_from(_paths(cfg)))
     if draw(st.integers(0, 9)) == 0:  # an unknown key beside the field
         path = path[:-1] + (draw(st.sampled_from(["lrr", "extra", "name", "1"])),)
@@ -92,6 +105,12 @@ def mutated_configs(draw):
         value = _TOTAL
     _set(cfg, path, value)
     return cfg
+
+
+@pytest.mark.parametrize("name", sorted(golden.CONFIGS))
+def test_seed_configs_resolve(name):
+    """Every unmutated seed resolves, so a mutation reaches each block's check."""
+    resolve_config(_seed(name))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -106,3 +125,17 @@ def test_mutated_golden_configs_exit_0_2_or_3(cfg, tmp_path):
     if code == 2:  # a config error ends the run before its directory is made
         assert not os.path.exists(out)
     shutil.rmtree(out, ignore_errors=True)
+
+
+@pytest.mark.parametrize("algo", ["regression", "ppo"])
+def test_huge_schedule_runs(algo, tmp_path):
+    """Segment i's task is computed from i, so a 10**12-segment schedule
+    costs a 20-step run nothing."""
+    raw = {"algo": algo, "total_steps": _TOTAL, "network": {"hidden": [8]},
+           "scenario": {"mode": "level_shift", "segment_length": 5, "n_segments": 10**12},
+           "logging": {"metric_interval": _TOTAL, "probe_batch": 8}}
+    if algo == "ppo":
+        raw["learner"] = {"rollout_len": 10, "n_minibatches": 2}
+    art = run_experiment(resolve_config(raw), str(tmp_path / "r"))
+    assert art.summary["status"] == "ok"
+    assert art.summary["total_steps"] == _TOTAL

@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,22 +14,21 @@ from plastlab.envs import (
     PROBE_DIM,
     PointMassEnv,
     RewardNormalizer,
-    ScenarioSchedule,
+    ScenarioConfig,
     TARGET_SPEEDS,
     TaskSpec,
-    build_schedule,
     env_step,
     make_env,
     probe_permutation,
     probe_task,
-    schedule_shift,
     teacher_network,
 )
 from plastlab.envs.gridworld import FREE, HAZARD, WALL
-from plastlab.errors import InvalidInputError, SpecError
+from plastlab.errors import ConfigError, InvalidInputError, SpecError
 from plastlab.net import network_output
 from plastlab.numkit import DrawAhead, RngStream
-from plastlab.runner import loop
+from plastlab.runner import loop, resolve_config
+from plastlab.runner.cli import main
 
 
 # ---------------------------------------------------------------- specs
@@ -373,65 +375,105 @@ class TestProbeBatchBlocks:
 # ---------------------------------------------------------------- schedule
 
 
+def _at(sc: ScenarioConfig, step: int) -> tuple[TaskSpec, bool]:
+    """The task running at `step` and whether the step switches to it."""
+    return sc.task(step // sc.segment_length), sc.switches(step)
+
+
 class TestSchedule:
     def test_standard_single_segment(self):
-        sched = build_schedule("standard", "gridworld", 11, 10**9, 1, horizon=100)
+        sc = ScenarioConfig("standard", "gridworld", 10**9, level_seed_base=11)
         for step in (0, 1, 500, 10**6):
-            spec, switched = schedule_shift(sched, step)
+            spec, switched = _at(sc, step)
             assert spec.level_seed == 11
             assert switched == (step == 0)
 
     def test_level_shift_boundary(self):
-        sched = build_schedule("level_shift", "gridworld", 100, 1000, 5)
-        spec, switched = schedule_shift(sched, 1000)
+        sc = ScenarioConfig("level_shift", segment_length=1000, n_segments=5, level_seed_base=100)
+        spec, switched = _at(sc, 1000)
         assert switched and spec.level_seed == 100 + LEVEL_OFFSET
-        spec, switched = schedule_shift(sched, 999)
+        spec, switched = _at(sc, 999)
         assert not switched and spec.level_seed == 100
 
     def test_level_shift_seed_arithmetic(self):
-        sched = build_schedule("level_shift", "gridworld", 40, 10, 6)
-        seeds = [s.level_seed for s in sched.segments]
+        sc = ScenarioConfig("level_shift", segment_length=10, n_segments=6, level_seed_base=40)
+        seeds = [sc.task(i).level_seed for i in range(6)]
         assert seeds == [40 + 20 * i for i in range(6)]
 
     def test_clamps_to_last_segment(self):
-        sched = build_schedule("level_shift", "gridworld", 1, 100, 3)
-        spec, switched = schedule_shift(sched, 100 * 50)
-        assert spec == sched.segments[-1]
+        sc = ScenarioConfig("level_shift", segment_length=100, n_segments=3, level_seed_base=1)
+        spec, switched = _at(sc, 100 * 50)
+        assert spec == sc.task(2) == sc.task(10**12)
         assert not switched
+        assert [step for step in range(0, 1000, 50) if sc.switches(step)] == [0, 100, 200]
 
     def test_task_chain_order(self):
         variants = ("stand", "walk", "run", "trot")
-        sched = build_schedule("task_chain", "pointmass", 2, 100, 8, variants)
-        spec, _ = schedule_shift(sched, 250)
+        sc = ScenarioConfig("task_chain", "pointmass", 100, variants, 8, level_seed_base=2)
+        spec, _ = _at(sc, 250)
         assert spec.task_variant == "run"
-        assert [s.task_variant for s in sched.segments[:4]] == list(variants)
-        assert sched.segments[4].task_variant == "stand"
+        assert [sc.task(i).task_variant for i in range(4)] == list(variants)
+        assert sc.task(4).task_variant == "stand"
+        assert {sc.task(i).level_seed for i in range(8)} == {2}
+
+    def test_first_variant_outside_task_chain(self):
+        for mode in ("standard", "level_shift"):
+            sc = ScenarioConfig(mode, "pointmass", 100, ("run", "walk"), 1 if mode == "standard" else 3)
+            assert [sc.task(i).task_variant for i in range(3)] == ["run"] * 3
 
     @settings(deadline=None, max_examples=50)
     @given(a=st.integers(0, 10**6), b=st.integers(0, 10**6))
     def test_segment_index_monotone(self, a, b):
-        sched = build_schedule("level_shift", "gridworld", 0, 137, 9)
+        sc = ScenarioConfig("level_shift", segment_length=137, n_segments=9)
         lo, hi = min(a, b), max(a, b)
-        spec_lo, _ = schedule_shift(sched, lo)
-        spec_hi, _ = schedule_shift(sched, hi)
-        assert sched.segments.index(spec_lo) <= sched.segments.index(spec_hi)
+        # level_shift seeds rise with the segment index
+        assert _at(sc, lo)[0].level_seed <= _at(sc, hi)[0].level_seed
 
-    def test_empty_schedule_rejected(self):
-        sched = ScenarioSchedule("level_shift", 10, ())
-        with pytest.raises(SpecError):
-            schedule_shift(sched, 0)
+    @pytest.mark.parametrize("scenario,message", [
+        ({"mode": "endless"}, "'scenario.mode' must be one of"),
+        ({"mode": "level_shift", "segment_length": 0}, "'scenario.segment_length' must be >= 1, got 0"),
+        ({"mode": "level_shift", "n_segments": 0}, "'scenario.n_segments' must be >= 1, got 0"),
+        ({"mode": "standard", "n_segments": 2}, "'scenario.n_segments' has no effect in standard mode"),
+        ({"mode": "task_chain", "family": "gridworld"}, "task_chain needs pointmass task variants"),
+        ({"mode": "level_shift", "total_steps": -1}, "'total_steps' must be >= 1, got -1"),
+    ])
+    def test_bad_schedule_exit_2(self, scenario, message, tmp_path, capsys):
+        scenario = dict(scenario)
+        raw = {"algo": "ppo", "total_steps": scenario.pop("total_steps", 20), "scenario": scenario}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            resolve_config(raw)
+        (tmp_path / "exp.yaml").write_text(yaml.safe_dump(raw))
+        assert main(["run", str(tmp_path / "exp.yaml"), "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
-    def test_standard_multi_segment_rejected(self):
-        with pytest.raises(SpecError):
-            ScenarioSchedule(
-                "standard", 10,
-                (TaskSpec("gridworld", 1), TaskSpec("gridworld", 2)),
-            )
+    def test_task_chain_always_has_variants(self):
+        # an empty or null variant list takes the full sequence
+        for variants in ([], None):
+            cfg = resolve_config({"algo": "ppo", "scenario": {"mode": "task_chain", "variants": variants}})
+            assert cfg.scenario.variants == tuple(TARGET_SPEEDS)
+
+    def test_run_builds_tasks_only_at_switches(self, tmp_path, monkeypatch):
+        built = []
+        task = ScenarioConfig.task
+
+        def counting_task(sc, i):
+            built.append(i)
+            return task(sc, i)
+
+        monkeypatch.setattr(ScenarioConfig, "task", counting_task)
+        cfg = resolve_config({
+            "algo": "regression", "total_steps": 20, "network": {"hidden": [8]},
+            "scenario": {"mode": "level_shift", "segment_length": 6, "n_segments": 3},
+            "logging": {"metric_interval": 20, "probe_batch": 8},
+        })
+        loop.run_experiment(cfg, str(tmp_path / "r"))
+        assert built == [0, 1, 2]
 
     def test_obs_shape_stable_across_segments(self):
-        sched = build_schedule("level_shift", "gridworld", 7, 10, 5)
+        sc = ScenarioConfig("level_shift", segment_length=10, n_segments=5, level_seed_base=7)
         dims = set()
-        for spec in sched.segments:
+        for spec in map(sc.task, range(5)):
             env, obs = make_env(spec)
             dims.add(obs.shape)
             assert np.all(np.isfinite(obs))

@@ -3,14 +3,20 @@
 The determinism tests elsewhere compare two runs of the same code with each
 other; these compare one run with bytes recorded from an earlier version of the
 package, so a change that shifts any trajectory by one ulp fails here. The
-digests were recorded with numpy 2.4.6 on Python 3.11. The summary.json digest
+digests hold only on the numeric platform they were recorded on, RECORDED_ON:
+another OpenBLAS kernel or numpy SIMD level changes the bits of GEMMs, exp and
+log, and a mismatch names both platforms. The summary.json digest
 pins the trigger fire counts, gradient steps and episode count. A change that
 moves a digest on purpose must replace it and say why in CHANGES.md.
 """
 
+import ctypes
+import glob
 import hashlib
 import os
+import sys
 
+import numpy as np
 import pytest
 
 from plastlab.runner import resolve_config, run_experiment
@@ -315,6 +321,33 @@ GOLDEN = {
 }
 
 
+RECORDED_ON = {"numpy": "2.4.6", "python": "3.11", "openblas_core": "SkylakeX", "simd": "X86_V4"}
+
+
+def _openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked at load, or "unknown"."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _platform() -> dict:
+    """This process's numeric platform, keyed as RECORDED_ON; simd is the top
+    x86 level numpy dispatches to at runtime."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    levels = [f for f in simd["baseline"] + simd["found"] if f.startswith("X86_V")]
+    return {
+        "numpy": np.__version__,
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
+        "openblas_core": _openblas_core(),
+        "simd": levels[-1] if levels else "unknown",
+    }
+
+
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -325,4 +358,10 @@ def test_golden_digests(name, tmp_path):
     art = run_experiment(resolve_config(CONFIGS[name]), str(tmp_path / name))
     assert art.summary["status"] == "ok"
     got = {fname: _sha256(os.path.join(art.out_dir, fname)) for fname in GOLDEN[name]}
-    assert got == GOLDEN[name]
+    assert got == GOLDEN[name], f"digests recorded on {RECORDED_ON}, running on {_platform()}"
+
+
+def test_platform_fingerprint_reads():
+    platform = _platform()
+    assert platform.keys() == RECORDED_ON.keys()
+    assert platform["numpy"] == np.__version__ and platform["simd"].startswith(("X86_V", "unknown"))

@@ -143,12 +143,15 @@ class TestDrawLayers:
 
 def golden_layer_shapes(tmp_path) -> set[tuple[int, int]]:
     """(rows, cols) of every QR input the golden configs build: the network
-    each one starts from, read back from a one-step run's checkpoint."""
+    each one starts from, read back from a one-step run's checkpoint. The run
+    keeps each mitigation at its default trigger: a given one may not fire in
+    one step, and none of them changes a layer shape."""
     from test_golden import CONFIGS
 
     shapes = set()
     for name, raw in CONFIGS.items():
-        art = run_experiment(resolve_config({**raw, "total_steps": 1}), str(tmp_path / name))
+        entries = [e if isinstance(e, str) else {**e, "trigger": None} for e in raw.get("mitigations", [])]
+        art = run_experiment(resolve_config({**raw, "total_steps": 1, "mitigations": entries}), str(tmp_path / name))
         with open(art.checkpoint_paths[-1], "rb") as fh:
             net = deserialize_network(fh.read())
         for spec in net.layers:

@@ -597,11 +597,8 @@ class TestProbeBatches:
 
 
 def _footprint(cfg) -> int:
-    s, net = cfg.scenario, cfg.network
-    sched = loop.build_schedule(
-        s.mode, s.family, s.level_seed_base, s.segment_length, s.n_segments, s.variants, s.horizon, s.level_offset
-    )
-    obs_dim, _, head_width = loop._widths(cfg, sched)
+    net = cfg.network
+    obs_dim, _, head_width = loop._widths(cfg)
     specs = network_specs(obs_dim, head_width, net.hidden, net.activation, net.layer_norm)
     return loop.footprint_bytes(cfg, specs)
 
@@ -843,7 +840,7 @@ def small_runs(draw):
         if trigger == "every_k_steps":
             trigger += f"({draw(st.integers(20, 70))})"
         elif trigger == "once_at":
-            trigger += f"({draw(st.integers(0, _FAST_PATH_TOTAL))})"
+            trigger += f"({draw(st.integers(0, _FAST_PATH_TOTAL - 1))})"
         mitigations.append({"method": method, "trigger": trigger})
     other = draw(st.sampled_from([None] + _OTHER_METHODS))
     if other is not None:
@@ -1099,12 +1096,29 @@ class TestCli:
          "mitigations[1]: the optimizer method trac always runs per_gradient_step"),
         ("[{method: crelu, trigger: every_k_steps(3)}]",
          "mitigations[0]: the spec method crelu always runs once_at(0)"),
+        # an event trigger that cannot fire in the 20 steps
+        ("[{method: reset_layers, trigger: once_at(20)}]", "mitigations[0]: trigger once_at(20) never fires"),
+        ("[l2_reg, {method: redo, trigger: every_k_steps(20)}]",
+         "mitigations[1]: trigger every_k_steps(20) never fires in a 20-step run"),
+        ("[{method: shrink_perturb, trigger: 'every_k_steps(1000000000000000000000000000000)'}]",
+         "mitigations[0]: trigger every_k_steps(1000000000000000000000000000000) never fires"),
     ])
     def test_inert_trigger_exit_2(self, entries, message, tmp_path, capsys):
         cfg = self._write(tmp_path, f"algo: regression\ntotal_steps: 20\nmitigations: {entries}\n")
         assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r")
+
+    def test_last_step_triggers_and_defaults_resolve(self, tmp_path):
+        # the last step is step 19; default triggers are never checked, so a
+        # one-step run keeps redo's every_k_steps(1000)
+        cfg = resolve_config({"algo": "regression", "total_steps": 20, "network": {"hidden": [8]},
+                              "logging": {"probe_batch": 8}, "mitigations": [
+            {"method": "reset_layers", "trigger": "once_at(19)"}, {"method": "redo", "trigger": "every_k_steps(19)"},
+        ]})
+        fires = run_experiment(cfg, str(tmp_path / "r")).summary["trigger_fires"]
+        assert fires == {"0:reset_layers:once_at": 1, "1:redo:every_k_steps": 1}
+        assert resolve_config({"algo": "ppo", "total_steps": 1, "mitigations": ["redo"]}).mitigations
 
     def test_default_trigger_spelled_out_resolves(self):
         plain = resolve_config({"algo": "regression", "mitigations": ["l2_reg", "crelu"]})
@@ -1297,6 +1311,19 @@ class TestCli:
         cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
         assert main(["sweep", cfg, "--seeds", seeds, "--out", str(tmp_path / "s")]) == 2
         assert f"repeats seed(s) {repeated}" in capsys.readouterr().err
+        assert fake_popen.started == []
+
+    @pytest.mark.parametrize("seeds,message", [
+        (",", "seed list ',' names no seed"),
+        (" , ", "names no seed"),
+        ("-2..-1", "seeds must be >= 0, got -2 in '-2..-1'"),
+        ("-1..3", "seeds must be >= 0, got -1"),
+        ("4,-3,2", "seeds must be >= 0, got -3"),
+    ])
+    def test_sweep_bad_seeds_exit_2_before_spawning(self, seeds, message, tmp_path, capsys, fake_popen):
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
+        assert main(["sweep", cfg, f"--seeds={seeds}", "--out", str(tmp_path / "s")]) == 2
+        assert message in capsys.readouterr().err
         assert fake_popen.started == []
 
     def test_sweep_seed_range_is_never_listed(self, tmp_path, fake_popen):
