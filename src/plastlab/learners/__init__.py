@@ -10,7 +10,7 @@ from .c51 import (
     categorical_projection_batch,
     epsilon_schedule,
 )
-from .common import ReplayBuffer, Rollout, TrajectoryBatch, clip_gradients, gae, network_specs
+from .common import ReplayBuffer, Rollout, TrajectoryBatch, gae, network_specs
 from .ppo import PPOConfig, PPOLearner, gaussian_policy, normalize_advantages
 from .regression import RegressionLearner
 
@@ -27,7 +27,6 @@ __all__ = [
     "c51_support",
     "c51_update",
     "categorical_projection_batch",
-    "clip_gradients",
     "epsilon_schedule",
     "gae",
     "gaussian_policy",

@@ -15,7 +15,7 @@ from ..errors import InvalidInputError, NumericError
 from ..net import ForwardTrace, Gradients, NetworkState, backward, clone_network, forward
 from ..numkit import RngStream
 from ..mitigations import Optimizer, optimizer_step, reg_loss
-from .common import ReplayBuffer, _log_softmax, add_regularizers
+from .common import ReplayBuffer, _log_softmax
 
 # most entries each target memo holds before it starts over, as many as the
 # run loop's act memo
@@ -249,7 +249,7 @@ class C51Learner:
         self.reg_terms = tuple(reg_terms)
         self.head = CategoricalHead(cfg.n_atoms, cfg.v_min, cfg.v_max)
         self.buffer = ReplayBuffer(cfg.buffer_size, obs_dim)
-        self.post_step = None  # callable fired after each gradient step
+        self.post_step = lambda: None  # fired after each gradient step
         self.memo = None  # obs bytes -> greedy action while params stay put
         self.target_memos: tuple[dict, dict] = ({}, {})  # see _target_rows
 
@@ -276,10 +276,9 @@ class C51Learner:
         # a float64 code 8d, so codes of the two tiers never share a key
         self.buffer.add(obs, action, reward, next_obs, done)
 
-    def update(self, step: int, stream: RngStream) -> dict[str, float] | None:
+    def update(self, step: int, stream: RngStream) -> None:
         """Train every train_frequency steps; hard-sync the target on schedule."""
         cfg = self.cfg
-        stats: dict[str, float] | None = None
         if step % cfg.train_frequency == 0:
             result = c51_update(
                 self.buffer, self.net, self.target, self.head,
@@ -291,12 +290,8 @@ class C51Learner:
             if result is not None:
                 loss, grads, trace = result
                 regs = [reg_loss(kind, self.net, alpha, s) for kind, alpha, s in self.reg_terms]
-                loss = add_regularizers(grads.by_name, loss, regs)
-                optimizer_step(self.opt, self.net, trace, grads, cfg.lr)
-                if self.post_step is not None:
-                    self.post_step()
-                stats = {"loss": loss}
+                optimizer_step(self.opt, self.net, trace, grads, cfg.lr, loss, regs)
+                self.post_step()
         if step % cfg.target_network_frequency == 0:
             self.target = clone_network(self.net)
             self.target_memos = ({}, {})
-        return stats

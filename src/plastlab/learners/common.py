@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..metrics import gradient_norm
 from ..net import LayerSpec
 from ..numkit import RngStream
 
@@ -210,32 +209,6 @@ class ReplayBuffer:
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-
-
-def add_regularizers(
-    by_name: dict[str, np.ndarray], loss: float, regs: list[tuple[float, dict[str, np.ndarray]]]
-) -> float:
-    """Fold (value, gradients) regularizer terms into a loss and its gradient
-    entries, in order. Returns the new loss."""
-    for value, reg_grads in regs:
-        loss += value
-        for name, g in reg_grads.items():
-            if name in by_name:
-                by_name[name] = by_name[name] + g
-            else:
-                by_name[name] = g
-    return loss
-
-
-def clip_gradients(by_name: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is <= max_norm.
-    Returns the pre-clip norm."""
-    norm = gradient_norm(by_name)
-    if max_norm > 0.0 and norm > max_norm:
-        scale = max_norm / norm
-        for name in by_name:
-            by_name[name] = by_name[name] * scale
-    return norm
 
 
 def network_specs(

@@ -17,7 +17,7 @@ from ..errors import InvalidInputError, NumericError
 from ..net import Gradients, NetworkState, backward, forward
 from ..numkit import RngStream
 from ..mitigations import Optimizer, optimizer_step, reg_loss
-from .common import TrajectoryBatch, _log_softmax, add_regularizers, clip_gradients, gae
+from .common import TrajectoryBatch, _log_softmax, gae
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -128,7 +128,7 @@ class PPOLearner:
         self.cfg = cfg
         self.opt = opt
         self.reg_terms = tuple(reg_terms)
-        self.post_step = None  # callable fired after each gradient step
+        self.post_step = lambda: None  # fired after each gradient step
         self.memo = None  # obs bytes -> pure act results while params stay put
         if not discrete and "log_std" not in net.params:
             net.add({"log_std": np.full(n_actions, float(np.log(cfg.init_std)))})
@@ -214,14 +214,10 @@ class PPOLearner:
         )
         grads = self._loss_grads(mb, trace, new_values, entropy, terms, softmax)
         regs = [reg_loss(kind, self.net, alpha, s) for kind, alpha, s in self.reg_terms]
-        total = add_regularizers(grads.by_name, total, regs)
-        if not np.isfinite(total):
-            raise NumericError(f"non-finite loss: {parts}")
-        parts["grad_norm"] = clip_gradients(grads.by_name, cfg.max_grad_norm)
-        optimizer_step(self.opt, self.net, trace, grads, cfg.lr)
-        if self.post_step is not None:
-            self.post_step()
-        parts["total"] = total
+        parts["total"], parts["grad_norm"] = optimizer_step(
+            self.opt, self.net, trace, grads, cfg.lr, total, regs, cfg.max_grad_norm
+        )
+        self.post_step()
         return parts
 
     def _loss_grads(self, mb, trace, new_values, entropy, terms, softmax) -> Gradients:

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericError
 from ..net import NetworkState, backward, forward
 from ..mitigations import Optimizer, optimizer_step, reg_loss
-from .common import add_regularizers
 
 
 class RegressionLearner:
@@ -28,7 +26,7 @@ class RegressionLearner:
         self.opt = opt
         self.lr = lr
         self.reg_terms = tuple(reg_terms)
-        self.post_step = None  # callable fired after each gradient step
+        self.post_step = lambda: None  # fired after each gradient step
 
     def step(self, x: np.ndarray, y: np.ndarray) -> float:
         trace = forward(self.net, x)
@@ -36,10 +34,6 @@ class RegressionLearner:
         loss = float(np.mean(err * err))
         grads = backward(self.net, trace, 2.0 * err / err.size)
         regs = [reg_loss(kind, self.net, alpha, s) for kind, alpha, s in self.reg_terms]
-        loss = add_regularizers(grads.by_name, loss, regs)
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite regression loss at batch of {x.shape[0]}")
-        optimizer_step(self.opt, self.net, trace, grads, self.lr)
-        if self.post_step is not None:
-            self.post_step()
+        loss, _ = optimizer_step(self.opt, self.net, trace, grads, self.lr, loss, regs)
+        self.post_step()
         return loss

@@ -9,7 +9,7 @@ on exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,15 +48,7 @@ class MetricReport:
     def rows(self) -> list[tuple[str, float]]:
         """Present metrics as (name, value) pairs, for structured logging."""
         pairs = []
-        for name in (
-            "rdu",
-            "fau",
-            "stable_rank",
-            "effective_rank",
-            "weight_diff",
-            "weight_diff_per_param",
-            "grad_norm",
-        ):
+        for name in [f.name for f in fields(self)][2:]:  # past step and scope
             value = getattr(self, name)
             if value is not None:
                 pairs.append((name, float(value)))

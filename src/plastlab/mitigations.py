@@ -18,8 +18,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidInputError, MitigationError
-from .metrics import _layer_scores, check_finite
+from .errors import InvalidInputError, MitigationError, NumericError
+from .metrics import _layer_scores, check_finite, gradient_norm
 from .net import (
     ForwardTrace,
     Gradients,
@@ -488,15 +488,39 @@ def make_optimizer(kind: str, net: NetworkState | None, **hyper) -> Optimizer:
     return _OPTIMIZERS[kind](net, **hyper)
 
 
+def clip_gradients(by_name: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale gradients in place to a global L2 norm <= max_norm; returns the pre-clip norm."""
+    norm = gradient_norm(by_name)
+    if max_norm > 0.0 and norm > max_norm:
+        for name in by_name:
+            by_name[name] = by_name[name] * (max_norm / norm)
+    return norm
+
+
 def optimizer_step(
     opt: Optimizer,
     net: NetworkState,
     trace: ForwardTrace | None,
     grads: Gradients,
     lr: float,
-) -> None:
-    """One update through whichever optimizer the plan selected."""
+    loss: float = 0.0,
+    regs: list | tuple = (),
+    max_grad_norm: float | None = None,
+) -> tuple[float, float | None]:
+    """Every learner's update: fold each (value, gradients) term of `regs` into
+    `loss` and the gradients in order, raise NumericError on a non-finite folded
+    loss, clip to `max_grad_norm` when given, then step the plan's optimizer.
+    Returns the folded loss and the pre-clip norm (None when not clipping)."""
+    by_name = grads.by_name
+    for value, reg_grads in regs:
+        loss += value
+        for name, g in reg_grads.items():
+            by_name[name] = by_name[name] + g if name in by_name else g
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite loss {loss}")
+    norm = None if max_grad_norm is None else clip_gradients(by_name, max_grad_norm)
     opt.step(net, trace, grads, lr)
+    return loss, norm
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -481,16 +481,7 @@ def serialize_network(net: NetworkState) -> bytes:
     little-endian float64 blobs in param_order. Round-trips bit-exactly."""
     manifest = {
         "version": _CHECKPOINT_VERSION,
-        "layers": [
-            {
-                "in_dim": s.in_dim,
-                "out_dim": s.out_dim,
-                "activation": s.activation,
-                "layer_norm": s.layer_norm,
-                "init": s.init,
-            }
-            for s in net.layers
-        ],
+        "layers": [asdict(s) for s in net.layers],
         "param_order": list(net.param_order),
         "shapes": {n: list(net.params[n].shape) for n in net.param_order},
         "frozen": sorted(net.frozen),

@@ -104,6 +104,9 @@ _BOUNDS = {
     "vf_coef": "[0, inf)",
     "ent_coef": "[0, inf)",
     "value_clip": "[0, inf)",
+    "max_grad_norm": "[0, inf)",
+    "start_epsilon": "[0, 1]",
+    "end_epsilon": "[0, 1]",
     "v_max": "(v_min, inf)",
     "exploration_fraction": "(0, 1]",
     "beta": "[0, 1]",

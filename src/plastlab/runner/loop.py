@@ -7,8 +7,11 @@ a mitigation is added to the plan.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,6 +102,22 @@ def replay_metrics(
     return collect_metrics(net, probe)
 
 
+def platform_fingerprint() -> dict:
+    """This process's numeric platform: numpy and Python versions, numpy's top x86
+    SIMD level and its OpenBLAS's runtime core ("unknown" where unreadable)."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    levels = [f for f in simd["baseline"] + simd["found"] if f.startswith("X86_V")]
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (IndexError, OSError, AttributeError):
+        core = "unknown"
+    python = "%d.%d" % sys.version_info[:2]
+    return {"numpy": np.__version__, "python": python, "openblas_core": core, "simd": (levels or ["unknown"])[-1]}
+
+
 def _widths(cfg: ExperimentConfig) -> tuple[int, int, int]:
     """(input width, action count, head width) of the run's network."""
     if cfg.scenario.family == "probe":
@@ -114,6 +133,19 @@ def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0) -> DrawAhead:
     return DrawAhead(max(1, min(DRAW_AHEAD, (AHEAD_BYTES - fixed_bytes) // draw_bytes)))
 
 
+def _most_firings(cfg: ExperimentConfig, trigger) -> int:
+    """The most times an event entry with `trigger` can fire in a run of `cfg`."""
+    total, learner = cfg.total_steps, cfg.learner
+    if trigger.kind == "per_gradient_step":
+        if cfg.algo == "ppo":  # update_epochs passes over the non-empty minibatches of each full rollout
+            chunks = min(learner.n_minibatches, learner.rollout_len)
+            return total // learner.rollout_len * learner.update_epochs * chunks
+        return -(-total // learner.train_frequency) if cfg.algo == "c51" else total
+    if trigger.kind == "on_task_switch":
+        return min(cfg.scenario.n_segments, -(-total // cfg.scenario.segment_length))
+    return (total - 1) // trigger.arg if trigger.kind == "every_k_steps" else 1
+
+
 def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     """An upper estimate of the peak bytes of a run of `cfg` on the network
     `specs`: the parameters once per copy (values, init snapshot, gradients
@@ -121,14 +153,17 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     optimizer state), the forward and backward traces of the probe and update
     batches (four values per layer feature and row, six with LayerNorm), PPO's
     rollout, an init draw's work, the draw-ahead holders, C51's replay rows
-    and the act and target memos."""
+    and the act and target memos. Each plasticity_injection firing adds two
+    copies of the head layer, counted at the most firings its trigger allows."""
     obs_dim, head_width, learner = specs[0].in_dim, specs[-1].out_dim, cfg.learner
     plan = build_plan(list(cfg.mitigations))
     opt = next((e.method for e in plan if REGISTRY[e.method].kind == "optimizer"), "adam")
-    n_params = sum(s.out_dim * (s.in_dim + 1 + 2 * s.layer_norm) for s in specs)
-    values = n_params * (9 + {"adam": 4, "trac": 7, "kron": 2}[opt])
-    if opt == "kron":  # two factors and their inverses per layer
-        values += sum(2 * ((s.in_dim + 1) ** 2 + s.out_dim**2) for s in specs)
+    heads = 2 * sum(_most_firings(cfg, e.trigger) for e in plan if e.method == "plasticity_injection")
+    sizes = [s.out_dim * (s.in_dim + 1 + 2 * s.layer_norm) for s in specs]
+    values = (sum(sizes) + heads * sizes[-1]) * (9 + {"adam": 4, "trac": 7, "kron": 2}[opt])
+    if opt == "kron":  # two factors and their inverses per layer and head copy
+        kron = [2 * ((s.in_dim + 1) ** 2 + s.out_dim**2) for s in specs]
+        values += sum(kron) + heads * kron[-1]
     if cfg.algo == "ppo":
         rows = min(learner.rollout_len, cfg.total_steps)
         values += 2 * rows * (obs_dim + head_width + 6)  # the rollout and a batch copy of it
@@ -351,9 +386,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 action = learner.act(obs, step, act_stream)
                 next_obs, reward, done = env_step(env, action)
                 learner.remember(obs, action, reward, next_obs, done)
-                stats = learner.update(step, upd_stream)
-                if stats is not None and not np.isfinite(stats["loss"]):
-                    raise NumericError(f"non-finite loss at step {step}")
+                learner.update(step, upd_stream)
 
             ep_return += reward
             ep_len += 1
@@ -367,9 +400,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
             if ppo and rollout.size == cfg.learner.rollout_len:
                 last_done = rollout.dones[rollout.size - 1]
                 bootstrap = 0.0 if last_done else float(network_output(net, obs[None, :])[0, -1])
-                stats = learner.update(rollout.batch(), bootstrap, upd_stream)
-                if not np.isfinite(stats["total"]):
-                    raise NumericError(f"non-finite loss at step {step}")
+                learner.update(rollout.batch(), bootstrap, upd_stream)
                 rollout.size = 0
         _task_rows(writers, task_idx, task_start, losses)
         _log_metrics(cfg.total_steps)
@@ -398,8 +429,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         summary.update(error=str(error), step=step, last_metric_step=last_metric_step)
     summary_path = os.path.join(out_dir, "summary.json")
     writers.close()
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    for path, record in ((summary_path, summary), (os.path.join(out_dir, "provenance.json"), platform_fingerprint())):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
     if error is not None:
         raise DivergenceError(str(error), step=step)

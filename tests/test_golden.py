@@ -10,16 +10,15 @@ pins the trigger fire counts, gradient steps and episode count. A change that
 moves a digest on purpose must replace it and say why in CHANGES.md.
 """
 
-import ctypes
-import glob
 import hashlib
+import json
 import os
-import sys
 
 import numpy as np
 import pytest
 
 from plastlab.runner import resolve_config, run_experiment
+from plastlab.runner.loop import platform_fingerprint
 
 _LOGGING = {"metric_interval": 200, "probe_batch": 32}
 
@@ -324,30 +323,6 @@ GOLDEN = {
 RECORDED_ON = {"numpy": "2.4.6", "python": "3.11", "openblas_core": "SkylakeX", "simd": "X86_V4"}
 
 
-def _openblas_core() -> str:
-    """The kernel numpy's bundled OpenBLAS picked at load, or "unknown"."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*"))
-    try:
-        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return "unknown"
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
-
-
-def _platform() -> dict:
-    """This process's numeric platform, keyed as RECORDED_ON; simd is the top
-    x86 level numpy dispatches to at runtime."""
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]
-    levels = [f for f in simd["baseline"] + simd["found"] if f.startswith("X86_V")]
-    return {
-        "numpy": np.__version__,
-        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
-        "openblas_core": _openblas_core(),
-        "simd": levels[-1] if levels else "unknown",
-    }
-
-
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -358,10 +333,16 @@ def test_golden_digests(name, tmp_path):
     art = run_experiment(resolve_config(CONFIGS[name]), str(tmp_path / name))
     assert art.summary["status"] == "ok"
     got = {fname: _sha256(os.path.join(art.out_dir, fname)) for fname in GOLDEN[name]}
-    assert got == GOLDEN[name], f"digests recorded on {RECORDED_ON}, running on {_platform()}"
+    assert got == GOLDEN[name], f"digests recorded on {RECORDED_ON}, running on {platform_fingerprint()}"
 
 
 def test_platform_fingerprint_reads():
-    platform = _platform()
+    platform = platform_fingerprint()
     assert platform.keys() == RECORDED_ON.keys()
     assert platform["numpy"] == np.__version__ and platform["simd"].startswith(("X86_V", "unknown"))
+
+
+def test_run_writes_its_platform_beside_the_summary(tmp_path):
+    art = run_experiment(resolve_config(CONFIGS["regression_probe_level_shift"]), str(tmp_path / "r"))
+    with open(os.path.join(art.out_dir, "provenance.json"), encoding="utf-8") as fh:
+        assert json.load(fh) == platform_fingerprint()

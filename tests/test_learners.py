@@ -27,8 +27,8 @@ from plastlab.learners import (
 from plastlab.learners import c51 as c51_module
 from plastlab.learners import ppo as ppo_module
 from plastlab.learners.ppo import _clipped_objective
-from plastlab.learners.common import _log_softmax, clip_gradients
-from plastlab.mitigations import make_optimizer, optimizer_step, reg_loss
+from plastlab.learners.common import _log_softmax
+from plastlab.mitigations import clip_gradients, make_optimizer, optimizer_step, reg_loss
 from plastlab.net import backward as net_backward
 from plastlab.net import forward
 from plastlab.numkit import RngStream
@@ -608,9 +608,11 @@ class TestC51Update:
             obs = stream.normal(0.0, 1.0, 2)
             learner.remember(obs, i % 2, float(np.sin(i)), obs, i % 17 == 0)
         frozen = {k: v.copy() for k, v in learner.target.params.items()}
+        steps = []
+        learner.post_step = lambda: steps.append(1)
         for step in range(1, 40):
-            stats = learner.update(step, stream)
-            assert stats is not None
+            learner.update(step, stream)
+            assert len(steps) == step  # a gradient step on every update
         for k, v in learner.target.params.items():
             np.testing.assert_array_equal(v, frozen[k])
         online_moved = any(
@@ -990,7 +992,7 @@ def two_pass_minibatch_step(learner, mb):
         for name, g in reg_grads.items():
             grads.by_name[name] = grads.by_name[name] + g if name in grads.by_name else g
     parts["grad_norm"] = clip_gradients(grads.by_name, cfg.max_grad_norm)
-    optimizer_step(learner.opt, net, trace, grads, cfg.lr)
+    assert optimizer_step(learner.opt, net, trace, grads, cfg.lr) == (0.0, None)
     parts["total"] = total
     return parts, grads
 
@@ -1000,9 +1002,11 @@ class TestSharedLossTerms:
     def test_minibatch_steps_equal_the_two_pass_reference(self, discrete, monkeypatch):
         seen = []
 
-        def recording_step(opt, net, trace, grads, lr):
+        def recording_step(opt, net, trace, grads, lr, loss, regs, max_grad_norm):
+            out = optimizer_step(opt, net, trace, grads, lr, loss, regs, max_grad_norm)
+            # folded and clipped in place: the entries opt.step was handed
             seen.append({k: v.copy() for k, v in grads.by_name.items()})
-            return optimizer_step(opt, net, trace, grads, lr)
+            return out
 
         monkeypatch.setattr(ppo_module, "optimizer_step", recording_step)
         learners = []

@@ -506,6 +506,59 @@ class TestAdam:
             optimizer_step(opt, net, None, grads_of({"layer0.w": np.full((6, 3), np.nan)}), 0.1)
 
 
+class TestOptimizerStep:
+    """optimizer_step folds, checks, clips, then steps; the reference does each apart."""
+
+    @staticmethod
+    def net_trace_grads(seed):
+        net = tanh_net(seed)
+        trace = forward(net, RngStream(seed, 1).normal(0.0, 1.0, 12).reshape(4, 3))
+        return net, trace, backward(net, trace, trace.outputs)
+
+    @pytest.mark.parametrize("max_grad_norm", [None, 0.0, 0.05, 1e6])
+    def test_fold_clip_step_equals_the_steps_apart(self, max_grad_norm, monkeypatch):
+        net, trace, grads = self.net_trace_grads(57)
+        ref_net, _, ref_grads = self.net_trace_grads(57)
+        for by_name in (grads.by_name, ref_grads.by_name):
+            del by_name["layer2.b"]  # a name only a regularizer brings
+        regs = [reg_loss("l2_reg", net, 1e-2), reg_loss("parseval_reg", net, 1e-1)]
+        want_loss = 1.25
+        for value, reg_grads in regs:
+            want_loss += value
+            for name, g in reg_grads.items():
+                ref_grads.by_name[name] = ref_grads.by_name[name] + g if name in ref_grads.by_name else g
+        want_norm = None
+        if max_grad_norm is not None:
+            want_norm = gradient_norm(ref_grads)
+            if max_grad_norm > 0.0 and want_norm > max_grad_norm:
+                for name in ref_grads.by_name:
+                    ref_grads.by_name[name] = ref_grads.by_name[name] * (max_grad_norm / want_norm)
+        seen = []
+        opt = make_optimizer("adam", net)
+        step = opt.step
+        opt.step = lambda *args: (seen.append(dict(args[2].by_name)), step(*args))
+        if max_grad_norm is None:  # no norm pass unless clipping
+            monkeypatch.setattr("plastlab.mitigations.gradient_norm", None)
+        assert optimizer_step(opt, net, trace, grads, 0.1, 1.25, regs, max_grad_norm) == (want_loss, want_norm)
+        assert list(seen[0]) == list(ref_grads.by_name)
+        for name, g in ref_grads.by_name.items():
+            assert seen[0][name].tobytes() == g.tobytes(), name
+        make_optimizer("adam", ref_net).step(ref_net, trace, ref_grads, 0.1)
+        for name in net.param_order:
+            assert net.params[name].tobytes() == ref_net.params[name].tobytes(), name
+
+    @pytest.mark.parametrize("loss,reg_value", [(np.nan, 0.0), (1.0, np.inf), (np.inf, -np.inf)])
+    def test_non_finite_folded_loss_raises_before_the_step(self, loss, reg_value):
+        net, trace, grads = self.net_trace_grads(58)
+        before = {n: net.params[n].copy() for n in net.param_order}
+        opt = make_optimizer("adam", net)
+        with pytest.raises(NumericError, match="non-finite loss"):
+            optimizer_step(opt, net, trace, grads, 0.1, loss, [(reg_value, {})], max_grad_norm=0.5)
+        assert opt.t == 0
+        for name in net.param_order:
+            assert net.params[name].tobytes() == before[name].tobytes()
+
+
 class AdamReference:
     """Oracle: the per-tensor Adam formula the optimizer was first written
     with, returning new parameter arrays instead of updating in place."""

@@ -28,7 +28,7 @@ from plastlab.runner import (
     resolve_config,
     run_experiment,
 )
-from plastlab.learners import c51, ppo
+from plastlab.learners import c51, ppo, regression
 from plastlab.net import forward as net_forward
 from plastlab.runner import loop
 from plastlab.runner.cli import main
@@ -393,6 +393,22 @@ class TestRunArtifacts:
         assert any(r["step"] == 0 for r in rows)  # flushed through the last block
         assert (tmp_path / "r" / "config.yaml").exists()
 
+    @pytest.mark.parametrize("algo", ["ppo", "c51", "regression"])
+    def test_non_finite_folded_loss_stops_before_the_step(self, algo, tmp_path, monkeypatch):
+        module = {"ppo": ppo, "c51": c51, "regression": regression}[algo]
+        monkeypatch.setattr(module, "reg_loss", lambda *args: (np.inf, {}))
+        if algo == "ppo":
+            cfg = resolve_config({"algo": "ppo", "total_steps": 64, "network": {"hidden": [16]},
+                                  "learner": {"rollout_len": 32, "n_minibatches": 2},
+                                  "logging": {"probe_batch": 16}, "mitigations": ["l2_reg"]})
+        else:
+            cfg = (c51_cfg if algo == "c51" else probe_cfg)(mitigations=["l2_reg"])
+        with pytest.raises(DivergenceError):
+            run_experiment(cfg, str(tmp_path / "r"))
+        summary = json.load(open(tmp_path / "r" / "summary.json"))
+        assert summary["error"] == "non-finite loss inf"
+        assert summary["gradient_steps"] == 0
+
     def test_ppo_pointmass_chain_runs(self, tmp_path):
         cfg = resolve_config({
             "algo": "ppo", "seed": 3, "total_steps": 300,
@@ -619,6 +635,18 @@ _FULL_TARGET_MEMO = {
     "logging": {"metric_interval": 800, "probe_batch": 32},
 }
 
+# C51 whose head gains a branch pair every 25 steps, 23 pairs in all
+_INJECTION = {
+    "algo": "c51",
+    "seed": 3,
+    "total_steps": 600,
+    "scenario": {"mode": "standard", "horizon": 40},
+    "network": {"hidden": [32]},
+    "learner": {"buffer_size": 600, "batch_size": 32, "learning_starts": 50, "train_frequency": 4},
+    "mitigations": [{"method": "plasticity_injection", "trigger": "every_k_steps(25)"}],
+    "logging": {"metric_interval": 200, "probe_batch": 32},
+}
+
 _FOOTPRINT_NAMES = ["ppo_grid_level_shift", "ppo_pointmass_task_chain", "c51_grid_frame_stack",
                     "regression_probe_level_shift", "regression_probe_trac_redo"]
 
@@ -626,8 +654,8 @@ _FOOTPRINT_NAMES = ["ppo_grid_level_shift", "ppo_pointmass_task_chain", "c51_gri
 class TestFootprint:
     @pytest.mark.parametrize(
         "raw",
-        [golden.CONFIGS[name] for name in _FOOTPRINT_NAMES] + [_FULL_TARGET_MEMO],
-        ids=_FOOTPRINT_NAMES + ["c51_full_target_memo"],
+        [golden.CONFIGS[name] for name in _FOOTPRINT_NAMES] + [_FULL_TARGET_MEMO, _INJECTION],
+        ids=_FOOTPRINT_NAMES + ["c51_full_target_memo", "c51_injection_every_25"],
     )
     def test_estimate_bounds_the_traced_peak_within_3x(self, raw, tmp_path, monkeypatch):
         cfg = resolve_config(raw)
@@ -660,6 +688,19 @@ class TestFootprint:
         assert _footprint(resolve_config(cfg)) > 22 * 2**30  # its init draw alone takes 22.6 GiB
         path = tmp_path / "exp.yaml"
         path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "run"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_injection_rounds_exit_2_before_any_allocation(self, tmp_path, capsys, monkeypatch):
+        cfg = dict(golden.CONFIGS["c51_grid_standard"], total_steps=10**9,
+                   mitigations=[{"method": "plasticity_injection", "trigger": "per_gradient_step"}])
+        without = _footprint(resolve_config(dict(cfg, mitigations=[])))
+        assert _footprint(resolve_config(cfg)) > 1000 * without
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        monkeypatch.setattr(loop, "init_network", None)  # a call would fail with a traceback, not exit 2
         out = tmp_path / "run"
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert "physical memory" in capsys.readouterr().err
@@ -1082,6 +1123,9 @@ class TestCli:
         ("ppo", "value_clip", "-1", "must be >= 0, got -1.0"),
         ("ppo", "vf_coef", "-1", "must be >= 0, got -1.0"),
         ("ppo", "ent_coef", "-1", "must be >= 0, got -1.0"),
+        ("ppo", "max_grad_norm", "-1", "must be >= 0, got -1.0"),
+        ("c51", "start_epsilon", "1.5", "must be in [0, 1], got 1.5"),
+        ("c51", "end_epsilon", "-0.01", "must be in [0, 1], got -0.01"),
     ])
     def test_out_of_range_learner_float_exit_2(self, algo, field, text, message, tmp_path, capsys):
         cfg = self._write(tmp_path, f"algo: {algo}\ntotal_steps: 20\nlearner: {{{field}: {text}}}\n")
