@@ -17,6 +17,7 @@ import os
 import numpy as np
 import pytest
 
+from plastlab.mitigations import REGISTRY
 from plastlab.runner import resolve_config, run_experiment
 from plastlab.runner.loop import platform_fingerprint
 
@@ -224,6 +225,55 @@ CONFIGS = {
         "mitigations": ["kron", "plasticity_injection"],
         "logging": _LOGGING,
     },
+    # NaP's per-step weight projection beside the Parseval penalty's
+    # W W^T - s I gradient, on the relu probe.
+    "regression_probe_nap_parseval": {
+        "algo": "regression",
+        "seed": 15,
+        "total_steps": 300,
+        "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 3},
+        "network": {"hidden": [16, 16]},
+        "mitigations": ["nap", "parseval_reg"],
+        "logging": _LOGGING,
+    },
+    # CReLU doubles each hidden width; the regenerative penalty pulls the
+    # parameters toward their initial draw.
+    "ppo_grid_crelu_regenerative": {
+        "algo": "ppo",
+        "seed": 16,
+        "total_steps": 600,
+        "scenario": {"mode": "level_shift", "segment_length": 300, "n_segments": 2},
+        "network": {"hidden": [16, 16]},
+        "learner": {"rollout_len": 200, "n_minibatches": 4, "update_epochs": 2},
+        "mitigations": ["crelu", "regenerative_reg"],
+        "logging": _LOGGING,
+    },
+    # Fourier features (sin and cos of each pre-activation) with a full
+    # redraw of every layer on each switch.
+    "regression_probe_fourier_reset_all": {
+        "algo": "regression",
+        "seed": 17,
+        "total_steps": 300,
+        "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 3},
+        "network": {"hidden": [16, 16]},
+        "mitigations": ["fourier", {"method": "reset_layers", "params": {"scope": "all"}}],
+        "logging": _LOGGING,
+    },
+    # A tanh torso with LayerNorm before each activation, through C51's
+    # batched update and the batch-of-one target forwards.
+    "c51_grid_tanh_layer_norm": {
+        "algo": "c51",
+        "seed": 18,
+        "total_steps": 600,
+        "scenario": {"mode": "standard", "horizon": 40},
+        "network": {"hidden": [32], "activation": "tanh"},
+        "learner": {
+            "buffer_size": 1000, "batch_size": 16, "learning_starts": 50,
+            "train_frequency": 2, "target_network_frequency": 100, "n_atoms": 11,
+        },
+        "mitigations": ["layer_norm"],
+        "logging": _LOGGING,
+    },
 }
 
 GOLDEN = {
@@ -317,6 +367,30 @@ GOLDEN = {
         "ckpt_final.bin": "30bd1521bcc1c935c4808c070d6a9aea53b0e080170d337fc3528e0db2a0a699",
         "summary.json": "54e6eea1e6bc64873d5bc9653d05383006e0f1d85d9f12418946d8efc3754cc6",
     },
+    "regression_probe_nap_parseval": {
+        "metrics.jsonl": "614dc2f60d1034b68c2c4c8c3b0afbb41d0107992b8ff9129f41498fce9e3a73",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "5568c6288bfe68753f6c4db8279181be280b0cc379bf7812b7d06f295b98139f",
+        "summary.json": "d64b51c824114d2dd34b207e33f77a037c8e09834c481a916c3889d1e53d9292",
+    },
+    "ppo_grid_crelu_regenerative": {
+        "metrics.jsonl": "8d3405709cd890ed1e29f59b737036a40ab4fcf30420565e5b6cff349103c796",
+        "episodes.csv": "ed253193790864bb31bc6447243c6de7756d6ae1323cef5c000d4b6cfd9c2edf",
+        "ckpt_final.bin": "a4fc75894bf59140e9ea997237fb475a062cc1e6227f4cc4d412362bf51a5af8",
+        "summary.json": "03bf4c831760b5b4c6f5e3e5391ccd2d1cd935960bc0ee5ee7d25749d3704650",
+    },
+    "regression_probe_fourier_reset_all": {
+        "metrics.jsonl": "301899d9fc32f7efca849e3f63245c3502b94465c3c42b5036050439097c68c1",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "55f26000488f6b175f91ae4dc29346482e2d4af275192cee86a2017447596f30",
+        "summary.json": "cf8700a5aeb1f621c8256b0aa033c64261c500941fe1019412b798ee49c66599",
+    },
+    "c51_grid_tanh_layer_norm": {
+        "metrics.jsonl": "ea76e87022e41ae3f0896abda5f6a2ffe2a5b05906d0b88ee8a03b478477d870",
+        "episodes.csv": "3e094bed2959ff8e5fadaa1bcb3c22c49ad6350ec59f933761b6990e9b848782",
+        "ckpt_final.bin": "35e60c5de944abbdb9188eb532f0caf2f1801e5a28bec6627d604abb0282608c",
+        "summary.json": "5910245e04dbcb5ccf53c4b855c79435b2779e42a3887d315cc667f9fb8540db",
+    },
 }
 
 
@@ -334,6 +408,14 @@ def test_golden_digests(name, tmp_path):
     assert art.summary["status"] == "ok"
     got = {fname: _sha256(os.path.join(art.out_dir, fname)) for fname in GOLDEN[name]}
     assert got == GOLDEN[name], f"digests recorded on {RECORDED_ON}, running on {platform_fingerprint()}"
+
+
+def test_every_registry_method_has_a_golden():
+    used = {
+        entry if isinstance(entry, str) else entry["method"]
+        for cfg in CONFIGS.values() for entry in cfg.get("mitigations", [])
+    }
+    assert sorted(set(REGISTRY) - used) == []
 
 
 def test_platform_fingerprint_reads():
