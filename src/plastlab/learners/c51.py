@@ -272,8 +272,6 @@ class C51Learner:
         return self.memo[key]
 
     def remember(self, obs, action, reward, next_obs, done) -> None:
-        # a widening keeps the target memos: a packed code is ceil(d/8) bytes,
-        # a float64 code 8d, so codes of the two tiers never share a key
         self.buffer.add(obs, action, reward, next_obs, done)
 
     def update(self, step: int, stream: RngStream) -> None:

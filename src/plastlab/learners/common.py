@@ -121,27 +121,16 @@ def gae(
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
-def _bit_rows(rows: np.ndarray) -> np.ndarray | None:
-    """The float64 rows packed at one bit per value, or None unless every
-    value is +0.0 or 1.0 bit for bit (-0.0, NaN, inf and 0.5 are not): the
-    count of nonzero patterns must equal the count of 1.0 patterns."""
-    u = rows.view(np.uint64)
-    ones = u == _ONE_BITS
-    if np.count_nonzero(ones) != np.count_nonzero(u):
-        return None
-    return np.packbits(ones, axis=-1)
-
-
 class ReplayBuffer:
     """Fixed-capacity ring of (s, a, r, s', done) transitions.
 
-    `obs` and `next_obs` are views of the two halves of `store`, one
-    (2, capacity, width) array packed at one bit per value while every added
-    observation is +0.0 or 1.0 (gridworld and FrameStack observations), as
-    float64 from the first one that is not: that add widens the buffer for
-    good, re-storing the filled rows exactly. `sample` returns float64 rows
-    in both tiers, so learners read the same values, and each next
-    observation's stored row as `next_codes` (two rows hold the same
+    Observations are stored at one bit per value: `obs` and `next_obs` are
+    views of the two halves of `store`, one (2, capacity, ceil(width / 8))
+    array of packed rows. Every observation value must be +0.0 or 1.0 bit for
+    bit, as gridworld and FrameStack observations are; `add` raises
+    InvalidInputError on any other value (-0.0, NaN, inf and 0.5 included)
+    before it writes anything. `sample` returns float64 rows and each next
+    observation's packed row as `next_codes` (two rows hold the same
     observation exactly when their codes are equal).
     """
 
@@ -150,7 +139,6 @@ class ReplayBuffer:
             raise InvalidInputError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.obs_dim = obs_dim
-        self.tier = 0  # 0: packed bits, 1: float64
         self.store = np.zeros((2, capacity, -(-obs_dim // 8)), dtype=np.uint8)
         self.obs, self.next_obs = self.store
         self.actions = np.zeros(capacity, dtype=np.int64)
@@ -163,27 +151,16 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self.size
 
-    def _values(self, stored: np.ndarray) -> np.ndarray:
-        """Stored rows as values: unpacked bits, or the float64 rows themselves."""
-        if self.tier == 0:
-            return np.unpackbits(stored, axis=-1, count=self.obs_dim)
-        return stored
-
-    def _widen(self) -> None:
-        wide = np.zeros((2, self.capacity, self.obs_dim))
-        wide[:, : self.size] = self._values(self.store[:, : self.size])
-        self.store, self.tier = wide, 1
-        self.obs, self.next_obs = wide
-
     def add(self, obs, action, reward, next_obs, done) -> None:
-        i = self.cursor
         rows = self._pair
         rows[0], rows[1] = obs, next_obs
-        stored = _bit_rows(rows) if self.tier == 0 else rows
-        if stored is None:
-            self._widen()
-            stored = rows
-        self.store[:, i] = stored
+        # every value is +0.0 or 1.0 exactly when each nonzero pattern is 1.0's
+        u = rows.view(np.uint64)
+        ones = u == _ONE_BITS
+        if np.count_nonzero(ones) != np.count_nonzero(u):
+            raise InvalidInputError("replay observations must hold only the values 0.0 and 1.0")
+        i = self.cursor
+        self.store[:, i] = np.packbits(ones, axis=-1)
         self.actions[i] = action
         self.rewards[i] = reward
         self.dones[i] = float(done)
@@ -195,7 +172,7 @@ class ReplayBuffer:
             raise InvalidInputError("cannot sample from an empty buffer")
         idx = stream.randint(self.size, batch_size)
         stored = self.store.take(idx, axis=1)
-        obs, next_obs = self._values(stored).astype(np.float64, copy=False)
+        obs, next_obs = np.unpackbits(stored, axis=-1, count=self.obs_dim).astype(np.float64)
         return {
             "obs": obs,
             "actions": self.actions[idx],

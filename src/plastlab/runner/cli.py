@@ -216,9 +216,6 @@ def main(argv: list[str] | None = None) -> int:
         step = f" at step {exc.step}" if exc.step is not None else ""
         print(f"diverged{step}: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -311,11 +311,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a YAML config file and resolve it; `overrides` replaces top-level
     keys (the CLI's --seed/--out plumbing) before resolution."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config {path!r} is not valid YAML: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config {path!r} is not valid YAML: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -68,6 +68,10 @@ ACT_MEMO_CAP = 1024
 DRAW_AHEAD = 8
 AHEAD_BYTES = 2 << 20  # 2 MiB: eight draws of the probe net's inits
 
+# most plasticity_injection rounds a run may fire: each adds a branch pair that
+# every later forward and backward passes, so run time grows with their square
+MAX_INJECTION_ROUNDS = 100
+
 
 @dataclass
 class RunArtifacts:
@@ -146,6 +150,11 @@ def _most_firings(cfg: ExperimentConfig, trigger) -> int:
     return (total - 1) // trigger.arg if trigger.kind == "every_k_steps" else 1
 
 
+def _injection_rounds(cfg: ExperimentConfig, plan) -> int:
+    """The most plasticity_injection rounds the entries of `plan` can fire in a run of `cfg`."""
+    return sum(_most_firings(cfg, e.trigger) for e in plan if e.method == "plasticity_injection")
+
+
 def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     """An upper estimate of the peak bytes of a run of `cfg` on the network
     `specs`: the parameters once per copy (values, init snapshot, gradients
@@ -158,7 +167,7 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     obs_dim, head_width, learner = specs[0].in_dim, specs[-1].out_dim, cfg.learner
     plan = build_plan(list(cfg.mitigations))
     opt = next((e.method for e in plan if REGISTRY[e.method].kind == "optimizer"), "adam")
-    heads = 2 * sum(_most_firings(cfg, e.trigger) for e in plan if e.method == "plasticity_injection")
+    heads = 2 * _injection_rounds(cfg, plan)
     sizes = [s.out_dim * (s.in_dim + 1 + 2 * s.layer_norm) for s in specs]
     values = (sum(sizes) + heads * sizes[-1]) * (9 + {"adam": 4, "trac": 7, "kron": 2}[opt])
     if opt == "kron":  # two factors and their inverses per layer and head copy
@@ -244,8 +253,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     need, half = footprint_bytes(cfg, specs), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
     if need > half:
         raise ConfigError(f"the run would take about {need / 2**30:.1f} GiB at its peak, over half of physical memory")
+    plan = build_plan(list(cfg.mitigations))
+    rounds = _injection_rounds(cfg, plan)
+    if rounds > MAX_INJECTION_ROUNDS:
+        raise ConfigError(
+            f"plasticity_injection could fire {rounds} rounds in this run, over the {MAX_INJECTION_ROUNDS} allowed"
+        )
 
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the run directory {out_dir!r}: {exc}") from None
     config_path = os.path.join(out_dir, "config.yaml")
     with open(config_path, "w", encoding="utf-8") as fh:
         fh.write(config_yaml(cfg))
@@ -258,7 +276,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     probe = probe_inputs(cfg.seed, obs_dim, cfg.logging.probe_batch)
 
     net = init_network(specs, RngStream(cfg.seed, INIT_STREAM))
-    plan = build_plan(list(cfg.mitigations))
     validate_network_for_plan(plan, net)
 
     kinds = [REGISTRY[entry.method].kind for entry in plan]

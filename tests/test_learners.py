@@ -94,6 +94,11 @@ def projection_loop_oracle(next_dist, r, done, gamma, head):
     return m
 
 
+def binary_obs(stream, dim=2):
+    """A 0/1 observation, as the gridworld gives: each value set with probability 1/2."""
+    return (stream.uniform(0.0, 1.0, dim) < 0.5).astype(np.float64)
+
+
 def random_batch(stream, n, discrete=True, n_actions=3):
     obs = stream.normal(0.0, 1.0, n * 4).reshape(n, 4)
     if discrete:
@@ -459,7 +464,7 @@ def fixed_head_c51(logits, seed=0):
 def fill_replay(learner, reward, done, n=32):
     stream = RngStream(3, 0)
     for i in range(n):
-        obs = stream.normal(0.0, 1.0, 2)
+        obs = binary_obs(stream)
         learner.remember(obs, i % 2, reward, obs, done)
 
 
@@ -496,9 +501,9 @@ class TestC51Loss:
         learner, _ = make_c51(41, n_atoms=21)
         stream = RngStream(41, 0)
         for i in range(48):
-            obs = stream.normal(0.0, 1.0, 2)
+            obs = binary_obs(stream)
             learner.remember(obs, i % 2, float(stream.uniform(-3.0, 3.0, 1)[0]),
-                             stream.normal(0.0, 1.0, 2), i % 7 == 0)
+                             binary_obs(stream), i % 7 == 0)
 
         def update():
             return c51_update(learner.buffer, learner.net, learner.target, learner.head,
@@ -585,7 +590,7 @@ class TestC51Update:
         learner, cfg = make_c51(2)
         stream = RngStream(7, 0)
         for i in range(64):
-            obs = stream.normal(0.0, 1.0, 2)
+            obs = binary_obs(stream)
             learner.remember(obs, int(stream.randint(2, 1)[0]),
                              float(stream.uniform(-2.0, 2.0, 1)[0]), obs, False)
         sample_stream = RngStream(9, 0)
@@ -605,7 +610,7 @@ class TestC51Update:
         learner, cfg = make_c51(3)
         stream = RngStream(8, 0)
         for i in range(128):
-            obs = stream.normal(0.0, 1.0, 2)
+            obs = binary_obs(stream)
             learner.remember(obs, i % 2, float(np.sin(i)), obs, i % 17 == 0)
         frozen = {k: v.copy() for k, v in learner.target.params.items()}
         steps = []
@@ -624,7 +629,7 @@ class TestC51Update:
         learner, cfg = make_c51(4)
         stream = RngStream(10, 0)
         for i in range(64):
-            obs = stream.normal(0.0, 1.0, 2)
+            obs = binary_obs(stream)
             learner.remember(obs, i % 2, 0.5, obs, False)
         for selection in ("target", "online"):
             out = c51_update(learner.buffer, learner.net, learner.target, learner.head,
@@ -642,7 +647,7 @@ class TestC51Update:
             learner, cfg = make_c51(5)
             stream = RngStream(11, 0)
             for i in range(96):
-                obs = stream.normal(0.0, 1.0, 2)
+                obs = binary_obs(stream)
                 learner.remember(obs, i % 2, float(np.cos(i)), obs, i % 13 == 0)
             ustream = RngStream(12, 0)
             for step in range(1, 25):
@@ -748,25 +753,6 @@ class TestC51TargetMemo:
         assert all(learner.target_memos)
         learner.update(4, ustream)
         assert learner.target_memos == ({}, {})
-
-    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 324])
-    def test_codes_of_the_two_tiers_differ_in_length(self, dim):
-        # a packed code is ceil(d/8) bytes and a float64 code 8d, so memos
-        # kept across a widening never answer a new row with an old entry
-        learner, _ = make_c51(19, obs_dim=dim)
-        for i in range(40):
-            learner.remember(np.ones(dim), i % 2, 0.0, np.ones(dim), False)
-        learner.update(1, RngStream(7, 0))
-        packed = learner.buffer.sample(16, RngStream(8, 0))["next_codes"]
-        learner.remember(np.full(dim, 128.0), 0, 0.0, np.full(dim, 128.0), False)
-        assert learner.buffer.tier == 1 and len(learner.target_memos[0]) == 1
-        batch = learner.buffer.sample(32, RngStream(8, 1))
-        for codes, width in ((packed, -(-dim // 8)), (batch["next_codes"], 8 * dim)):
-            keys = codes.view(f"V{codes.strides[0]}").ravel().tolist()
-            assert {len(key) for key in keys} == {width}
-        kept = c51_module._target_rows(learner.target, batch, learner.head, 0.9, learner.target_memos)
-        fresh = c51_module._target_rows(learner.target, batch, learner.head, 0.9, ({}, {}))
-        assert kept.tobytes() == fresh.tobytes()
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -1077,8 +1063,8 @@ class TestActMemo:
         q_before = learner.q_values(obs)
         stream = RngStream(42, 5)
         for _ in range(cfg.learning_starts):
-            learner.remember(stream.normal(0.0, 1.0, 2), int(stream.randint(2, 1)[0]),
-                             1.0, stream.normal(0.0, 1.0, 2), False)
+            learner.remember(binary_obs(stream), int(stream.randint(2, 1)[0]),
+                             1.0, binary_obs(stream), False)
         learner.update(0, RngStream(42, 3))
         assert not np.array_equal(learner.q_values(obs), q_before)
         n_calls = len(calls)
@@ -1128,20 +1114,25 @@ class TestActMemo:
 # ---------------------------------------------------------------- plumbing
 
 
+def _bits(i: int, dim: int = 4) -> np.ndarray:
+    """The low `dim` bits of i as a 0/1 float64 row, least significant first."""
+    return ((i >> np.arange(dim)) & 1).astype(np.float64)
+
+
 class TestReplayBuffer:
     def test_ring_overwrite_and_sample(self):
-        buf = ReplayBuffer(8, 3)
+        buf = ReplayBuffer(8, 4)
         for i in range(12):
-            buf.add(np.full(3, i), i % 4, float(i), np.full(3, i + 1), i % 2 == 0)
+            buf.add(_bits(i), i % 4, float(i), _bits(i + 1), i % 2 == 0)
         assert len(buf) == 8
         batch = buf.sample(5, RngStream(1, 0))
-        assert batch["obs"].shape == (5, 3)
-        assert np.all(batch["obs"][:, 0] >= 4)
+        assert batch["obs"].shape == (5, 4)
+        assert np.all(batch["obs"] @ (1 << np.arange(4)) >= 4)
 
     def test_sample_deterministic(self):
-        buf = ReplayBuffer(16, 2)
+        buf = ReplayBuffer(16, 4)
         for i in range(16):
-            buf.add(np.full(2, i), 0, 0.0, np.full(2, i), False)
+            buf.add(_bits(i), 0, 0.0, _bits(i), False)
         b1 = buf.sample(6, RngStream(2, 7))
         b2 = buf.sample(6, RngStream(2, 7))
         np.testing.assert_array_equal(b1["obs"], b2["obs"])
@@ -1190,59 +1181,6 @@ NON_BIT_VALUES = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestReplayByteStorage:
-    def test_gridworld_observations_stay_bytes(self):
-        from plastlab.envs import FrameStack, GridWorldEnv
-
-        env = FrameStack(GridWorldEnv(level_seed=4, horizon=10), 2)
-        buf = ReplayBuffer(64, env.obs_dim)
-        obs = env.reset()
-        for t in range(50):
-            next_obs, reward, done = env.step(t % 5)
-            buf.add(obs, t % 5, reward, next_obs, done)
-            obs = env.reset() if done else next_obs
-        assert buf.obs.dtype == np.uint8 and buf.next_obs.dtype == np.uint8
-        assert buf.sample(8, RngStream(1, 0))["obs"].dtype == np.float64
-
-    @pytest.mark.parametrize("side", ["obs", "next_obs"])
-    @pytest.mark.parametrize("wrapped", [False, True], ids=["before_wrap", "after_wrap"])
-    @pytest.mark.parametrize("kind", sorted(NON_BIT_VALUES))
-    def test_widening_keeps_earlier_rows_bit_exact(self, kind, wrapped, side):
-        capacity = 5
-        buf = ReplayBuffer(capacity, 6)
-        expect = {"obs": {}, "next_obs": {}}
-        for i in range(capacity + 2 if wrapped else capacity - 2):
-            slot = buf.cursor
-            buf.add(_grid_row(i), i % 3, float(i), _grid_row(i + 1), False)
-            expect["obs"][slot], expect["next_obs"][slot] = _grid_row(i), _grid_row(i + 1)
-        assert buf.obs.dtype == np.uint8
-        odd = _grid_row(7)
-        if NON_BIT_VALUES[kind] is None:
-            odd = RngStream(9, 0).normal(0.0, 1.0, 6)
-        else:
-            odd[2] = NON_BIT_VALUES[kind]
-        new = {"obs": _grid_row(8), "next_obs": _grid_row(9)}
-        new[side] = odd
-        slot = buf.cursor
-        buf.add(new["obs"], 1, -1.0, new["next_obs"], True)
-        expect["obs"][slot], expect["next_obs"][slot] = new["obs"], new["next_obs"]
-        assert buf.size == len(expect["obs"])
-        for name in ("obs", "next_obs"):
-            stored = getattr(buf, name)
-            assert stored.dtype == np.float64
-            for i, row in expect[name].items():
-                assert stored[i].tobytes() == row.tobytes(), (name, i)
-        buf.add(_grid_row(1), 0, 0.0, _grid_row(2), False)
-        assert buf.obs.dtype == np.float64 and buf.next_obs.dtype == np.float64
-        assert buf.sample(4, RngStream(2, 0))["obs"].dtype == np.float64
-
-    def test_default_capacity_reserves_under_065_gb(self):
-        # np.zeros maps untouched pages; only nbytes is read here
-        buf = ReplayBuffer(1_000_000, 324)
-        assert buf.obs.nbytes + buf.next_obs.nbytes <= 0.65e9
-
-
 def _binary_rows(count: int, dim: int, seed: int) -> np.ndarray:
     """`count` rows of +0.0/1.0, about one value in four set."""
     return (RngStream(seed, 0).uniform(0.0, 1.0, count * dim) < 0.25).astype(np.float64).reshape(count, dim)
@@ -1258,7 +1196,21 @@ def _assert_sample_matches(buf, oracle, seed):
         assert batch[name].tobytes() == want.tobytes(), name
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestReplayBitStorage:
+    def test_gridworld_observations_stay_bytes(self):
+        from plastlab.envs import FrameStack, GridWorldEnv
+
+        env = FrameStack(GridWorldEnv(level_seed=4, horizon=10), 2)
+        buf = ReplayBuffer(64, env.obs_dim)
+        obs = env.reset()
+        for t in range(50):
+            next_obs, reward, done = env.step(t % 5)
+            buf.add(obs, t % 5, reward, next_obs, done)
+            obs = env.reset() if done else next_obs
+        assert buf.obs.dtype == np.uint8 and buf.next_obs.dtype == np.uint8
+        assert buf.sample(8, RngStream(1, 0))["obs"].dtype == np.float64
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from([1, 7, 8, 9, 324, 648]),
@@ -1266,7 +1218,7 @@ class TestReplayBitStorage:
         st.integers(1, 30),
         st.integers(0, 2**31),
     )
-    def test_binary_rows_round_trip_through_the_packed_tier(self, dim, capacity, adds, seed):
+    def test_binary_rows_round_trip_through_the_packed_store(self, dim, capacity, adds, seed):
         rows = _binary_rows(adds + 1, dim, seed)
         buf = ReplayBuffer(capacity, dim)
         oracle = {"obs": {}, "next_obs": {}}
@@ -1274,36 +1226,58 @@ class TestReplayBitStorage:
             slot = buf.cursor
             buf.add(rows[i], i % 4, 0.0, rows[i + 1], False)
             oracle["obs"][slot], oracle["next_obs"][slot] = rows[i], rows[i + 1]
-        assert buf.tier == 0 and buf.obs.dtype == np.uint8
+        assert buf.obs.dtype == np.uint8
         assert buf.obs.shape == buf.next_obs.shape == (capacity, -(-dim // 8))
         _assert_sample_matches(buf, oracle, seed)
 
+    @pytest.mark.parametrize("side", ["obs", "next_obs"])
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["before_wrap", "after_wrap"])
+    @pytest.mark.parametrize("kind", sorted(NON_BIT_VALUES))
+    def test_non_bit_value_is_rejected_before_any_write(self, kind, wrapped, side):
+        capacity = 5
+        buf = ReplayBuffer(capacity, 6)
+        for i in range(capacity + 2 if wrapped else capacity - 2):
+            buf.add(_grid_row(i), i % 3, float(i), _grid_row(i + 1), i % 2 == 0)
+        odd = _grid_row(7)
+        if NON_BIT_VALUES[kind] is None:
+            odd = RngStream(9, 0).normal(0.0, 1.0, 6)
+        else:
+            odd[2] = NON_BIT_VALUES[kind]
+        new = {"obs": _grid_row(8), "next_obs": _grid_row(9)}
+        new[side] = odd
+
+        def state():
+            columns = (buf.store, buf.actions, buf.rewards, buf.dones)
+            return [column.tobytes() for column in columns], buf.cursor, buf.size
+
+        before = state()
+        with pytest.raises(InvalidInputError, match="only the values 0.0 and 1.0"):
+            buf.add(new["obs"], 1, -1.0, new["next_obs"], True)
+        assert state() == before
+
     @pytest.mark.parametrize("odd", [255.0, 0.5], ids=["whole_number", "fraction"])
     @pytest.mark.parametrize("wrapped", [False, True], ids=["before_wrap", "after_wrap"])
-    def test_widening_to_float64_keeps_earlier_rows_bit_exact(self, wrapped, odd):
+    def test_rows_around_a_rejected_one_sample_exactly(self, wrapped, odd):
         capacity, dim = 8, 9
         b = capacity + 3 if wrapped else 3  # the first row that is not 0/1
         rows = _binary_rows(b + 3, dim, 4)
         rows[b, 3] = odd
         buf = ReplayBuffer(capacity, dim)
         oracle = {"obs": {}, "next_obs": {}}
-        tiers, full_at_widening = [], []
+        full_at_rejection = []
         for i in range(b + 2):
             slot = buf.cursor
-            buf.add(rows[i], 1, float(i), rows[i + 1], i % 5 == 0)
-            oracle["obs"][slot], oracle["next_obs"][slot] = rows[i], rows[i + 1]
-            if buf.tier != (tiers or [0])[-1]:
-                full_at_widening.append(buf.size == capacity)
-            tiers.append(buf.tier)
-            if buf.tier == 1:  # the float64 tier holds the values themselves
-                for name in ("obs", "next_obs"):
-                    for j, row in oracle[name].items():
-                        assert getattr(buf, name)[j].tobytes() == row.tobytes(), (name, j)
+            if i in (b - 1, b):  # next_obs meets the odd row one add before obs does
+                with pytest.raises(InvalidInputError):
+                    buf.add(rows[i], 1, float(i), rows[i + 1], i % 5 == 0)
+                full_at_rejection.append(buf.size == capacity)
+            else:
+                buf.add(rows[i], 1, float(i), rows[i + 1], i % 5 == 0)
+                oracle["obs"][slot], oracle["next_obs"][slot] = rows[i], rows[i + 1]
+            assert buf.size == len(oracle["obs"])
             _assert_sample_matches(buf, oracle, i)
-        # next_obs meets the wider row one add before obs does
-        assert tiers == [0] * (b - 1) + [1] * 3
-        assert full_at_widening == [wrapped]
-        assert buf.obs.dtype == np.float64
+        assert full_at_rejection == [wrapped] * 2
+        assert buf.obs.dtype == np.uint8
 
     def test_default_capacity_reserves_at_most_011_gb(self):
         # np.zeros maps untouched pages; only nbytes is read here

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from plastlab.envs import PROBE_DIM, PROBE_OUT
 from plastlab.errors import CheckpointError, ConfigError, DivergenceError
-from plastlab.learners import Rollout, network_specs
+from plastlab.learners import ReplayBuffer, Rollout, network_specs
 from plastlab.metrics import _params_l2
 from plastlab.mitigations import REGISTRY
 from plastlab.net import draw_layers, serialize_network
@@ -706,6 +706,43 @@ class TestFootprint:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("frame_stack", [1, 2, 4])
+    def test_replay_term_equals_the_buffers_row_bytes(self, frame_stack):
+        def footprint(buffer_size):
+            return _footprint(c51_cfg(scenario={"frame_stack": frame_stack}, learner={"buffer_size": buffer_size}))
+
+        obs_dim = loop._widths(c51_cfg(scenario={"frame_stack": frame_stack}))[0]
+        assert obs_dim == 324 * frame_stack
+        row = footprint(201) - footprint(200)
+        assert row == 2 * -(-obs_dim // 8) + 24
+        buf = ReplayBuffer(200, obs_dim)
+        assert sum(a.nbytes for a in (buf.store, buf.actions, buf.rewards, buf.dones)) == 200 * row
+
+    @staticmethod
+    def _injection_run(tmp_path, rounds):
+        raw = {
+            "algo": "regression", "seed": 1, "total_steps": rounds, "network": {"hidden": [16]},
+            "mitigations": [{"method": "plasticity_injection", "trigger": "per_gradient_step"}],
+            "logging": {"metric_interval": 50, "probe_batch": 16},
+        }
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "run"
+        return main(["run", str(path), "--out", str(out)]), out
+
+    def test_injection_rounds_at_the_cap_run(self, tmp_path):
+        code, out = self._injection_run(tmp_path, loop.MAX_INJECTION_ROUNDS)
+        assert code == 0
+        summary = json.load(open(out / "summary.json"))
+        assert summary["trigger_fires"] == {"0:plasticity_injection:per_gradient_step": 100}
+
+    def test_injection_rounds_over_the_cap_exit_2_before_any_allocation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(loop, "init_network", None)  # a call would fail with a traceback, not exit 2
+        code, out = self._injection_run(tmp_path, loop.MAX_INJECTION_ROUNDS + 1)
+        assert code == 2
+        assert "could fire 101 rounds in this run, over the 100 allowed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestActMemo:
     """The act memo reuses forwards only; every log byte is the recompute's."""
@@ -1378,6 +1415,37 @@ class TestCli:
         cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
         assert main(["sweep", cfg, "--seeds", "7..9", "--out", str(tmp_path / "s")]) == 0
         assert fake_popen.started == [7, 8, 9]
+
+    @staticmethod
+    def _one_error_line(capsys, message):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_exit_2(self, command, kind, tmp_path, capsys, fake_popen):
+        path, text = tmp_path / "exp.yaml", b"algo: regression\nseed: \xff\n"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(text)
+        args = [command, str(path), "--out", str(tmp_path / "r")]
+        assert main(args + (["--seeds", "0..1"] if command == "sweep" else [])) == 2
+        self._one_error_line(capsys, f"cannot read config {str(path)!r}")
+        assert sorted(os.listdir(tmp_path)) == ["exp.yaml"] and fake_popen.started == []
+        if kind == "directory":
+            assert os.listdir(path) == []
+        else:
+            assert path.read_bytes() == text
+
+    @pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["existing_file", "under_a_file"])
+    def test_out_that_cannot_be_a_directory_exit_2(self, out, tmp_path, capsys):
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
+        (tmp_path / "taken").write_bytes(b"keep\n")
+        assert main(["run", cfg, "--out", str(tmp_path / out)]) == 2
+        self._one_error_line(capsys, f"cannot make the run directory {str(tmp_path / out)!r}")
+        assert (tmp_path / "taken").read_bytes() == b"keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["exp.yaml", "taken"]
 
     def test_replay_metrics_defaults_to_the_runs_probe(self, tmp_path, capsys):
         cfg = self._write(
