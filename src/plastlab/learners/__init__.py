@@ -14,7 +14,11 @@ from .common import ReplayBuffer, Rollout, TrajectoryBatch, gae, network_specs
 from .ppo import PPOConfig, PPOLearner, gaussian_policy, normalize_advantages
 from .regression import RegressionLearner
 
+# each algo's learner class; a run builds `LEARNERS[cfg.algo](cfg, net, opt, reg_terms)`
+LEARNERS = {"ppo": PPOLearner, "c51": C51Learner, "regression": RegressionLearner}
+
 __all__ = [
+    "LEARNERS",
     "C51Config",
     "C51Learner",
     "CategoricalHead",

@@ -43,10 +43,6 @@ class C51Config:
 
 def c51_support(v_min: float, v_max: float, n: int) -> np.ndarray:
     """Evenly spaced return atoms, endpoints inclusive."""
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 atoms, got {n}")
-    if not v_max > v_min:
-        raise InvalidInputError(f"v_max must exceed v_min, got [{v_min}, {v_max}]")
     return np.linspace(float(v_min), float(v_max), int(n))
 
 
@@ -121,8 +117,6 @@ def categorical_projection_batch(
 
 def epsilon_schedule(step: int, start: float, end: float, fraction: float, total: int) -> float:
     """Linear ramp from start to end over fraction*total steps, then flat."""
-    if not 0.0 < fraction <= 1.0:
-        raise InvalidInputError(f"fraction must be in (0, 1], got {fraction}")
     duration = fraction * total
     t = step / duration
     if t >= 1.0:
@@ -227,31 +221,38 @@ def c51_update(
 class C51Learner:
     """Replay-driven C51 agent: epsilon-greedy acting, periodic target sync."""
 
-    def __init__(
-        self,
-        net: NetworkState,
-        n_actions: int,
-        cfg: C51Config,
-        opt: Optimizer,
-        obs_dim: int,
-        reg_terms: tuple[tuple[str, float, float], ...] = (),
-    ):
-        head_width = net.layers[-1].width_out
-        if head_width != n_actions * cfg.n_atoms:
-            raise InvalidInputError(
-                f"network head must emit {n_actions * cfg.n_atoms} logits, got {head_width}"
-            )
+    def __init__(self, cfg, net: NetworkState, opt: Optimizer, reg_terms: tuple = ()):
         self.net = net
         self.target = clone_network(net)
-        self.n_actions = n_actions
-        self.cfg = cfg
+        self.n_actions = net.layers[-1].width_out // cfg.learner.n_atoms
+        self.cfg = cfg.learner
         self.opt = opt
         self.reg_terms = tuple(reg_terms)
-        self.head = CategoricalHead(cfg.n_atoms, cfg.v_min, cfg.v_max)
-        self.buffer = ReplayBuffer(cfg.buffer_size, obs_dim)
+        self.head = CategoricalHead(self.cfg.n_atoms, self.cfg.v_min, self.cfg.v_max)
+        # the ring never holds more rows than the run adds; capping it moves no sample
+        self.buffer = ReplayBuffer(min(self.cfg.buffer_size, cfg.total_steps), net.layers[0].in_dim)
         self.post_step = lambda: None  # fired after each gradient step
-        self.memo = None  # obs bytes -> greedy action while params stay put
+        self.memo = {}  # obs bytes -> greedy action while params stay put; the run empties it
         self.target_memos: tuple[dict, dict] = ({}, {})  # see _target_rows
+
+    @staticmethod
+    def head_width(cfg, n_actions: int) -> int:
+        return n_actions * cfg.learner.n_atoms
+
+    @staticmethod
+    def most_gradient_steps(cfg) -> int:
+        """One per train_frequency steps, the skipped ones before learning_starts included."""
+        return -(-cfg.total_steps // cfg.learner.train_frequency)
+
+    @staticmethod
+    def footprint(cfg, obs_dim: int, head_width: int) -> tuple[int, int]:
+        """(rows of a batch through both nets, bytes of the replay rows and
+        target memos). A replay row holds the packed obs pair, action, reward
+        and done; a memo pair holds a target row set, a projected row and
+        about 0.8 KB of keys, array headers and dict slots."""
+        learner = cfg.learner
+        ring = min(learner.buffer_size, cfg.total_steps) * (2 * -(-obs_dim // 8) + 24)
+        return 2 * learner.batch_size, ring + TARGET_MEMO_CAP * (8 * (head_width + learner.n_atoms) + 1024)
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         probs = _dist_probs(self.net, np.atleast_2d(obs), self.n_actions, self.head.n_atoms)
@@ -259,13 +260,9 @@ class C51Learner:
 
     def act(self, obs: np.ndarray, step: int, stream: RngStream) -> int:
         cfg = self.cfg
-        eps = epsilon_schedule(
-            step, cfg.start_epsilon, cfg.end_epsilon, cfg.exploration_fraction, cfg.total_steps
-        )
+        eps = epsilon_schedule(step, cfg.start_epsilon, cfg.end_epsilon, cfg.exploration_fraction, cfg.total_steps)
         if stream.uniform(0.0, 1.0, 1)[0] < eps:
             return int(stream.randint(self.n_actions, 1)[0])
-        if self.memo is None:
-            return int(np.argmax(self.q_values(obs)[0]))
         key = obs.tobytes()
         if key not in self.memo:
             self.memo[key] = int(np.argmax(self.q_values(obs)[0]))
@@ -273,6 +270,9 @@ class C51Learner:
 
     def remember(self, obs, action, reward, next_obs, done) -> None:
         self.buffer.add(obs, action, reward, next_obs, done)
+
+    def switch_task(self) -> None:
+        """Nothing to do: replay keeps the old task's transitions."""
 
     def update(self, step: int, stream: RngStream) -> None:
         """Train every train_frequency steps; hard-sync the target on schedule."""

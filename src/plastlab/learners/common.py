@@ -96,8 +96,6 @@ def gae(
     backwards with factor gamma*lam*(1-done_t). Returns (advantages,
     advantages + values).
     """
-    if not 0.0 <= gamma <= 1.0 or not 0.0 <= lam <= 1.0:
-        raise InvalidInputError("gamma and lam must lie in [0, 1]")
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     dones = np.asarray(dones, dtype=np.float64)
@@ -135,8 +133,6 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, obs_dim: int):
-        if capacity < 1:
-            raise InvalidInputError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.obs_dim = obs_dim
         self.store = np.zeros((2, capacity, -(-obs_dim // 8)), dtype=np.uint8)

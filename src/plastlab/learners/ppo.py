@@ -9,7 +9,7 @@ and drift metrics see it like any other parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from ..errors import InvalidInputError, NumericError
 from ..net import Gradients, NetworkState, backward, forward
 from ..numkit import RngStream
 from ..mitigations import Optimizer, optimizer_step, reg_loss
-from .common import TrajectoryBatch, _log_softmax, gae
+from ..envs import RewardNormalizer
+from .common import Rollout, TrajectoryBatch, _log_softmax, gae
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -53,8 +54,6 @@ def _clipped_objective(
     against GAE returns, keeping the clipped branch when it is worse (the
     pessimistic max).
     """
-    if clip_eps <= 0.0:
-        raise InvalidInputError(f"clip_eps must be > 0, got {clip_eps}")
     if batch.advantages is None or batch.returns is None:
         raise InvalidInputError("batch needs advantages and returns (run gae first)")
     adv = normalize_advantages(batch.advantages)
@@ -102,41 +101,50 @@ def gaussian_policy(
 
 
 class PPOLearner:
-    """Rollout-consuming PPO update loop over one shared-torso network.
-
-    `reg_terms` is a list of (method, alpha, s) regularizers added to every
-    minibatch loss; the optimizer is whatever the mitigation plan selected.
+    """PPO over one shared-torso network and its own rollout, which `update`
+    trains on once it is full. `reg_terms` is a list of (method, alpha, s)
+    regularizers added to every minibatch loss; the optimizer is whatever the
+    mitigation plan selected.
     """
 
-    def __init__(
-        self,
-        net: NetworkState,
-        n_actions: int,
-        discrete: bool,
-        cfg: PPOConfig,
-        opt: Optimizer,
-        reg_terms: tuple[tuple[str, float, float], ...] = (),
-    ):
-        head_width = net.layers[-1].width_out
-        if head_width != n_actions + 1:
-            raise InvalidInputError(
-                f"network head must emit n_actions + 1 = {n_actions + 1} values, got {head_width}"
-            )
+    def __init__(self, cfg, net: NetworkState, opt: Optimizer, reg_terms: tuple = ()):
         self.net = net
-        self.n_actions = n_actions
-        self.discrete = discrete
-        self.cfg = cfg
+        self.n_actions = net.layers[-1].width_out - 1
+        self.discrete = cfg.scenario.family == "gridworld"
+        self.cfg = cfg.learner
         self.opt = opt
         self.reg_terms = tuple(reg_terms)
         self.post_step = lambda: None  # fired after each gradient step
         self.memo = None  # obs bytes -> pure act results while params stay put
-        if not discrete and "log_std" not in net.params:
-            net.add({"log_std": np.full(n_actions, float(np.log(cfg.init_std)))})
+        rows = min(self.cfg.rollout_len, cfg.total_steps)
+        self.rollout = Rollout(rows, net.layers[0].in_dim, None if self.discrete else self.n_actions)
+        self.normalizer = RewardNormalizer(self.cfg.gamma) if cfg.scenario.reward_normalization else None
+        self.sampled = self.next_obs = None  # act's (action, log_prob, value); the last next observation
+        if not self.discrete and "log_std" not in net.params:
+            net.add({"log_std": np.full(self.n_actions, float(np.log(self.cfg.init_std)))})
+
+    @staticmethod
+    def head_width(cfg, n_actions: int) -> int:
+        return n_actions + 1  # the policy outputs, then the value
+
+    @staticmethod
+    def most_gradient_steps(cfg) -> int:
+        """update_epochs passes over the non-empty minibatches of each full rollout."""
+        learner = cfg.learner
+        chunks = min(learner.n_minibatches, learner.rollout_len)
+        return cfg.total_steps // learner.rollout_len * learner.update_epochs * chunks
+
+    @staticmethod
+    def footprint(cfg, obs_dim: int, head_width: int) -> tuple[int, int]:
+        """(rows of a minibatch, bytes of the rollout and a batch copy of it)."""
+        rows = min(cfg.learner.rollout_len, cfg.total_steps)
+        return -(-rows // cfg.learner.n_minibatches), 16 * rows * (obs_dim + head_width + 6)
 
     # ---------------------------------------------------------- acting
 
-    def act(self, obs: np.ndarray, stream: RngStream) -> tuple[np.ndarray | int, float, float]:
-        """Sample one action; returns (action, log_prob, value).
+    def act(self, obs: np.ndarray, step: int, stream: RngStream) -> np.ndarray | int:
+        """Sample one action, kept with its log-prob and value in `sampled`;
+        returns the action the env takes (squashed by tanh when continuous).
 
         With `memo` a dict, the forward (and for discrete policies the
         log-softmax and CDF) is looked up by the observation's bytes; the
@@ -159,10 +167,11 @@ class PPOLearner:
         if self.discrete:
             u = stream.uniform(0.0, 1.0, 1)[0]
             action = min(int(np.searchsorted(cdf, u, side="right")), self.n_actions - 1)
-            return action, float(log_p[action]), value
-        mean = out[:, :-1]
-        actions, log_prob, _ = gaussian_policy(mean, self.net.params["log_std"], stream)
-        return actions[0], float(log_prob[0]), value
+            self.sampled = action, float(log_p[action]), value
+            return action
+        actions, log_prob, _ = gaussian_policy(out[:, :-1], self.net.params["log_std"], stream)
+        self.sampled = actions[0], float(log_prob[0]), value
+        return np.tanh(actions[0])
 
     def evaluate_actions(self, obs: np.ndarray, actions: np.ndarray):
         """Trace, log-probs, entropy and values for stored actions (no
@@ -185,9 +194,28 @@ class PPOLearner:
 
     # ---------------------------------------------------------- updating
 
-    def update(
-        self, traj: TrajectoryBatch, bootstrap_value: float, stream: RngStream
-    ) -> dict[str, float]:
+    def remember(self, obs, action, reward: float, next_obs, done: bool) -> None:
+        """Add one step to the rollout, with the action `act` sampled."""
+        reward = self.normalizer.update(reward, done) if self.normalizer else reward
+        self.rollout.add(obs, self.sampled[0], reward, float(done), *self.sampled[1:])
+        self.next_obs = next_obs
+
+    def switch_task(self) -> None:
+        """Truncate the rollout so advantage estimation never bootstraps across tasks."""
+        if self.rollout.size:
+            self.rollout.dones[self.rollout.size - 1] = 1.0
+        if self.normalizer is not None:
+            self.normalizer.ret = 0.0
+
+    def update(self, step: int, stream: RngStream) -> None:
+        """Train on a full rollout (every row filled), bootstrapping unless its last step ended an episode."""
+        rollout = self.rollout
+        if rollout.size == self.cfg.rollout_len:
+            bootstrap = 0.0 if rollout.dones[-1] else float(forward(self.net, self.next_obs[None, :]).outputs[0, -1])
+            self.train(rollout.batch(), bootstrap, stream)
+            rollout.size = 0
+
+    def train(self, traj: TrajectoryBatch, bootstrap_value: float, stream: RngStream) -> dict[str, float]:
         """GAE, then several epochs of shuffled minibatch gradient steps."""
         cfg = self.cfg
         traj.advantages, traj.returns = gae(

@@ -15,18 +15,24 @@ class RegressionLearner:
     selected optimizer applies the update, mirroring the RL learners.
     """
 
-    def __init__(
-        self,
-        net: NetworkState,
-        opt: Optimizer,
-        lr: float = 1e-3,
-        reg_terms: tuple[tuple[str, float, float], ...] = (),
-    ):
+    def __init__(self, cfg, net: NetworkState, opt: Optimizer, reg_terms: tuple = ()):
         self.net = net
         self.opt = opt
-        self.lr = lr
+        self.lr = cfg.learner.lr
         self.reg_terms = tuple(reg_terms)
         self.post_step = lambda: None  # fired after each gradient step
+
+    @staticmethod
+    def head_width(cfg, n_actions: int) -> int:
+        return n_actions  # one output per target
+
+    @staticmethod
+    def most_gradient_steps(cfg) -> int:
+        return cfg.total_steps
+
+    @staticmethod
+    def footprint(cfg, obs_dim: int, head_width: int) -> tuple[int, int]:
+        return cfg.learner.batch_size, 0  # a batch; the run holds the batches drawn ahead
 
     def step(self, x: np.ndarray, y: np.ndarray) -> float:
         trace = forward(self.net, x)

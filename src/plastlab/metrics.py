@@ -106,8 +106,11 @@ def active_fraction(trace: ForwardTrace) -> dict[str, float]:
     return out
 
 
-def _ranks(f: np.ndarray) -> tuple[int, float]:
-    """Stable and effective rank of f (defined below), both from one SVD."""
+def ranks(f: np.ndarray) -> tuple[int, float]:
+    """Stable rank (the fewest leading singular values holding >99% of the
+    spectrum sum) and effective rank (exp of the entropy of the L1-normalized
+    spectrum, summed in extended precision so uniform spectra give exact
+    integers) of f, both from one SVD."""
     sv = svd_values(ensure_matrix(f, "f"))
     total = float(sv.sum())
     if total == 0.0:
@@ -118,20 +121,6 @@ def _ranks(f: np.ndarray) -> tuple[int, float]:
     nz = p[p > 0.0]
     entropy = -(nz * np.log(nz)).sum()
     return stable, float(np.exp(entropy))
-
-
-def stable_rank(f: np.ndarray) -> int:
-    """Smallest k whose leading singular values capture >99% of the spectrum sum."""
-    return _ranks(f)[0]
-
-
-def effective_rank(f: np.ndarray) -> float:
-    """exp of the Shannon entropy of the L1-normalized singular spectrum.
-
-    Zero singular values contribute nothing. The entropy sum runs in
-    extended precision so uniform spectra give back exact integers.
-    """
-    return _ranks(f)[1]
 
 
 def _params_l2(
@@ -170,7 +159,6 @@ def collect_metrics(
     net: NetworkState,
     probe: np.ndarray,
     grads: Gradients | None = None,
-    baseline: NetworkState | None = None,
     tau: float = DEFAULT_TAU,
     step: int = 0,
 ) -> list[MetricReport]:
@@ -178,26 +166,21 @@ def collect_metrics(
 
     Rank metrics in per-layer reports use that layer's post-activations; the
     aggregate uses the penultimate layer (the representation feeding the
-    head). Weight drift is measured against `baseline` when given, otherwise
-    against the init snapshot.
+    head). Weight drift is measured against the init snapshot.
     """
     trace = forward(net, probe)
     rdu = dormant_ratio(trace, tau)
     fau = active_fraction(trace)
     ref = net.init_snapshot
-    if baseline is not None:
-        if baseline.layers != net.layers or baseline.param_order != net.param_order:
-            raise InvalidInputError("baseline architecture does not match network")
-        ref = baseline.params
 
     reports = []
     n_layers = len(net.layers)
-    ranks = []  # one SVD per layer; the "all" scope reuses its feature layer's
+    layer_ranks = []  # one SVD per layer; the "all" scope reuses its feature layer's
     for post in trace.postacts:
         try:
-            ranks.append(_ranks(post))
+            layer_ranks.append(ranks(post))
         except UndefinedRankError:
-            ranks.append((None, None))
+            layer_ranks.append((None, None))
     for i in range(n_layers):
         scope = f"layer{i}"
         names = [n for n in net.param_order if n.startswith(scope + ".")]
@@ -206,9 +189,9 @@ def collect_metrics(
         if grads is not None:
             gn = gradient_norm({n: g for n, g in grads.by_name.items() if n.startswith(scope + ".")})
         reports.append(
-            MetricReport(step, scope, rdu[scope], fau[scope], *ranks[i], wd, wd_pp, gn)
+            MetricReport(step, scope, rdu[scope], fau[scope], *layer_ranks[i], wd, wd_pp, gn)
         )
-    sr_all, er_all = ranks[max(n_layers - 2, 0)]
+    sr_all, er_all = layer_ranks[max(n_layers - 2, 0)]
     wd_all, wd_pp_all = _params_l2(net.params, ref, list(net.param_order))
     gn_all = gradient_norm(grads) if grads is not None else None
     reports.append(

@@ -122,8 +122,6 @@ def shrink_perturb(
     Normalization gain/offset shrink toward their init constants (1 and 0).
     With `ahead`, the draws come from it; the values are the same.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise InvalidInputError(f"beta must be in [0, 1], got {beta}")
     keep = 1.0 - beta
     targets = []  # (spec, weight name, bias name) in draw order: the layers, then the head's branches
     last = len(net.layers) - 1
@@ -184,8 +182,6 @@ def reset_layers(net: NetworkState, scope: str, stream: RngStream) -> NetworkSta
     exactly like construction; scope="final" redraws only the last declared
     layer. Normalization affine parameters return to their init constants.
     """
-    if scope not in ("final", "all"):
-        raise InvalidInputError(f"scope must be 'final' or 'all', got {scope!r}")
     targets = range(len(net.layers)) if scope == "all" else [len(net.layers) - 1]
     for i in targets:
         net.params.update(layer_params(i, net.layers[i], stream))
@@ -230,10 +226,6 @@ def reg_loss(
     parseval_reg: alpha * sum over hidden weights of ||W W^T - s I||_F (not
     squared), pushing rows toward an orthonormal frame of scale sqrt(s).
     """
-    if alpha < 0.0:
-        raise InvalidInputError(f"alpha must be >= 0, got {alpha}")
-    if method == "parseval_reg" and s <= 0.0:
-        raise InvalidInputError(f"parseval scale must be > 0, got {s}")
     value = 0.0
     grads: dict[str, np.ndarray] = {}
     if method in ("l2_reg", "regenerative_reg"):

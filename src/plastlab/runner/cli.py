@@ -93,6 +93,10 @@ def _cmd_sweep(args) -> int:
     seeds = _parse_seed_range(args.seeds)
     cfg = load_config(args.config)  # fail fast on bad configs before spawning
     base = args.out or cfg.logging.out_dir
+    try:
+        os.makedirs(base, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the sweep directory {base!r}: {exc}") from None
     limit = os.cpu_count() or 1
     live: list[tuple[int, subprocess.Popen]] = []
     code = 0

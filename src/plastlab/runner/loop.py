@@ -12,7 +12,7 @@ import glob
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +20,13 @@ from ..envs import (
     FrameStack,
     PROBE_DIM,
     PROBE_OUT,
-    RewardNormalizer,
     batch_work_bytes,
     env_step,
     make_env,
     probe_task,
 )
 from ..errors import CheckpointError, ConfigError, DivergenceError, NumericError
-from ..learners import C51Learner, PPOLearner, RegressionLearner, Rollout, network_specs
-from ..learners.c51 import TARGET_MEMO_CAP
+from ..learners import LEARNERS, network_specs
 from ..metrics import MetricReport, collect_metrics
 from ..mitigations import (
     REGISTRY,
@@ -43,7 +41,7 @@ from ..net import (
     deserialize_network,
     draw_work_bytes,
     init_network,
-    network_output,
+    network_output,  # called by no step; perfbench/layertrace.py patches the name
     serialize_network,
 )
 from ..numkit import DrawAhead, RngStream
@@ -122,13 +120,12 @@ def platform_fingerprint() -> dict:
     return {"numpy": np.__version__, "python": python, "openblas_core": core, "simd": (levels or ["unknown"])[-1]}
 
 
-def _widths(cfg: ExperimentConfig) -> tuple[int, int, int]:
-    """(input width, action count, head width) of the run's network."""
+def _widths(cfg: ExperimentConfig) -> tuple[int, int]:
+    """(input width, head width) of the run's network."""
     if cfg.scenario.family == "probe":
-        return PROBE_DIM, PROBE_OUT, PROBE_OUT
+        return PROBE_DIM, LEARNERS[cfg.algo].head_width(cfg, PROBE_OUT)
     env, _ = make_env(cfg.scenario.task(0))
-    head = env.n_actions + 1 if cfg.algo == "ppo" else env.n_actions * cfg.learner.n_atoms
-    return env.obs_dim * max(1, cfg.scenario.frame_stack), env.n_actions, head
+    return env.obs_dim * max(1, cfg.scenario.frame_stack), LEARNERS[cfg.algo].head_width(cfg, env.n_actions)
 
 
 def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0) -> DrawAhead:
@@ -139,12 +136,9 @@ def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0) -> DrawAhead:
 
 def _most_firings(cfg: ExperimentConfig, trigger) -> int:
     """The most times an event entry with `trigger` can fire in a run of `cfg`."""
-    total, learner = cfg.total_steps, cfg.learner
+    total = cfg.total_steps
     if trigger.kind == "per_gradient_step":
-        if cfg.algo == "ppo":  # update_epochs passes over the non-empty minibatches of each full rollout
-            chunks = min(learner.n_minibatches, learner.rollout_len)
-            return total // learner.rollout_len * learner.update_epochs * chunks
-        return -(-total // learner.train_frequency) if cfg.algo == "c51" else total
+        return LEARNERS[cfg.algo].most_gradient_steps(cfg)
     if trigger.kind == "on_task_switch":
         return min(cfg.scenario.n_segments, -(-total // cfg.scenario.segment_length))
     return (total - 1) // trigger.arg if trigger.kind == "every_k_steps" else 1
@@ -160,11 +154,11 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     `specs`: the parameters once per copy (values, init snapshot, gradients
     and their clipped copy, C51's target net, four checkpoint copies, the
     optimizer state), the forward and backward traces of the probe and update
-    batches (four values per layer feature and row, six with LayerNorm), PPO's
-    rollout, an init draw's work, the draw-ahead holders, C51's replay rows
-    and the act and target memos. Each plasticity_injection firing adds two
-    copies of the head layer, counted at the most firings its trigger allows."""
-    obs_dim, head_width, learner = specs[0].in_dim, specs[-1].out_dim, cfg.learner
+    batches (four values per layer feature and row, six with LayerNorm), the
+    learner's own buffers (its `footprint`), an init draw's work, the
+    draw-ahead holders and the act memo. Each plasticity_injection firing adds
+    two copies of the head layer, counted at the most firings its trigger allows."""
+    obs_dim, head_width = specs[0].in_dim, specs[-1].out_dim
     plan = build_plan(list(cfg.mitigations))
     opt = next((e.method for e in plan if REGISTRY[e.method].kind == "optimizer"), "adam")
     heads = 2 * _injection_rounds(cfg, plan)
@@ -173,26 +167,16 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     if opt == "kron":  # two factors and their inverses per layer and head copy
         kron = [2 * ((s.in_dim + 1) ** 2 + s.out_dim**2) for s in specs]
         values += sum(kron) + heads * kron[-1]
-    if cfg.algo == "ppo":
-        rows = min(learner.rollout_len, cfg.total_steps)
-        values += 2 * rows * (obs_dim + head_width + 6)  # the rollout and a batch copy of it
-        rows = -(-rows // learner.n_minibatches)
-    else:  # C51's batch passes through both nets
-        rows = learner.batch_size * (2 if cfg.algo == "c51" else 1)
+    rows, own = LEARNERS[cfg.algo].footprint(cfg, obs_dim, head_width)
     values += (cfg.logging.probe_batch + rows) * (obs_dim + sum((4 + 2 * s.layer_norm) * s.width_out for s in specs))
     if cfg.scenario.family == "gridworld":
         values += ACT_MEMO_CAP * head_width
     work = draw_work_bytes(specs)
-    total = 8 * values + work + DRAW_FIXED_BYTES
+    total = 8 * values + own + work + DRAW_FIXED_BYTES
     if any(e.method == "shrink_perturb" and e.trigger.kind == "per_gradient_step" for e in plan):
         total += _draw_ahead(work, DRAW_FIXED_BYTES).steps * work
-    if cfg.algo == "regression":
-        total += _draw_ahead(batch_work_bytes(learner.batch_size)).steps * batch_work_bytes(learner.batch_size)
-    if cfg.algo == "c51":  # a replay row holds the packed obs pair, action, reward and done
-        total += min(learner.buffer_size, cfg.total_steps) * (2 * -(-obs_dim // 8) + 24)
-        # each memo pair holds a target row set and a projected row, plus about
-        # 0.8 KB of keys, array headers and dict slots
-        total += TARGET_MEMO_CAP * (8 * (head_width + learner.n_atoms) + 1024)
+    if cfg.scenario.family == "probe":
+        total += _draw_ahead(batch_work_bytes(cfg.learner.batch_size)).steps * batch_work_bytes(cfg.learner.batch_size)
     return total
 
 
@@ -247,7 +231,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     """
     out_dir = out_dir or cfg.logging.out_dir
     scenario = cfg.scenario
-    obs_dim, n_actions, head_width = _widths(cfg)
+    obs_dim, head_width = _widths(cfg)
     net_cfg = cfg.network
     specs = network_specs(obs_dim, head_width, net_cfg.hidden, net_cfg.activation, net_cfg.layer_norm)
     need, half = footprint_bytes(cfg, specs), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
@@ -272,7 +256,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     mit_stream = RngStream(cfg.seed, MITIGATION_STREAM)
     act_stream = RngStream(cfg.seed, ACTION_STREAM)
     upd_stream = RngStream(cfg.seed, UPDATE_STREAM)
-    discrete = scenario.family == "gridworld"
+    discrete, probe_run = scenario.family == "gridworld", scenario.family == "probe"
     probe = probe_inputs(cfg.seed, obs_dim, cfg.logging.probe_batch)
 
     net = init_network(specs, RngStream(cfg.seed, INIT_STREAM))
@@ -292,19 +276,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     # only event entries count their firings; the other kinds are derived at the end
     fires = {i: 0 for i, _ in events}
 
-    opt = make_optimizer(opt_kind, net, **opt_hyper)
-    ppo = cfg.algo == "ppo"
-    normalizer = RewardNormalizer(cfg.learner.gamma) if scenario.reward_normalization else None
-    if ppo:
-        learner = PPOLearner(net, n_actions, discrete, cfg.learner, opt, reg_terms)
-        rows = min(cfg.learner.rollout_len, cfg.total_steps)
-        rollout = Rollout(rows, obs_dim, None if discrete else n_actions)
-    elif cfg.algo == "c51":
-        # the ring never holds more rows than the run adds; capping it moves no sample
-        c51_cfg = replace(cfg.learner, buffer_size=min(cfg.learner.buffer_size, cfg.total_steps))
-        learner = C51Learner(net, n_actions, c51_cfg, opt, obs_dim, reg_terms)
-    else:
-        learner = RegressionLearner(net, opt, cfg.learner.lr, reg_terms)
+    learner = LEARNERS[cfg.algo](cfg, net, make_optimizer(opt_kind, net, **opt_hyper), reg_terms)
+    if probe_run:
         batches = _draw_ahead(batch_work_bytes(cfg.learner.batch_size))
 
     # gradient steps (with their per-gradient-step methods) and event firings
@@ -353,21 +326,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
             switched = scenario.switches(step)
             if switched:
                 task = scenario.task(step // scenario.segment_length)
-            if switched and cfg.algo == "regression":
+            if switched and probe_run:
                 _task_rows(writers, task_idx, task_start, losses)
                 task_idx, task_start, losses = task_idx + 1, step, []
                 # refills stop at the task's end: the next switch, or the run's end
                 end = step + scenario.segment_length if task_idx + 1 < scenario.n_segments else cfg.total_steps
                 batches.left = min(end, cfg.total_steps) - step
             elif switched:
-                if ppo and rollout.size:
-                    # truncate the rollout at the boundary so advantage
-                    # estimation never bootstraps across tasks
-                    rollout.dones[rollout.size - 1] = 1.0
+                learner.switch_task()
                 env, obs = _build_env(cfg, task)
                 ep_return, ep_len = 0.0, 0
-                if normalizer is not None:
-                    normalizer.ret = 0.0
             for i, entry in events:
                 if entry.trigger.fires(step, switched):
                     value = apply_event_method(entry, net, mit_stream, probe=probe)
@@ -384,7 +352,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
             if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:
                 _checkpoint(step)
 
-            if cfg.algo == "regression":
+            if probe_run:
                 x, y = probe_task(task.level_seed, cfg.learner.batch_size, env_stream, batches)
                 loss = learner.step(x, y)
                 losses.append(loss)
@@ -393,18 +361,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
 
             if discrete and (writes != memo_key or len(learner.memo) >= ACT_MEMO_CAP):
                 learner.memo, memo_key = {}, writes
-            if ppo:
-                action, log_prob, value = learner.act(obs, act_stream)
-                env_action = action if discrete else np.tanh(action)
-                next_obs, reward, done = env_step(env, env_action)
-                train_reward = normalizer.update(reward, done) if normalizer else reward
-                rollout.add(obs, action, train_reward, float(done), log_prob, value)
-            else:
-                action = learner.act(obs, step, act_stream)
-                next_obs, reward, done = env_step(env, action)
-                learner.remember(obs, action, reward, next_obs, done)
-                learner.update(step, upd_stream)
-
+            action = learner.act(obs, step, act_stream)
+            next_obs, reward, done = env_step(env, action)
+            learner.remember(obs, action, reward, next_obs, done)
             ep_return += reward
             ep_len += 1
             if done:
@@ -413,12 +372,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 ep_return, ep_len = 0.0, 0
                 next_obs = env.reset()
             obs = next_obs
-
-            if ppo and rollout.size == cfg.learner.rollout_len:
-                last_done = rollout.dones[rollout.size - 1]
-                bootstrap = 0.0 if last_done else float(network_output(net, obs[None, :])[0, -1])
-                learner.update(rollout.batch(), bootstrap, upd_stream)
-                rollout.size = 0
+            learner.update(step, upd_stream)
         _task_rows(writers, task_idx, task_start, losses)
         _log_metrics(cfg.total_steps)
         _checkpoint(cfg.total_steps, "ckpt_final.bin")

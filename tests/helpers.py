@@ -1,4 +1,6 @@
-"""Shared fixtures: the 2-state chain MDP and small network builders."""
+"""Shared fixtures: the 2-state chain MDP, learner configs and small network builders."""
+
+import dataclasses
 
 import numpy as np
 
@@ -6,6 +8,15 @@ from plastlab.learners import C51Config, C51Learner, network_specs
 from plastlab.mitigations import make_optimizer
 from plastlab.net import NetworkState, init_network
 from plastlab.numkit import RngStream
+from plastlab.runner import resolve_config
+
+
+def experiment(learner, family: str = "gridworld"):
+    """A resolved config on `family` whose learner block is `learner` (a
+    C51Config or PPOConfig, kept by reference), as the learner classes take it."""
+    algo = "c51" if isinstance(learner, C51Config) else "ppo"
+    scenario = "task_chain" if family == "pointmass" else "standard"
+    return dataclasses.replace(resolve_config({"algo": algo, "scenario": scenario}), learner=learner)
 
 # Deterministic 2-state chain: s0 -(a1, r .5)-> s1 -(a0, r 1, terminal)->.
 # Bad actions: a0 in s0 loops (r 0), a1 in s1 terminates with r 0.
@@ -43,7 +54,7 @@ def make_chain_learner(seed: int, n_updates: int, lr: float = 1e-3) -> C51Learne
         target_network_frequency=250,
     )
     net = build_network(2, 2 * cfg.n_atoms, [32, 32], "relu", False, init_stream)
-    learner = C51Learner(net, 2, cfg, make_optimizer("adam", net), obs_dim=2)
+    learner = C51Learner(experiment(cfg), net, make_optimizer("adam", net))
     for _ in range(256):
         for s, a, r, s2, done in CHAIN_TRANSITIONS:
             learner.remember(chain_obs(s), a, r, chain_obs(s2), done)

@@ -115,10 +115,6 @@ class TestShrinkPerturb:
         np.testing.assert_allclose(net.params["layer0.ln_gain"], 2.0)
         np.testing.assert_allclose(net.params["layer0.ln_offset"], -0.5)
 
-    def test_precondition(self):
-        with pytest.raises(InvalidInputError):
-            shrink_perturb(tanh_net(), 1.5, RngStream(0))
-
     def test_shapes_preserved(self):
         net = tanh_net(5)
         shapes = {k: v.shape for k, v in net.params.items()}
@@ -357,10 +353,6 @@ class TestResetLayers:
         reset_layers(b, "all", RngStream(22, 7))
         assert drift(a, b) == 0.0
 
-    def test_bad_scope(self):
-        with pytest.raises(InvalidInputError):
-            reset_layers(tanh_net(), "middle", RngStream(0))
-
 
 class TestNapProject:
     def test_identity_at_init(self):
@@ -460,11 +452,7 @@ class TestRegLoss:
         net.params["layer0.w"] += RngStream(seed, 8).normal(0.0, 0.05, 18).reshape(6, 3)
         assert reg_loss(kind, net, 0.3)[0] >= 0.0
 
-    def test_preconditions(self):
-        with pytest.raises(InvalidInputError):
-            reg_loss("l2_reg", tanh_net(), -0.1)
-        with pytest.raises(InvalidInputError):
-            reg_loss("parseval_reg", tanh_net(), 0.1, s=0.0)
+    def test_unknown_method(self):
         with pytest.raises(InvalidInputError):
             reg_loss("dropout", tanh_net(), 0.1)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from plastlab.envs import PROBE_DIM, PROBE_OUT
 from plastlab.errors import CheckpointError, ConfigError, DivergenceError
-from plastlab.learners import ReplayBuffer, Rollout, network_specs
+from plastlab.learners import LEARNERS, ReplayBuffer, Rollout, network_specs
 from plastlab.metrics import _params_l2
 from plastlab.mitigations import REGISTRY
 from plastlab.net import draw_layers, serialize_network
@@ -229,6 +229,31 @@ class TestLoadConfig:
             resolve_config({"algo": "ppo", **raw})
         assert message in str(err.value)
 
+    # the values the learner and mitigation functions take without checking them again
+    @pytest.mark.parametrize("raw,message", [
+        ({"mitigations": [{"method": "shrink_perturb", "params": {"beta": 1.5}}]},
+         "'mitigations[0].params.beta' must be in [0, 1], got 1.5"),
+        ({"mitigations": [{"method": "reset_layers", "params": {"scope": "middle"}}]},
+         "'mitigations[0].params.scope' must be one of ('final', 'all'), got 'middle'"),
+        ({"mitigations": [{"method": "l2_reg", "params": {"alpha": -0.1}}]},
+         "'mitigations[0].params.alpha' must be >= 0, got -0.1"),
+        ({"mitigations": [{"method": "parseval_reg", "params": {"s": 0.0}}]},
+         "'mitigations[0].params.s' must be > 0, got 0.0"),
+        ({"algo": "c51", "learner": {"v_min": -1.0, "v_max": 1.0, "n_atoms": 1}},
+         "'learner.n_atoms' must be >= 2, got 1"),
+        ({"algo": "c51", "learner": {"v_min": 2.0, "v_max": 1.0}}, "'learner.v_max' must be > v_min, got 1.0"),
+        ({"algo": "c51", "learner": {"exploration_fraction": 0.0}},
+         "'learner.exploration_fraction' must be in (0, 1], got 0.0"),
+        ({"algo": "c51", "learner": {"buffer_size": 0}}, "'learner.buffer_size' must be >= 1, got 0"),
+        ({"learner": {"clip_eps": 0.0}}, "'learner.clip_eps' must be > 0, got 0.0"),
+        ({"learner": {"gamma": 1.2}}, "'learner.gamma' must be in [0, 1], got 1.2"),
+        ({"learner": {"gae_lambda": 1.2}}, "'learner.gae_lambda' must be in [0, 1], got 1.2"),
+    ])
+    def test_bounds_the_learners_and_methods_rely_on(self, raw, message):
+        with pytest.raises(ConfigError) as err:
+            resolve_config({"algo": "ppo", **raw})
+        assert str(err.value) == message
+
     def test_null_optional_values_take_the_default(self):
         cfg = resolve_config({
             "algo": "ppo",
@@ -393,11 +418,18 @@ class TestRunArtifacts:
         assert any(r["step"] == 0 for r in rows)  # flushed through the last block
         assert (tmp_path / "r" / "config.yaml").exists()
 
-    @pytest.mark.parametrize("algo", ["ppo", "c51", "regression"])
+    @pytest.mark.parametrize("algo", ["ppo", "c51", "regression", "ppo_at_episode_end", "c51_at_episode_end"])
     def test_non_finite_folded_loss_stops_before_the_step(self, algo, tmp_path, monkeypatch):
+        algo, _, at_episode_end = algo.partition("_at_")
         module = {"ppo": ppo, "c51": c51, "regression": regression}[algo]
         monkeypatch.setattr(module, "reg_loss", lambda *args: (np.inf, {}))
-        if algo == "ppo":
+        if at_episode_end:  # the first update falls on step 9, which ends the first 10-step episode
+            learner = {"rollout_len": 10, "n_minibatches": 2} if algo == "ppo" else {
+                "learning_starts": 10, "batch_size": 8, "train_frequency": 1}
+            cfg = resolve_config({"algo": algo, "total_steps": 40, "scenario": {"mode": "standard", "horizon": 10},
+                                  "network": {"hidden": [16]}, "learner": learner,
+                                  "logging": {"probe_batch": 16}, "mitigations": ["l2_reg"]})
+        elif algo == "ppo":
             cfg = resolve_config({"algo": "ppo", "total_steps": 64, "network": {"hidden": [16]},
                                   "learner": {"rollout_len": 32, "n_minibatches": 2},
                                   "logging": {"probe_batch": 16}, "mitigations": ["l2_reg"]})
@@ -408,6 +440,10 @@ class TestRunArtifacts:
         summary = json.load(open(tmp_path / "r" / "summary.json"))
         assert summary["error"] == "non-finite loss inf"
         assert summary["gradient_steps"] == 0
+        if at_episode_end:  # the episode the diverged step ended is logged
+            assert summary["step"] == 9 and summary["episodes"] == 1
+            rows = open(tmp_path / "r" / "episodes.csv").read().splitlines()
+            assert len(rows) == 2 and rows[1].startswith("9,0,") and rows[1].endswith(",10")
 
     def test_ppo_pointmass_chain_runs(self, tmp_path):
         cfg = resolve_config({
@@ -614,7 +650,7 @@ class TestProbeBatches:
 
 def _footprint(cfg) -> int:
     net = cfg.network
-    obs_dim, _, head_width = loop._widths(cfg)
+    obs_dim, head_width = loop._widths(cfg)
     specs = network_specs(obs_dim, head_width, net.hidden, net.activation, net.layer_norm)
     return loop.footprint_bytes(cfg, specs)
 
@@ -708,10 +744,12 @@ class TestFootprint:
 
     @pytest.mark.parametrize("frame_stack", [1, 2, 4])
     def test_replay_term_equals_the_buffers_row_bytes(self, frame_stack):
-        def footprint(buffer_size):
-            return _footprint(c51_cfg(scenario={"frame_stack": frame_stack}, learner={"buffer_size": buffer_size}))
+        obs_dim, head_width = loop._widths(c51_cfg(scenario={"frame_stack": frame_stack}))
 
-        obs_dim = loop._widths(c51_cfg(scenario={"frame_stack": frame_stack}))[0]
+        def footprint(buffer_size):
+            cfg = c51_cfg(scenario={"frame_stack": frame_stack}, learner={"buffer_size": buffer_size})
+            return c51.C51Learner.footprint(cfg, obs_dim, head_width)[1]
+
         assert obs_dim == 324 * frame_stack
         row = footprint(201) - footprint(200)
         assert row == 2 * -(-obs_dim // 8) + 24
@@ -742,6 +780,17 @@ class TestFootprint:
         assert code == 2
         assert "could fire 101 rounds in this run, over the 100 allowed" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(golden.CONFIGS))
+def test_most_gradient_steps_bounds_each_golden_run(name, tmp_path):
+    cfg = resolve_config(golden.CONFIGS[name])
+    art = run_experiment(cfg, str(tmp_path / "r"))
+    most = LEARNERS[cfg.algo].most_gradient_steps(cfg)
+    if cfg.algo == "c51":  # it counts the train_frequency steps before learning_starts too
+        assert most >= art.summary["gradient_steps"]
+    else:
+        assert most == art.summary["gradient_steps"]
 
 
 class TestActMemo:
@@ -968,7 +1017,7 @@ class TestRolloutStore:
     @pytest.mark.parametrize("kind", sorted(_ROLLOUT_RUNS))
     def test_columns_equal_the_stacked_tuples(self, kind, tmp_path, monkeypatch):
         rows, switches, updates = [], [], []
-        add, build_env, update = Rollout.add, loop._build_env, ppo.PPOLearner.update
+        add, build_env, train = Rollout.add, loop._build_env, ppo.PPOLearner.train
 
         def recording_add(rollout, *row):
             rows.append(row)
@@ -978,16 +1027,16 @@ class TestRolloutStore:
             switches.append(len(rows))
             return build_env(*args)
 
-        def recording_update(learner, traj, *args):
+        def recording_train(learner, traj, *args):
             # copies: the rollout's columns are refilled after the update
             updates.append([np.array(col) for col in (
                 traj.observations, traj.actions, traj.rewards,
                 traj.dones, traj.log_probs, traj.values)])
-            return update(learner, traj, *args)
+            return train(learner, traj, *args)
 
         monkeypatch.setattr(Rollout, "add", recording_add)
         monkeypatch.setattr(loop, "_build_env", recording_build_env)
-        monkeypatch.setattr(ppo.PPOLearner, "update", recording_update)
+        monkeypatch.setattr(ppo.PPOLearner, "train", recording_train)
         raw = _ROLLOUT_RUNS[kind]
         art = run_experiment(resolve_config(raw), str(tmp_path / "r"))
         assert art.summary["status"] == "ok"
@@ -1444,6 +1493,16 @@ class TestCli:
         (tmp_path / "taken").write_bytes(b"keep\n")
         assert main(["run", cfg, "--out", str(tmp_path / out)]) == 2
         self._one_error_line(capsys, f"cannot make the run directory {str(tmp_path / out)!r}")
+        assert (tmp_path / "taken").read_bytes() == b"keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["exp.yaml", "taken"]
+
+    @pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["existing_file", "under_a_file"])
+    def test_sweep_out_that_cannot_be_a_directory_exit_2_before_spawning(self, out, tmp_path, capsys, fake_popen):
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
+        (tmp_path / "taken").write_bytes(b"keep\n")
+        assert main(["sweep", cfg, "--seeds", "0..1", "--out", str(tmp_path / out)]) == 2
+        self._one_error_line(capsys, f"cannot make the sweep directory {str(tmp_path / out)!r}")
+        assert fake_popen.started == []
         assert (tmp_path / "taken").read_bytes() == b"keep\n"
         assert sorted(os.listdir(tmp_path)) == ["exp.yaml", "taken"]
 
