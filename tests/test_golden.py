@@ -274,6 +274,50 @@ CONFIGS = {
         "mitigations": ["layer_norm"],
         "logging": _LOGGING,
     },
+    # Shrink-and-perturb on each switch pulls the LayerNorm gain and offset
+    # toward 1 and 0 beside the redrawn weights.
+    "regression_probe_layer_norm_snp": {
+        "algo": "regression",
+        "seed": 19,
+        "total_steps": 300,
+        "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 3},
+        "network": {"hidden": [16, 16]},
+        "mitigations": ["layer_norm", "shrink_perturb"],
+        "logging": _LOGGING,
+    },
+    # TRAC meets the head branches each injection adds after it was built:
+    # their reference point and iterate start at their injected values.
+    "regression_probe_trac_injection": {
+        "algo": "regression",
+        "seed": 20,
+        "total_steps": 300,
+        "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 3},
+        "network": {"hidden": [16, 16]},
+        "mitigations": ["trac", "plasticity_injection"],
+        "logging": _LOGGING,
+    },
+    # ReDo on CReLU layers: a unit is dormant only when both of its output
+    # copies are, and both copies' outgoing columns are zeroed.
+    "regression_probe_crelu_redo": {
+        "algo": "regression",
+        "seed": 21,
+        "total_steps": 300,
+        "scenario": {"mode": "level_shift", "segment_length": 100, "n_segments": 3},
+        "network": {"hidden": [16, 16]},
+        "mitigations": ["crelu", {"method": "redo", "params": {"tau": 1.0}, "trigger": "every_k_steps(50)"}],
+        "logging": _LOGGING,
+    },
+    # 64 minibatches of a 50-row rollout: most are empty and skipped, so each
+    # epoch takes as many gradient steps as the rollout has rows.
+    "ppo_grid_empty_minibatches": {
+        "algo": "ppo",
+        "seed": 22,
+        "total_steps": 400,
+        "scenario": {"mode": "standard", "horizon": 40},
+        "network": {"hidden": [16]},
+        "learner": {"rollout_len": 50, "n_minibatches": 64, "update_epochs": 2},
+        "logging": _LOGGING,
+    },
 }
 
 GOLDEN = {
@@ -390,6 +434,30 @@ GOLDEN = {
         "episodes.csv": "3e094bed2959ff8e5fadaa1bcb3c22c49ad6350ec59f933761b6990e9b848782",
         "ckpt_final.bin": "35e60c5de944abbdb9188eb532f0caf2f1801e5a28bec6627d604abb0282608c",
         "summary.json": "5910245e04dbcb5ccf53c4b855c79435b2779e42a3887d315cc667f9fb8540db",
+    },
+    "regression_probe_layer_norm_snp": {
+        "metrics.jsonl": "54435773b2c9302be81c80a5ec9b93e061208a39adefbf66cbdc0a4b28597920",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "441cd42834380f86a6a137217163670300202e84ecb202fbec2e5e0498fb9e85",
+        "summary.json": "40fb5138e3a4f5365660b68bfb86f19700bb23b1ef370fc6de6c137c74fb4cbd",
+    },
+    "regression_probe_trac_injection": {
+        "metrics.jsonl": "4733adff0328b63e9ea5cfda4689b12b18c20f0a02ad2d7b993d2098421f3c83",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "fb78f5666a1d309bdb20dfc78949c723f24dc354112c2ec424bdcd16d09ea089",
+        "summary.json": "d66f80873f2175530caa9e816b2e49b116972d2811094da79b80a0b90f52451c",
+    },
+    "regression_probe_crelu_redo": {
+        "metrics.jsonl": "9370dd07c0dbd9a8b8dae20412605e307d742d0a9984ec087d862951001cf0b7",
+        "episodes.csv": "f2646c9bdc26e9aa30cc84f5ed268fed39e510357b08b87d1935570ccd53f4bf",
+        "ckpt_final.bin": "790bed3685e76db7a8c8dc9f01534e84ec38e44fd5b572ff2fb49bf206bea555",
+        "summary.json": "86b0ed1ed8b2b34392d2383cb347b1808a733348350fd0f4f86504a4acc589da",
+    },
+    "ppo_grid_empty_minibatches": {
+        "metrics.jsonl": "c45b38f0b2e3ef2ac3e2e2c074c27bb06d2ceaba948d84659b7ac8f8ade83416",
+        "episodes.csv": "4451a238934569df32c0d9a520dc91a5861be02ca2b8733721132340ce70df83",
+        "ckpt_final.bin": "0c1e35394156619137f43c543655ab8f72d4c6ad791f5072eb4463ba5c1d7bb3",
+        "summary.json": "52989ec5903e7edd9ce94a720b2888b5411043ad76b5fea561240274e4faae8c",
     },
 }
 
