@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InvalidInputError, SpecError
+from ..errors import InvalidInputError
 from ..numkit import RngStream
 
 TARGET_SPEEDS = {"stand": 0.0, "walk": 0.5, "run": 1.0, "trot": 0.75}
@@ -26,8 +26,6 @@ class PointMassEnv:
     n_actions = action_dim
 
     def __init__(self, level_seed: int, horizon: int, task_variant: str = "walk"):
-        if task_variant not in TARGET_SPEEDS:
-            raise SpecError(f"unknown pointmass variant {task_variant!r}")
         self.target = TARGET_SPEEDS[task_variant]
         self.variant = task_variant
         self.horizon = horizon

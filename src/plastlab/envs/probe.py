@@ -11,7 +11,6 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import InvalidInputError
 from ..net import LayerSpec, _layer_forward, init_network
 from ..numkit import DrawAhead, RngStream, box_muller
 
@@ -71,8 +70,6 @@ def probe_task(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a batch of (inputs, teacher targets) for one permutation task.
     With `ahead`, it comes from there, with the same values and stream moves."""
-    if n < 1:
-        raise InvalidInputError(f"batch size must be >= 1, got {n}")
     draw = partial(_task_batches, perm_seed, n)
     ((x, y),) = (ahead or DrawAhead(1)).take((perm_seed, n), stream, draw)
     return x, y

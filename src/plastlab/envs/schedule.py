@@ -22,12 +22,6 @@ class TaskSpec:
     task_variant: str = ""
     horizon: int = 100
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise SpecError(f"unknown env family {self.family!r}")
-        if self.horizon < 1:
-            raise SpecError(f"horizon must be >= 1, got {self.horizon}")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:

@@ -31,7 +31,6 @@ class C51Config:
     v_max: float = 10.0
     buffer_size: int = 1_000_000
     batch_size: int = 32
-    total_steps: int = 10_000_000
     learning_starts: int = 80_000
     train_frequency: int = 4
     target_network_frequency: int = 10_000
@@ -193,8 +192,6 @@ def c51_update(
     """
     if len(buffer) < max(learning_starts, batch_size):
         return None
-    if action_selection not in ("target", "online"):
-        raise InvalidInputError(f"unknown action selection {action_selection!r}")
     batch = buffer.sample(batch_size, stream)
     n_actions = online.layers[-1].width_out // head.n_atoms
 
@@ -226,6 +223,7 @@ class C51Learner:
         self.target = clone_network(net)
         self.n_actions = net.layers[-1].width_out // cfg.learner.n_atoms
         self.cfg = cfg.learner
+        self.total_steps = cfg.total_steps  # the epsilon ramp's run length
         self.opt = opt
         self.reg_terms = tuple(reg_terms)
         self.head = CategoricalHead(self.cfg.n_atoms, self.cfg.v_min, self.cfg.v_max)
@@ -260,7 +258,7 @@ class C51Learner:
 
     def act(self, obs: np.ndarray, step: int, stream: RngStream) -> int:
         cfg = self.cfg
-        eps = epsilon_schedule(step, cfg.start_epsilon, cfg.end_epsilon, cfg.exploration_fraction, cfg.total_steps)
+        eps = epsilon_schedule(step, cfg.start_epsilon, cfg.end_epsilon, cfg.exploration_fraction, self.total_steps)
         if stream.uniform(0.0, 1.0, 1)[0] < eps:
             return int(stream.randint(self.n_actions, 1)[0])
         key = obs.tobytes()

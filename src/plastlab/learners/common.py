@@ -3,7 +3,7 @@ estimation, and network construction helpers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

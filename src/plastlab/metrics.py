@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidInputError, NumericError, UndefinedRankError
-from .net import ForwardTrace, Gradients, NetworkState, forward
+from .net import ForwardTrace, NetworkState, forward
 from .numkit import ensure_matrix, svd_values
 
 DEFAULT_TAU = 0.025
@@ -33,14 +33,13 @@ class MetricReport:
     effective_rank: float | None
     weight_diff: float | None
     weight_diff_per_param: float | None
-    grad_norm: float | None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rdu <= 1.0:
             raise InvalidInputError(f"rdu out of range: {self.rdu}")
         if not 0.0 <= self.fau <= 1.0:
             raise InvalidInputError(f"fau out of range: {self.fau}")
-        for name in ("weight_diff", "weight_diff_per_param", "grad_norm"):
+        for name in ("weight_diff", "weight_diff_per_param"):
             value = getattr(self, name)
             if value is not None and value < 0.0:
                 raise InvalidInputError(f"{name} must be >= 0, got {value}")
@@ -145,23 +144,16 @@ def check_finite(by_name: dict[str, np.ndarray]) -> None:
             raise err
 
 
-def gradient_norm(grads: Gradients | dict[str, np.ndarray]) -> float:
-    """sqrt of the summed squared L2 norms over all gradient entries."""
-    by_name = grads.by_name if isinstance(grads, Gradients) else grads
-    check_finite(by_name)
+def gradient_norm(by_name: dict[str, np.ndarray]) -> float:
+    """sqrt of the summed squared L2 norms over all gradient entries; NaN or
+    inf when an entry is not finite (the optimizer names that entry)."""
     total = 0.0
     for g in by_name.values():
         total += float(np.sum(g * g))
     return float(np.sqrt(total))
 
 
-def collect_metrics(
-    net: NetworkState,
-    probe: np.ndarray,
-    grads: Gradients | None = None,
-    tau: float = DEFAULT_TAU,
-    step: int = 0,
-) -> list[MetricReport]:
+def collect_metrics(net: NetworkState, probe: np.ndarray, step: int = 0) -> list[MetricReport]:
     """Full diagnostic sweep: one report per layer, then an "all" aggregate.
 
     Rank metrics in per-layer reports use that layer's post-activations; the
@@ -169,7 +161,7 @@ def collect_metrics(
     head). Weight drift is measured against the init snapshot.
     """
     trace = forward(net, probe)
-    rdu = dormant_ratio(trace, tau)
+    rdu = dormant_ratio(trace)
     fau = active_fraction(trace)
     ref = net.init_snapshot
 
@@ -185,16 +177,8 @@ def collect_metrics(
         scope = f"layer{i}"
         names = [n for n in net.param_order if n.startswith(scope + ".")]
         wd, wd_pp = _params_l2(net.params, ref, names)
-        gn = None
-        if grads is not None:
-            gn = gradient_norm({n: g for n, g in grads.by_name.items() if n.startswith(scope + ".")})
-        reports.append(
-            MetricReport(step, scope, rdu[scope], fau[scope], *layer_ranks[i], wd, wd_pp, gn)
-        )
+        reports.append(MetricReport(step, scope, rdu[scope], fau[scope], *layer_ranks[i], wd, wd_pp))
     sr_all, er_all = layer_ranks[max(n_layers - 2, 0)]
     wd_all, wd_pp_all = _params_l2(net.params, ref, list(net.param_order))
-    gn_all = gradient_norm(grads) if grads is not None else None
-    reports.append(
-        MetricReport(step, "all", rdu["all"], fau["all"], sr_all, er_all, wd_all, wd_pp_all, gn_all)
-    )
+    reports.append(MetricReport(step, "all", rdu["all"], fau["all"], sr_all, er_all, wd_all, wd_pp_all))
     return reports

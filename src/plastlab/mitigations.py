@@ -195,13 +195,10 @@ def reset_layers(net: NetworkState, scope: str, stream: RngStream) -> NetworkSta
 def nap_project(net: NetworkState) -> NetworkState:
     """Rescale each weight matrix back to its Frobenius norm at init.
 
-    The companion half of the method is LayerNorm, which must already be in
-    the network spec on every hidden layer. Directions, biases, and affine
+    The companion half of the method is LayerNorm on every hidden layer, which
+    config resolution puts in the network spec. Directions, biases, and affine
     parameters are untouched.
     """
-    for spec in net.layers[:-1]:
-        if not spec.layer_norm:
-            raise MitigationError("projection requires layer_norm on every hidden layer")
     for i in range(len(net.layers)):
         name = f"layer{i}.w"
         target = float(np.linalg.norm(net.init_snapshot[name]))
@@ -359,10 +356,10 @@ class Trac:
         theta_ref>, taken before the move, through the erfi potential;
         arguments beyond the erfi domain are clamped and counted rather than
         raised. A change made to the parameters since the last step (an
-        event) moves the iterate by as much.
+        event) moves the iterate by as much. The base Adam's `deltas` has
+        already checked the gradients are finite.
         """
         by_name = grads.by_name
-        check_finite(by_name)
         h = 0.0
         for name, g in by_name.items():
             if name not in self.theta_ref:  # injected after make_optimizer, still at its init
@@ -417,9 +414,7 @@ class Kron:
         self.inv_s: dict[str, np.ndarray] = {}
         self.fallback_count = 0
 
-    def step(self, net: NetworkState, trace: ForwardTrace | None, grads: Gradients, lr: float) -> None:
-        if trace is None:
-            raise InvalidInputError("kron needs the forward trace")
+    def step(self, net: NetworkState, trace: ForwardTrace, grads: Gradients, lr: float) -> None:
         check_finite(grads.by_name)
         covered: set[str] = set()
         for prefix, g_lin in grads.lin_grads.items():
@@ -475,8 +470,7 @@ _OPTIMIZERS = {"adam": Adam, "trac": Trac, "kron": Kron}
 
 
 def make_optimizer(kind: str, net: NetworkState | None, **hyper) -> Optimizer:
-    if kind not in _OPTIMIZERS:
-        raise InvalidInputError(f"unknown optimizer kind {kind!r}")
+    """The optimizer `kind` names: "adam" or a plan's optimizer method."""
     return _OPTIMIZERS[kind](net, **hyper)
 
 
@@ -527,7 +521,7 @@ class MethodSpec:
     "loss" methods add a differentiable term each gradient step; "optimizer"
     methods replace the update rule; "spec" methods are architecture choices
     checked once at startup. network: the (field, value) pairs the method
-    needs on every hidden layer; the config sets them and the run checks them.
+    needs on every hidden layer; config resolution sets them.
     """
 
     name: str
@@ -618,27 +612,18 @@ REGISTRY: dict[str, MethodSpec] = {
 }
 
 
-def validate_network_for_plan(plan: tuple[PlanEntry, ...], net: NetworkState) -> None:
-    """Check each entry's `network` needs against every hidden layer."""
-    for entry in plan:
-        for field, value in REGISTRY[entry.method].network:
-            if any(getattr(spec, field) != value for spec in net.layers[:-1]):
-                raise MitigationError(f"{entry.method} requires {field} {value!r} on every hidden layer")
-
-
 def apply_event_method(
     entry: PlanEntry,
     net: NetworkState,
     stream: RngStream,
-    probe: np.ndarray | None = None,
+    probe: np.ndarray,
     ahead: DrawAhead | None = None,
 ) -> float:
     """Run one event-kind method; returns the value its event row logs: the
-    number of units redo reset, else 1. Only shrink_perturb reads `ahead`."""
+    number of units redo reset, else 1. Only redo reads `probe`, and only
+    shrink_perturb reads `ahead`."""
     name, params = entry.method, entry.params
     if name == "redo":
-        if probe is None:
-            raise MitigationError("redo needs a probe batch")
         return float(redo_reset(net, probe, float(params["tau"]), stream))
     if name == "shrink_perturb":
         shrink_perturb(net, float(params["beta"]), stream, ahead)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CheckpointError, InvalidInputError, MitigationError, SpecError
+from .errors import CheckpointError, InvalidInputError, SpecError
 from .numkit import RngStream, box_muller, ensure_matrix
 
 ACTIVATIONS = ("relu", "tanh", "crelu", "fourier", "linear")
@@ -321,7 +321,8 @@ def _branch_names(layer_idx: int, round_idx: int) -> tuple[str, str]:
 
 
 def add_injection_round(net: NetworkState, stream: RngStream) -> NetworkState:
-    """Attach a fresh trainable/frozen head pair to the final layer in place.
+    """Attach a fresh trainable/frozen head pair to the final layer in place;
+    that layer has no LayerNorm (`network_specs` never puts one on a head).
 
     The base head freezes on the first round; on later rounds the previously
     trainable branch freezes and keeps contributing. Both new branches start
@@ -329,10 +330,7 @@ def add_injection_round(net: NetworkState, stream: RngStream) -> NetworkState:
     injection.
     """
     last = len(net.layers) - 1
-    spec = net.layers[last]
-    if spec.layer_norm:
-        raise MitigationError("plasticity injection requires a plain final layer")
-    w, b = layer_params(last, spec, stream).values()
+    w, b = layer_params(last, net.layers[last], stream).values()
     net.frozen |= {f"{prefix}.{p}" for prefix in net.head_prefixes() for p in "wb"}
     train, frozen = _branch_names(last, net.injection_rounds + 1)
     net.add(

@@ -132,33 +132,27 @@ class DrawAhead:
     axis is the draw. `take` serves draw j while the stream stands j draws
     past the copy's start with the same key, and moves the stream past it;
     otherwise (other draws moved the counter, the key changed, or all are
-    used) it draws afresh: `steps` draws, or fewer when `left`, the takes
-    still to come, is set (each take counts it down). A one-step holder is
-    the draw-per-call path. Not run state: an empty one serves the same
-    values.
+    used) it draws `steps` afresh. A one-step holder is the draw-per-call
+    path. Not run state: an empty one serves the same values.
     """
 
     def __init__(self, steps: int):
         self.steps = steps
-        self.left: int | None = None
         self.origin: tuple | None = None  # (seed, stream id, key) of the draws
-        self.start = self.slots = self.count = 0  # counter before draw 0; slots per draw; draws
+        self.start = self.slots = 0  # counter before draw 0; slots per draw
         self.draws: list[tuple[np.ndarray, ...]] = []
 
     def take(self, key, stream: RngStream, draw) -> list[tuple[np.ndarray, ...]]:
         j = -1
         if self.origin == (stream.seed, stream.stream_id, key):
             j, rem = divmod(stream.counter - self.start, self.slots)
-            j = j if rem == 0 and j < self.count else -1
+            j = j if rem == 0 and j < self.steps else -1
         if j < 0:
-            k = self.steps if self.left is None else max(1, min(self.steps, self.left))
             copy = RngStream(stream.seed, stream.stream_id, stream.counter)
-            self.draws = draw(copy, k)
+            self.draws = draw(copy, self.steps)
             self.origin = (stream.seed, stream.stream_id, key)
-            self.start, self.slots, self.count = stream.counter, (copy.counter - stream.counter) // k, k
+            self.start, self.slots = stream.counter, (copy.counter - stream.counter) // self.steps
             j = 0
-        if self.left is not None:
-            self.left -= 1
         stream.counter += self.slots
         return [tuple(a[j] for a in arrays) for arrays in self.draws]
 

@@ -74,7 +74,7 @@ _DEFAULT_TOTALS = {"c51": 10_000_000, "ppo": 200_000, "regression": 100_000}
 _DEFAULT_SEGMENTS = {"level_shift": 2_000_000, "task_chain": 1_000_000}
 
 # fields, by name, whose null (or empty list) means "use the default"
-_OPTIONAL = ("total_steps", "segment_length", "variants")
+_OPTIONAL = ("segment_length", "variants")
 
 _CHOICES = {
     "algo": ALGOS,
@@ -292,7 +292,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     discrete_ppo = algo == "ppo" and scenario.family == "gridworld"
     learner = _fill(
         _LEARNER_CLS[algo], block.get("learner"), "learner.",
-        {**(_PPO_DISCRETE_OVERRIDES if discrete_ppo else {}), "total_steps": total_steps},
+        _PPO_DISCRETE_OVERRIDES if discrete_ppo else {},
         lambda v: {"init_std": "sets the gaussian policy's std; gridworld ppo acts discretely"} if discrete_ppo else {},
     )
     return ExperimentConfig(

@@ -33,7 +33,6 @@ from ..mitigations import (
     apply_event_method,
     build_plan,
     make_optimizer,
-    validate_network_for_plan,
 )
 from ..net import (
     DRAW_FIXED_BYTES,
@@ -61,7 +60,7 @@ ACT_MEMO_CAP = 1024
 
 # draws a holder (numkit.DrawAhead) makes at once: gradient steps of fresh
 # inits for a per-gradient-step shrink_perturb entry, probe steps of training
-# batches (no more than the task has left). Past one draw, a refill's working
+# batches (a task's end discards the rest). Past one draw, a refill's working
 # set (net.draw_work_bytes, envs.batch_work_bytes) stays within AHEAD_BYTES.
 DRAW_AHEAD = 8
 AHEAD_BYTES = 2 << 20  # 2 MiB: eight draws of the probe net's inits
@@ -260,7 +259,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     probe = probe_inputs(cfg.seed, obs_dim, cfg.logging.probe_batch)
 
     net = init_network(specs, RngStream(cfg.seed, INIT_STREAM))
-    validate_network_for_plan(plan, net)
 
     kinds = [REGISTRY[entry.method].kind for entry in plan]
     reg_terms = tuple(
@@ -329,9 +327,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
             if switched and probe_run:
                 _task_rows(writers, task_idx, task_start, losses)
                 task_idx, task_start, losses = task_idx + 1, step, []
-                # refills stop at the task's end: the next switch, or the run's end
-                end = step + scenario.segment_length if task_idx + 1 < scenario.n_segments else cfg.total_steps
-                batches.left = min(end, cfg.total_steps) - step
             elif switched:
                 learner.switch_task()
                 env, obs = _build_env(cfg, task)

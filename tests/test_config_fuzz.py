@@ -22,11 +22,6 @@ from plastlab.runner.cli import main
 
 _TOTAL = 20
 
-# fields that size an array: no huge ints here until the run checks its
-# footprint before allocating. A schedule holds no per-segment table, so
-# n_segments may be huge.
-_SIZES = ("hidden", "batch_size", "probe_batch", "rollout_len", "buffer_size", "n_atoms", "frame_stack")
-
 _BLOCKS = {
     "scenario": ScenarioConfig,
     "network": NetworkConfig,
@@ -41,6 +36,9 @@ _BAD = st.one_of(
     st.integers(-(10**6), 10**6),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+# any field but total_steps may draw a huge int (hidden a one-layer list of
+# one): a run sizes itself with footprint_bytes before it allocates, caps its
+# replay ring and rollout at total_steps, and computes each segment's task
 _HUGE = st.integers(10**9, 10**30)
 # well-formed trigger text of every kind: args 0, 1 and 10**30, a missing
 # arg and a spare one
@@ -97,8 +95,8 @@ def mutated_configs(draw):
     path = draw(st.sampled_from(_paths(cfg)))
     if draw(st.integers(0, 9)) == 0:  # an unknown key beside the field
         path = path[:-1] + (draw(st.sampled_from(["lrr", "extra", "name", "1"])),)
-    huge_ok = path[-1] not in _SIZES and path[-1] != "total_steps"
-    value = draw(st.one_of(_BAD, _HUGE) if huge_ok else _BAD)
+    huge = _HUGE.map(lambda n: [n]) if path[-1] == "hidden" else _HUGE
+    value = draw(_BAD if path[-1] == "total_steps" else st.one_of(_BAD, huge))
     if path[-1] == "trigger" and draw(st.booleans()):
         value = draw(_TRIGGERS)
     if path == ("total_steps",) and (value is None or (type(value) is int and value > _TOTAL)):

@@ -39,14 +39,6 @@ class TestTaskSpec:
         spec = TaskSpec("gridworld", 7, horizon=50)
         assert spec.family == "gridworld"
 
-    def test_bad_family(self):
-        with pytest.raises(SpecError):
-            TaskSpec("atari", 7)
-
-    def test_bad_horizon(self):
-        with pytest.raises(SpecError):
-            TaskSpec("gridworld", 7, horizon=0)
-
 
 # ---------------------------------------------------------------- gridworld
 
@@ -200,10 +192,6 @@ class TestPointMass:
     def test_variant_targets(self):
         assert TARGET_SPEEDS == {"stand": 0.0, "walk": 0.5, "run": 1.0, "trot": 0.75}
 
-    def test_unknown_variant(self):
-        with pytest.raises(SpecError):
-            PointMassEnv(1, 100, "gallop")
-
     def test_stand_reward_peaks_at_rest(self):
         env = PointMassEnv(1, 100, "stand")
         env.reset()
@@ -288,10 +276,6 @@ class TestProbe:
         np.testing.assert_array_equal(x1, x2)
         assert np.max(np.abs(y1 - y2)) > 1e-3
 
-    def test_bad_batch_size(self):
-        with pytest.raises(InvalidInputError):
-            probe_task(0, 0, RngStream(1, 0))
-
 
 def probe_task_reference(perm_seed, n, stream):
     """Oracle: one normal call and one teacher forward per batch."""
@@ -328,15 +312,6 @@ class TestProbeBatchBlocks:
             starts.append(ahead.start)
         block = loop.DRAW_AHEAD * 10 * PROBE_DIM
         assert sorted(set(starts)) == [0, block, 2 * block]
-
-    def test_refills_stop_at_the_takes_left(self):
-        fast, ref, ahead = RngStream(9, 1), RngStream(9, 1), DrawAhead(loop.DRAW_AHEAD)
-        ahead.left, counts = loop.DRAW_AHEAD + 3, []
-        for _ in range(loop.DRAW_AHEAD + 5):  # two takes past `left` draw one each
-            self._assert_next_equal(6, 11, fast, ref, ahead)
-            counts.append(ahead.count)
-        assert counts == [loop.DRAW_AHEAD] * loop.DRAW_AHEAD + [3, 3, 3, 1, 1]
-        assert ahead.left == -2
 
     def test_foreign_draw_mid_block_redraws(self):
         fast, ref, ahead = RngStream(6, 1), RngStream(6, 1), DrawAhead(loop.DRAW_AHEAD)

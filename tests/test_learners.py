@@ -622,10 +622,6 @@ class TestC51Update:
                              8, 0.9, RngStream(5, 0), learning_starts=0,
                              action_selection=selection)
             assert out is not None and np.isfinite(out[0])
-        with pytest.raises(InvalidInputError):
-            c51_update(learner.buffer, learner.net, learner.target, learner.head,
-                       8, 0.9, RngStream(5, 0), learning_starts=0,
-                       action_selection="both")
 
     def test_update_deterministic(self):
         nets = []
@@ -652,7 +648,7 @@ class TestC51Update:
         greedy = int(np.argmax(learner.q_values(np.ones(2))[0]))
         # forced greedy: schedule already past the ramp with end epsilon 0
         learner.cfg.end_epsilon = 0.0
-        acts = {learner.act(np.ones(2), cfg.total_steps, RngStream(s, 0)) for s in range(5)}
+        acts = {learner.act(np.ones(2), learner.total_steps, RngStream(s, 0)) for s in range(5)}
         assert acts == {greedy}
 
 
@@ -1083,8 +1079,8 @@ class TestActMemo:
         calls = self.counting_forward(monkeypatch, c51_module)
         plain, _ = make_c51(44, n_actions=3, obs_dim=2)
         memo, cfg = make_c51(44, n_actions=3, obs_dim=2)
-        cfg.total_steps, cfg.exploration_fraction = 100, 1.0  # epsilon 1 -> 0.01
-        plain.cfg = cfg
+        cfg.exploration_fraction = 1.0  # epsilon 1 -> 0.01 over the run's 100 steps
+        plain.cfg, plain.total_steps, memo.total_steps = cfg, 100, 100
         pool = RngStream(44, 2).normal(0.0, 1.0, 4 * 2).reshape(4, 2)
         picks = RngStream(44, 6).randint(4, 100)
         s_plain, s_memo = RngStream(44, 4), RngStream(44, 4)

@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plastlab.errors import InvalidInputError, MitigationError, NumericError
+from plastlab.learners import gae
+from plastlab.learners import ppo as ppo_module
 from plastlab.metrics import _params_l2, dormant_ratio, gradient_norm
 from plastlab.mitigations import (
     REGISTRY,
     DrawAhead,
+    Kron,
     Trigger,
     apply_event_method,
     build_plan,
@@ -19,9 +22,9 @@ from plastlab.mitigations import (
     reset_layers,
     shrink_perturb,
     Trac,
-    validate_network_for_plan,
 )
 from plastlab.net import (
+    ForwardTrace,
     Gradients,
     LayerSpec,
     add_injection_round,
@@ -36,7 +39,9 @@ from plastlab.net import (
 from plastlab.numkit import RngStream, erfi
 from plastlab.runner import loop, resolve_config, run_experiment
 
+import test_golden as golden
 from helpers import constant_network, single_draw_reference
+from test_learners import collect_synthetic, make_ppo
 
 
 def drift(a, b):
@@ -386,10 +391,6 @@ class TestNapProject:
             cos = np.sum(w * pre[name]) / (np.linalg.norm(w) * np.linalg.norm(pre[name]))
             assert cos == pytest.approx(1.0, abs=1e-12)
 
-    def test_requires_layer_norm(self):
-        with pytest.raises(MitigationError):
-            nap_project(tanh_net(33, layer_norm=False))
-
     def test_zero_norm_rejected(self):
         net = tanh_net(34, layer_norm=True)
         net.params["layer1.w"][:] = 0.0
@@ -517,7 +518,7 @@ class TestOptimizerStep:
                 ref_grads.by_name[name] = ref_grads.by_name[name] + g if name in ref_grads.by_name else g
         want_norm = None
         if max_grad_norm is not None:
-            want_norm = gradient_norm(ref_grads)
+            want_norm = gradient_norm(ref_grads.by_name)
             if max_grad_norm > 0.0 and want_norm > max_grad_norm:
                 for name in ref_grads.by_name:
                     ref_grads.by_name[name] = ref_grads.by_name[name] * (max_grad_norm / want_norm)
@@ -644,20 +645,31 @@ class TestFlatAdam:
             assert net.params[name].tobytes() == before[name].tobytes()
 
     @pytest.mark.parametrize("kind", ["adam", "trac", "kron"])
-    def test_optimizers_name_the_tensor_gradient_norm_names(self, kind):
-        net = tanh_net(56)
-        trace = forward(net, RngStream(56, 1).normal(0.0, 1.0, 12).reshape(4, 3))
-        grads = backward(net, trace, trace.outputs)
-        names = list(grads.by_name)
-        for name, value in ((names[1], np.inf), (names[2], np.nan)):
+    @pytest.mark.parametrize("planted,value", [(1, np.nan), (2, np.inf)])
+    def test_optimizers_name_the_planted_tensor_through_clipping(self, kind, planted, value, monkeypatch):
+        """A PPO minibatch step clips to max_grad_norm before the optimizer
+        checks the gradients. A NaN norm never clips, and an inf norm scales
+        every finite entry to 0 while the planted one stays non-finite, so
+        the optimizer names the planted tensor."""
+        learner, cfg = make_ppo(56)
+        learner.opt = make_optimizer(kind, learner.net)
+        traj = collect_synthetic(learner, RngStream(56, 2))
+        traj.advantages, traj.returns = gae(traj.rewards, traj.values, traj.dones, 0.1, 0.99, 0.95)
+        name = list(learner.net.param_order)[planted]
+        seen = []
+
+        def planting_step(opt, net, trace, grads, lr, loss, regs, max_grad_norm):
             grads.by_name[name] = grads.by_name[name].copy()
             grads.by_name[name].flat[0] = value
-        with pytest.raises(NumericError) as norm_info:
-            gradient_norm(grads)
-        with pytest.raises(NumericError) as step_info:
-            optimizer_step(make_optimizer(kind, net), net, trace, grads, 0.1)
-        assert step_info.value.layer == norm_info.value.layer == names[1]
-        assert str(step_info.value) == str(norm_info.value) == f"non-finite gradient in {names[1]}"
+            seen.append(max_grad_norm)
+            return optimizer_step(opt, net, trace, grads, lr, loss, regs, max_grad_norm)
+
+        monkeypatch.setattr(ppo_module, "optimizer_step", planting_step)
+        with pytest.raises(NumericError) as info:
+            learner._minibatch_step(traj.take(np.arange(16)))
+        assert seen == [cfg.max_grad_norm] and cfg.max_grad_norm > 0.0
+        assert info.value.layer == name
+        assert str(info.value) == f"non-finite gradient in {name}"
 
     def test_trac_candidate_comes_from_the_flat_base(self):
         net = tanh_net(55)
@@ -883,10 +895,19 @@ class TestKron:
         assert opt.fallback_count == 1
         assert np.all(np.isfinite(pre_w)) and np.all(np.isfinite(pre_b))
 
-    def test_step_needs_the_trace(self):
-        net, opt, _, grads = self.identity_setup()
-        with pytest.raises(InvalidInputError):
-            optimizer_step(opt, net, None, grads, 0.1)
+    @pytest.mark.parametrize("name", ["ppo_grid_level_shift", "c51_grid_standard", "regression_probe_level_shift"])
+    def test_every_learner_hands_kron_its_forward_trace(self, name, tmp_path, monkeypatch):
+        traces = []
+        step = Kron.step
+
+        def recording(opt, net, trace, grads, lr):
+            traces.append(trace)
+            return step(opt, net, trace, grads, lr)
+
+        monkeypatch.setattr(Kron, "step", recording)
+        raw = {**golden.CONFIGS[name], "total_steps": 200, "mitigations": ["kron"]}
+        assert run_experiment(resolve_config(raw), str(tmp_path / "r")).summary["status"] == "ok"
+        assert traces and all(isinstance(trace, ForwardTrace) for trace in traces)
 
 
 class TestMakeOptimizer:
@@ -905,10 +926,6 @@ class TestMakeOptimizer:
             assert np.all(np.isfinite(net.params[n]))
         if name != "trac":  # trac's first scale is 0, which keeps the reference
             assert any(not np.array_equal(net.params[n], before[n]) for n in net.param_order)
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidInputError):
-            make_optimizer("sgd", tanh_net())
 
 
 def loop_chain_fires(trig, step, switched):
@@ -1025,21 +1042,14 @@ class TestRegistryAndPlan:
             "fourier": (("activation", "fourier"),),
         }
 
-    def test_network_validation(self):
-        plan = build_plan([{"method": "layer_norm"}])
-        validate_network_for_plan(plan, tanh_net(0, layer_norm=True))
-        with pytest.raises(MitigationError):
-            validate_network_for_plan(plan, tanh_net(0, layer_norm=False))
-        crelu_plan = build_plan([{"method": "crelu"}])
-        with pytest.raises(MitigationError):
-            validate_network_for_plan(crelu_plan, tanh_net(0))
-        with pytest.raises(MitigationError, match="nap requires layer_norm True"):
-            validate_network_for_plan(build_plan([{"method": "nap"}]), tanh_net(0))
-
     def test_apply_event_dispatch(self):
         net = tanh_net(80)
+        probe = RngStream(80, 3).normal(0.0, 1.0, 30).reshape(10, 3)
         plan = build_plan([{"method": "reset_layers"}])
-        assert apply_event_method(plan[0], net, RngStream(80, 1)) == 1.0
-        redo_plan = build_plan([{"method": "redo"}])
-        with pytest.raises(MitigationError):
+        assert apply_event_method(plan[0], net, RngStream(80, 1), probe) == 1.0
+        redo_plan = build_plan([{"method": "redo", "params": {"tau": 1.0}}])
+        ref = clone_network(net)
+        want = redo_reset(ref, probe, 1.0, RngStream(80, 2))
+        assert want > 0 and apply_event_method(redo_plan[0], net, RngStream(80, 2), probe) == float(want)
+        with pytest.raises(TypeError):  # every caller passes the probe batch redo reads
             apply_event_method(redo_plan[0], net, RngStream(80, 2))

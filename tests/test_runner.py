@@ -166,11 +166,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'logging.out_dir' must be a string"):
             resolve_config({"algo": "ppo", "logging": {"out_dir": value}})
 
-    def test_c51_total_steps_follows_experiment(self):
+    def test_c51_runs_one_length(self):
         cfg = resolve_config({"algo": "c51", "total_steps": 777})
-        assert cfg.learner.total_steps == 777
-        cfg = resolve_config({"algo": "c51", "total_steps": 777, "learner": {"total_steps": 50}})
-        assert cfg.learner.total_steps == 50
+        assert cfg.total_steps == 777 and not hasattr(cfg.learner, "total_steps")
+        with pytest.raises(ConfigError, match=r"unknown config key\(s\): 'learner.total_steps'"):
+            resolve_config({"algo": "c51", "total_steps": 777, "learner": {"total_steps": 50}})
 
     def test_yaml_loading_and_overrides(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -560,35 +560,6 @@ class TestProbeBatches:
             tracemalloc.stop()
         assert batch_bytes <= kept < 1.1 * batch_bytes
 
-
-    @pytest.mark.parametrize(
-        "total_steps,segments,refills",
-        [
-            (30, 3, [8, 2, 8, 2, 8, 2]),
-            (25, 3, [8, 2, 8, 2, 5]),
-            (30, 2, [8, 2, 8, 8, 4]),  # the last task runs to the end of the run
-            (3, 1, [3]),
-        ],
-    )
-    def test_batch_refills_stop_at_the_task_end(self, total_steps, segments, refills, tmp_path, monkeypatch):
-        from plastlab.envs import probe
-
-        ks, values = [], []
-        real = probe._task_batches
-
-        def recording(perm_seed, n, stream, k):
-            ks.append(k)
-            start = stream.counter
-            out = real(perm_seed, n, stream, k)
-            values.append(stream.counter - start)
-            return out
-
-        monkeypatch.setattr(probe, "_task_batches", recording)
-        scenario = {"mode": "level_shift", "segment_length": 10, "n_segments": segments}
-        run_experiment(probe_cfg(total_steps=total_steps, scenario=scenario), str(tmp_path / "r"))
-        assert ks == refills
-        assert sum(values) == total_steps * 64 * PROBE_DIM
-
     @pytest.mark.parametrize("n,k", [(64, 8), (169, 8), (453, 6), (1000, 2), (1365, 2)])
     def test_batch_refill_peak_stays_near_ahead_bytes(self, n, k, tmp_path, monkeypatch):
         """The run sizes its holder from what a refill uses, not only from
@@ -609,7 +580,7 @@ class TestProbeBatches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ahead.count == k
+        assert len(ahead.draws[0][0]) == k  # the draws' leading axis
         assert peak < 1.1 * loop.AHEAD_BYTES
 
     @pytest.mark.parametrize(
@@ -644,7 +615,7 @@ class TestProbeBatches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ahead.count == k
+        assert len(ahead.draws[0][0]) == k  # the draws' leading axis
         assert peak <= 1.07 * loop.AHEAD_BYTES
 
 
@@ -791,6 +762,19 @@ def test_most_gradient_steps_bounds_each_golden_run(name, tmp_path):
         assert most >= art.summary["gradient_steps"]
     else:
         assert most == art.summary["gradient_steps"]
+
+
+def test_c51_epsilon_ramp_follows_the_run_length(tmp_path, monkeypatch):
+    totals = []
+    real = c51.epsilon_schedule
+
+    def recording(step, start, end, fraction, total):
+        totals.append(total)
+        return real(step, start, end, fraction, total)
+
+    monkeypatch.setattr(c51, "epsilon_schedule", recording)
+    run_experiment(c51_cfg(total_steps=60, learner={"exploration_fraction": 0.5}), str(tmp_path / "r"))
+    assert totals == [60] * 60
 
 
 class TestActMemo:
@@ -1186,7 +1170,7 @@ class TestCli:
 
     @pytest.mark.parametrize("algo,field", [
         ("ppo", "n_minibatches"), ("ppo", "update_epochs"), ("ppo", "rollout_len"),
-        ("c51", "train_frequency"), ("c51", "target_network_frequency"), ("c51", "total_steps"),
+        ("c51", "train_frequency"), ("c51", "target_network_frequency"),
         ("c51", "batch_size"), ("regression", "batch_size"), ("c51", "buffer_size"),
     ])
     def test_zero_loop_count_exit_2(self, algo, field, tmp_path, capsys):
@@ -1235,6 +1219,37 @@ class TestCli:
     ])
     def test_inert_trigger_exit_2(self, entries, message, tmp_path, capsys):
         cfg = self._write(tmp_path, f"algo: regression\ntotal_steps: 20\nmitigations: {entries}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r")
+
+    # values that config resolution alone checks: the network needs of nap,
+    # layer_norm, crelu and fourier, C51's action selection, pointmass
+    # variants, the env family and horizon, and the optimizer kind (the probe
+    # batch size is in test_zero_loop_count_exit_2); C51 runs one length
+    @pytest.mark.parametrize("text,message", [
+        ("algo: regression\nmitigations: [nap]\nnetwork: {layer_norm: false}\n",
+         "'network.layer_norm' conflicts with the mitigation plan, which sets True"),
+        ("algo: c51\nmitigations: [layer_norm]\nnetwork: {layer_norm: false}\n",
+         "'network.layer_norm' conflicts with the mitigation plan, which sets True"),
+        ("algo: ppo\nmitigations: [crelu]\nnetwork: {activation: relu}\n",
+         "'network.activation' conflicts with the mitigation plan, which sets 'crelu'"),
+        ("algo: regression\nmitigations: [fourier]\nnetwork: {activation: tanh}\n",
+         "'network.activation' conflicts with the mitigation plan, which sets 'fourier'"),
+        ("algo: c51\nlearner: {action_selection: greedy}\n",
+         "'learner.action_selection' must be one of ('target', 'online'), got 'greedy'"),
+        ("algo: ppo\nscenario: {mode: task_chain, variants: [walk, gallop]}\n",
+         "'scenario.variants[1]' must be one of ('stand', 'walk', 'run', 'trot'), got 'gallop'"),
+        ("algo: ppo\nscenario: {family: atari}\n",
+         "'scenario.family' must be one of ('gridworld', 'pointmass', 'probe'), got 'atari'"),
+        ("algo: ppo\nscenario: {horizon: 0}\n", "'scenario.horizon' must be >= 1, got 0"),
+        ("algo: regression\nmitigations: [sgd]\n", "'mitigations[0].method' must be one of"),
+        ("algo: c51\nlearner: {total_steps: 20}\n", "unknown config key(s): 'learner.total_steps'"),
+    ])
+    def test_values_checked_only_at_resolution_exit_2(self, text, message, tmp_path, capsys):
+        cfg = self._write(tmp_path, "total_steps: 20\n" + text)
+        with pytest.raises(ConfigError):
+            load_config(cfg)
         assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r")
