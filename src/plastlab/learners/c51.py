@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import InvalidInputError, NumericError
+from ..errors import NumericError
 from ..net import ForwardTrace, Gradients, NetworkState, backward, clone_network, forward
 from ..numkit import RngStream
 from ..mitigations import Optimizer, optimizer_step, reg_loss
@@ -58,18 +58,6 @@ class CategoricalHead:
         self.delta_z = (self.v_max - self.v_min) / (self.n_atoms - 1)
 
 
-def _check_dist(dist: np.ndarray, n_atoms: int) -> np.ndarray:
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape[-1] != n_atoms:
-        raise InvalidInputError(f"distribution has {dist.shape[-1]} atoms, head expects {n_atoms}")
-    if not np.isfinite(dist).all():
-        raise NumericError("next-state distribution has non-finite entries")
-    sums = dist.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(dist < 0.0):
-        raise InvalidInputError("next-state distribution is not a probability vector")
-    return dist
-
-
 def _support_coords(tz: np.ndarray, head: CategoricalHead) -> np.ndarray:
     """Fractional atom index of each target value, snapped when a hair off.
 
@@ -93,7 +81,9 @@ def categorical_projection_batch(
     """Project each shifted/scaled next-state distribution onto the fixed
     support: an atom's mass splits linearly between its two bracketing support
     points, and an exactly aligned atom keeps all of it."""
-    p = _check_dist(np.atleast_2d(next_dists), head.n_atoms)
+    p = np.atleast_2d(next_dists)
+    if not np.isfinite(p).all():
+        raise NumericError("next-state distribution has non-finite entries")
     n_batch = p.shape[0]
     rewards = np.asarray(rewards, dtype=np.float64).reshape(n_batch, 1)
     not_done = 1.0 - np.asarray(dones, dtype=np.float64).reshape(n_batch, 1)

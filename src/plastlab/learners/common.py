@@ -29,14 +29,6 @@ class TrajectoryBatch:
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        n = self.observations.shape[0]
-        for name in ("actions", "rewards", "dones", "log_probs", "values"):
-            if getattr(self, name).shape[0] != n:
-                raise InvalidInputError(f"{name} length != observations length")
-        if not np.all(np.isfinite(self.rewards)):
-            raise InvalidInputError("rewards must be finite")
-
     def __len__(self) -> int:
         return self.observations.shape[0]
 
@@ -90,17 +82,12 @@ def gae(
     gamma: float,
     lam: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation over one rollout.
+    """Generalized advantage estimation over one rollout's float64 columns.
 
     delta_t = r_t + gamma*(1-done_t)*V(s_{t+1}) - V(s_t), accumulated
     backwards with factor gamma*lam*(1-done_t). Returns (advantages,
     advantages + values).
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    dones = np.asarray(dones, dtype=np.float64)
-    if not (rewards.shape == values.shape == dones.shape):
-        raise InvalidInputError("rewards, values, dones must share one length")
     # the recurrence on Python floats: the same IEEE operations as on numpy scalars
     r, v, d = rewards.tolist(), values.tolist(), dones.tolist()
     adv = [0.0] * len(r)
@@ -164,8 +151,6 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch_size: int, stream: RngStream) -> dict[str, np.ndarray]:
-        if self.size < 1:
-            raise InvalidInputError("cannot sample from an empty buffer")
         idx = stream.randint(self.size, batch_size)
         stored = self.store.take(idx, axis=1)
         obs, next_obs = np.unpackbits(stored, axis=-1, count=self.obs_dim).astype(np.float64)

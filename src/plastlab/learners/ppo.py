@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError, NumericError
+from ..errors import NumericError
 from ..net import Gradients, NetworkState, backward, forward
 from ..numkit import RngStream
 from ..mitigations import Optimizer, optimizer_step, reg_loss
@@ -54,8 +54,6 @@ def _clipped_objective(
     against GAE returns, keeping the clipped branch when it is worse (the
     pessimistic max).
     """
-    if batch.advantages is None or batch.returns is None:
-        raise InvalidInputError("batch needs advantages and returns (run gae first)")
     adv = normalize_advantages(batch.advantages)
     with np.errstate(over="ignore"):
         ratio = np.exp(new_log_probs - batch.log_probs)
@@ -89,8 +87,6 @@ def gaussian_policy(
         raise NumericError("non-finite policy mean")
     std = np.exp(log_std)
     if actions is None:
-        if stream is None:
-            raise InvalidInputError("sampling needs a stream")
         noise = stream.normal(0.0, 1.0, mean.size).reshape(mean.shape)
         actions = mean + std * noise
     z = (actions - mean) / std

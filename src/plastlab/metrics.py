@@ -13,9 +13,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, UndefinedRankError
+from .errors import NumericError, UndefinedRankError
 from .net import ForwardTrace, NetworkState, forward
-from .numkit import ensure_matrix, svd_values
 
 DEFAULT_TAU = 0.025
 _SR_THRESHOLD = 0.99
@@ -33,16 +32,6 @@ class MetricReport:
     effective_rank: float | None
     weight_diff: float | None
     weight_diff_per_param: float | None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rdu <= 1.0:
-            raise InvalidInputError(f"rdu out of range: {self.rdu}")
-        if not 0.0 <= self.fau <= 1.0:
-            raise InvalidInputError(f"fau out of range: {self.fau}")
-        for name in ("weight_diff", "weight_diff_per_param"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise InvalidInputError(f"{name} must be >= 0, got {value}")
 
     def rows(self) -> list[tuple[str, float]]:
         """Present metrics as (name, value) pairs, for structured logging."""
@@ -70,10 +59,6 @@ def dormant_ratio(trace: ForwardTrace, tau: float = DEFAULT_TAU) -> dict[str, fl
     absolute activation is exactly zero counts as fully dormant. Returns one
     entry per layer plus "all".
     """
-    if tau < 0.0:
-        raise InvalidInputError(f"tau must be >= 0, got {tau}")
-    if not trace.postacts or trace.postacts[0].shape[0] < 1:
-        raise InvalidInputError("trace has no samples")
     out: dict[str, float] = {}
     dormant = total = 0
     for i, post in enumerate(trace.postacts):
@@ -92,8 +77,6 @@ def active_fraction(trace: ForwardTrace) -> dict[str, float]:
     The indicator is applied verbatim even for tanh/fourier layers, where
     "active" degenerates to "positive-valued".
     """
-    if not trace.postacts or trace.postacts[0].shape[0] < 1:
-        raise InvalidInputError("trace has no samples")
     out: dict[str, float] = {}
     active = total = 0
     for i, post in enumerate(trace.postacts):
@@ -110,7 +93,7 @@ def ranks(f: np.ndarray) -> tuple[int, float]:
     spectrum sum) and effective rank (exp of the entropy of the L1-normalized
     spectrum, summed in extended precision so uniform spectra give exact
     integers) of f, both from one SVD."""
-    sv = svd_values(ensure_matrix(f, "f"))
+    sv = np.linalg.svd(f, compute_uv=False)
     total = float(sv.sum())
     if total == 0.0:
         raise UndefinedRankError("rank of an all-zero matrix is undefined")

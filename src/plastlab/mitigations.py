@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidInputError, MitigationError, NumericError
+from .errors import MitigationError, NumericError
 from .metrics import _layer_scores, check_finite, gradient_norm
 from .net import (
     ForwardTrace,
@@ -215,13 +215,14 @@ def nap_project(net: NetworkState) -> NetworkState:
 
 def reg_loss(
     method: str, net: NetworkState, alpha: float, s: float = 1.0
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, dict[str, np.ndarray]] | None:
     """A regularization method's value and its gradient contribution per
     trainable param, by registry name.
 
     l2_reg: alpha*||theta||^2. regenerative_reg: alpha*||theta - theta_init||^2.
     parseval_reg: alpha * sum over hidden weights of ||W W^T - s I||_F (not
     squared), pushing rows toward an orthonormal frame of scale sqrt(s).
+    Any other name returns None, which no caller can unpack.
     """
     value = 0.0
     grads: dict[str, np.ndarray] = {}
@@ -247,7 +248,6 @@ def reg_loss(
             # differentiable at M = 0, so take the zero subgradient there
             grads[name] = (2.0 * alpha / norm) * (m @ w) if norm > 1e-12 else np.zeros_like(w)
         return alpha * value, grads
-    raise InvalidInputError(f"unknown regularization method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CheckpointError, InvalidInputError, SpecError
-from .numkit import RngStream, box_muller, ensure_matrix
+from .errors import CheckpointError, SpecError
+from .numkit import RngStream, box_muller
 
 ACTIVATIONS = ("relu", "tanh", "crelu", "fourier", "linear")
 _WIDTH_DOUBLING = ("crelu", "fourier")
@@ -364,12 +364,7 @@ def _layer_names(i: int) -> tuple[str, str, str, str]:
 
 
 def forward(net: NetworkState, batch: np.ndarray) -> ForwardTrace:
-    """Run the batch through every layer, recording all intermediates."""
-    batch = ensure_matrix(batch, "batch")
-    if batch.shape[1] != net.layers[0].in_dim:
-        raise InvalidInputError(
-            f"batch has {batch.shape[1]} features, first layer expects {net.layers[0].in_dim}"
-        )
+    """Run the 2-D float64 batch through every layer, recording all intermediates."""
     x = batch
     layer_inputs, lin_outs, preacts, postacts, ln_caches = [], [], [], [], []
     for i, spec in enumerate(net.layers):
@@ -420,13 +415,6 @@ def backward(net: NetworkState, trace: ForwardTrace, output_grad: np.ndarray) ->
     the result, but gradients still flow through them to earlier layers. The
     gradient with respect to the network input is never formed.
     """
-    output_grad = np.asarray(output_grad, dtype=np.float64)
-    if output_grad.shape != trace.outputs.shape:
-        raise InvalidInputError(
-            f"output_grad shape {output_grad.shape} != outputs shape {trace.outputs.shape}"
-        )
-    if len(trace.lin_outs) != len(net.layers):
-        raise InvalidInputError("trace does not match network depth")
     by_name: dict[str, np.ndarray] = {}
     lin_grads: dict[str, np.ndarray] = {}
     last = len(net.layers) - 1
@@ -514,15 +502,12 @@ def _manifest_value(table: dict, key: str, kind: type, item_kind: type | None = 
 _LAYER_FIELDS = {"in_dim": int, "out_dim": int, "activation": str, "layer_norm": bool, "init": str}
 
 
-def _layer_entry(entry) -> LayerSpec:
+def _layer_entry(entry) -> dict:
     if not isinstance(entry, dict) or set(entry) != set(_LAYER_FIELDS):
         raise CheckpointError(f"checkpoint layer entry must have keys {sorted(_LAYER_FIELDS)}")
     for key, kind in _LAYER_FIELDS.items():
         _manifest_value(entry, key, kind)
-    try:
-        return LayerSpec(**entry)
-    except SpecError as exc:
-        raise CheckpointError(f"bad checkpoint layer entry: {exc}") from exc
+    return entry
 
 
 def deserialize_network(blob: bytes) -> NetworkState:
@@ -535,7 +520,11 @@ def deserialize_network(blob: bytes) -> NetworkState:
         raise CheckpointError("checkpoint manifest is not a JSON object")
     if manifest.get("version") != _CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')!r}")
-    layers = tuple(_layer_entry(e) for e in _manifest_value(manifest, "layers", list))
+    try:  # each layer's spec, then the chain they make
+        layers = tuple(LayerSpec(**_layer_entry(e)) for e in _manifest_value(manifest, "layers", list))
+        validate_chain(layers)
+    except SpecError as exc:
+        raise CheckpointError(f"bad checkpoint layer entry: {exc}") from exc
     order = tuple(_manifest_value(manifest, "param_order", list, str))
     shape_map = _manifest_value(manifest, "shapes", dict)
     shapes = {n: tuple(_manifest_value(shape_map, n, list, int)) for n in order}
@@ -543,8 +532,16 @@ def deserialize_network(blob: bytes) -> NetworkState:
     injection_rounds = _manifest_value(manifest, "injection_rounds", int)
     if len(set(order)) != len(order) or not frozen <= set(order):
         raise CheckpointError("checkpoint param_order repeats a name or frozen names an unknown one")
-    if any(d < 0 for shape in shapes.values() for d in shape) or injection_rounds < 0:
-        raise CheckpointError("checkpoint manifest holds a negative shape or injection count")
+    if injection_rounds < 0:
+        raise CheckpointError("checkpoint manifest holds a negative injection count")
+    for n in order:  # layer i's spec gives layer{i}.w (out, in) and its other tensors (out,)
+        m = re.fullmatch(r"layer(\d+)\..+", n)
+        spec = layers[int(m.group(1))] if m and int(m.group(1)) < len(layers) else None
+        want = None if spec is None else (spec.out_dim, spec.in_dim)[: 1 + n.endswith(".w")]
+        if n == "log_std":  # one per policy output: the head width minus the value
+            want = (layers[-1].out_dim - 1,)
+        if shapes[n] != want:
+            raise CheckpointError(f"checkpoint tensor {n!r} of shape {list(shapes[n])} does not fit its layers")
     total = sum(int(np.prod(shapes[n])) for n in order)
     if (len(blob) - 8 - head_len) % 8 != 0:
         raise CheckpointError("checkpoint body is not a whole number of floats")
@@ -553,6 +550,8 @@ def deserialize_network(blob: bytes) -> NetworkState:
         raise CheckpointError(
             f"checkpoint blob holds {body.size} floats, expected {2 * total}"
         )
+    if not np.isfinite(body).all():
+        raise CheckpointError("checkpoint body holds a NaN or inf")
 
     def unflatten(flat: np.ndarray) -> dict[str, np.ndarray]:
         out, pos = {}, 0

@@ -1,4 +1,4 @@
-"""Deterministic numerical substrate: matrices, RNG streams, singular values, erfi.
+"""Deterministic numerical substrate: RNG streams, draws made ahead, Box-Muller, erfi.
 
 Everything here is pure and platform-stable: the RNG is counter-based so that
 independent streams can be split from one master seed without correlation, and
@@ -178,29 +178,6 @@ def box_muller(u: np.ndarray, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray
     z *= sigma
     z += mu
     return z.reshape(u.shape)
-
-
-def ensure_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array or raise InvalidInputError."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size == 0:
-        raise InvalidInputError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    return m
-
-
-def svd_values(m) -> np.ndarray:
-    """Singular values of a matrix, sorted descending.
-
-    Returns exactly min(rows, cols) non-negative values.  Backed by LAPACK;
-    the test suite cross-checks against a brute-force Jacobi eigensolver on
-    m^T m.
-    """
-    m = ensure_matrix(m)
-    return np.linalg.svd(m, compute_uv=False)
 
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)

@@ -24,7 +24,7 @@ from ..errors import (
 )
 from ..mitigations import REGISTRY
 from .config import LoggingConfig, load_config
-from .loop import replay_metrics, run_experiment
+from .loop import plan_run, replay_metrics, run_experiment
 
 _VALIDATION_ERRORS = (ConfigError, MitigationError, SpecError, InvalidInputError, CheckpointError)
 
@@ -91,7 +91,8 @@ def _cmd_sweep(args) -> int:
     """One `plastlab run` child per seed, at most os.cpu_count() alive at once;
     children are reaped in seed order."""
     seeds = _parse_seed_range(args.seeds)
-    cfg = load_config(args.config)  # fail fast on bad configs before spawning
+    cfg = load_config(args.config)  # fail fast on what `run` refuses, before spawning
+    plan_run(cfg)
     base = args.out or cfg.logging.out_dir
     try:
         os.makedirs(base, exist_ok=True)

@@ -179,6 +179,24 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     return total
 
 
+def plan_run(cfg: ExperimentConfig) -> tuple[tuple[LayerSpec, ...], list]:
+    """The network specs and mitigation plan of a run of `cfg`; ConfigError
+    when its peak would pass half of physical memory, or when it could fire
+    more than MAX_INJECTION_ROUNDS plasticity_injection rounds."""
+    net_cfg = cfg.network
+    specs = network_specs(*_widths(cfg), net_cfg.hidden, net_cfg.activation, net_cfg.layer_norm)
+    need, half = footprint_bytes(cfg, specs), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    if need > half:
+        raise ConfigError(f"the run would take about {need / 2**30:.1f} GiB at its peak, over half of physical memory")
+    plan = build_plan(list(cfg.mitigations))
+    rounds = _injection_rounds(cfg, plan)
+    if rounds > MAX_INJECTION_ROUNDS:
+        raise ConfigError(
+            f"plasticity_injection could fire {rounds} rounds in this run, over the {MAX_INJECTION_ROUNDS} allowed"
+        )
+    return specs, plan
+
+
 def _build_env(cfg: ExperimentConfig, task):
     env, obs = make_env(task)
     if cfg.scenario.frame_stack > 1:
@@ -230,19 +248,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     """
     out_dir = out_dir or cfg.logging.out_dir
     scenario = cfg.scenario
-    obs_dim, head_width = _widths(cfg)
-    net_cfg = cfg.network
-    specs = network_specs(obs_dim, head_width, net_cfg.hidden, net_cfg.activation, net_cfg.layer_norm)
-    need, half = footprint_bytes(cfg, specs), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-    if need > half:
-        raise ConfigError(f"the run would take about {need / 2**30:.1f} GiB at its peak, over half of physical memory")
-    plan = build_plan(list(cfg.mitigations))
-    rounds = _injection_rounds(cfg, plan)
-    if rounds > MAX_INJECTION_ROUNDS:
-        raise ConfigError(
-            f"plasticity_injection could fire {rounds} rounds in this run, over the {MAX_INJECTION_ROUNDS} allowed"
-        )
-
+    specs, plan = plan_run(cfg)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -256,7 +262,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     act_stream = RngStream(cfg.seed, ACTION_STREAM)
     upd_stream = RngStream(cfg.seed, UPDATE_STREAM)
     discrete, probe_run = scenario.family == "gridworld", scenario.family == "probe"
-    probe = probe_inputs(cfg.seed, obs_dim, cfg.logging.probe_batch)
+    probe = probe_inputs(cfg.seed, specs[0].in_dim, cfg.logging.probe_batch)
 
     net = init_network(specs, RngStream(cfg.seed, INIT_STREAM))
 

@@ -15,7 +15,6 @@ from scipy import integrate
 
 import helpers
 from plastlab.learners import (
-    C51Config,
     CategoricalHead,
     TrajectoryBatch,
     c51_support,

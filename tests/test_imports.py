@@ -1,18 +1,21 @@
-"""Every name a module under src/ imports is used in that module.
+"""Every name a module under src/ or a test module in tests/ imports is used
+in that module.
 
 A check deleted from the code can leave its error class or helper imported
-and unused; this test finds that. A name read only inside a string annotation
-counts as used.
+and unused, and a test deleted with it can leave what it imported; this test
+finds both. A name read only inside a string annotation counts as used.
 """
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "plastlab")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "plastlab")
 
-# (module path under src/plastlab, name): why the import stays unused
+# (module path from the repo root, name): why the import stays unused; none is
+# allowed in tests/
 ALLOWED = {
-    ("runner/loop.py", "network_output"): "perfbench/layertrace.py patches the name in this module",
+    ("src/plastlab/runner/loop.py", "network_output"): "perfbench/layertrace.py patches the name in this module",
 }
 
 
@@ -38,18 +41,20 @@ def _used(tree: ast.Module) -> set[str]:
 
 
 def _modules() -> list[str]:
-    return sorted(
-        os.path.relpath(os.path.join(root, name), SRC).replace(os.sep, "/")
+    """The non-__init__ modules under src/plastlab, then the modules in tests/."""
+    src = sorted(
+        os.path.relpath(os.path.join(root, name), ROOT).replace(os.sep, "/")
         for root, _, files in os.walk(SRC)
         for name in files
         if name.endswith(".py") and name != "__init__.py"
     )
+    return src + sorted(f"tests/{name}" for name in os.listdir(os.path.join(ROOT, "tests")) if name.endswith(".py"))
 
 
 def test_modules_use_every_name_they_import():
     unused = []
     for module in _modules():
-        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        with open(os.path.join(ROOT, module), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         unused += [(module, name) for name in sorted(_imported(tree) - _used(tree)) if (module, name) not in ALLOWED]
     assert unused == []
@@ -62,5 +67,5 @@ def test_the_guard_sees_an_unused_import_and_a_string_annotation():
 
 def test_every_allowed_name_is_still_imported():
     for module, name in ALLOWED:
-        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        with open(os.path.join(ROOT, module), encoding="utf-8") as fh:
             assert name in _imported(ast.parse(fh.read())), (module, name)

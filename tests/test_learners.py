@@ -170,10 +170,6 @@ class TestGae:
             assert adv.dtype == np.float64 and adv.tobytes() == want.tobytes(), trial
             assert ret.tobytes() == (want + v).tobytes(), trial
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            gae(np.zeros(3), np.zeros(4), np.zeros(3), 0.0, 0.9, 0.9)
-
 
 # ---------------------------------------------------------------- PPO loss
 
@@ -227,13 +223,6 @@ class TestPpoLoss:
         nlp = batch.log_probs + 1e4
         with pytest.raises(NumericError):
             _clipped_objective(batch, nlp, batch.values, np.zeros(8), 0.2, 0.5, 0.0, 0.2)
-
-    def test_missing_advantages_rejected(self):
-        stream = RngStream(10, 0)
-        batch = random_batch(stream, 8)
-        batch.advantages = None
-        with pytest.raises(InvalidInputError):
-            _clipped_objective(batch, batch.log_probs, batch.values, np.zeros(8), 0.2, 0.5, 0.0, 0.2)
 
     def test_saturated_samples_have_zero_gradient(self):
         # with every ratio pushed above the band, samples whose normalized
@@ -298,10 +287,6 @@ class TestGaussianPolicy:
         np.testing.assert_array_equal(a1, a2)
         _, lp_eval, _ = gaussian_policy(mean, np.array([0.1, -0.1]), actions=a1)
         assert lp1[0] == lp_eval[0]
-
-    def test_sampling_without_stream_rejected(self):
-        with pytest.raises(InvalidInputError):
-            gaussian_policy(np.zeros((1, 2)), np.zeros(2))
 
     def test_nonfinite_mean_rejected(self):
         with pytest.raises(NumericError):
@@ -428,16 +413,6 @@ class TestProjection:
         assert abs(m.sum() - 1.0) < 1e-6
         assert np.all(m >= 0.0)
 
-    def test_malformed_dist_rejected(self):
-        with pytest.raises(InvalidInputError):
-            project_one(np.full(51, 0.1), 0.0, False, 0.9)
-        bad = random_dist(RngStream(1, 0), 51)
-        bad[0], bad[1] = -bad[1], bad[0] + 2 * bad[1]
-        with pytest.raises(InvalidInputError):
-            project_one(bad, 0.0, False, 0.9)
-        with pytest.raises(InvalidInputError):
-            project_one(random_dist(RngStream(1, 0), 50), 0.0, False, 0.9)
-
 
 # ---------------------------------------------------------------- C51 loss
 
@@ -511,12 +486,6 @@ class TestC51Loss:
             bias[j] = keep
             fd = (up - down) / (2 * h)
             assert abs(fd - analytic[j]) / max(abs(fd), 1e-3) < 1e-4
-
-    def test_unnormalized_target_rejected(self):
-        dists = np.stack([random_dist(RngStream(k, 0), 51) for k in range(3)])
-        dists[1] *= 0.5
-        with pytest.raises(InvalidInputError):
-            categorical_projection_batch(dists, np.zeros(3), np.zeros(3), 0.9, HEAD)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_rejected(self, bad):

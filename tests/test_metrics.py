@@ -1,12 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from plastlab.errors import InvalidInputError, NumericError, UndefinedRankError
+from plastlab.errors import NumericError, UndefinedRankError
 from plastlab.metrics import (
-    MetricReport,
     _params_l2,
     active_fraction,
     check_finite,
@@ -24,7 +25,7 @@ from plastlab.net import (
     forward,
     init_network,
 )
-from plastlab.numkit import RngStream, svd_values
+from plastlab.numkit import RngStream
 
 from helpers import constant_network
 
@@ -68,6 +69,37 @@ def mp_effective_rank(sv):
     return float(mp.e**entropy)
 
 
+def jacobi_singular_values(m: np.ndarray) -> np.ndarray:
+    """Brute-force oracle: cyclic Jacobi eigensolver on m^T m, sqrt of spectrum."""
+    a = m.T @ m
+    n = a.shape[0]
+    for _ in range(100):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                off = max(off, abs(a[p, q]))
+                if abs(a[p, q]) < 1e-14:
+                    continue
+                theta = 0.5 * math.atan2(2.0 * a[p, q], a[q, q] - a[p, p])
+                c, s = math.cos(theta), math.sin(theta)
+                rot = np.eye(n)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+        if off < 1e-14:
+            break
+    eig = np.clip(np.sort(np.diag(a))[::-1], 0.0, None)
+    return np.sqrt(eig)
+
+
+def jacobi_ranks(m):
+    """Stable and effective rank, by their definitions, of the Jacobi oracle's
+    spectrum (taken on the tall side, so it has min(rows, cols) values)."""
+    sv = jacobi_singular_values(m if m.shape[0] >= m.shape[1] else m.T)
+    return int(np.nonzero(np.cumsum(sv) / sv.sum() > 0.99)[0][0]) + 1, mp_effective_rank(sv)
+
+
 class TestDormantRatio:
     def test_zero_neuron(self):
         trace = fake_trace([np.array([[2.0, 0.0], [2.0, 0.0]])])
@@ -108,10 +140,6 @@ class TestDormantRatio:
         b = dormant_ratio(fake_trace([post[perm]]), 0.025)
         assert a == b
 
-    def test_preconditions(self):
-        with pytest.raises(InvalidInputError):
-            dormant_ratio(fake_trace([np.ones((2, 2))]), -0.1)
-
 
 class TestActiveFraction:
     def test_all_zero(self):
@@ -143,7 +171,7 @@ class TestStableRank:
 
     def test_scan_oracle(self):
         m = RngStream(40, 0).normal(0.0, 1.0, 48).reshape(8, 6)
-        sv = svd_values(m)
+        sv = np.linalg.svd(m, compute_uv=False)
         fracs = np.cumsum(sv) / sv.sum()
         want = int(np.nonzero(fracs > 0.99)[0][0]) + 1
         assert ranks(m)[0] == want
@@ -163,12 +191,40 @@ class TestEffectiveRank:
 
     def test_high_precision_oracle(self):
         m = RngStream(41, 0).normal(0.0, 1.0, 25).reshape(5, 5)
-        want = mp_effective_rank(svd_values(m))
+        want = mp_effective_rank(np.linalg.svd(m, compute_uv=False))
         assert abs(ranks(m)[1] - want) < 1e-9
 
     def test_all_zero_rejected(self):
         with pytest.raises(UndefinedRankError):
             ranks(np.zeros((2, 5)))
+
+
+class TestRanksMatchTheJacobiSpectrum:
+    @pytest.mark.parametrize("stream,sigma,shape", [((7, 1), 1.0, (5, 4)), ((3, 2), 2.0, (3, 7)), ((5, 9), 3.0, (6, 5))],
+                             ids=["5x4", "3x7", "6x5"])
+    def test_random_matrix(self, stream, sigma, shape):
+        m = RngStream(*stream).normal(0.0, sigma, shape[0] * shape[1]).reshape(shape)
+        stable, effective = ranks(m)
+        want_stable, want_effective = jacobi_ranks(m)
+        assert stable == want_stable and abs(effective - want_effective) < 1e-8
+
+    @pytest.mark.parametrize("m", [np.eye(3), np.diag([3.0, 0.0])], ids=["identity", "diagonal"])
+    def test_exact_spectrum(self, m):
+        assert ranks(m) == jacobi_ranks(m)
+
+    def test_transpose_invariance(self):
+        m = RngStream(11, 4).normal(0.0, 1.0, 24).reshape(4, 6)
+        (sa, ea), (sb, eb) = ranks(m), ranks(m.T)
+        assert sa == sb and abs(ea - eb) < 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 6))
+def test_ranks_match_the_jacobi_spectrum_property(seed, rows, cols):
+    m = RngStream(seed, 1).normal(0.0, 1.0, rows * cols).reshape(rows, cols)
+    stable, effective = ranks(m)
+    want_stable, want_effective = jacobi_ranks(m)
+    assert stable == want_stable and abs(effective - want_effective) < 1e-8
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,7 +235,7 @@ def test_effective_rank_bounded_by_rank(seed, rows, cols, r):
     m = stream.normal(0.0, 1.0, rows * r).reshape(rows, r) @ stream.normal(
         0.0, 1.0, r * cols
     ).reshape(r, cols)
-    sv = svd_values(m)
+    sv = np.linalg.svd(m, compute_uv=False)
     nonzero = int(np.count_nonzero(sv > sv.max() * 1e-12))
     er = ranks(m)[1]
     assert 1.0 - 1e-9 <= er <= nonzero + 1e-9
@@ -353,11 +409,13 @@ class TestOneSvdPerLayer:
         net, probe = _rank_case(case)
         calls = []
 
-        def counting_svd(m):
-            calls.append(m.shape)
-            return svd_values(m)
+        svd = np.linalg.svd
 
-        monkeypatch.setattr(metrics_module, "svd_values", counting_svd)
+        def counting_svd(m, **kwargs):
+            calls.append(m.shape)
+            return svd(m, **kwargs)
+
+        monkeypatch.setattr(metrics_module.np.linalg, "svd", counting_svd)
         reports = collect_metrics(net, probe)
         assert len(calls) == len(net.layers) == len(reports) - 1
 
@@ -379,10 +437,3 @@ def deserialize_init(net):
     twin = clone_network(net)
     twin.params = {k: v.copy() for k, v in net.init_snapshot.items()}
     return twin
-
-
-def test_report_validates_ranges():
-    with pytest.raises(InvalidInputError):
-        MetricReport(0, "all", 1.5, 0.0, None, None, None, None)
-    with pytest.raises(InvalidInputError):
-        MetricReport(0, "all", 0.5, 0.0, None, None, -1.0, None)

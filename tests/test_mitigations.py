@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plastlab.errors import InvalidInputError, MitigationError, NumericError
+from plastlab.errors import MitigationError, NumericError
 from plastlab.learners import gae
 from plastlab.learners import ppo as ppo_module
 from plastlab.metrics import _params_l2, dormant_ratio, gradient_norm
@@ -452,10 +452,6 @@ class TestRegLoss:
         net = tanh_net(seed)
         net.params["layer0.w"] += RngStream(seed, 8).normal(0.0, 0.05, 18).reshape(6, 3)
         assert reg_loss(kind, net, 0.3)[0] >= 0.0
-
-    def test_unknown_method(self):
-        with pytest.raises(InvalidInputError):
-            reg_loss("dropout", tanh_net(), 0.1)
 
 
 class TestAdam:

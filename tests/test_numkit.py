@@ -7,35 +7,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from plastlab.errors import DomainError, InvalidInputError
-from plastlab.numkit import RngStream, erfi, svd_values
+from plastlab.numkit import RngStream, erfi
 
 # the draws work on uint64 arrays in place, which must stay free of overflow
 # and invalid-value warnings
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
-def jacobi_singular_values(m: np.ndarray) -> np.ndarray:
-    """Brute-force oracle: cyclic Jacobi eigensolver on m^T m, sqrt of spectrum."""
-    a = m.T @ m
-    n = a.shape[0]
-    for _ in range(100):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-                if abs(a[p, q]) < 1e-14:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-        if off < 1e-14:
-            break
-    eig = np.clip(np.sort(np.diag(a))[::-1], 0.0, None)
-    return np.sqrt(eig)
 
 
 def permutation_reference(stream: RngStream, k: int) -> np.ndarray:
@@ -94,49 +70,6 @@ def quad_erfi(x: float) -> float:
     """Adaptive-quadrature oracle for erfi."""
     val, _ = integrate.quad(lambda t: math.exp(t * t), 0.0, x, limit=200)
     return 2.0 / math.sqrt(math.pi) * val
-
-
-class TestSvdValues:
-    def test_identity(self):
-        np.testing.assert_allclose(svd_values(np.eye(3)), [1.0, 1.0, 1.0], atol=1e-12)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(svd_values(np.diag([3.0, 0.0])), [3.0, 0.0], atol=1e-12)
-
-    def test_matches_jacobi_oracle(self):
-        stream = RngStream(7, 1)
-        m = stream.normal(0.0, 1.0, 20).reshape(5, 4)
-        np.testing.assert_allclose(svd_values(m), jacobi_singular_values(m), atol=1e-8)
-
-    def test_count_and_order(self):
-        stream = RngStream(3, 2)
-        m = stream.normal(0.0, 2.0, 21).reshape(3, 7)
-        vals = svd_values(m)
-        assert vals.shape == (3,)
-        assert np.all(vals >= 0)
-        assert np.all(np.diff(vals) <= 0)
-
-    def test_transpose_invariance(self):
-        stream = RngStream(11, 4)
-        m = stream.normal(0.0, 1.0, 24).reshape(4, 6)
-        a, b = svd_values(m), svd_values(m.T)
-        np.testing.assert_allclose(a, b, atol=1e-8)
-
-    def test_frobenius_identity(self):
-        stream = RngStream(5, 9)
-        m = stream.normal(0.0, 3.0, 30).reshape(6, 5)
-        fro2 = float(np.sum(m * m))
-        assert math.isclose(float(np.sum(svd_values(m) ** 2)), fro2, rel_tol=1e-6)
-
-    def test_nonfinite_rejected(self):
-        bad = np.ones((2, 2))
-        bad[0, 1] = np.nan
-        with pytest.raises(InvalidInputError):
-            svd_values(bad)
-
-    def test_wrong_ndim_rejected(self):
-        with pytest.raises(InvalidInputError):
-            svd_values(np.ones(3))
 
 
 class TestErfi:
@@ -297,13 +230,3 @@ def test_rng_determinism_property(seed, stream_id):
     a = RngStream(seed, stream_id).uniform(0.0, 1.0, 16)
     b = RngStream(seed, stream_id).uniform(0.0, 1.0, 16)
     assert a.tobytes() == b.tobytes()
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 6))
-def test_svd_frobenius_property(seed, rows, cols):
-    m = RngStream(seed, 1).normal(0.0, 1.0, rows * cols).reshape(rows, cols)
-    sv = svd_values(m)
-    assert sv.shape == (min(rows, cols),)
-    fro2 = float(np.sum(m * m))
-    assert abs(float(np.sum(sv**2)) - fro2) <= 1e-6 * max(fro2, 1.0)

@@ -1,8 +1,10 @@
 """Runner tests: config resolution, deterministic artifacts, triggers, replay, CLI."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import struct
 import tracemalloc
 from functools import partial
@@ -18,7 +20,7 @@ from plastlab.errors import CheckpointError, ConfigError, DivergenceError
 from plastlab.learners import LEARNERS, ReplayBuffer, Rollout, network_specs
 from plastlab.metrics import _params_l2
 from plastlab.mitigations import REGISTRY
-from plastlab.net import draw_layers, serialize_network
+from plastlab.net import deserialize_network, draw_layers, serialize_network
 from plastlab.numkit import DrawAhead, RngStream
 from plastlab.runner import (
     config_yaml,
@@ -1078,6 +1080,22 @@ class TestReplay:
             for key in logged:
                 assert abs(replayed[key] - logged[key]) <= 1e-9, key
 
+    @pytest.mark.parametrize("name", sorted(golden.CONFIGS))
+    def test_every_golden_checkpoint_loads_and_replays_its_last_rows(self, name, tmp_path):
+        cfg = resolve_config(golden.CONFIGS[name])
+        art = run_experiment(cfg, str(tmp_path / "r"))
+        for path in art.checkpoint_paths:
+            with open(path, "rb") as fh:
+                deserialize_network(fh.read())
+        logged = {(r["scope"], r["metric"]): r["value"]
+                  for r in read_metrics(art.metrics_path) if r["step"] == cfg.total_steps}
+        replayed = {(rep.scope, metric): value
+                    for rep in replay_metrics(art.checkpoint_paths[-1], cfg.seed, cfg.logging.probe_batch)
+                    for metric, value in rep.rows()}
+        assert replayed.keys() == logged.keys()
+        for key in logged:
+            assert abs(replayed[key] - logged[key]) <= 1e-9, key
+
     def test_fresh_init_checkpoint_zero_weight_diff(self, tmp_path):
         net = build_network(8, 3, (16,), "relu", False, RngStream(4, 0))
         path = tmp_path / "fresh.bin"
@@ -1603,6 +1621,51 @@ class TestCli:
         path.write_bytes(struct.pack("<Q", len(head)) + head + blob[8 + head_len :])
         assert main(["replay-metrics", str(path), "--probe-seed", "4"]) == 2
         assert "frozen" in capsys.readouterr().err
+
+    @staticmethod
+    def _bad_layout(case):
+        """A checkpoint of the net 16 -> 8 -> 3 whose manifest and body agree
+        in size but not with its layers."""
+        net = build_network(16, 3, (8,), "relu", False, RngStream(4, 0))
+        first, head = net.layers
+        if case == "in_dim":  # layer 0 says 17 inputs, its weight holds 16
+            net.layers = (dataclasses.replace(first, in_dim=17), head)
+        elif case == "chain":  # the head says 9 inputs, layer 0 gives 8
+            net.layers = (first, dataclasses.replace(head, in_dim=9))
+        elif case == "short_bias":
+            for values in (net.params, net.init_snapshot):
+                values["layer0.b"] = values["layer0.b"][:-1]
+        else:  # "nan": one weight of the body is not a number
+            net.params["layer1.w"][0, 0] = np.nan
+        return serialize_network(net)
+
+    @pytest.mark.parametrize("case,message", [
+        ("in_dim", "'layer0.w' of shape [8, 16] does not fit its layers"),
+        ("chain", "layer 1 expects in_dim 9 but layer 0 produces width 8"),
+        ("short_bias", "'layer0.b' of shape [7] does not fit its layers"),
+        ("nan", "NaN or inf"),
+    ], ids=["in_dim", "chain", "short_bias", "nan"])
+    def test_replay_metrics_layout_off_its_layers_exit_2(self, case, message, tmp_path, capsys):
+        blob = self._bad_layout(case)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            deserialize_network(blob)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        assert main(["replay-metrics", str(path), "--probe-seed", "4"]) == 2
+        self._one_error_line(capsys, message)
+
+    @pytest.mark.parametrize("raw", [
+        {"algo": "regression", "total_steps": 10, "network": {"hidden": [200000, 200000]}},
+        {"algo": "regression", "total_steps": 101, "network": {"hidden": [16]},
+         "mitigations": [{"method": "plasticity_injection", "trigger": "per_gradient_step"}]},
+    ], ids=["footprint", "injection_rounds"])
+    def test_sweep_refuses_what_run_refuses_before_spawning(self, raw, tmp_path, capsys, fake_popen):
+        cfg = self._write(tmp_path, yaml.safe_dump(raw))
+        assert main(["run", cfg, "--out", str(tmp_path / "r")]) == 2
+        run_err = capsys.readouterr().err
+        assert main(["sweep", cfg, "--seeds", "0,1", "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == run_err and run_err.startswith("error: ")
+        assert fake_popen.started == [] and os.listdir(tmp_path) == ["exp.yaml"]
 
     @pytest.mark.parametrize("init", ["orthogonal(x)", "orthogonal(nan)", "orthogonal(inf)", "uniform_fan_in"])
     def test_replay_metrics_bad_init_exit_2(self, tmp_path, capsys, init):
