@@ -15,11 +15,8 @@ from ..errors import NumericError
 from ..net import ForwardTrace, Gradients, NetworkState, backward, clone_network, forward
 from ..numkit import RngStream
 from ..mitigations import Optimizer, optimizer_step, reg_loss
-from .common import ReplayBuffer, _log_softmax
-
-# most entries each target memo holds before it starts over, as many as the
-# run loop's act memo
-TARGET_MEMO_CAP = 1024
+from . import common
+from .common import ReplayBuffer, _log_softmax, act_memo
 
 
 @dataclass
@@ -121,40 +118,27 @@ def _dist_probs(net: NetworkState, obs: np.ndarray, n_actions: int, n_atoms: int
 
 def _target_rows(
     target: NetworkState, batch: dict, head: CategoricalHead, gamma: float,
-    memos: tuple[dict, dict], picks: list[int] | None = None,
+    memo: dict, picks: list[int] | None = None,
 ) -> np.ndarray:
-    """Each sampled transition's projected target row. `memos` holds two
-    dicts that must be emptied whenever the target net changes; past
-    TARGET_MEMO_CAP entries each starts over. The first maps a stored next
-    observation encoding (`next_codes`) to the target net's per-action atom
-    probabilities, from the batch-of-one forward acting uses, and their greedy
-    action. The second maps the exact bits of (encoding, reward, done, chosen
-    action) to the row projected on its own: bincount sums each bin in the
-    same order for one row as for a batch. The chosen actions are `picks`
-    when given, else the target's greedy ones."""
-    dists, rows = memos
+    """Each sampled transition's projected target row, through `memo`: it must
+    be emptied whenever the target net changes, starts over when full, and maps
+    the exact bits of (`next_codes` row, reward, done, chosen action) to the row.
+    The chosen actions are `picks` when given, else the target's greedy ones,
+    keyed as -1. A miss runs acting's batch-of-one target forward and projects
+    one row, whose bins bincount sums in the same order as in a batch."""
     codes, rewards, dones = batch["next_codes"], batch["rewards"], batch["dones"]
     keys = codes.view(f"V{codes.strides[0]}").ravel().tolist()  # each row as one bytes key
     n_actions = target.layers[-1].width_out // head.n_atoms
-    found = []
-    for i, key in enumerate(keys):
-        hit = dists.get(key)
-        if hit is None:
-            if len(dists) >= TARGET_MEMO_CAP:
-                dists.clear()
-            probs = _dist_probs(target, batch["next_obs"][i : i + 1], n_actions, head.n_atoms)[0]
-            hit = dists[key] = probs, int(np.argmax(np.sum(probs * head.atoms, axis=1)))
-        found.append(hit)
-    if picks is None:
-        picks = [greedy for _, greedy in found]
+    bits = zip(keys, rewards.view(np.int64).tolist(), dones.view(np.int64).tolist(), picks or [-1] * len(keys))
     out = []
-    bits = zip(keys, rewards.view(np.int64).tolist(), dones.view(np.int64).tolist(), picks)
-    for i, (key, (probs, _)) in enumerate(zip(bits, found)):
-        row = rows.get(key)
+    for i, key in enumerate(bits):
+        row = memo.get(key)
         if row is None:
-            if len(rows) >= TARGET_MEMO_CAP:
-                rows.clear()
-            row = rows[key] = categorical_projection_batch(probs[key[3]], rewards[i], dones[i], gamma, head)[0]
+            probs = _dist_probs(target, batch["next_obs"][i : i + 1], n_actions, head.n_atoms)[0]
+            pick = key[3] if picks else int(np.argmax(np.sum(probs * head.atoms, axis=1)))
+            if len(memo) >= common.MEMO_CAP:
+                memo.clear()
+            row = memo[key] = categorical_projection_batch(probs[pick], rewards[i], dones[i], gamma, head)[0]
         out.append(row)
     return np.array(out)
 
@@ -169,7 +153,7 @@ def c51_update(
     stream: RngStream,
     learning_starts: int = 0,
     action_selection: str = "target",
-    memos: tuple[dict, dict] | None = None,
+    memo: dict | None = None,
 ) -> tuple[float, Gradients, ForwardTrace] | None:
     """One distributional Bellman fit on a sampled batch.
 
@@ -177,8 +161,8 @@ def c51_update(
     learning-starts threshold. Greedy next actions come from the target
     network by default; action_selection="online" switches the argmax to
     the online network while still bootstrapping from the target. The
-    target rows come from `memos` (see _target_rows; throwaway ones when
-    None), so they never depend on what the memos hold.
+    target rows come through `memo` (see _target_rows; a throwaway one when
+    None), so they never depend on what it holds.
     """
     if len(buffer) < max(learning_starts, batch_size):
         return None
@@ -189,7 +173,7 @@ def c51_update(
     if action_selection == "online":
         select_probs = _dist_probs(online, batch["next_obs"], n_actions, head.n_atoms)
         picks = np.argmax(np.sum(select_probs * head.atoms, axis=2), axis=1).tolist()
-    m = _target_rows(target, batch, head, gamma, ({}, {}) if memos is None else memos, picks)
+    m = _target_rows(target, batch, head, gamma, {} if memo is None else memo, picks)
 
     trace = forward(online, batch["obs"])
     out = trace.outputs.reshape(batch_size, n_actions, head.n_atoms)
@@ -220,8 +204,8 @@ class C51Learner:
         # the ring never holds more rows than the run adds; capping it moves no sample
         self.buffer = ReplayBuffer(min(self.cfg.buffer_size, cfg.total_steps), net.layers[0].in_dim)
         self.post_step = lambda: None  # fired after each gradient step
-        self.memo = {}  # obs bytes -> greedy action while params stay put; the run empties it
-        self.target_memos: tuple[dict, dict] = ({}, {})  # see _target_rows
+        self.memo, self.memo_writes = {}, net.writes  # obs bytes -> greedy action; see act_memo
+        self.target_memo = {}  # see _target_rows
 
     @staticmethod
     def head_width(cfg, n_actions: int) -> int:
@@ -235,12 +219,12 @@ class C51Learner:
     @staticmethod
     def footprint(cfg, obs_dim: int, head_width: int) -> tuple[int, int]:
         """(rows of a batch through both nets, bytes of the replay rows and
-        target memos). A replay row holds the packed obs pair, action, reward
-        and done; a memo pair holds a target row set, a projected row and
-        about 0.8 KB of keys, array headers and dict slots."""
+        memos). A replay row holds the packed obs pair, action, reward and done;
+        a target memo entry a projected row and about 1 KB of keys, array
+        headers and dict slots; an act memo entry counts one forward output."""
         learner = cfg.learner
         ring = min(learner.buffer_size, cfg.total_steps) * (2 * -(-obs_dim // 8) + 24)
-        return 2 * learner.batch_size, ring + TARGET_MEMO_CAP * (8 * (head_width + learner.n_atoms) + 1024)
+        return 2 * learner.batch_size, ring + common.MEMO_CAP * (8 * learner.n_atoms + 1024 + 8 * head_width)
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         probs = _dist_probs(self.net, np.atleast_2d(obs), self.n_actions, self.head.n_atoms)
@@ -251,10 +235,10 @@ class C51Learner:
         eps = epsilon_schedule(step, cfg.start_epsilon, cfg.end_epsilon, cfg.exploration_fraction, self.total_steps)
         if stream.uniform(0.0, 1.0, 1)[0] < eps:
             return int(stream.randint(self.n_actions, 1)[0])
-        key = obs.tobytes()
-        if key not in self.memo:
-            self.memo[key] = int(np.argmax(self.q_values(obs)[0]))
-        return self.memo[key]
+        key, memo = obs.tobytes(), act_memo(self)
+        if key not in memo:
+            memo[key] = int(np.argmax(self.q_values(obs)[0]))
+        return memo[key]
 
     def remember(self, obs, action, reward, next_obs, done) -> None:
         self.buffer.add(obs, action, reward, next_obs, done)
@@ -271,7 +255,7 @@ class C51Learner:
                 cfg.batch_size, cfg.gamma, stream,
                 learning_starts=cfg.learning_starts,
                 action_selection=cfg.action_selection,
-                memos=self.target_memos,
+                memo=self.target_memo,
             )
             if result is not None:
                 loss, grads, trace = result
@@ -280,4 +264,4 @@ class C51Learner:
                 self.post_step()
         if step % cfg.target_network_frequency == 0:
             self.target = clone_network(self.net)
-            self.target_memos = ({}, {})
+            self.target_memo = {}

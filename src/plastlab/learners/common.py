@@ -11,6 +11,17 @@ from ..errors import InvalidInputError
 from ..net import LayerSpec
 from ..numkit import RngStream
 
+# most entries a memo (an act memo, C51's target memo) holds before it starts over
+MEMO_CAP = 1024
+
+
+def act_memo(learner) -> dict:
+    """`learner.memo` (observation bytes -> pure act results), emptied first
+    when `learner.net` was written since it was filled or it is full."""
+    if learner.memo_writes != learner.net.writes or len(learner.memo) >= MEMO_CAP:
+        learner.memo, learner.memo_writes = {}, learner.net.writes
+    return learner.memo
+
 
 @dataclass
 class TrajectoryBatch:

@@ -18,7 +18,8 @@ from ..net import Gradients, NetworkState, backward, forward
 from ..numkit import RngStream
 from ..mitigations import Optimizer, optimizer_step, reg_loss
 from ..envs import RewardNormalizer
-from .common import Rollout, TrajectoryBatch, _log_softmax, gae
+from . import common
+from .common import Rollout, TrajectoryBatch, _log_softmax, act_memo, gae
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -111,7 +112,7 @@ class PPOLearner:
         self.opt = opt
         self.reg_terms = tuple(reg_terms)
         self.post_step = lambda: None  # fired after each gradient step
-        self.memo = None  # obs bytes -> pure act results while params stay put
+        self.memo, self.memo_writes = ({} if self.discrete else None), net.writes  # see act
         rows = min(self.cfg.rollout_len, cfg.total_steps)
         self.rollout = Rollout(rows, net.layers[0].in_dim, None if self.discrete else self.n_actions)
         self.normalizer = RewardNormalizer(self.cfg.gamma) if cfg.scenario.reward_normalization else None
@@ -132,9 +133,10 @@ class PPOLearner:
 
     @staticmethod
     def footprint(cfg, obs_dim: int, head_width: int) -> tuple[int, int]:
-        """(rows of a minibatch, bytes of the rollout and a batch copy of it)."""
+        """(rows of a minibatch, bytes of the rollout, a batch copy of it and the act memo's outputs)."""
         rows = min(cfg.learner.rollout_len, cfg.total_steps)
-        return -(-rows // cfg.learner.n_minibatches), 16 * rows * (obs_dim + head_width + 6)
+        memo = common.MEMO_CAP if cfg.scenario.family == "gridworld" else 0  # the act memo's most entries
+        return -(-rows // cfg.learner.n_minibatches), 16 * rows * (obs_dim + head_width + 6) + 8 * memo * head_width
 
     # ---------------------------------------------------------- acting
 
@@ -142,11 +144,11 @@ class PPOLearner:
         """Sample one action, kept with its log-prob and value in `sampled`;
         returns the action the env takes (squashed by tanh when continuous).
 
-        With `memo` a dict, the forward (and for discrete policies the
-        log-softmax and CDF) is looked up by the observation's bytes; the
-        caller empties it whenever the parameters change. The draw always runs.
+        Discrete observations repeat, so `memo` looks up the forward,
+        log-softmax and CDF by their bytes while the net stands still
+        (`act_memo`); continuous ones never do and have none. The draw always runs.
         """
-        memo = self.memo
+        memo = None if self.memo is None else act_memo(self)
         key = None if memo is None else obs.tobytes()
         pure = None if memo is None else memo.get(key)
         if pure is None:

@@ -506,6 +506,7 @@ def optimizer_step(
         raise NumericError(f"non-finite loss {loss}")
     norm = None if max_grad_norm is None else clip_gradients(by_name, max_grad_norm)
     opt.step(net, trace, grads, lr)
+    net.writes += 1  # acting memos (learners.common.act_memo) start over
     return loss, norm
 
 
@@ -621,8 +622,9 @@ def apply_event_method(
 ) -> float:
     """Run one event-kind method; returns the value its event row logs: the
     number of units redo reset, else 1. Only redo reads `probe`, and only
-    shrink_perturb reads `ahead`."""
+    shrink_perturb reads `ahead`. Each firing is one of the net's `writes`."""
     name, params = entry.method, entry.params
+    net.writes += 1
     if name == "redo":
         return float(redo_reset(net, probe, float(params["tau"]), stream))
     if name == "shrink_perturb":

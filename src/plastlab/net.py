@@ -87,7 +87,8 @@ class NetworkState:
     `params` maps canonical names ("layer0.w", "layer0.b", "layer0.ln_gain",
     "layer2.inj1_train.w", ...) to float64 arrays. `param_order` fixes the
     iteration order used by optimizers and the checkpoint blob. `frozen`
-    lists names excluded from gradients and optimizer updates.
+    lists names excluded from gradients and optimizer updates. `writes`
+    counts the edits after init: optimizer steps and event methods.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -96,6 +97,7 @@ class NetworkState:
     param_order: tuple[str, ...]
     frozen: frozenset[str] = frozenset()
     injection_rounds: int = 0
+    writes: int = 0
 
     def trainable_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.param_order if n not in self.frozen)
@@ -510,6 +512,24 @@ def _layer_entry(entry) -> dict:
     return entry
 
 
+def _layout(layers: tuple[LayerSpec, ...], rounds: int, log_std: bool) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor a net of `layers` holds, in the order a
+    run adds them: each layer's own, PPO's `log_std` (one per policy output:
+    the head width minus the value), then each injection round's branches."""
+    layout = {}
+    for i, spec in enumerate(layers):
+        w, b, gain, offset = _layer_names(i)
+        layout[w], layout[b] = (spec.out_dim, spec.in_dim), (spec.out_dim,)
+        if spec.layer_norm:
+            layout[gain] = layout[offset] = (spec.out_dim,)
+    if log_std:
+        layout["log_std"] = (layers[-1].out_dim - 1,)
+    head_w, head_b = _layer_names(len(layers) - 1)[:2]
+    for prefix in (p for r in range(1, rounds + 1) for p in _branch_names(len(layers) - 1, r)):
+        layout[f"{prefix}.w"], layout[f"{prefix}.b"] = layout[head_w], layout[head_b]
+    return layout
+
+
 def deserialize_network(blob: bytes) -> NetworkState:
     try:
         (head_len,) = struct.unpack_from("<Q", blob, 0)
@@ -532,16 +552,21 @@ def deserialize_network(blob: bytes) -> NetworkState:
     injection_rounds = _manifest_value(manifest, "injection_rounds", int)
     if len(set(order)) != len(order) or not frozen <= set(order):
         raise CheckpointError("checkpoint param_order repeats a name or frozen names an unknown one")
-    if injection_rounds < 0:
-        raise CheckpointError("checkpoint manifest holds a negative injection count")
-    for n in order:  # layer i's spec gives layer{i}.w (out, in) and its other tensors (out,)
-        m = re.fullmatch(r"layer(\d+)\..+", n)
-        spec = layers[int(m.group(1))] if m and int(m.group(1)) < len(layers) else None
-        want = None if spec is None else (spec.out_dim, spec.in_dim)[: 1 + n.endswith(".w")]
-        if n == "log_std":  # one per policy output: the head width minus the value
-            want = (layers[-1].out_dim - 1,)
-        if shapes[n] != want:
+    if not 0 <= injection_rounds <= len(order):  # each round adds four tensors
+        raise CheckpointError(f"checkpoint manifest holds an injection count of {injection_rounds}")
+    if injection_rounds and layers[-1].layer_norm:  # forward gives branches no LayerNorm tensors
+        raise CheckpointError("checkpoint injects branches into a LayerNorm head")
+    layout = _layout(layers, injection_rounds, "log_std" in order)
+    for n in layout:
+        if n not in shapes:
+            raise CheckpointError(f"checkpoint lacks tensor {n!r} that its layers need")
+    for n in order:
+        if n not in layout:
+            raise CheckpointError(f"checkpoint tensor {n!r} is not one its layers hold")
+        if shapes[n] != layout[n]:
             raise CheckpointError(f"checkpoint tensor {n!r} of shape {list(shapes[n])} does not fit its layers")
+    if tuple(layout) != order:
+        raise CheckpointError("checkpoint param_order is not the order its layers add tensors in")
     total = sum(int(np.prod(shapes[n])) for n in order)
     if (len(blob) - 8 - head_len) % 8 != 0:
         raise CheckpointError("checkpoint body is not a whole number of floats")

@@ -54,10 +54,6 @@ PROBE_STREAM = 4
 ACTION_STREAM = 5
 UPDATE_STREAM = 6
 
-# most observations an act memo holds before it starts over; it is also
-# emptied whenever the run's write count moved (see run_experiment)
-ACT_MEMO_CAP = 1024
-
 # draws a holder (numkit.DrawAhead) makes at once: gradient steps of fresh
 # inits for a per-gradient-step shrink_perturb entry, probe steps of training
 # batches (a task's end discards the rest). Past one draw, a refill's working
@@ -154,9 +150,9 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     and their clipped copy, C51's target net, four checkpoint copies, the
     optimizer state), the forward and backward traces of the probe and update
     batches (four values per layer feature and row, six with LayerNorm), the
-    learner's own buffers (its `footprint`), an init draw's work, the
-    draw-ahead holders and the act memo. Each plasticity_injection firing adds
-    two copies of the head layer, counted at the most firings its trigger allows."""
+    learner's own buffers (its `footprint`), an init draw's work
+    and the draw-ahead holders. Each plasticity_injection firing adds two
+    copies of the head layer, counted at the most firings its trigger allows."""
     obs_dim, head_width = specs[0].in_dim, specs[-1].out_dim
     plan = build_plan(list(cfg.mitigations))
     opt = next((e.method for e in plan if REGISTRY[e.method].kind == "optimizer"), "adam")
@@ -168,8 +164,6 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
         values += sum(kron) + heads * kron[-1]
     rows, own = LEARNERS[cfg.algo].footprint(cfg, obs_dim, head_width)
     values += (cfg.logging.probe_batch + rows) * (obs_dim + sum((4 + 2 * s.layer_norm) * s.width_out for s in specs))
-    if cfg.scenario.family == "gridworld":
-        values += ACT_MEMO_CAP * head_width
     work = draw_work_bytes(specs)
     total = 8 * values + own + work + DRAW_FIXED_BYTES
     if any(e.method == "shrink_perturb" and e.trigger.kind == "per_gradient_step" for e in plan):
@@ -261,7 +255,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     mit_stream = RngStream(cfg.seed, MITIGATION_STREAM)
     act_stream = RngStream(cfg.seed, ACTION_STREAM)
     upd_stream = RngStream(cfg.seed, UPDATE_STREAM)
-    discrete, probe_run = scenario.family == "gridworld", scenario.family == "probe"
+    probe_run = scenario.family == "probe"
     probe = probe_inputs(cfg.seed, specs[0].in_dim, cfg.logging.probe_batch)
 
     net = init_network(specs, RngStream(cfg.seed, INIT_STREAM))
@@ -284,12 +278,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     if probe_run:
         batches = _draw_ahead(batch_work_bytes(cfg.learner.batch_size))
 
-    # gradient steps (with their per-gradient-step methods) and event firings
-    # are the only writes to net, and each bumps this count; acting reuses the
-    # forward of a repeated observation only while it stands still. Only
-    # discrete (gridworld) observations repeat, so continuous ones get no memo.
-    gradient_steps = writes = 0
-    memo_key = None
+    gradient_steps = 0
     aheads = {
         i: _draw_ahead(draw_work_bytes(net.layers), DRAW_FIXED_BYTES)
         for i, entry in pgs_entries
@@ -297,9 +286,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
     }
 
     def _post_step():
-        nonlocal gradient_steps, writes
+        nonlocal gradient_steps
         gradient_steps += 1
-        writes += 1
         for i, entry in pgs_entries:
             apply_event_method(entry, net, mit_stream, probe=probe, ahead=aheads.get(i))
             fires[i] += 1
@@ -345,7 +333,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                         # buffers describe; start the optimizer over as well
                         learner.opt = make_optimizer(opt_kind, net, **opt_hyper)
                     fires[i] += 1
-                    writes += 1
                     writers.metric_row(step, "event", entry.method, value)
             if step % cfg.logging.metric_interval == 0:
                 _log_metrics(step)
@@ -360,8 +347,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
                 writers.metric_row(step, "train", "loss", loss)
                 continue
 
-            if discrete and (writes != memo_key or len(learner.memo) >= ACT_MEMO_CAP):
-                learner.memo, memo_key = {}, writes
             action = learner.act(obs, step, act_stream)
             next_obs, reward, done = env_step(env, action)
             learner.remember(obs, action, reward, next_obs, done)

@@ -25,10 +25,18 @@ from plastlab.learners import (
     normalize_advantages,
 )
 from plastlab.learners import c51 as c51_module
+from plastlab.learners import common as common_module
 from plastlab.learners import ppo as ppo_module
 from plastlab.learners.ppo import _clipped_objective
 from plastlab.learners.common import _log_softmax
-from plastlab.mitigations import clip_gradients, make_optimizer, optimizer_step, reg_loss
+from plastlab.mitigations import (
+    apply_event_method,
+    build_plan,
+    clip_gradients,
+    make_optimizer,
+    optimizer_step,
+    reg_loss,
+)
 from plastlab.net import backward as net_backward
 from plastlab.net import forward
 from plastlab.numkit import RngStream
@@ -640,70 +648,71 @@ _REWARDS = st.one_of(
 
 
 class TestC51TargetMemo:
-    """The target memos reuse batch-of-one target forwards and one-row
-    projections; c51_update's numbers never depend on what they hold."""
+    """The target memo reuses batch-of-one target forwards and one-row
+    projections; c51_update's numbers never depend on what it holds."""
 
     @pytest.mark.parametrize("selection", ["target", "online"])
     def test_memo_leaves_loss_and_gradients_unchanged(self, selection):
         learner, _ = make_c51(15, obs_dim=12)
         fill_binary_replay(learner)
-        memos = ({}, {})
+        memo = {}
 
-        def update(memos_arg, seed):
+        def update(memo_arg, seed):
             return c51_update(learner.buffer, learner.net, learner.target, learner.head,
                               16, 0.9, RngStream(seed, 0), action_selection=selection,
-                              memos=memos_arg)
+                              memo=memo_arg)
 
-        update(memos, 3)  # fills the memos from another batch
-        assert 0 < len(memos[0]) <= 5 and 0 < len(memos[1])
-        held = [dict(memo) for memo in memos]
-        with_memo, without = update(memos, 4), update(None, 4)
+        update(memo, 3)  # fills the memo from another batch
+        assert 0 < len(memo) <= 16
+        held = dict(memo)
+        with_memo, without = update(memo, 4), update(None, 4)
         assert with_memo[0] == without[0]
         for name, g in without[1].by_name.items():
             assert with_memo[1].by_name[name].tobytes() == g.tobytes()
-        for memo, kept in zip(memos, held):
-            assert all(memo[key] is value for key, value in kept.items())
+        assert all(memo[key] is value for key, value in held.items())
 
     def test_rows_project_the_batch_of_one_target_forward(self):
         learner, _ = make_c51(16, obs_dim=12, n_actions=3)
         fill_binary_replay(learner)
         batch = learner.buffer.sample(32, RngStream(5, 0))
-        memos = ({}, {})
-        rows = c51_module._target_rows(learner.target, batch, learner.head, 0.9, memos)
+        memo = {}
+        rows = c51_module._target_rows(learner.target, batch, learner.head, 0.9, memo)
         batched = c51_module._dist_probs(learner.target, batch["next_obs"], 3, 51)
         ones = np.concatenate(
             [c51_module._dist_probs(learner.target, batch["next_obs"][i : i + 1], 3, 51) for i in range(32)]
         )
         np.testing.assert_allclose(ones, batched, rtol=0.0, atol=1e-15)
-        codes = batch["next_codes"]
-        for key, one in zip(codes.view(f"V{codes.strides[0]}").ravel().tolist(), ones):
-            assert memos[0][key][0].tobytes() == one.tobytes()
         best = np.argmax(np.sum(ones * learner.head.atoms, axis=2), axis=1)
         want = categorical_projection_batch(
             ones[np.arange(32), best], batch["rewards"], batch["dones"], 0.9, learner.head
         )
         assert rows.tobytes() == want.tobytes()
+        # each row sits under the bits of (next code, reward, done) and -1, the greedy pick
+        codes = batch["next_codes"]
+        keys = zip(codes.view(f"V{codes.strides[0]}").ravel().tolist(),
+                   batch["rewards"].view(np.int64).tolist(), batch["dones"].view(np.int64).tolist())
+        assert np.array([memo[(*key, -1)] for key in keys]).tobytes() == want.tobytes()
 
-    def test_cap_bounds_the_memos(self, monkeypatch):
+    def test_cap_bounds_the_memo(self, monkeypatch):
         learner, _ = make_c51(17, obs_dim=12)
         fill_binary_replay(learner)
-        monkeypatch.setattr(c51_module, "TARGET_MEMO_CAP", 3)
-        memos = ({}, {})
+        monkeypatch.setattr(common_module, "MEMO_CAP", 3)
+        memo = {}
         for seed in range(6):
             batch = learner.buffer.sample(16, RngStream(seed, 0))
             picks = RngStream(seed, 1).randint(2, 16).tolist()
-            c51_module._target_rows(learner.target, batch, learner.head, 0.9, memos, picks)
-            assert all(1 <= len(memo) <= 3 for memo in memos)
+            c51_module._target_rows(learner.target, batch, learner.head, 0.9, memo, picks)
+            assert 1 <= len(memo) <= 3
 
-    def test_target_sync_empties_the_memos(self):
+    def test_target_sync_empties_the_memo(self):
         learner, _ = make_c51(18, obs_dim=12)
         learner.cfg.target_network_frequency = 4
         fill_binary_replay(learner)
         ustream = RngStream(6, 0)
         learner.update(1, ustream)
-        assert all(learner.target_memos)
+        assert learner.target_memo
         learner.update(4, ustream)
-        assert learner.target_memos == ({}, {})
+        assert learner.target_memo == {}
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -730,11 +739,9 @@ class TestC51TargetMemo:
         target = SimpleNamespace(layers=[SimpleNamespace(width_out=3 * 51)])
         batch = {"next_codes": np.array(codes, dtype=np.uint8)[:, None], "next_obs": np.array(codes)[:, None],
                  "rewards": rewards, "dones": dones}
-        memos = ({}, {})
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(c51_module, "_dist_probs", lambda net, obs, *_: probs[obs[:, 0]])
-            rows = c51_module._target_rows(target, batch, HEAD, gamma, memos)
-        assert [memos[0][bytes([c])][1] for c in codes] == best.tolist()
+            rows = c51_module._target_rows(target, batch, HEAD, gamma, {})
         assert rows.tobytes() == m.tobytes()
 
     def test_action_scatter_equals_the_per_action_loop(self):
@@ -974,8 +981,9 @@ class TestSharedLossTerms:
 
 
 class TestActMemo:
-    """PPO's `memo` is off unless a caller installs a dict; C51's starts empty
-    (C51 acts only on gridworld, where the run keeps one). The draw always runs."""
+    """Gridworld learners own an act memo from construction and empty it
+    whenever their net's write count moves; pointmass PPO has none. The draw
+    always runs."""
 
     @staticmethod
     def counting_forward(monkeypatch, module):
@@ -988,8 +996,8 @@ class TestActMemo:
         monkeypatch.setattr(module, "forward", counted)
         return calls
 
-    def test_learners_built_directly_have_no_memo_but_c51_an_empty_one(self):
-        assert make_ppo(40)[0].memo is None
+    def test_gridworld_learners_built_directly_have_an_empty_memo(self):
+        assert make_ppo(40)[0].memo == {}
         assert make_ppo(40, discrete=False, n_actions=2)[0].memo is None
         assert make_c51(40)[0].memo == {}
 
@@ -1021,17 +1029,47 @@ class TestActMemo:
                              1.0, binary_obs(stream), False)
         learner.update(0, RngStream(42, 3))
         assert not np.array_equal(learner.q_values(obs), q_before)
-        learner.memo = {}  # as a run does after every write to the net
         n_calls = len(calls)
         assert learner.act(obs, 0, RngStream(42, 4)) == int(np.argmax(learner.q_values(obs)[0]))
         assert len(calls) == n_calls + 2  # act's forward and the check's q_values
+
+    def test_c51_chain_learner_acts_fresh_after_its_updates(self):
+        """A learner driven without the run loop empties its own memo: on the
+        chain, 399 updates move state 0's greedy action from 0 to 1."""
+        learner = helpers.make_chain_learner(3, 0)
+        learner.cfg.start_epsilon = learner.cfg.end_epsilon = 0.0
+        obs, stream, updates = helpers.chain_obs(0), RngStream(3, 4), RngStream(3, 2)
+        assert learner.act(obs, 0, stream) == 0
+        for step in range(1, 400):
+            learner.update(step, updates)
+        assert learner.act(obs, 0, stream) == int(np.argmax(learner.q_values(obs)[0])) == 1
+
+    @pytest.mark.parametrize("algo", ["ppo", "c51"])
+    def test_act_after_an_event_is_fresh(self, algo, monkeypatch):
+        calls = self.counting_forward(monkeypatch, ppo_module if algo == "ppo" else c51_module)
+        learner, cfg = make_ppo(45) if algo == "ppo" else make_c51(45, obs_dim=4)
+        if algo == "c51":
+            cfg.start_epsilon = cfg.end_epsilon = 0.0
+        obs = RngStream(45, 2).normal(0.0, 1.0, 4)
+        learner.act(obs, 0, RngStream(45, 4))
+        learner.act(obs, 0, RngStream(45, 4))
+        assert len(calls) == 1  # the second act hit the memo
+        entry = build_plan([{"method": "reset_layers", "params": {"scope": "all"}}])[0]
+        apply_event_method(entry, learner.net, RngStream(45, 3), probe=None)
+        action = learner.act(obs, 0, RngStream(45, 4))
+        assert len(calls) == 2
+        if algo == "c51":
+            assert action == int(np.argmax(learner.q_values(obs)[0]))
+            return
+        _, lp_eval, _, v_eval, _ = learner.evaluate_actions(obs.reshape(1, 4), np.array([action]))
+        assert learner.sampled[2] == v_eval[0] and abs(learner.sampled[1] - lp_eval[0]) < 1e-12
 
     @pytest.mark.parametrize("discrete", [True, False])
     def test_ppo_memo_hits_match_recomputed_acts(self, discrete, monkeypatch):
         calls = self.counting_forward(monkeypatch, ppo_module)
         plain, _ = make_ppo(43, discrete=discrete, n_actions=3)
         memo, _ = make_ppo(43, discrete=discrete, n_actions=3)
-        memo.memo = {}
+        plain.memo, memo.memo = None, {}  # recompute every act; memoize continuous acts too
         pool = RngStream(43, 2).normal(0.0, 1.0, 3 * 4).reshape(3, 4)
         picks = RngStream(43, 6).randint(3, 60)
         s_plain, s_memo = RngStream(43, 4), RngStream(43, 4)

@@ -532,6 +532,16 @@ class TestOptimizerStep:
         for name in net.param_order:
             assert net.params[name].tobytes() == ref_net.params[name].tobytes(), name
 
+    def test_each_step_counts_one_write(self):
+        net, trace, grads = self.net_trace_grads(59)
+        opt = make_optimizer("adam", net)
+        for writes in (1, 2):
+            optimizer_step(opt, net, trace, grads, 0.1, max_grad_norm=0.5)
+            assert net.writes == writes
+        with pytest.raises(NumericError):  # a refused step writes nothing
+            optimizer_step(opt, net, trace, grads, 0.1, np.nan)
+        assert net.writes == 2
+
     @pytest.mark.parametrize("loss,reg_value", [(np.nan, 0.0), (1.0, np.inf), (np.inf, -np.inf)])
     def test_non_finite_folded_loss_raises_before_the_step(self, loss, reg_value):
         net, trace, grads = self.net_trace_grads(58)
@@ -1049,3 +1059,12 @@ class TestRegistryAndPlan:
         assert want > 0 and apply_event_method(redo_plan[0], net, RngStream(80, 2), probe) == float(want)
         with pytest.raises(TypeError):  # every caller passes the probe batch redo reads
             apply_event_method(redo_plan[0], net, RngStream(80, 2))
+
+    @pytest.mark.parametrize("method", sorted(n for n, spec in REGISTRY.items() if spec.kind == "event"))
+    def test_each_firing_counts_one_write(self, method):
+        net = tanh_net(81)
+        probe = RngStream(81, 3).normal(0.0, 1.0, 30).reshape(10, 3)
+        entry = build_plan([{"method": method, "params": {"tau": 1.0} if method == "redo" else {}}])[0]
+        for writes in (1, 2):
+            apply_event_method(entry, net, RngStream(81, writes), probe)
+            assert net.writes == writes

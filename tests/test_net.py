@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -462,6 +463,8 @@ BAD_MANIFESTS = {
     "injection_rounds a float": _set(["injection_rounds"], 0.5),
     "injection_rounds a bool": _set(["injection_rounds"], False),
     "injection_rounds negative": _set(["injection_rounds"], -1),
+    # more rounds than tensors: refused before any layout is built
+    "injection_rounds huge": _set(["injection_rounds"], 10**12),
     # four 2-float biases: the body size still matches, the weight is lost
     "repeated param name": _set(["param_order"], ["layer0.b"] * 4),
     # bad layer entries
@@ -495,10 +498,39 @@ class TestManifestValidation:
         with pytest.raises(CheckpointError):
             deserialize_network(_edit_manifest(self._blob(), BAD_MANIFESTS[case]))
 
+    @pytest.mark.parametrize("order,message", [
+        (["layer0.w"], "lacks tensor 'layer0.b' that its layers need"),
+        (["layer0.w", "layer0.b", "layer0.x"], "tensor 'layer0.x' is not one its layers hold"),
+        (["layer0.b", "layer0.w"], "param_order is not the order its layers add tensors in"),
+    ], ids=["missing", "unknown", "reordered"])
+    def test_param_order_must_be_the_layers_layout(self, order, message):
+        def edit(manifest):  # layer0.x holds no value, so the body still fits
+            manifest["param_order"] = order
+            manifest["shapes"]["layer0.x"] = [0]
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            deserialize_network(_edit_manifest(self._blob(), edit))
+
+    def test_injected_layer_norm_head_is_refused(self):
+        net = init_network([LayerSpec(3, 2, "linear", layer_norm=True)], RngStream(8))
+        w, b = net.params["layer0.w"], net.params["layer0.b"]
+        train, frozen = _branch_names(0, 1)
+        net.add({f"{train}.w": w, f"{train}.b": b, f"{frozen}.w": w, f"{frozen}.b": b})
+        net.injection_rounds = 1
+        with pytest.raises(CheckpointError, match="into a LayerNorm head"):
+            deserialize_network(serialize_network(net))
+
     def test_manifest_not_an_object(self):
         head = b"[1, 2]"
         with pytest.raises(CheckpointError, match="not a JSON object"):
             deserialize_network(struct.pack("<Q", len(head)) + head)
+
+
+def test_clone_keeps_the_write_count_and_a_checkpoint_starts_at_zero():
+    net = small_net("tanh", False, 7)
+    assert net.writes == 0
+    net.writes = 5
+    assert clone_network(net).writes == 5
+    assert deserialize_network(serialize_network(net)).writes == 0
 
 
 def test_clone_is_independent():

@@ -30,7 +30,7 @@ from plastlab.runner import (
     resolve_config,
     run_experiment,
 )
-from plastlab.learners import c51, ppo, regression
+from plastlab.learners import c51, common, ppo, regression
 from plastlab.net import forward as net_forward
 from plastlab.runner import loop
 from plastlab.runner.cli import main
@@ -628,9 +628,8 @@ def _footprint(cfg) -> int:
     return loop.footprint_bytes(cfg, specs)
 
 
-# C51 whose target memos both reach TARGET_MEMO_CAP before a sync: random
-# acting over 16 levels of four stacked frames gives more than 1,024 distinct
-# next observations.
+# C51 whose target memo reaches MEMO_CAP before a sync: random acting over 16
+# levels of four stacked frames gives more than 1,024 distinct transitions.
 _FULL_TARGET_MEMO = {
     "algo": "c51",
     "seed": 1,
@@ -668,12 +667,12 @@ class TestFootprint:
     )
     def test_estimate_bounds_the_traced_peak_within_3x(self, raw, tmp_path, monkeypatch):
         cfg = resolve_config(raw)
-        most = [0, 0]
+        most = [0]
         real = c51._target_rows
 
-        def sizing(target, batch, head, gamma, memos, picks=None):
-            out = real(target, batch, head, gamma, memos, picks)
-            most[:] = [max(n, len(memo)) for n, memo in zip(most, memos)]
+        def sizing(target, batch, head, gamma, memo, picks=None):
+            out = real(target, batch, head, gamma, memo, picks)
+            most[0] = max(most[0], len(memo))
             return out
 
         # a first run pays the one-time costs (lazy imports, caches) no run holds
@@ -681,7 +680,7 @@ class TestFootprint:
             patch.setattr(c51, "_target_rows", sizing)
             run_experiment(cfg, str(tmp_path / "warm"))
         if raw is _FULL_TARGET_MEMO:
-            assert min(most) >= c51.TARGET_MEMO_CAP - 2
+            assert most[0] >= common.MEMO_CAP - 2
         tracemalloc.start()
         try:
             run_experiment(cfg, str(tmp_path / "run"))
@@ -793,24 +792,35 @@ class TestActMemo:
     def test_logs_equal_a_run_that_recomputes_every_act(self, base, plan, tmp_path, monkeypatch):
         raw = {**_MEMO_BASES[base], "mitigations": _MEMO_PLANS[plan]}
         memo_logs = self._run(raw, str(tmp_path / "memo"))
-        monkeypatch.setattr(loop, "ACT_MEMO_CAP", 0)
+        monkeypatch.setattr(common, "MEMO_CAP", 0)
         assert self._run(raw, str(tmp_path / "recompute")) == memo_logs
 
     @pytest.mark.parametrize("base", ["ppo_grid", "c51_grid"])
     def test_repeated_gridworld_observations_skip_the_forward(self, base, tmp_path, monkeypatch):
         module = ppo if base == "ppo_grid" else c51
-        calls = []
+        learner_cls = ppo.PPOLearner if base == "ppo_grid" else c51.C51Learner
+        calls, acting = [], []
+        act = learner_cls.act
+
+        def flagged_act(learner, *args):
+            acting.append(True)
+            try:
+                return act(learner, *args)
+            finally:
+                acting.pop()
 
         def counting_forward(net, x):
-            calls.append(x.shape[0])
+            if acting:  # an act's forward, not a training or target one
+                calls.append(x.shape[0])
             return net_forward(net, x)
 
+        monkeypatch.setattr(learner_cls, "act", flagged_act)
         monkeypatch.setattr(module, "forward", counting_forward)
         raw = {**_MEMO_BASES[base], "mitigations": _MEMO_PLANS["redo"]}
         self._run(raw, str(tmp_path / "memo"))
         with_memo = calls.count(1)
         calls.clear()
-        monkeypatch.setattr(loop, "ACT_MEMO_CAP", 0)
+        monkeypatch.setattr(common, "MEMO_CAP", 0)
         self._run(raw, str(tmp_path / "recompute"))
         assert 0 < with_memo < calls.count(1) // 2
 
@@ -826,7 +836,7 @@ class TestActMemo:
             return out
 
         monkeypatch.setattr(learner_cls, "act", recording_act)
-        monkeypatch.setattr(loop, "ACT_MEMO_CAP", 5)
+        monkeypatch.setattr(common, "MEMO_CAP", 5)
         # no gradient step in 300 steps: only the cap empties the memo
         learner = {"learning_starts": 1000, "exploration_fraction": 0.001}
         if base == "ppo_grid":
@@ -837,7 +847,7 @@ class TestActMemo:
         assert max(sizes) == 5
 
 
-    def test_pointmass_installs_no_memo_and_keeps_its_logs(self, tmp_path, monkeypatch):
+    def test_pointmass_has_no_memo_and_keeps_its_logs(self, tmp_path, monkeypatch):
         memos = []
         act = ppo.PPOLearner.act
 
@@ -856,7 +866,7 @@ class TestActMemo:
 
 
 class TestTargetMemo:
-    """C51's target memos reuse forwards and projections only; every log byte
+    """C51's target memo reuses forwards and projections only; every log byte
     is the recompute's."""
 
     @pytest.mark.parametrize(
@@ -870,27 +880,34 @@ class TestTargetMemo:
             return [open(os.path.join(art.out_dir, f), "rb").read() for f in files]
 
         memo_logs = run("memo")
-        monkeypatch.setattr(c51, "TARGET_MEMO_CAP", 0)
+        monkeypatch.setattr(common, "MEMO_CAP", 0)
         assert run("capped") == memo_logs
 
-    def test_repeated_next_observations_skip_the_target_forward(self, tmp_path, monkeypatch):
-        rows, misses = [], [[], []]
-        real = c51._target_rows
+    def test_repeated_transitions_skip_the_target_forward(self, tmp_path, monkeypatch):
+        rows, misses, forwards, inside = [], [], [], []
+        real, real_probs = c51._target_rows, c51._dist_probs
 
-        def counting(target, batch, head, gamma, memos, picks=None):
-            before = [len(memo) for memo in memos]
-            out = real(target, batch, head, gamma, memos, picks)
+        def counting(target, batch, head, gamma, memo, picks=None):
+            before = len(memo)
+            inside.append(0)
+            out = real(target, batch, head, gamma, memo, picks)
+            forwards.append(inside.pop())
             rows.append(len(out))
-            for count, memo, n in zip(misses, memos, before):
-                count.append(len(memo) - n)
+            misses.append(len(memo) - before)
             return out
 
+        def probs(*args):
+            if inside:  # a target forward, not an act's
+                inside[-1] += 1
+            return real_probs(*args)
+
         monkeypatch.setattr(c51, "_target_rows", counting)
+        monkeypatch.setattr(c51, "_dist_probs", probs)
         run_experiment(resolve_config(golden.CONFIGS["c51_grid_standard"]), str(tmp_path / "r"))
         # 275 updates of 16 rows; a 9x9 level has at most 81 next observations per sync
         assert sum(rows) == 275 * 16
-        for count in misses:
-            assert 0 < sum(count) < sum(rows) // 10
+        assert 0 < sum(misses) < sum(rows) // 10
+        assert forwards == misses  # one batch-of-one target forward per row miss
 
 
 # Switches at steps 150 and 300 fall mid-rollout (64 rows), so both truncate
@@ -968,7 +985,7 @@ def small_runs(draw):
 
 
 class TestFastPathsOff:
-    """The act memo, the target memos and draw-ahead reuse or batch work
+    """The act memo, the target memo and draw-ahead reuse or batch work
     only: with all three off, a run writes the same bytes."""
 
     @staticmethod
@@ -989,8 +1006,7 @@ class TestFastPathsOff:
         root = tmp_path_factory.mktemp("run")
         on = self._artifacts(raw, str(root / "on"))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(loop, "ACT_MEMO_CAP", 0)
-            patch.setattr(c51, "TARGET_MEMO_CAP", 0)
+            patch.setattr(common, "MEMO_CAP", 0)
             patch.setattr(loop, "DRAW_AHEAD", 1)
             off = self._artifacts(raw, str(root / "off"))
         assert on[1][0] is not None
@@ -1635,6 +1651,10 @@ class TestCli:
         elif case == "short_bias":
             for values in (net.params, net.init_snapshot):
                 values["layer0.b"] = values["layer0.b"][:-1]
+        elif case == "no_bias":
+            net.param_order = tuple(n for n in net.param_order if n != "layer0.b")
+        elif case == "rounds":  # two injection rounds, no branch tensors
+            net.injection_rounds = 2
         else:  # "nan": one weight of the body is not a number
             net.params["layer1.w"][0, 0] = np.nan
         return serialize_network(net)
@@ -1643,8 +1663,10 @@ class TestCli:
         ("in_dim", "'layer0.w' of shape [8, 16] does not fit its layers"),
         ("chain", "layer 1 expects in_dim 9 but layer 0 produces width 8"),
         ("short_bias", "'layer0.b' of shape [7] does not fit its layers"),
+        ("no_bias", "lacks tensor 'layer0.b' that its layers need"),
+        ("rounds", "lacks tensor 'layer1.inj1_train.w' that its layers need"),
         ("nan", "NaN or inf"),
-    ], ids=["in_dim", "chain", "short_bias", "nan"])
+    ], ids=["in_dim", "chain", "short_bias", "no_bias", "rounds", "nan"])
     def test_replay_metrics_layout_off_its_layers_exit_2(self, case, message, tmp_path, capsys):
         blob = self._bad_layout(case)
         with pytest.raises(CheckpointError, match=re.escape(message)):
