@@ -221,10 +221,17 @@ class C51Learner:
         """(rows of a batch through both nets, bytes of the replay rows and
         memos). A replay row holds the packed obs pair, action, reward and done;
         a target memo entry a projected row and about 1 KB of keys, array
-        headers and dict slots; an act memo entry counts one forward output."""
+        headers and dict slots; an act memo entry counts one forward output,
+        and its key, the observation's bytes, at the most entries the memo
+        can hold: every gradient step empties it, so from the first one on
+        it holds at most train_frequency."""
         learner = cfg.learner
-        ring = min(learner.buffer_size, cfg.total_steps) * (2 * -(-obs_dim // 8) + 24)
-        return 2 * learner.batch_size, ring + common.MEMO_CAP * (8 * learner.n_atoms + 1024 + 8 * head_width)
+        rows = min(learner.buffer_size, cfg.total_steps)
+        ring = rows * (2 * -(-obs_dim // 8) + 24)
+        first = max(learner.learning_starts, learner.batch_size)  # replay rows the first gradient step needs
+        acts = min(common.MEMO_CAP, cfg.total_steps, first + learner.train_frequency if rows >= first else cfg.total_steps)
+        memos = common.MEMO_CAP * (8 * learner.n_atoms + 1024 + 8 * head_width) + acts * (8 * obs_dim + 64)
+        return 2 * learner.batch_size, ring + memos
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         probs = _dist_probs(self.net, np.atleast_2d(obs), self.n_actions, self.head.n_atoms)

@@ -25,9 +25,10 @@ from .net import (
     Gradients,
     NetworkState,
     add_injection_round,
-    draw_layers,
+    chain_slots,
     forward,
     layer_params,
+    shape_layers,
 )
 from .numkit import DrawAhead, RngStream, erfi
 
@@ -134,7 +135,8 @@ def shrink_perturb(
             net.params[f"{prefix}.ln_gain"] = keep * net.params[f"{prefix}.ln_gain"] + beta
             net.params[f"{prefix}.ln_offset"] = keep * net.params[f"{prefix}.ln_offset"]
     specs = tuple(spec for spec, _, _ in targets)
-    draws = (ahead or DrawAhead(1)).take(specs, stream, partial(draw_layers, specs)) if specs else []
+    shape = partial(shape_layers, specs)
+    draws = (ahead or DrawAhead(1)).take(specs, stream, chain_slots(specs), shape) if specs else []
     for (_, w_name, b_name), (w_draw, b_draw) in zip(targets, draws):
         if w_name not in net.frozen:
             net.params[w_name] = keep * net.params[w_name] + beta * w_draw

@@ -8,6 +8,8 @@ two runs with equal seeds produce bit-identical draws.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,35 +128,77 @@ class RngStream:
 class DrawAhead:
     """Draws of one kind made ahead on a copy of a stream, `steps` at a time.
 
-    A draw is a pure function of the stream's (seed, id, counter) and of
-    `key`, so `draw(copy, k)` made on a copy of the stream returns the draws
-    the next k calls would make: a list of tuples of arrays whose leading
-    axis is the draw. `take` serves draw j while the stream stands j draws
-    past the copy's start with the same key, and moves the stream past it;
-    otherwise (other draws moved the counter, the key changed, or all are
-    used) it draws `steps` afresh. A one-step holder is the draw-per-call
-    path. Not run state: an empty one serves the same values.
+    A draw uses `slots` slots of the stream, and `transform(u)` turns a
+    (k, slots) block of their uniforms, one row per draw, into a list of
+    tuples of arrays whose leading axis is the draw. Since u is a pure
+    function of the stream's (seed, id, counter), a block made on a copy of
+    the stream holds the draws the next k calls would make. `take` serves
+    draw j while the stream stands j draws past the block's start with the
+    same key, and moves the stream past it; otherwise (other draws moved the
+    counter, the key changed, or all are used) it refills.
+
+    With `helper`, past one step, in a process that may run on more than one
+    CPU, each refill also starts the next block: its uniforms are drawn
+    here, and a helper thread runs the transform while the caller uses this
+    block. The next refill takes that block if it has the same seed, stream
+    id, key and start, and raises what the transform raised, if anything;
+    otherwise it joins and drops it and draws afresh. `close` joins and
+    drops it. Not run state: an empty holder serves the same values.
     """
 
-    def __init__(self, steps: int):
+    def __init__(self, steps: int, helper: bool = False):
         self.steps = steps
         self.origin: tuple | None = None  # (seed, stream id, key) of the draws
         self.start = self.slots = 0  # counter before draw 0; slots per draw
         self.draws: list[tuple[np.ndarray, ...]] = []
+        self.helper = helper and steps > 1 and len(os.sched_getaffinity(0)) > 1
+        self.next: tuple | None = None  # (origin, start, thread, [draws or error])
 
-    def take(self, key, stream: RngStream, draw) -> list[tuple[np.ndarray, ...]]:
+    def take(self, key, stream: RngStream, slots: int, transform) -> list[tuple[np.ndarray, ...]]:
+        origin = (stream.seed, stream.stream_id, key)
         j = -1
-        if self.origin == (stream.seed, stream.stream_id, key):
+        if self.origin == origin:
             j, rem = divmod(stream.counter - self.start, self.slots)
             j = j if rem == 0 and j < self.steps else -1
         if j < 0:
-            copy = RngStream(stream.seed, stream.stream_id, stream.counter)
-            self.draws = draw(copy, self.steps)
-            self.origin = (stream.seed, stream.stream_id, key)
-            self.start, self.slots = stream.counter, (copy.counter - stream.counter) // self.steps
+            self._refill(origin, stream.counter, slots, transform)
             j = 0
-        stream.counter += self.slots
+        stream.counter += slots
         return [tuple(a[j] for a in arrays) for arrays in self.draws]
+
+    def _units(self, origin: tuple, start: int, slots: int) -> np.ndarray:
+        return RngStream(origin[0], origin[1], start).uniform(0.0, 1.0, self.steps * slots).reshape(self.steps, -1)
+
+    def _refill(self, origin: tuple, start: int, slots: int, transform) -> None:
+        made = self.next
+        self.close()
+        if made is not None and made[:2] == (origin, start):
+            (draws,) = made[3]
+            if isinstance(draws, Exception):
+                raise draws
+        else:
+            draws = transform(self._units(origin, start, slots))
+        self.origin, self.start, self.slots, self.draws = origin, start, slots, draws
+        if self.helper:
+            box: list = []
+            units = self._units(origin, start + self.steps * slots, slots)
+            thread = threading.Thread(target=_make, args=(box, transform, units), daemon=True)
+            thread.start()
+            self.next = (origin, start + self.steps * slots, thread, box)
+
+    def close(self) -> None:
+        """Join and drop the block being made ahead, if any."""
+        if self.next is not None:
+            self.next[2].join()
+            self.next = None
+
+
+def _make(box: list, transform, units: np.ndarray) -> None:
+    """A helper thread's work: the transform of one block, or what it raised."""
+    try:
+        box.append(transform(units))
+    except Exception as exc:
+        box.append(exc)
 
 
 def box_muller(u: np.ndarray, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:

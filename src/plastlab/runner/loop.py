@@ -37,6 +37,7 @@ from ..mitigations import (
 from ..net import (
     DRAW_FIXED_BYTES,
     LayerSpec,
+    chain_slots,
     deserialize_network,
     draw_work_bytes,
     init_network,
@@ -56,8 +57,11 @@ UPDATE_STREAM = 6
 
 # draws a holder (numkit.DrawAhead) makes at once: gradient steps of fresh
 # inits for a per-gradient-step shrink_perturb entry, probe steps of training
-# batches (a task's end discards the rest). Past one draw, a refill's working
-# set (net.draw_work_bytes, envs.batch_work_bytes) stays within AHEAD_BYTES.
+# batches (a task's end discards the rest). Past one draw, the block in use
+# and the next block's refill (net.draw_work_bytes, envs.batch_work_bytes)
+# stay within AHEAD_BYTES together. Only the inits' holders make the next
+# block on a helper thread: the batches' light transform on a helper slowed
+# the run's own thread by more than it took off it.
 DRAW_AHEAD = 8
 AHEAD_BYTES = 2 << 20  # 2 MiB: eight draws of the probe net's inits
 
@@ -99,20 +103,32 @@ def replay_metrics(
     return collect_metrics(net, probe)
 
 
-def platform_fingerprint() -> dict:
-    """This process's numeric platform: numpy and Python versions, numpy's top x86
-    SIMD level and its OpenBLAS's runtime core ("unknown" where unreadable)."""
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]
-    levels = [f for f in simd["baseline"] + simd["found"] if f.startswith("X86_V")]
+def _openblas(name: str, restype):
+    """The value of numpy's OpenBLAS function `name` ("unknown" where unreadable)."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*"))
     try:
-        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-        corename.restype = ctypes.c_char_p
-        core = corename().decode()
+        fn = getattr(ctypes.CDLL(libs[0]), name)
     except (IndexError, OSError, AttributeError):
-        core = "unknown"
-    python = "%d.%d" % sys.version_info[:2]
-    return {"numpy": np.__version__, "python": python, "openblas_core": core, "simd": (levels or ["unknown"])[-1]}
+        return "unknown"
+    fn.restype = restype
+    return fn()
+
+
+def platform_fingerprint() -> dict:
+    """This process's numeric platform: numpy and Python versions, numpy's top x86
+    SIMD level, its OpenBLAS's runtime core and thread count, and the CPUs the
+    process may run on (draw-ahead helpers start only on more than one)."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    levels = [f for f in simd["baseline"] + simd["found"] if f.startswith("X86_V")]
+    core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return {
+        "numpy": np.__version__,
+        "python": "%d.%d" % sys.version_info[:2],
+        "openblas_core": core if core == "unknown" else core.decode(),
+        "simd": (levels or ["unknown"])[-1],
+        "blas_threads": _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int),
+        "cpus": len(os.sched_getaffinity(0)),
+    }
 
 
 def _widths(cfg: ExperimentConfig) -> tuple[int, int]:
@@ -123,10 +139,10 @@ def _widths(cfg: ExperimentConfig) -> tuple[int, int]:
     return env.obs_dim * max(1, cfg.scenario.frame_stack), LEARNERS[cfg.algo].head_width(cfg, env.n_actions)
 
 
-def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0) -> DrawAhead:
+def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0, helper: bool = False) -> DrawAhead:
     """A holder for at most DRAW_AHEAD draws and, past one, no more than fit
     in AHEAD_BYTES beside a refill's `fixed_bytes`."""
-    return DrawAhead(max(1, min(DRAW_AHEAD, (AHEAD_BYTES - fixed_bytes) // draw_bytes)))
+    return DrawAhead(max(1, min(DRAW_AHEAD, (AHEAD_BYTES - fixed_bytes) // draw_bytes)), helper)
 
 
 def _most_firings(cfg: ExperimentConfig, trigger) -> int:
@@ -151,7 +167,8 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     optimizer state), the forward and backward traces of the probe and update
     batches (four values per layer feature and row, six with LayerNorm), the
     learner's own buffers (its `footprint`), an init draw's work
-    and the draw-ahead holders. Each plasticity_injection firing adds two
+    and the draw-ahead holders, with what a helper making the next block of
+    inits holds while the run thread peaks. Each plasticity_injection firing adds two
     copies of the head layer, counted at the most firings its trigger allows."""
     obs_dim, head_width = specs[0].in_dim, specs[-1].out_dim
     plan = build_plan(list(cfg.mitigations))
@@ -167,7 +184,10 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     work = draw_work_bytes(specs)
     total = 8 * values + own + work + DRAW_FIXED_BYTES
     if any(e.method == "shrink_perturb" and e.trigger.kind == "per_gradient_step" for e in plan):
-        total += _draw_ahead(work, DRAW_FIXED_BYTES).steps * work
+        steps = _draw_ahead(work, DRAW_FIXED_BYTES).steps
+        total += steps * work
+        if steps > 1:  # a helper's Box-Muller copy of its units and ufunc buffers, beside the run's own
+            total += 8 * steps * chain_slots(specs) + DRAW_FIXED_BYTES
     if cfg.scenario.family == "probe":
         total += _draw_ahead(batch_work_bytes(cfg.learner.batch_size)).steps * batch_work_bytes(cfg.learner.batch_size)
     return total
@@ -280,7 +300,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
 
     gradient_steps = 0
     aheads = {
-        i: _draw_ahead(draw_work_bytes(net.layers), DRAW_FIXED_BYTES)
+        i: _draw_ahead(draw_work_bytes(net.layers), DRAW_FIXED_BYTES, helper=True)
         for i, entry in pgs_entries
         if entry.method == "shrink_perturb"
     }
@@ -364,6 +384,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         _checkpoint(cfg.total_steps, "ckpt_final.bin")
     except NumericError as exc:
         error = exc
+    finally:  # no helper outlives the run
+        for ahead in aheads.values():
+            ahead.close()
 
     # spec entries (architecture checks) fire once, at startup; loss and optimizer ones per update
     trigger_fires = {

@@ -5,9 +5,10 @@ other; these compare one run with bytes recorded from an earlier version of the
 package, so a change that shifts any trajectory by one ulp fails here. The
 digests hold only on the numeric platform they were recorded on, RECORDED_ON:
 another OpenBLAS kernel or numpy SIMD level changes the bits of GEMMs, exp and
-log, and a mismatch names both platforms. The summary.json digest
-pins the trigger fire counts, gradient steps and episode count. A change that
-moves a digest on purpose must replace it and say why in CHANGES.md.
+log, and a mismatch names both platforms, BLAS thread count and CPUs included.
+The summary.json digest pins the trigger fire counts, gradient steps and
+episode count. A change that moves a digest on purpose must replace it and
+say why in CHANGES.md.
 """
 
 import hashlib
@@ -462,7 +463,10 @@ GOLDEN = {
 }
 
 
-RECORDED_ON = {"numpy": "2.4.6", "python": "3.11", "openblas_core": "SkylakeX", "simd": "X86_V4"}
+# every digest also holds with one BLAS thread on this platform
+RECORDED_ON = {
+    "numpy": "2.4.6", "python": "3.11", "openblas_core": "SkylakeX", "simd": "X86_V4", "blas_threads": 2, "cpus": 2,
+}
 
 
 def _sha256(path: str) -> str:
@@ -490,6 +494,8 @@ def test_platform_fingerprint_reads():
     platform = platform_fingerprint()
     assert platform.keys() == RECORDED_ON.keys()
     assert platform["numpy"] == np.__version__ and platform["simd"].startswith(("X86_V", "unknown"))
+    assert platform["blas_threads"] == "unknown" or platform["blas_threads"] >= 1
+    assert platform["cpus"] == len(os.sched_getaffinity(0))
 
 
 def test_run_writes_its_platform_beside_the_summary(tmp_path):

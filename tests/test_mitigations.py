@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,11 +32,11 @@ from plastlab.net import (
     add_injection_round,
     backward,
     clone_network,
-    draw_layers,
     forward,
     init_network,
     layer_params,
     network_output,
+    shape_layers,
 )
 from plastlab.numkit import RngStream, erfi
 from plastlab.runner import loop, resolve_config, run_experiment
@@ -195,14 +197,15 @@ INTERLEAVED_EVENTS = {
 
 class TestDrawAhead:
     """Soft shrink-and-perturb through a draw-ahead, bit for bit, against
-    the one-draw-per-layer oracle."""
+    the one-draw-per-layer oracle. The holders make their next block on a
+    helper thread, as the run's do."""
 
     @pytest.mark.parametrize("layer_norm", [False, True])
     def test_interleaved_events_match_single_draws(self, layer_norm):
         probe = RngStream(30, 1).normal(0.0, 1.0, 60).reshape(20, 3)
         fast, ref = relu_net(30, layer_norm), relu_net(30, layer_norm)
         fast_stream, ref_stream = RngStream(30, 3), RngStream(30, 3)
-        ahead = DrawAhead(loop.DRAW_AHEAD)
+        ahead = DrawAhead(loop.DRAW_AHEAD, helper=True)
         for step in range(40):
             if step in INTERLEAVED_EVENTS:
                 INTERLEAVED_EVENTS[step](fast, fast_stream, probe)
@@ -216,7 +219,7 @@ class TestDrawAhead:
 
     def test_refills_every_draw_ahead_steps_on_an_undisturbed_stream(self):
         net, stream = relu_net(31), RngStream(31, 3)
-        ahead, starts = DrawAhead(loop.DRAW_AHEAD), []
+        ahead, starts = DrawAhead(loop.DRAW_AHEAD, helper=True), []
         for _ in range(3 * loop.DRAW_AHEAD):
             shrink_perturb(net, 1e-3, stream, ahead)
             starts.append(ahead.start)
@@ -241,11 +244,12 @@ class TestDrawAhead:
 
         ks = []
 
-        def recording(specs, stream, k=1):
-            ks.append(k)
-            return draw_layers(specs, stream, k)
+        def recording(specs, u):
+            ks.append(u.shape[0])  # the draws in the block
+            return shape_layers(specs, u)
 
-        monkeypatch.setattr(mitigations, "draw_layers", recording)
+        monkeypatch.setattr(mitigations, "shape_layers", recording)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = {
             "algo": "regression",
             "seed": 3,
@@ -256,7 +260,8 @@ class TestDrawAhead:
             "logging": {"metric_interval": 20, "probe_batch": 8},
         }
         run_experiment(resolve_config(cfg), str(tmp_path / "run"))
-        assert ks == [loop.DRAW_AHEAD] * 5
+        # five blocks serve the 40 steps; a sixth is made ahead past the run's end and dropped
+        assert ks == [loop.DRAW_AHEAD] * 6
 
 
 class TestInjection:

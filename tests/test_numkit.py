@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from plastlab.errors import DomainError, InvalidInputError
-from plastlab.numkit import RngStream, erfi
+from plastlab.numkit import DrawAhead, RngStream, erfi
 
 # the draws work on uint64 arrays in place, which must stay free of overflow
 # and invalid-value warnings
@@ -222,6 +224,70 @@ class TestDrawsMatchArrayFormula:
                 assert got.dtype == want.dtype and got.shape == want.shape == (n,)
                 assert got.tobytes() == want.tobytes(), (draw, args, start)
                 assert fast.counter == ref.counter
+
+
+def _recording_transform(calls: list, fail_on: int = 0):
+    """A transform that copies its block of uniforms and notes, per call,
+    whether it ran on a helper thread; call number `fail_on` raises."""
+
+    def transform(u):
+        calls.append(threading.current_thread() is not threading.main_thread())
+        if len(calls) == fail_on:
+            raise ValueError(f"block {fail_on}")
+        return [(u.copy(),)]
+
+    return transform
+
+
+class TestDrawAheadHelper:
+    """The next block made on a helper thread: the same values as one draw
+    per call, used only when it starts where the stream stands."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_an_undisturbed_stream_uses_each_block_made_ahead(self):
+        calls, stream, ref = [], RngStream(4, 2), RngStream(4, 2)
+        ahead, transform = DrawAhead(4, helper=True), _recording_transform(calls)
+        for _ in range(12):
+            ((got,),) = ahead.take("k", stream, 3, transform)
+            assert got.tobytes() == ref.uniform(0.0, 1.0, 3).tobytes()
+        ahead.close()
+        assert stream.counter == ref.counter == 36
+        # the first block is drawn here; the other two, and one past the end, on helpers
+        assert calls == [False, True, True, True]
+
+    def test_a_helpers_error_reaches_the_caller_only_when_its_block_is_used(self):
+        stream, calls = RngStream(5, 2), []
+        ahead, transform = DrawAhead(4, helper=True), _recording_transform(calls, fail_on=2)
+        for _ in range(4):
+            ahead.take("k", stream, 3, transform)
+        with pytest.raises(ValueError, match="block 2"):
+            ahead.take("k", stream, 3, transform)
+        # dropped unused: another key, a moved counter, or the holder closed
+        for move in ("key", "counter", "close"):
+            stream, calls = RngStream(5, 2), []
+            ahead, transform = DrawAhead(4, helper=True), _recording_transform(calls, fail_on=2)
+            ahead.take("k", stream, 3, transform)
+            if move == "key":
+                ahead.take("other", stream, 3, transform)
+            elif move == "counter":
+                stream.counter += 12
+                ahead.take("k", stream, 3, transform)
+            ahead.close()
+            assert len(calls) >= 2 and ahead.next is None
+
+    def test_one_cpu_or_one_step_starts_no_helper(self, monkeypatch):
+        assert DrawAhead(2, helper=True).helper
+        assert not DrawAhead(1, helper=True).helper and not DrawAhead(2).helper
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        calls, stream = [], RngStream(6, 2)
+        ahead = DrawAhead(4, helper=True)
+        assert not ahead.helper
+        for _ in range(9):
+            ahead.take("k", stream, 3, _recording_transform(calls))
+        assert ahead.next is None and calls == [False] * 3
 
 
 @settings(max_examples=40, deadline=None)

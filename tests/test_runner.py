@@ -6,6 +6,7 @@ import json
 import os
 import re
 import struct
+import threading
 import tracemalloc
 from functools import partial
 
@@ -20,7 +21,7 @@ from plastlab.errors import CheckpointError, ConfigError, DivergenceError
 from plastlab.learners import LEARNERS, ReplayBuffer, Rollout, network_specs
 from plastlab.metrics import _params_l2
 from plastlab.mitigations import REGISTRY
-from plastlab.net import deserialize_network, draw_layers, serialize_network
+from plastlab.net import chain_slots, deserialize_network, serialize_network, shape_layers
 from plastlab.numkit import DrawAhead, RngStream
 from plastlab.runner import (
     config_yaml,
@@ -30,6 +31,7 @@ from plastlab.runner import (
     resolve_config,
     run_experiment,
 )
+from plastlab import numkit
 from plastlab.learners import c51, common, ppo, regression
 from plastlab.net import forward as net_forward
 from plastlab.runner import loop
@@ -562,10 +564,11 @@ class TestProbeBatches:
             tracemalloc.stop()
         assert batch_bytes <= kept < 1.1 * batch_bytes
 
-    @pytest.mark.parametrize("n,k", [(64, 8), (169, 8), (453, 6), (1000, 2), (1365, 2)])
+    @pytest.mark.parametrize("n,k", [(64, 8), (169, 8), (453, 4), (1000, 1), (1365, 1)])
     def test_batch_refill_peak_stays_near_ahead_bytes(self, n, k, tmp_path, monkeypatch):
         """The run sizes its holder from what a refill uses, not only from
-        what it keeps (at 1,000 rows, 6 kept batches once peaked at 5.4 MB)."""
+        what it keeps (at 1,000 rows, 6 kept batches once peaked at 5.4 MB),
+        and from the last block, whose last batch the run still holds."""
         holders = []
         real = loop.probe_task
 
@@ -575,6 +578,7 @@ class TestProbeBatches:
 
         monkeypatch.setattr(loop, "probe_task", task)
         run_experiment(probe_cfg(total_steps=8, learner={"batch_size": n}), str(tmp_path / "r"))
+        assert not holders[0].helper  # a refill makes one block
         ahead = DrawAhead(holders[0].steps)
         tracemalloc.start()
         try:
@@ -587,7 +591,7 @@ class TestProbeBatches:
 
     @pytest.mark.parametrize(
         "hidden,k",
-        [((32,), 8), ((64, 64), 8), ((100,), 8), ((64, 64, 64), 4), ((128, 128), 2)],
+        [((32,), 8), ((64, 64), 8), ((100,), 8), ((64, 64, 64), 3), ((128, 128), 2)],
         ids=["32", "64-64", "100", "64-64-64", "128-128"],
     )
     def test_init_refill_peak_stays_near_ahead_bytes(self, hidden, k, tmp_path, monkeypatch):
@@ -610,15 +614,74 @@ class TestProbeBatches:
         )
         run_experiment(cfg, str(tmp_path / "r"))
         steps, specs = holders[0]
-        ahead = DrawAhead(steps)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ahead = DrawAhead(steps, helper=True)
         tracemalloc.start()
         try:
-            ahead.take(specs, RngStream(0, 3), partial(draw_layers, specs))
+            ahead.take(specs, RngStream(0, 3), chain_slots(specs), partial(shape_layers, specs))
+            ahead.close()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(ahead.draws[0][0]) == k  # the draws' leading axis
+        assert ahead.helper
         assert peak <= 1.07 * loop.AHEAD_BYTES
+
+
+def _snp_probe_cfg(**over):
+    """A probe run whose batches and soft shrink-and-perturb inits are both
+    drawn eight steps ahead, over two tasks; only the inits' holder has a
+    helper."""
+    return probe_cfg(
+        total_steps=60,
+        scenario={"mode": "level_shift", "segment_length": 30, "n_segments": 2},
+        mitigations=[{"method": "shrink_perturb", "trigger": "per_gradient_step"}],
+        **over,
+    )
+
+
+class TestDrawAheadHelper:
+    """The helper thread that makes soft shrink-and-perturb's next block of
+    inits: started only on more than one CPU, joined by the end of the run,
+    and never seen in the bytes."""
+
+    @staticmethod
+    def _count_helpers(monkeypatch) -> list:
+        made = []
+        real = numkit._make
+
+        def counting(box, transform, units):
+            made.append(threading.current_thread() is not threading.main_thread())
+            real(box, transform, units)
+
+        monkeypatch.setattr(numkit, "_make", counting)
+        return made
+
+    @pytest.mark.parametrize("lr", [1e-3, 1e80], ids=["ok", "diverged"])
+    def test_no_helper_outlives_the_run(self, lr, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        made = self._count_helpers(monkeypatch)
+        before = threading.active_count()
+        with np.errstate(all="ignore"):
+            try:
+                status = run_experiment(_snp_probe_cfg(learner={"lr": lr}), str(tmp_path / "r")).summary["status"]
+            except DivergenceError:
+                status = "diverged"
+        assert status == ("ok" if lr < 1 else "diverged")
+        assert made and all(made)
+        assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_helper_and_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        files = ("metrics.jsonl", "episodes.csv", "ckpt_final.bin", "summary.json", "config.yaml")
+        out = {}
+        for cpus in ({0, 1}, {0}):
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                made = self._count_helpers(patch)
+                art = run_experiment(_snp_probe_cfg(), str(tmp_path / str(len(cpus))))
+            assert bool(made) == (len(cpus) > 1)
+            out[len(cpus)] = [open(os.path.join(art.out_dir, name), "rb").read() for name in files]
+        assert out[1] == out[2]
 
 
 def _footprint(cfg) -> int:
