@@ -7,7 +7,7 @@ identity permutation (the base task).
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -35,33 +35,30 @@ def teacher_network():
     return _teacher
 
 
-@lru_cache(maxsize=64)
 def probe_permutation(perm_seed: int) -> np.ndarray:
-    """Task perm_seed's input permutation, read-only; drawn once per seed, so
-    a block of batches made ahead needs no draw beyond its uniforms."""
-    perm = np.arange(PROBE_DIM) if perm_seed == 0 else RngStream(perm_seed, _PERM_STREAM).permutation(PROBE_DIM)
-    perm.flags.writeable = False
-    return perm
+    if perm_seed == 0:
+        return np.arange(PROBE_DIM)
+    return RngStream(perm_seed, _PERM_STREAM).permutation(PROBE_DIM)
 
 
 def batch_work_bytes(n: int) -> int:
-    """Bytes one batch of n rows adds to the peak of a draw-ahead holder's
-    refill: its inputs and targets in the block before (the run still holds
-    its last batch), and in the new block its uniforms, its inputs, their
-    permuted copy and the teacher's hidden layer before and after its
-    activation, all float64."""
-    return 8 * n * (PROBE_DIM + PROBE_OUT + 3 * PROBE_DIM + 2 * _TEACHER_HIDDEN)
+    """Bytes one batch of n rows takes at the peak of a `_task_batches` call:
+    its inputs, their permuted copy, and the teacher's hidden layer before
+    and after its activation, all float64."""
+    return 8 * n * (2 * PROBE_DIM + 2 * _TEACHER_HIDDEN)
 
 
-def _task_batches(teacher, perm: np.ndarray, n: int, u: np.ndarray) -> list:
+def _task_batches(perm_seed: int, n: int, u: np.ndarray) -> list:
     """k successive batches of one task from a (k, n * PROBE_DIM) block of
     uniforms, as one (k, n, PROBE_DIM) input and one (k, n, PROBE_OUT) target
     array. Input row j is the box_muller row of u's row j, so it equals the
     j-th of k normal(n * PROBE_DIM) draws; the stacked teacher pass runs one
-    gemm per batch, as a per-batch forward does. Works in place on u.
+    gemm per batch, as a per-batch forward does.
     """
     x = box_muller(u).reshape(len(u), n, PROBE_DIM)
-    y = x[:, :, perm]
+    teacher = teacher_network()
+    # the permuted copy reuses the uniforms' buffer, which box_muller has read
+    y = np.take(x, probe_permutation(perm_seed), axis=2, out=u.reshape(x.shape), mode="clip")
     for i, spec in enumerate(teacher.layers):
         w, b = teacher.params[f"layer{i}.w"], teacher.params[f"layer{i}.b"]
         y = _layer_forward(spec, y, w, b, None, None)[2]
@@ -73,6 +70,6 @@ def probe_task(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a batch of (inputs, teacher targets) for one permutation task.
     With `ahead`, it comes from there, with the same values and stream moves."""
-    shape = partial(_task_batches, teacher_network(), probe_permutation(perm_seed), n)
+    shape = partial(_task_batches, perm_seed, n)
     ((x, y),) = (ahead or DrawAhead(1)).take((perm_seed, n), stream, n * PROBE_DIM, shape)
     return x, y

@@ -169,24 +169,24 @@ def _qr_shape(spec: LayerSpec) -> tuple[int, int]:
     return max(spec.out_dim, spec.in_dim), min(spec.out_dim, spec.in_dim)
 
 
-# bytes a `draw_layers` call takes beyond its draws' own: numpy's ufunc
+# bytes a `shape_layers` call takes beyond its draws' own: numpy's ufunc
 # buffers in the sign-fixing multiply, at most two of getbufsize() doubles
 DRAW_FIXED_BYTES = 2 * 8 * np.getbufsize()
 
 
-def draw_work_bytes(specs: tuple[LayerSpec, ...]) -> int:
-    """Bytes one chain draw adds to the peak of a draw-ahead holder while
-    the next block is made: its values in the block in use, and in the next
-    block its values, its unit draws and the QR of its largest group of
+def draw_work_bytes(specs: tuple[LayerSpec, ...], ahead: bool = False) -> int:
+    """Bytes one chain draw adds to the peak of a `shape_layers` call: the
+    values it keeps, its unit draws, and the QR of its largest group of
     same-shaped weights (the input's copy, Q and R; one more copy when the
-    group stacks several layers)."""
+    group stacks several layers). With `ahead`, also its values in the block
+    the run uses while a helper thread makes the next."""
     _, slots = _chain_blocks(specs)
     kept, groups = 0, {}
     for spec in specs:
         kept += spec.out_dim * (spec.in_dim + 1)
         groups.setdefault(_qr_shape(spec), []).append(spec.out_dim * spec.in_dim)
     qr = max(sum(g) * (3 + (len(g) > 1)) for g in groups.values())
-    return 8 * (2 * kept + slots + qr)
+    return 8 * ((1 + ahead) * kept + slots + qr)
 
 
 def chain_slots(specs: tuple[LayerSpec, ...]) -> int:
@@ -196,27 +196,21 @@ def chain_slots(specs: tuple[LayerSpec, ...]) -> int:
 
 def shape_layers(specs: tuple[LayerSpec, ...], u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The init draws of a layer chain from a (k, S) block of uniforms on
-    [0, 1), one row per draw (S = chain_slots(specs)).
+    [0, 1), one row per draw (S = chain_slots(specs)); works in place on u.
 
-    One chain draw takes each layer's weight in turn from its row: Box-Muller
-    on the layer's own slots, so row j gives what the j-th of k one-at-a-time
-    draws gives. All layers' Box-Muller pairs go through one box_muller call
-    (a value depends only on its own pair), and weights of one shape share
-    one stacked QR, so a block costs a few large numpy calls. Returns per
-    layer C-ordered weights (k, out, in) and zero biases (k, out).
+    One chain draw takes each layer's weight in turn from its row, so row j
+    gives what the j-th of k one-at-a-time chain draws gives. Weights of one
+    shape share one stacked QR. Returns per layer C-ordered weights
+    (k, out, in) and zero biases (k, out).
     """
     blocks, _ = _chain_blocks(specs)
     k = u.shape[0]
-    halves = [(off, (n + 1) // 2) for _, off, n in blocks]
-    # every layer's first halves, then every layer's second halves: one Box-Muller row
-    z = box_muller(np.concatenate([u[:, off + h * m : off + (h + 1) * m] for h in (0, 1) for off, m in halves], axis=1))
     out: list = []
     qr_groups: dict[tuple[int, int], list[int]] = {}
-    pair = 0
-    for spec, (_, _, n), (_, m) in zip(specs, blocks, halves):
+    for spec, (_, off, n) in zip(specs, blocks):
+        normals = box_muller(u[:, off : off + 2 * ((n + 1) // 2)])[:, :n]
         qr_groups.setdefault(_qr_shape(spec), []).append(len(out))
-        out.append((z[:, 2 * pair : 2 * pair + n].reshape(k, *_qr_shape(spec)), np.zeros((k, spec.out_dim))))
-        pair += m
+        out.append((normals.reshape(k, *_qr_shape(spec)), np.zeros((k, spec.out_dim))))
     for idx in qr_groups.values():
         a = out[idx[0]][0] if len(idx) == 1 else np.concatenate([out[i][0] for i in idx])
         qs, rs = np.linalg.qr(a)
@@ -238,7 +232,7 @@ def draw_layers(
     specs: tuple[LayerSpec, ...], stream: RngStream, k: int = 1
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """k successive init draws of a layer chain from one uniform(0, 1, k*S)
-    call, shaped by shape_layers."""
+    call: draw j reads slots j*S .. (j+1)*S, shaped by shape_layers."""
     slots = chain_slots(specs)
     return shape_layers(specs, stream.uniform(0.0, 1.0, k * slots).reshape(k, slots))
 

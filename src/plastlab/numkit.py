@@ -8,7 +8,6 @@ two runs with equal seeds produce bit-identical draws.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -137,13 +136,13 @@ class DrawAhead:
     same key, and moves the stream past it; otherwise (other draws moved the
     counter, the key changed, or all are used) it refills.
 
-    With `helper`, past one step, in a process that may run on more than one
-    CPU, each refill also starts the next block: its uniforms are drawn
-    here, and a helper thread runs the transform while the caller uses this
-    block. The next refill takes that block if it has the same seed, stream
-    id, key and start, and raises what the transform raised, if anything;
-    otherwise it joins and drops it and draws afresh. `close` joins and
-    drops it. Not run state: an empty holder serves the same values.
+    With `helper`, each refill also starts the next block: its uniforms are
+    drawn here, and a helper thread runs the transform while the caller uses
+    this block. The next refill takes that block if it has the same seed,
+    stream id, key and start, and raises what the transform raised, if
+    anything; otherwise it joins and drops it and draws afresh. `close`
+    joins and drops it. Not run state: an empty holder serves the same
+    values.
     """
 
     def __init__(self, steps: int, helper: bool = False):
@@ -151,7 +150,7 @@ class DrawAhead:
         self.origin: tuple | None = None  # (seed, stream id, key) of the draws
         self.start = self.slots = 0  # counter before draw 0; slots per draw
         self.draws: list[tuple[np.ndarray, ...]] = []
-        self.helper = helper and steps > 1 and len(os.sched_getaffinity(0)) > 1
+        self.helper = helper
         self.next: tuple | None = None  # (origin, start, thread, [draws or error])
 
     def take(self, key, stream: RngStream, slots: int, transform) -> list[tuple[np.ndarray, ...]]:

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 
 from ..errors import (
     CheckpointError,
@@ -89,7 +90,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """One `plastlab run` child per seed, at most os.cpu_count() alive at once;
-    children are reaped in seed order."""
+    children are reaped in seed order. Where the platform can pin a process,
+    child n runs on the sweep's CPU n mod their count, so children alive
+    together share no CPU unless the sweep may use fewer than os.cpu_count().
+    A child then sees one CPU: it starts no draw-ahead helper and, where no
+    BLAS thread count is set, one BLAS thread."""
     seeds = _parse_seed_range(args.seeds)
     cfg = load_config(args.config)  # fail fast on what `run` refuses, before spawning
     plan_run(cfg)
@@ -99,6 +104,7 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot make the sweep directory {base!r}: {exc}") from None
     limit = os.cpu_count() or 1
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     live: list[tuple[int, subprocess.Popen]] = []
     code = 0
 
@@ -109,7 +115,7 @@ def _cmd_sweep(args) -> int:
             print(f"seed {seed} exited with code {rc}", file=sys.stderr)
         return rc
 
-    for seed in seeds:
+    for n, seed in enumerate(seeds):
         if len(live) >= limit:
             code = max(code, reap())
         out = os.path.join(base, f"seed{seed}")
@@ -117,7 +123,8 @@ def _cmd_sweep(args) -> int:
             sys.executable, "-m", "plastlab", "run", args.config,
             "--seed", str(seed), "--out", out,
         ]
-        live.append((seed, subprocess.Popen(cmd)))
+        pin = {"preexec_fn": partial(os.sched_setaffinity, 0, {cpus[n % len(cpus)]})} if cpus else {}
+        live.append((seed, subprocess.Popen(cmd, **pin)))
     while live:
         code = max(code, reap())
     return code

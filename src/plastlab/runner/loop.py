@@ -37,7 +37,6 @@ from ..mitigations import (
 from ..net import (
     DRAW_FIXED_BYTES,
     LayerSpec,
-    chain_slots,
     deserialize_network,
     draw_work_bytes,
     init_network,
@@ -57,11 +56,9 @@ UPDATE_STREAM = 6
 
 # draws a holder (numkit.DrawAhead) makes at once: gradient steps of fresh
 # inits for a per-gradient-step shrink_perturb entry, probe steps of training
-# batches (a task's end discards the rest). Past one draw, the block in use
-# and the next block's refill (net.draw_work_bytes, envs.batch_work_bytes)
-# stay within AHEAD_BYTES together. Only the inits' holders make the next
-# block on a helper thread: the batches' light transform on a helper slowed
-# the run's own thread by more than it took off it.
+# batches (a task's end discards the rest). Past one draw, a refill's working
+# set (net.draw_work_bytes, envs.batch_work_bytes) stays within AHEAD_BYTES,
+# with the block in use where a helper thread makes the next (_init_ahead).
 DRAW_AHEAD = 8
 AHEAD_BYTES = 2 << 20  # 2 MiB: eight draws of the probe net's inits
 
@@ -114,10 +111,24 @@ def _openblas(name: str, restype):
     return fn()
 
 
+def blas_threads() -> int | str:
+    """The threads numpy's OpenBLAS runs a call on ("unknown" where unreadable)."""
+    return _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (os.cpu_count() where the platform
+    cannot tell)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def platform_fingerprint() -> dict:
     """This process's numeric platform: numpy and Python versions, numpy's top x86
     SIMD level, its OpenBLAS's runtime core and thread count, and the CPUs the
-    process may run on (draw-ahead helpers start only on more than one)."""
+    process may run on (a draw-ahead helper starts only on more CPUs than BLAS
+    threads)."""
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     levels = [f for f in simd["baseline"] + simd["found"] if f.startswith("X86_V")]
     core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
@@ -126,8 +137,8 @@ def platform_fingerprint() -> dict:
         "python": "%d.%d" % sys.version_info[:2],
         "openblas_core": core if core == "unknown" else core.decode(),
         "simd": (levels or ["unknown"])[-1],
-        "blas_threads": _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int),
-        "cpus": len(os.sched_getaffinity(0)),
+        "blas_threads": blas_threads(),
+        "cpus": usable_cpus(),
     }
 
 
@@ -139,10 +150,25 @@ def _widths(cfg: ExperimentConfig) -> tuple[int, int]:
     return env.obs_dim * max(1, cfg.scenario.frame_stack), LEARNERS[cfg.algo].head_width(cfg, env.n_actions)
 
 
-def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0, helper: bool = False) -> DrawAhead:
+def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0) -> DrawAhead:
     """A holder for at most DRAW_AHEAD draws and, past one, no more than fit
     in AHEAD_BYTES beside a refill's `fixed_bytes`."""
-    return DrawAhead(max(1, min(DRAW_AHEAD, (AHEAD_BYTES - fixed_bytes) // draw_bytes)), helper)
+    return DrawAhead(max(1, min(DRAW_AHEAD, (AHEAD_BYTES - fixed_bytes) // draw_bytes)))
+
+
+def _init_ahead(specs: tuple[LayerSpec, ...]) -> DrawAhead:
+    """The holder of a per-gradient-step shrink_perturb entry's inits. In a
+    process that may run on more CPUs than BLAS threads, it makes each next
+    block on a helper thread, if two or more draws fit beside the block in
+    use: the block's Box-Muller and QR then run on the spare CPU. With no
+    CPU spare (one CPU, or a BLAS thread on each), a helper slowed the run,
+    so there it has none."""
+    threads = blas_threads()
+    if threads != "unknown" and usable_cpus() > threads:
+        steps = _draw_ahead(draw_work_bytes(specs, ahead=True), DRAW_FIXED_BYTES).steps
+        if steps > 1:
+            return DrawAhead(steps, helper=True)
+    return _draw_ahead(draw_work_bytes(specs), DRAW_FIXED_BYTES)
 
 
 def _most_firings(cfg: ExperimentConfig, trigger) -> int:
@@ -167,8 +193,7 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     optimizer state), the forward and backward traces of the probe and update
     batches (four values per layer feature and row, six with LayerNorm), the
     learner's own buffers (its `footprint`), an init draw's work
-    and the draw-ahead holders, with what a helper making the next block of
-    inits holds while the run thread peaks. Each plasticity_injection firing adds two
+    and the draw-ahead holders. Each plasticity_injection firing adds two
     copies of the head layer, counted at the most firings its trigger allows."""
     obs_dim, head_width = specs[0].in_dim, specs[-1].out_dim
     plan = build_plan(list(cfg.mitigations))
@@ -181,13 +206,10 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
         values += sum(kron) + heads * kron[-1]
     rows, own = LEARNERS[cfg.algo].footprint(cfg, obs_dim, head_width)
     values += (cfg.logging.probe_batch + rows) * (obs_dim + sum((4 + 2 * s.layer_norm) * s.width_out for s in specs))
-    work = draw_work_bytes(specs)
-    total = 8 * values + own + work + DRAW_FIXED_BYTES
+    total = 8 * values + own + draw_work_bytes(specs) + DRAW_FIXED_BYTES
     if any(e.method == "shrink_perturb" and e.trigger.kind == "per_gradient_step" for e in plan):
-        steps = _draw_ahead(work, DRAW_FIXED_BYTES).steps
-        total += steps * work
-        if steps > 1:  # a helper's Box-Muller copy of its units and ufunc buffers, beside the run's own
-            total += 8 * steps * chain_slots(specs) + DRAW_FIXED_BYTES
+        ahead = _init_ahead(specs)
+        total += ahead.steps * draw_work_bytes(specs, ahead.helper)
     if cfg.scenario.family == "probe":
         total += _draw_ahead(batch_work_bytes(cfg.learner.batch_size)).steps * batch_work_bytes(cfg.learner.batch_size)
     return total
@@ -300,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
 
     gradient_steps = 0
     aheads = {
-        i: _draw_ahead(draw_work_bytes(net.layers), DRAW_FIXED_BYTES, helper=True)
+        i: _init_ahead(net.layers)
         for i, entry in pgs_entries
         if entry.method == "shrink_perturb"
     }

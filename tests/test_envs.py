@@ -1,6 +1,4 @@
-import os
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -347,34 +345,6 @@ class TestProbeBatchBlocks:
         other, other_ref = RngStream(8, 2, fast.counter), RngStream(8, 2, fast.counter)
         self._assert_next_equal(2, 13, other, other_ref, ahead)
         assert ahead.origin[:2] == (8, 2)
-
-    def test_a_helper_makes_batches_without_building_the_teacher(self, monkeypatch):
-        """The transform gets the teacher and the permutation from the
-        caller's thread, so a helper that runs it builds and draws nothing."""
-        from plastlab.envs import probe
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(probe, "_teacher", None)
-        threads = []
-        real_init, real_shape = probe.init_network, probe._task_batches
-
-        def init(layers, stream):
-            threads.append(("init", threading.current_thread()))
-            return real_init(layers, stream)
-
-        def shape(*args):
-            threads.append(("shape", threading.current_thread()))
-            return real_shape(*args)
-
-        monkeypatch.setattr(probe, "init_network", init)
-        monkeypatch.setattr(probe, "_task_batches", shape)
-        fast, ref, ahead = RngStream(9, 1), RngStream(9, 1), DrawAhead(loop.DRAW_AHEAD, helper=True)
-        for _ in range(2 * loop.DRAW_AHEAD + 1):
-            self._assert_next_equal(3, 16, fast, ref, ahead)
-        ahead.close()
-        main = threading.main_thread()
-        assert [kind for kind, thread in threads if thread is main] == ["init", "shape"]
-        assert {kind for kind, thread in threads if thread is not main} == {"shape"}
 
 
 # ---------------------------------------------------------------- schedule

@@ -250,6 +250,7 @@ class TestDrawAhead:
 
         monkeypatch.setattr(mitigations, "shape_layers", recording)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(loop, "blas_threads", lambda: 1)
         cfg = {
             "algo": "regression",
             "seed": 3,

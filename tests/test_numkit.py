@@ -1,5 +1,4 @@
 import math
-import os
 import threading
 
 import numpy as np
@@ -243,10 +242,6 @@ class TestDrawAheadHelper:
     """The next block made on a helper thread: the same values as one draw
     per call, used only when it starts where the stream stands."""
 
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
     def test_an_undisturbed_stream_uses_each_block_made_ahead(self):
         calls, stream, ref = [], RngStream(4, 2), RngStream(4, 2)
         ahead, transform = DrawAhead(4, helper=True), _recording_transform(calls)
@@ -278,13 +273,9 @@ class TestDrawAheadHelper:
             ahead.close()
             assert len(calls) >= 2 and ahead.next is None
 
-    def test_one_cpu_or_one_step_starts_no_helper(self, monkeypatch):
-        assert DrawAhead(2, helper=True).helper
-        assert not DrawAhead(1, helper=True).helper and not DrawAhead(2).helper
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    def test_a_holder_without_a_helper_starts_no_thread(self):
         calls, stream = [], RngStream(6, 2)
-        ahead = DrawAhead(4, helper=True)
-        assert not ahead.helper
+        ahead = DrawAhead(4)
         for _ in range(9):
             ahead.take("k", stream, 3, _recording_transform(calls))
         assert ahead.next is None and calls == [False] * 3

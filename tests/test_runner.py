@@ -564,11 +564,10 @@ class TestProbeBatches:
             tracemalloc.stop()
         assert batch_bytes <= kept < 1.1 * batch_bytes
 
-    @pytest.mark.parametrize("n,k", [(64, 8), (169, 8), (453, 4), (1000, 1), (1365, 1)])
+    @pytest.mark.parametrize("n,k", [(64, 8), (169, 8), (453, 6), (1000, 2), (1365, 2)])
     def test_batch_refill_peak_stays_near_ahead_bytes(self, n, k, tmp_path, monkeypatch):
         """The run sizes its holder from what a refill uses, not only from
-        what it keeps (at 1,000 rows, 6 kept batches once peaked at 5.4 MB),
-        and from the last block, whose last batch the run still holds."""
+        what it keeps (at 1,000 rows, 6 kept batches once peaked at 5.4 MB)."""
         holders = []
         real = loop.probe_task
 
@@ -578,7 +577,7 @@ class TestProbeBatches:
 
         monkeypatch.setattr(loop, "probe_task", task)
         run_experiment(probe_cfg(total_steps=8, learner={"batch_size": n}), str(tmp_path / "r"))
-        assert not holders[0].helper  # a refill makes one block
+        assert not holders[0].helper  # the batches have no helper
         ahead = DrawAhead(holders[0].steps)
         tracemalloc.start()
         try:
@@ -589,33 +588,33 @@ class TestProbeBatches:
         assert len(ahead.draws[0][0]) == k  # the draws' leading axis
         assert peak < 1.1 * loop.AHEAD_BYTES
 
-    @pytest.mark.parametrize(
-        "hidden,k",
-        [((32,), 8), ((64, 64), 8), ((100,), 8), ((64, 64, 64), 3), ((128, 128), 2)],
-        ids=["32", "64-64", "100", "64-64-64", "128-128"],
-    )
-    def test_init_refill_peak_stays_near_ahead_bytes(self, hidden, k, tmp_path, monkeypatch):
-        """Soft shrink-and-perturb's holder is sized from what a refill uses,
-        not from the inits it keeps (on the default 64-64 net, eight kept
-        draws of 0.35 MB once peaked at 1.59 MB). The default net still
-        draws eight gradient steps at once."""
+    @staticmethod
+    def _init_holder(hidden, cpus, monkeypatch, tmp_path):
+        """(steps, helper, specs) of the inits' holder of a probe run with soft
+        shrink-and-perturb on a net of `hidden` widths, in a process that may
+        run on `cpus` CPUs with one BLAS thread."""
         holders = []
         real = loop.apply_event_method
 
         def event(entry, net, stream, probe=None, ahead=None):
-            holders.append((ahead.steps, net.layers))
+            holders.append((ahead.steps, ahead.helper, net.layers))
             return real(entry, net, stream, probe=probe, ahead=ahead)
 
         monkeypatch.setattr(loop, "apply_event_method", event)
+        _machine(monkeypatch, cpus, 1)
         cfg = probe_cfg(
             total_steps=2,
             network={"hidden": list(hidden)},
             mitigations=[{"method": "shrink_perturb", "trigger": "per_gradient_step"}],
         )
         run_experiment(cfg, str(tmp_path / "r"))
-        steps, specs = holders[0]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        ahead = DrawAhead(steps, helper=True)
+        return holders[0]
+
+    @staticmethod
+    def _refill_peak(steps, helper, specs) -> tuple[int, int]:
+        """(draws per block, traced peak) of a first refill, with the next
+        block made and joined where the holder has a helper."""
+        ahead = DrawAhead(steps, helper)
         tracemalloc.start()
         try:
             ahead.take(specs, RngStream(0, 3), chain_slots(specs), partial(shape_layers, specs))
@@ -623,9 +622,43 @@ class TestProbeBatches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(ahead.draws[0][0]) == k  # the draws' leading axis
-        assert ahead.helper
+        return len(ahead.draws[0][0]), peak
+
+    @pytest.mark.parametrize(
+        "hidden,k",
+        [((32,), 8), ((64, 64), 8), ((100,), 8), ((64, 64, 64), 4), ((128, 128), 2)],
+        ids=["32", "64-64", "100", "64-64-64", "128-128"],
+    )
+    def test_init_refill_peak_stays_near_ahead_bytes(self, hidden, k, tmp_path, monkeypatch):
+        """Soft shrink-and-perturb's holder is sized from what a refill uses,
+        not from the inits it keeps (on the default 64-64 net, eight kept
+        draws of 0.35 MB once peaked at 1.59 MB). The default net still
+        draws eight gradient steps at once. On one CPU there is no helper."""
+        steps, helper, specs = self._init_holder(hidden, 1, monkeypatch, tmp_path)
+        assert not helper
+        drawn, peak = self._refill_peak(steps, helper, specs)
+        assert drawn == k  # the draws' leading axis
         assert peak <= 1.07 * loop.AHEAD_BYTES
+
+    @pytest.mark.parametrize(
+        "hidden,k",
+        [((32,), 8), ((64, 64), 8), ((100,), 8), ((64, 64, 64), 3), ((128, 128), 2)],
+        ids=["32", "64-64", "100", "64-64-64", "128-128"],
+    )
+    def test_init_refill_peak_with_a_helper_stays_near_ahead_bytes(self, hidden, k, tmp_path, monkeypatch):
+        """With a helper, the block in use and the next block's refill fit
+        in AHEAD_BYTES together."""
+        steps, helper, specs = self._init_holder(hidden, 2, monkeypatch, tmp_path)
+        assert helper
+        drawn, peak = self._refill_peak(steps, helper, specs)
+        assert drawn == k
+        assert peak <= 1.07 * loop.AHEAD_BYTES
+
+
+def _machine(monkeypatch, cpus: int, threads) -> None:
+    """Make the process see `cpus` usable CPUs and `threads` BLAS threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(loop, "blas_threads", lambda: threads)
 
 
 def _snp_probe_cfg(**over):
@@ -642,8 +675,8 @@ def _snp_probe_cfg(**over):
 
 class TestDrawAheadHelper:
     """The helper thread that makes soft shrink-and-perturb's next block of
-    inits: started only on more than one CPU, joined by the end of the run,
-    and never seen in the bytes."""
+    inits: started only where the process has more CPUs than BLAS threads,
+    joined by the end of the run, and never seen in the bytes."""
 
     @staticmethod
     def _count_helpers(monkeypatch) -> list:
@@ -659,7 +692,7 @@ class TestDrawAheadHelper:
 
     @pytest.mark.parametrize("lr", [1e-3, 1e80], ids=["ok", "diverged"])
     def test_no_helper_outlives_the_run(self, lr, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _machine(monkeypatch, 2, 1)
         made = self._count_helpers(monkeypatch)
         before = threading.active_count()
         with np.errstate(all="ignore"):
@@ -671,17 +704,32 @@ class TestDrawAheadHelper:
         assert made and all(made)
         assert threading.active_count() == before
 
-    def test_one_cpu_starts_no_helper_and_writes_the_same_bytes(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus,threads", [(1, 1), (2, 2), (2, "unknown")])
+    def test_no_spare_cpu_starts_no_helper_and_writes_the_same_bytes(self, cpus, threads, tmp_path, monkeypatch):
         files = ("metrics.jsonl", "episodes.csv", "ckpt_final.bin", "summary.json", "config.yaml")
-        out = {}
-        for cpus in ({0, 1}, {0}):
+        out = []
+        for machine in ((2, 1), (cpus, threads)):
             with monkeypatch.context() as patch:
-                patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                _machine(patch, *machine)
                 made = self._count_helpers(patch)
-                art = run_experiment(_snp_probe_cfg(), str(tmp_path / str(len(cpus))))
-            assert bool(made) == (len(cpus) > 1)
-            out[len(cpus)] = [open(os.path.join(art.out_dir, name), "rb").read() for name in files]
-        assert out[1] == out[2]
+                art = run_experiment(_snp_probe_cfg(), str(tmp_path / str(len(out))))
+            assert bool(made) == (machine == (2, 1))
+            out.append([open(os.path.join(art.out_dir, name), "rb").read() for name in files])
+        assert out[0] == out[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_platform_without_affinity_counts_cpus_by_cpu_count(self, cpus, tmp_path, monkeypatch):
+        """Where os.sched_getaffinity is missing (macOS, Windows), the run
+        reads its CPUs from os.cpu_count()."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(loop, "blas_threads", lambda: 1)
+        made = self._count_helpers(monkeypatch)
+        art = run_experiment(_snp_probe_cfg(), str(tmp_path / "r"))
+        assert art.summary["status"] == "ok"
+        assert bool(made) == (cpus > 1)
+        with open(os.path.join(art.out_dir, "provenance.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["cpus"] == cpus
 
 
 def _footprint(cfg) -> int:
@@ -1515,19 +1563,23 @@ class TestCli:
             summary = json.load(open(os.path.join(base, f"seed{seed}", "summary.json")))
             assert summary["seed"] == seed
             assert summary["status"] == "ok"
+            if hasattr(os, "sched_setaffinity"):  # each child runs on one CPU
+                assert json.load(open(os.path.join(base, f"seed{seed}", "provenance.json")))["cpus"] == 1
 
     @pytest.fixture
     def fake_popen(self, monkeypatch):
-        """The sweep's Popen, faked: records each child's seed and the peak
-        number alive; seed 2 exits with code 3, every other seed with 0."""
+        """The sweep's Popen, faked: records each child's seed, the CPUs it
+        would be pinned to and the peak number alive; seed 2 exits with
+        code 3, every other seed with 0."""
         from plastlab.runner import cli
 
         class FakePopen:
-            live, peak, started = [], [0], []
+            live, peak, started, pins = [], [0], [], []
 
-            def __init__(self, cmd):
+            def __init__(self, cmd, preexec_fn=None):
                 self.seed = int(cmd[cmd.index("--seed") + 1])
                 self.started.append(self.seed)
+                self.pins.append(preexec_fn and preexec_fn.args[1])
                 self.live.append(self)
                 self.peak[0] = max(self.peak[0], len(self.live))
 
@@ -1547,6 +1599,25 @@ class TestCli:
         assert fake_popen.started == [0, 1, 2, 3]
         assert fake_popen.peak[0] == 2 and fake_popen.live == []
         assert capsys.readouterr().err.strip() == "seed 2 exited with code 3"
+
+    def test_sweep_pins_live_children_to_distinct_cpus(self, tmp_path, monkeypatch, fake_popen):
+        from plastlab.runner import cli
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5, 2, 9}, raising=False)
+        monkeypatch.setattr(cli.os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
+        main(["sweep", cfg, "--seeds", "0..4", "--out", str(tmp_path / "s")])
+        # seed 3 starts once seed 0 is reaped, on the CPU seed 0 held
+        assert fake_popen.pins == [{2}, {5}, {9}, {2}, {5}]
+
+    def test_sweep_without_pinning_starts_plain_children(self, tmp_path, monkeypatch, fake_popen):
+        from plastlab.runner import cli
+
+        monkeypatch.delattr(cli.os, "sched_setaffinity", raising=False)
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
+        assert main(["sweep", cfg, "--seeds", "0..1", "--out", str(tmp_path / "s")]) == 0
+        assert fake_popen.pins == [None, None]
 
     @pytest.mark.parametrize("seeds,repeated", [("1,1", [1]), ("3, 01,1,3", [1, 3])])
     def test_sweep_repeated_seed_exit_2_before_spawning(self, seeds, repeated, tmp_path, capsys, fake_popen):
