@@ -174,12 +174,13 @@ def _qr_shape(spec: LayerSpec) -> tuple[int, int]:
 DRAW_FIXED_BYTES = 2 * 8 * np.getbufsize()
 
 
-def draw_work_bytes(specs: tuple[LayerSpec, ...], ahead: bool = False) -> int:
+def draw_work_bytes(specs: tuple[LayerSpec, ...], ahead: int = 0) -> int:
     """Bytes one chain draw adds to the peak of a `shape_layers` call: the
     values it keeps, its unit draws, and the QR of its largest group of
     same-shaped weights (the input's copy, Q and R; one more copy when the
-    group stacks several layers). With `ahead`, also its values in the block
-    the run uses while a helper thread makes the next."""
+    group stacks several layers). Also its values in `ahead` more blocks the
+    run holds: the one in use while a helper process makes the next, and the
+    helper's reply."""
     _, slots = _chain_blocks(specs)
     kept, groups = 0, {}
     for spec in specs:

@@ -8,7 +8,7 @@ two runs with equal seeds produce bit-identical draws.
 from __future__ import annotations
 
 import math
-import threading
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,13 +136,14 @@ class DrawAhead:
     same key, and moves the stream past it; otherwise (other draws moved the
     counter, the key changed, or all are used) it refills.
 
-    With `helper`, each refill also starts the next block: its uniforms are
-    drawn here, and a helper thread runs the transform while the caller uses
-    this block. The next refill takes that block if it has the same seed,
-    stream id, key and start, and raises what the transform raised, if
-    anything; otherwise it joins and drops it and draws afresh. `close`
-    joins and drops it. Not run state: an empty holder serves the same
-    values.
+    With `helper`, each refill also asks one helper process, forked at the
+    first refill, for the next block: the helper draws that block's uniforms
+    itself and sends back their transform (which must pickle), or what it
+    raised, while the caller uses this block. The next refill takes that
+    reply if it has the same seed, stream id, key and start, and raises the
+    error in it, if any; otherwise it drops it and draws afresh. `close`
+    closes the run's end of the pipe, which stops the helper, and joins it.
+    Not run state: an empty holder serves the same values.
     """
 
     def __init__(self, steps: int, helper: bool = False):
@@ -151,7 +152,8 @@ class DrawAhead:
         self.start = self.slots = 0  # counter before draw 0; slots per draw
         self.draws: list[tuple[np.ndarray, ...]] = []
         self.helper = helper
-        self.next: tuple | None = None  # (origin, start, thread, [draws or error])
+        self.conn = self.proc = None  # the run's end of the helper's pipe; the helper
+        self.next: tuple | None = None  # (origin, start) of the block asked of the helper
 
     def take(self, key, stream: RngStream, slots: int, transform) -> list[tuple[np.ndarray, ...]]:
         origin = (stream.seed, stream.stream_id, key)
@@ -165,39 +167,62 @@ class DrawAhead:
         stream.counter += slots
         return [tuple(a[j] for a in arrays) for arrays in self.draws]
 
-    def _units(self, origin: tuple, start: int, slots: int) -> np.ndarray:
-        return RngStream(origin[0], origin[1], start).uniform(0.0, 1.0, self.steps * slots).reshape(self.steps, -1)
-
     def _refill(self, origin: tuple, start: int, slots: int, transform) -> None:
-        made = self.next
-        self.close()
-        if made is not None and made[:2] == (origin, start):
-            (draws,) = made[3]
-            if isinstance(draws, Exception):
-                raise draws
-        else:
-            draws = transform(self._units(origin, start, slots))
+        made, self.next = self.next, None
+        draws = self.conn.recv() if made else None
+        if made != (origin, start):
+            draws = transform(_units(origin[0], origin[1], start, self.steps, slots))
+        elif isinstance(draws, Exception):
+            raise draws
         self.origin, self.start, self.slots, self.draws = origin, start, slots, draws
         if self.helper:
-            box: list = []
-            units = self._units(origin, start + self.steps * slots, slots)
-            thread = threading.Thread(target=_make, args=(box, transform, units), daemon=True)
-            thread.start()
-            self.next = (origin, start + self.steps * slots, thread, box)
+            if self.proc is None:
+                self._fork()
+            self.next = (origin, start + self.steps * slots)
+            self.conn.send((origin[0], origin[1], self.next[1], self.steps, slots, transform))
+
+    def _fork(self) -> None:
+        import multiprocessing  # loaded only where a helper starts
+
+        ctx = multiprocessing.get_context("fork")
+        self.conn, end = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, args=(end, self.conn), daemon=True)
+        self.proc.start()
+        end.close()
 
     def close(self) -> None:
-        """Join and drop the block being made ahead, if any."""
-        if self.next is not None:
-            self.next[2].join()
-            self.next = None
+        """Stop the helper, if any, and join it. The end of the pipe is the
+        stop message: a Ctrl-C that cut a send or recv short would leave a
+        message on it half said, and the helper and the run each waiting."""
+        if self.proc is not None:
+            self.conn.close()
+            self.proc.join()
+            self.conn = self.proc = self.next = None
 
 
-def _make(box: list, transform, units: np.ndarray) -> None:
-    """A helper thread's work: the transform of one block, or what it raised."""
+def _units(seed: int, stream_id: int, start: int, steps: int, slots: int) -> np.ndarray:
+    """The (steps, slots) block of uniforms a stream at counter `start` draws next."""
+    return RngStream(seed, stream_id, start).uniform(0.0, 1.0, steps * slots).reshape(steps, -1)
+
+
+def _serve(conn, run_end) -> None:
+    """A helper process: for each (seed, stream id, start, steps, slots,
+    transform) asked, send back the transform of that block's uniforms, or
+    what it raised. It stops quietly once the run's end of the pipe is
+    closed, by `close` or with the run's process; Ctrl-C reaches the run,
+    which then closes it."""
+    run_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        box.append(transform(units))
-    except Exception as exc:
-        box.append(exc)
+        while True:
+            *block, transform = conn.recv()
+            try:
+                reply = transform(_units(*block))
+            except Exception as exc:
+                reply = exc
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass
 
 
 def box_muller(u: np.ndarray, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:

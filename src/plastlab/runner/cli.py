@@ -25,7 +25,7 @@ from ..errors import (
 )
 from ..mitigations import REGISTRY
 from .config import LoggingConfig, load_config
-from .loop import plan_run, replay_metrics, run_experiment
+from .loop import plan_run, replay_metrics, run_experiment, usable_cpus
 
 _VALIDATION_ERRORS = (ConfigError, MitigationError, SpecError, InvalidInputError, CheckpointError)
 
@@ -89,12 +89,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    """One `plastlab run` child per seed, at most os.cpu_count() alive at once;
-    children are reaped in seed order. Where the platform can pin a process,
-    child n runs on the sweep's CPU n mod their count, so children alive
-    together share no CPU unless the sweep may use fewer than os.cpu_count().
-    A child then sees one CPU: it starts no draw-ahead helper and, where no
-    BLAS thread count is set, one BLAS thread."""
+    """One `plastlab run` child per seed, at most one per CPU the sweep may
+    use (`usable_cpus()`) alive at once; children are reaped in seed order.
+    Where the platform can pin a process, child n runs on the sweep's CPU n
+    mod their count, so children alive together share no CPU. A child then
+    sees one CPU: it starts no draw-ahead helper and, where no BLAS thread
+    count is set, one BLAS thread."""
     seeds = _parse_seed_range(args.seeds)
     cfg = load_config(args.config)  # fail fast on what `run` refuses, before spawning
     plan_run(cfg)
@@ -103,7 +103,7 @@ def _cmd_sweep(args) -> int:
         os.makedirs(base, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the sweep directory {base!r}: {exc}") from None
-    limit = os.cpu_count() or 1
+    limit = usable_cpus()
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     live: list[tuple[int, subprocess.Popen]] = []
     code = 0

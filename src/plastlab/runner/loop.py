@@ -58,7 +58,7 @@ UPDATE_STREAM = 6
 # inits for a per-gradient-step shrink_perturb entry, probe steps of training
 # batches (a task's end discards the rest). Past one draw, a refill's working
 # set (net.draw_work_bytes, envs.batch_work_bytes) stays within AHEAD_BYTES,
-# with the block in use where a helper thread makes the next (_init_ahead).
+# with the block in use where a helper process makes the next (_init_ahead).
 DRAW_AHEAD = 8
 AHEAD_BYTES = 2 << 20  # 2 MiB: eight draws of the probe net's inits
 
@@ -127,8 +127,8 @@ def usable_cpus() -> int:
 def platform_fingerprint() -> dict:
     """This process's numeric platform: numpy and Python versions, numpy's top x86
     SIMD level, its OpenBLAS's runtime core and thread count, and the CPUs the
-    process may run on (a draw-ahead helper starts only on more CPUs than BLAS
-    threads)."""
+    process may run on (a draw-ahead helper starts only on one BLAS thread
+    and two or more CPUs)."""
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     levels = [f for f in simd["baseline"] + simd["found"] if f.startswith("X86_V")]
     core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
@@ -156,18 +156,17 @@ def _draw_ahead(draw_bytes: int, fixed_bytes: int = 0) -> DrawAhead:
     return DrawAhead(max(1, min(DRAW_AHEAD, (AHEAD_BYTES - fixed_bytes) // draw_bytes)))
 
 
-def _init_ahead(specs: tuple[LayerSpec, ...]) -> DrawAhead:
-    """The holder of a per-gradient-step shrink_perturb entry's inits. In a
-    process that may run on more CPUs than BLAS threads, it makes each next
-    block on a helper thread, if two or more draws fit beside the block in
-    use: the block's Box-Muller and QR then run on the spare CPU. With no
-    CPU spare (one CPU, or a BLAS thread on each), a helper slowed the run,
-    so there it has none."""
-    threads = blas_threads()
-    if threads != "unknown" and usable_cpus() > threads:
-        steps = _draw_ahead(draw_work_bytes(specs, ahead=True), DRAW_FIXED_BYTES).steps
-        if steps > 1:
-            return DrawAhead(steps, helper=True)
+def _init_ahead(specs: tuple[LayerSpec, ...], gradient_steps: int) -> DrawAhead:
+    """The holder of a per-gradient-step shrink_perturb entry's inits. It
+    makes each next block in a helper process where that can pay: two or
+    more draws fit beside the block in use, a run of `gradient_steps` needs
+    more than one block, numpy's OpenBLAS runs one thread (so the fork
+    copies a single-threaded process and no BLAS thread takes the spare
+    CPU), the process may run on a second CPU and the platform can fork. A
+    helper thread had lost most of its gain to the GIL."""
+    steps = _draw_ahead(draw_work_bytes(specs, 1), DRAW_FIXED_BYTES).steps
+    if 1 < steps < gradient_steps and blas_threads() == 1 and usable_cpus() > 1 and hasattr(os, "fork"):
+        return DrawAhead(steps, helper=True)
     return _draw_ahead(draw_work_bytes(specs), DRAW_FIXED_BYTES)
 
 
@@ -208,8 +207,8 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     values += (cfg.logging.probe_batch + rows) * (obs_dim + sum((4 + 2 * s.layer_norm) * s.width_out for s in specs))
     total = 8 * values + own + draw_work_bytes(specs) + DRAW_FIXED_BYTES
     if any(e.method == "shrink_perturb" and e.trigger.kind == "per_gradient_step" for e in plan):
-        ahead = _init_ahead(specs)
-        total += ahead.steps * draw_work_bytes(specs, ahead.helper)
+        ahead = _init_ahead(specs, LEARNERS[cfg.algo].most_gradient_steps(cfg))
+        total += ahead.steps * draw_work_bytes(specs, 2 * ahead.helper)
     if cfg.scenario.family == "probe":
         total += _draw_ahead(batch_work_bytes(cfg.learner.batch_size)).steps * batch_work_bytes(cfg.learner.batch_size)
     return total
@@ -321,11 +320,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> RunArti
         batches = _draw_ahead(batch_work_bytes(cfg.learner.batch_size))
 
     gradient_steps = 0
-    aheads = {
-        i: _init_ahead(net.layers)
-        for i, entry in pgs_entries
-        if entry.method == "shrink_perturb"
-    }
+    snp = [i for i, entry in pgs_entries if entry.method == "shrink_perturb"]
+    # one helper process at most: only the first holder may start one
+    most = LEARNERS[cfg.algo].most_gradient_steps(cfg)
+    aheads = {i: _init_ahead(net.layers, most if i == snp[0] else 0) for i in snp}
 
     def _post_step():
         nonlocal gradient_steps

@@ -36,7 +36,6 @@ from plastlab.net import (
     init_network,
     layer_params,
     network_output,
-    shape_layers,
 )
 from plastlab.numkit import RngStream, erfi
 from plastlab.runner import loop, resolve_config, run_experiment
@@ -197,8 +196,8 @@ INTERLEAVED_EVENTS = {
 
 class TestDrawAhead:
     """Soft shrink-and-perturb through a draw-ahead, bit for bit, against
-    the one-draw-per-layer oracle. The holders make their next block on a
-    helper thread, as the run's do."""
+    the one-draw-per-layer oracle. The holders make their next block in a
+    helper process, as the run's do."""
 
     @pytest.mark.parametrize("layer_norm", [False, True])
     def test_interleaved_events_match_single_draws(self, layer_norm):
@@ -216,6 +215,7 @@ class TestDrawAhead:
             assert fast.param_order == ref.param_order and fast.frozen == ref.frozen
             for name in ref.param_order:
                 assert fast.params[name].tobytes() == ref.params[name].tobytes(), (step, name)
+        ahead.close()
 
     def test_refills_every_draw_ahead_steps_on_an_undisturbed_stream(self):
         net, stream = relu_net(31), RngStream(31, 3)
@@ -223,6 +223,7 @@ class TestDrawAhead:
         for _ in range(3 * loop.DRAW_AHEAD):
             shrink_perturb(net, 1e-3, stream, ahead)
             starts.append(ahead.start)
+        ahead.close()
         assert len(set(starts)) == 3
         assert stream.counter == 3 * loop.DRAW_AHEAD * ahead.slots
 
@@ -240,15 +241,16 @@ class TestDrawAhead:
             assert held == loop.DRAW_AHEAD * n_params * 8
 
     def test_run_draws_at_most_draw_ahead_steps_at_once(self, tmp_path, monkeypatch):
-        from plastlab import mitigations
+        blocks = []
+        real = loop.apply_event_method
 
-        ks = []
+        def recording(entry, net, stream, probe=None, ahead=None):
+            value = real(entry, net, stream, probe=probe, ahead=ahead)
+            # the block in use: its start, its draws, and the start asked of the helper
+            blocks.append((ahead.start, len(ahead.draws[0][0]), ahead.next[1]))
+            return value
 
-        def recording(specs, u):
-            ks.append(u.shape[0])  # the draws in the block
-            return shape_layers(specs, u)
-
-        monkeypatch.setattr(mitigations, "shape_layers", recording)
+        monkeypatch.setattr(loop, "apply_event_method", recording)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(loop, "blas_threads", lambda: 1)
         cfg = {
@@ -261,8 +263,12 @@ class TestDrawAhead:
             "logging": {"metric_interval": 20, "probe_batch": 8},
         }
         run_experiment(resolve_config(cfg), str(tmp_path / "run"))
-        # five blocks serve the 40 steps; a sixth is made ahead past the run's end and dropped
-        assert ks == [loop.DRAW_AHEAD] * 6
+        # five blocks serve the 40 steps; a sixth is asked for past the run's end and dropped
+        starts = sorted({start for start, _, _ in blocks})
+        assert len(starts) == 5 and {k for _, k, _ in blocks} == {loop.DRAW_AHEAD}
+        slots = starts[1] - starts[0]
+        assert starts == [starts[0] + n * slots for n in range(5)]
+        assert blocks[-1][2] == starts[-1] + slots
 
 
 class TestInjection:

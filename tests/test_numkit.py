@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -225,60 +228,111 @@ class TestDrawsMatchArrayFormula:
                 assert fast.counter == ref.counter
 
 
-def _recording_transform(calls: list, fail_on: int = 0):
-    """A transform that copies its block of uniforms and notes, per call,
-    whether it ran on a helper thread; call number `fail_on` raises."""
+@dataclass(frozen=True)
+class _PidTransform:
+    """A transform that pickles: it copies its block of uniforms beside the
+    id of the process that ran it, and raises `error` on the block whose
+    first uniform is `bad`."""
 
-    def transform(u):
-        calls.append(threading.current_thread() is not threading.main_thread())
-        if len(calls) == fail_on:
-            raise ValueError(f"block {fail_on}")
-        return [(u.copy(),)]
+    bad: float = -1.0
+    error: type = ValueError
 
-    return transform
+    def __call__(self, u):
+        if u[0, 0] == self.bad:
+            raise self.error(f"block at {self.bad}")
+        return [(u.copy(), np.full(len(u), os.getpid()))]
+
+
+def _first_uniform(seed: int, stream_id: int, counter: int) -> float:
+    return float(RngStream(seed, stream_id, counter).uniform(0.0, 1.0, 1)[0])
 
 
 class TestDrawAheadHelper:
-    """The next block made on a helper thread: the same values as one draw
+    """The next block made in a helper process: the same values as one draw
     per call, used only when it starts where the stream stands."""
 
     def test_an_undisturbed_stream_uses_each_block_made_ahead(self):
-        calls, stream, ref = [], RngStream(4, 2), RngStream(4, 2)
-        ahead, transform = DrawAhead(4, helper=True), _recording_transform(calls)
+        stream, ref = RngStream(4, 2), RngStream(4, 2)
+        ahead, pids = DrawAhead(4, helper=True), []
         for _ in range(12):
-            ((got,),) = ahead.take("k", stream, 3, transform)
+            ((got, pid),) = ahead.take("k", stream, 3, _PidTransform())
             assert got.tobytes() == ref.uniform(0.0, 1.0, 3).tobytes()
+            pids.append(int(pid))
+        helper = ahead.proc.pid
+        # one block past the end is asked for, and dropped by close
+        assert ahead.next == ((4, 2, "k"), 36)
         ahead.close()
         assert stream.counter == ref.counter == 36
-        # the first block is drawn here; the other two, and one past the end, on helpers
-        assert calls == [False, True, True, True]
+        # the first block is drawn here; the other two by the helper
+        assert pids == [os.getpid()] * 4 + [helper] * 8 and helper != os.getpid()
+        assert ahead.proc is None and multiprocessing.active_children() == []
 
-    def test_a_helpers_error_reaches_the_caller_only_when_its_block_is_used(self):
-        stream, calls = RngStream(5, 2), []
-        ahead, transform = DrawAhead(4, helper=True), _recording_transform(calls, fail_on=2)
+    @pytest.mark.parametrize("error", [ValueError, DomainError])
+    def test_a_helpers_error_reaches_the_caller_only_when_its_block_is_used(self, error):
+        transform = _PidTransform(_first_uniform(5, 2, 12), error)
+        stream, ahead = RngStream(5, 2), DrawAhead(4, helper=True)
         for _ in range(4):
             ahead.take("k", stream, 3, transform)
-        with pytest.raises(ValueError, match="block 2"):
+        with pytest.raises(error, match="block at") as raised:
             ahead.take("k", stream, 3, transform)
+        assert type(raised.value) is error and ahead.next is None
+        ahead.close()
         # dropped unused: another key, a moved counter, or the holder closed
         for move in ("key", "counter", "close"):
-            stream, calls = RngStream(5, 2), []
-            ahead, transform = DrawAhead(4, helper=True), _recording_transform(calls, fail_on=2)
+            stream, ahead = RngStream(5, 2), DrawAhead(4, helper=True)
             ahead.take("k", stream, 3, transform)
+            assert ahead.next == ((5, 2, "k"), 12)  # the block that raises
             if move == "key":
                 ahead.take("other", stream, 3, transform)
             elif move == "counter":
                 stream.counter += 12
                 ahead.take("k", stream, 3, transform)
             ahead.close()
-            assert len(calls) >= 2 and ahead.next is None
+            assert ahead.next is None and ahead.proc is None
+        assert multiprocessing.active_children() == []
 
-    def test_a_holder_without_a_helper_starts_no_thread(self):
+    def test_a_holder_without_a_helper_starts_no_process(self):
         calls, stream = [], RngStream(6, 2)
         ahead = DrawAhead(4)
+
+        def recording(u):
+            calls.append(os.getpid())
+            return _PidTransform()(u)
+
         for _ in range(9):
-            ahead.take("k", stream, 3, _recording_transform(calls))
-        assert ahead.next is None and calls == [False] * 3
+            ahead.take("k", stream, 3, recording)
+        assert ahead.next is None and ahead.proc is None
+        assert calls == [os.getpid()] * 3 and multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("pending", [True, False], ids=["replying", "waiting"])
+    def test_the_helper_exits_quietly_once_the_runs_end_is_gone(self, pending, capfd):
+        """Without a stop message, as when the run's process dies, the end of
+        its pipe ends the helper with code 0 and nothing on stderr, whether
+        its reply finds no reader or it waits for the next ask."""
+        ahead = DrawAhead(4, helper=True)
+        ahead.take("k", RngStream(7, 2), 3, _PidTransform())
+        if not pending:
+            ahead.conn.recv()  # the helper now waits for the next ask
+        proc = ahead.proc
+        ahead.conn.close()
+        proc.join(timeout=30)
+        assert proc.exitcode == 0
+        assert capfd.readouterr().err == ""
+
+
+    def test_close_stops_the_helper_whatever_the_pipe_holds(self):
+        """A Ctrl-C can cut a refill short after its recv and before the
+        holder notes that no reply is pending; close still stops the helper
+        (waiting there for that reply once left the run and the helper each
+        waiting for the other)."""
+        ahead = DrawAhead(4, helper=True)
+        ahead.take("k", RngStream(8, 2), 3, _PidTransform())
+        proc = ahead.proc
+        ahead.conn.recv()  # the reply is gone while ahead.next still names it
+        closer = threading.Thread(target=ahead.close, daemon=True)
+        closer.start()
+        closer.join(timeout=30)
+        assert not closer.is_alive() and proc.exitcode == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,10 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import struct
-import threading
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
 
@@ -31,7 +33,6 @@ from plastlab.runner import (
     resolve_config,
     run_experiment,
 )
-from plastlab import numkit
 from plastlab.learners import c51, common, ppo, regression
 from plastlab.net import forward as net_forward
 from plastlab.runner import loop
@@ -591,8 +592,9 @@ class TestProbeBatches:
     @staticmethod
     def _init_holder(hidden, cpus, monkeypatch, tmp_path):
         """(steps, helper, specs) of the inits' holder of a probe run with soft
-        shrink-and-perturb on a net of `hidden` widths, in a process that may
-        run on `cpus` CPUs with one BLAS thread."""
+        shrink-and-perturb on a net of `hidden` widths, long enough to need
+        more than one block, in a process that may run on `cpus` CPUs with
+        one BLAS thread."""
         holders = []
         real = loop.apply_event_method
 
@@ -603,7 +605,7 @@ class TestProbeBatches:
         monkeypatch.setattr(loop, "apply_event_method", event)
         _machine(monkeypatch, cpus, 1)
         cfg = probe_cfg(
-            total_steps=2,
+            total_steps=20,
             network={"hidden": list(hidden)},
             mitigations=[{"method": "shrink_perturb", "trigger": "per_gradient_step"}],
         )
@@ -612,12 +614,14 @@ class TestProbeBatches:
 
     @staticmethod
     def _refill_peak(steps, helper, specs) -> tuple[int, int]:
-        """(draws per block, traced peak) of a first refill, with the next
-        block made and joined where the holder has a helper."""
-        ahead = DrawAhead(steps, helper)
+        """(draws per block, traced peak in this process) of a first refill
+        and, where the holder has a helper, of the second, which takes the
+        helper's reply while the first block is still held."""
+        ahead, stream = DrawAhead(steps, helper), RngStream(0, 3)
         tracemalloc.start()
         try:
-            ahead.take(specs, RngStream(0, 3), chain_slots(specs), partial(shape_layers, specs))
+            for _ in range(steps + helper):
+                ahead.take(specs, stream, chain_slots(specs), partial(shape_layers, specs))
             ahead.close()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -665,57 +669,104 @@ def _snp_probe_cfg(**over):
     """A probe run whose batches and soft shrink-and-perturb inits are both
     drawn eight steps ahead, over two tasks; only the inits' holder has a
     helper."""
-    return probe_cfg(
-        total_steps=60,
-        scenario={"mode": "level_shift", "segment_length": 30, "n_segments": 2},
-        mitigations=[{"method": "shrink_perturb", "trigger": "per_gradient_step"}],
+    return probe_cfg(**{
+        "total_steps": 60,
+        "scenario": {"mode": "level_shift", "segment_length": 30, "n_segments": 2},
+        "mitigations": [{"method": "shrink_perturb", "trigger": "per_gradient_step"}],
         **over,
-    )
+    })
 
 
 class TestDrawAheadHelper:
-    """The helper thread that makes soft shrink-and-perturb's next block of
-    inits: started only where the process has more CPUs than BLAS threads,
-    joined by the end of the run, and never seen in the bytes."""
+    """The helper process that makes soft shrink-and-perturb's next block of
+    inits: started only where it can pay, one at most per run, stopped by the
+    end of the run, and never seen in the bytes."""
+
+    FILES = ("metrics.jsonl", "episodes.csv", "ckpt_final.bin", "summary.json", "config.yaml")
 
     @staticmethod
     def _count_helpers(monkeypatch) -> list:
-        made = []
-        real = numkit._make
+        """The helper processes alive after each mitigation event of a run."""
+        alive = []
+        real = loop.apply_event_method
 
-        def counting(box, transform, units):
-            made.append(threading.current_thread() is not threading.main_thread())
-            real(box, transform, units)
+        def counting(*args, **kwargs):
+            value = real(*args, **kwargs)
+            alive.append(len(multiprocessing.active_children()))
+            return value
 
-        monkeypatch.setattr(numkit, "_make", counting)
-        return made
+        monkeypatch.setattr(loop, "apply_event_method", counting)
+        return alive
+
+    def _bytes(self, art) -> list[bytes]:
+        return [open(os.path.join(art.out_dir, name), "rb").read() for name in self.FILES]
 
     @pytest.mark.parametrize("lr", [1e-3, 1e80], ids=["ok", "diverged"])
     def test_no_helper_outlives_the_run(self, lr, tmp_path, monkeypatch):
         _machine(monkeypatch, 2, 1)
-        made = self._count_helpers(monkeypatch)
-        before = threading.active_count()
+        alive = self._count_helpers(monkeypatch)
         with np.errstate(all="ignore"):
             try:
                 status = run_experiment(_snp_probe_cfg(learner={"lr": lr}), str(tmp_path / "r")).summary["status"]
             except DivergenceError:
                 status = "diverged"
         assert status == ("ok" if lr < 1 else "diverged")
-        assert made and all(made)
-        assert threading.active_count() == before
+        assert max(alive) == 1
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus,threads", [(1, 1), (2, 2), (2, "unknown")])
     def test_no_spare_cpu_starts_no_helper_and_writes_the_same_bytes(self, cpus, threads, tmp_path, monkeypatch):
-        files = ("metrics.jsonl", "episodes.csv", "ckpt_final.bin", "summary.json", "config.yaml")
         out = []
         for machine in ((2, 1), (cpus, threads)):
             with monkeypatch.context() as patch:
                 _machine(patch, *machine)
-                made = self._count_helpers(patch)
+                alive = self._count_helpers(patch)
                 art = run_experiment(_snp_probe_cfg(), str(tmp_path / str(len(out))))
-            assert bool(made) == (machine == (2, 1))
-            out.append([open(os.path.join(art.out_dir, name), "rb").read() for name in files])
+            assert max(alive) == (machine == (2, 1))
+            out.append(self._bytes(art))
         assert out[0] == out[1]
+
+    def test_a_run_holds_one_helper_at_most(self, tmp_path, monkeypatch):
+        """24 per-gradient-step shrink_perturb entries have 24 holders, but
+        only the first starts a helper; the bytes are those of a run with
+        none."""
+        entries = [{"method": "shrink_perturb", "trigger": "per_gradient_step"}] * 24
+        out = []
+        for machine in ((2, 1), (1, 1)):
+            with monkeypatch.context() as patch:
+                _machine(patch, *machine)
+                alive = self._count_helpers(patch)
+                art = run_experiment(_snp_probe_cfg(total_steps=20, mitigations=entries), str(tmp_path / str(len(out))))
+            assert max(alive) == (machine == (2, 1)) and multiprocessing.active_children() == []
+            out.append(self._bytes(art))
+        assert out[0] == out[1]
+
+    @pytest.mark.parametrize("steps", [1, 8])
+    def test_a_run_that_fits_in_one_block_starts_no_helper(self, steps, tmp_path, monkeypatch):
+        _machine(monkeypatch, 2, 1)
+        alive = self._count_helpers(monkeypatch)
+        run_experiment(_snp_probe_cfg(total_steps=steps), str(tmp_path / "r"))
+        assert len(alive) == steps and max(alive) == 0
+
+    @pytest.mark.parametrize("cfg", [c51_cfg, partial(_snp_probe_cfg, total_steps=1)], ids=["c51", "probe-1-step"])
+    def test_a_run_without_a_helper_loads_no_multiprocessing(self, cfg, tmp_path):
+        """With one BLAS thread, as the benchmark runs, neither a C51 run nor
+        the probe's one-step set-up run pays for loading multiprocessing."""
+        code = (
+            "import sys\n"
+            "from plastlab.runner import load_config, run_experiment\n"
+            "run_experiment(load_config(sys.argv[1]), sys.argv[2])\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        (tmp_path / "exp.yaml").write_text(config_yaml(cfg()))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "exp.yaml"), str(tmp_path / "r")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_platform_without_affinity_counts_cpus_by_cpu_count(self, cpus, tmp_path, monkeypatch):
@@ -724,10 +775,10 @@ class TestDrawAheadHelper:
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(loop, "blas_threads", lambda: 1)
-        made = self._count_helpers(monkeypatch)
+        alive = self._count_helpers(monkeypatch)
         art = run_experiment(_snp_probe_cfg(), str(tmp_path / "r"))
         assert art.summary["status"] == "ok"
-        assert bool(made) == (cpus > 1)
+        assert max(alive) == (cpus > 1)
         with open(os.path.join(art.out_dir, "provenance.json"), encoding="utf-8") as fh:
             assert json.load(fh)["cpus"] == cpus
 
@@ -1590,14 +1641,17 @@ class TestCli:
         monkeypatch.setattr(cli.subprocess, "Popen", FakePopen)
         return FakePopen
 
-    def test_sweep_keeps_at_most_cpu_count_children(self, tmp_path, monkeypatch, capsys, fake_popen):
+    def test_sweep_keeps_at_most_usable_cpus_children(self, tmp_path, monkeypatch, capsys, fake_popen):
+        """Three CPUs of eight are the sweep's: three children at most."""
         from plastlab.runner import cli
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {2, 5, 9}, raising=False)
+        monkeypatch.setattr(cli.os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
         cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
-        assert main(["sweep", cfg, "--seeds", "0..3", "--out", str(tmp_path / "s")]) == 3
-        assert fake_popen.started == [0, 1, 2, 3]
-        assert fake_popen.peak[0] == 2 and fake_popen.live == []
+        assert main(["sweep", cfg, "--seeds", "0..5", "--out", str(tmp_path / "s")]) == 3
+        assert fake_popen.started == [0, 1, 2, 3, 4, 5]
+        assert fake_popen.peak[0] == 3 and fake_popen.live == []
         assert capsys.readouterr().err.strip() == "seed 2 exited with code 3"
 
     def test_sweep_pins_live_children_to_distinct_cpus(self, tmp_path, monkeypatch, fake_popen):

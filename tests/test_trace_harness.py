@@ -65,7 +65,7 @@ def test_traced_counts_agree_with_the_run(algo, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["gradient_steps"] > 0
     assert layers["learners.grad_steps"] == layers["mitigations.opt_step_calls"] == summary["gradient_steps"]
-    # soft shrink-and-perturb makes its next block of inits on a helper thread,
-    # which must record no span of its own beside the run's
+    # soft shrink-and-perturb makes its next block of inits in a helper process,
+    # whose spans stay out of the run's trace
     events = sum(n for key, n in summary["trigger_fires"].items() if ":shrink_perturb:" in key)
     assert layers["mitigations.event_calls"] == events
