@@ -180,7 +180,7 @@ def draw_work_bytes(specs: tuple[LayerSpec, ...], ahead: int = 0) -> int:
     same-shaped weights (the input's copy, Q and R; one more copy when the
     group stacks several layers). Also its values in `ahead` more blocks the
     run holds: the one in use while a helper process makes the next, and the
-    helper's reply."""
+    mapping the helper writes that into."""
     _, slots = _chain_blocks(specs)
     kept, groups = 0, {}
     for spec in specs:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import signal
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -138,12 +139,16 @@ class DrawAhead:
 
     With `helper`, each refill also asks one helper process, forked at the
     first refill, for the next block: the helper draws that block's uniforms
-    itself and sends back their transform (which must pickle), or what it
-    raised, while the caller uses this block. The next refill takes that
-    reply if it has the same seed, stream id, key and start, and raises the
-    error in it, if any; otherwise it drops it and draws afresh. `close`
-    closes the run's end of the pipe, which stops the helper, and joins it.
-    Not run state: an empty holder serves the same values.
+    itself and writes their transform (which must pickle) into a mapping it
+    shares with the run, while the caller uses this block. Its reply is
+    None, or what the transform raised. The next refill takes that block if
+    it has the same seed, stream id, key and start, copying its arrays out
+    of the mapping in the layout of the block it replaces (a key's draws
+    keep their layout), and raises the error, if any; otherwise it drops it
+    and draws afresh. A block that outgrows the mapping gets a new helper
+    with a mapping that fits. `close` closes the run's end of the pipe,
+    which stops the helper, and joins it. Not run state: an empty holder
+    serves the same values.
     """
 
     def __init__(self, steps: int, helper: bool = False):
@@ -152,7 +157,7 @@ class DrawAhead:
         self.start = self.slots = 0  # counter before draw 0; slots per draw
         self.draws: list[tuple[np.ndarray, ...]] = []
         self.helper = helper
-        self.conn = self.proc = None  # the run's end of the helper's pipe; the helper
+        self.conn = self.proc = self.buf = None  # the run's end of the helper's pipe; the helper; their mapping
         self.next: tuple | None = None  # (origin, start) of the block asked of the helper
 
     def take(self, key, stream: RngStream, slots: int, transform) -> list[tuple[np.ndarray, ...]]:
@@ -169,24 +174,31 @@ class DrawAhead:
 
     def _refill(self, origin: tuple, start: int, slots: int, transform) -> None:
         made, self.next = self.next, None
-        draws = self.conn.recv() if made else None
+        error = self.conn.recv() if made else None
         if made != (origin, start):
             draws = transform(_units(origin[0], origin[1], start, self.steps, slots))
-        elif isinstance(draws, Exception):
-            raise draws
+        elif error is not None:
+            raise error
+        else:  # copies the run owns, so the helper may write the next block
+            draws = [tuple(v.copy() for v in views) for views in _packed(self.buf, self.draws)]
         self.origin, self.start, self.slots, self.draws = origin, start, slots, draws
         if self.helper:
+            size = sum(a.nbytes for arrays in draws for a in arrays)
+            if self.proc is not None and size > len(self.buf):
+                self.close()
             if self.proc is None:
-                self._fork()
+                self._fork(size)
             self.next = (origin, start + self.steps * slots)
             self.conn.send((origin[0], origin[1], self.next[1], self.steps, slots, transform))
 
-    def _fork(self) -> None:
-        import multiprocessing  # loaded only where a helper starts
+    def _fork(self, size: int) -> None:
+        import mmap  # loaded, like multiprocessing, only where a helper starts
+        import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
+        self.buf = mmap.mmap(-1, max(1, size))  # anonymous and shared with the child
         self.conn, end = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve, args=(end, self.conn), daemon=True)
+        self.proc = ctx.Process(target=_serve, args=(end, self.conn, self.buf), daemon=True)
         self.proc.start()
         end.close()
 
@@ -197,7 +209,7 @@ class DrawAhead:
         if self.proc is not None:
             self.conn.close()
             self.proc.join()
-            self.conn = self.proc = self.next = None
+            self.conn = self.proc = self.buf = self.next = None
 
 
 def _units(seed: int, stream_id: int, start: int, steps: int, slots: int) -> np.ndarray:
@@ -205,19 +217,30 @@ def _units(seed: int, stream_id: int, start: int, steps: int, slots: int) -> np.
     return RngStream(seed, stream_id, start).uniform(0.0, 1.0, steps * slots).reshape(steps, -1)
 
 
-def _serve(conn, run_end) -> None:
+def _packed(buf, draws: list[tuple[np.ndarray, ...]]) -> list[tuple[np.ndarray, ...]]:
+    """Views of `buf` laid out like `draws`: its arrays one after another."""
+    offsets = accumulate((a.nbytes for arrays in draws for a in arrays), initial=0)
+    return [tuple(np.ndarray(a.shape, a.dtype, buf, next(offsets)) for a in arrays) for arrays in draws]
+
+
+def _serve(conn, run_end, buf) -> None:
     """A helper process: for each (seed, stream id, start, steps, slots,
-    transform) asked, send back the transform of that block's uniforms, or
-    what it raised. It stops quietly once the run's end of the pipe is
-    closed, by `close` or with the run's process; Ctrl-C reaches the run,
-    which then closes it."""
+    transform) asked, write the transform of that block's uniforms into
+    `buf`, its arrays one after another, and reply None, or send what it
+    raised. The arrays never cross the pipe: the run knows their layout.
+    It stops quietly once the run's end of the pipe is closed, by `close`
+    or with the run's process; Ctrl-C reaches the run, which then closes it."""
     run_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         while True:
             *block, transform = conn.recv()
+            reply = None
             try:
-                reply = transform(_units(*block))
+                draws = transform(_units(*block))
+                for views, arrays in zip(_packed(buf, draws), draws):
+                    for view, a in zip(views, arrays):
+                        view[...] = a
             except Exception as exc:
                 reply = exc
             conn.send(reply)

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from functools import partial
 
@@ -28,6 +29,8 @@ from .config import LoggingConfig, load_config
 from .loop import plan_run, replay_metrics, run_experiment, usable_cpus
 
 _VALIDATION_ERRORS = (ConfigError, MitigationError, SpecError, InvalidInputError, CheckpointError)
+# seconds a sweep waits between looks for a child that has ended
+REAP_POLL_S = 0.05
 
 
 def _parse_seed_range(text: str) -> range | list[int]:
@@ -90,11 +93,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """One `plastlab run` child per seed, at most one per CPU the sweep may
-    use (`usable_cpus()`) alive at once; children are reaped in seed order.
-    Where the platform can pin a process, child n runs on the sweep's CPU n
-    mod their count, so children alive together share no CPU. A child then
-    sees one CPU: it starts no draw-ahead helper and, where no BLAS thread
-    count is set, one BLAS thread."""
+    use (`usable_cpus()`) alive at once. Whichever child ends first is
+    reaped, and the next child takes the CPU it freed: where the platform
+    can pin a process, each child runs on one of the sweep's CPUs, so
+    children alive together share no CPU. A child then sees one CPU: it
+    starts no draw-ahead helper and, where no BLAS thread count is set, one
+    BLAS thread."""
     seeds = _parse_seed_range(args.seeds)
     cfg = load_config(args.config)  # fail fast on what `run` refuses, before spawning
     plan_run(cfg)
@@ -103,28 +107,34 @@ def _cmd_sweep(args) -> int:
         os.makedirs(base, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the sweep directory {base!r}: {exc}") from None
-    limit = usable_cpus()
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    live: list[tuple[int, subprocess.Popen]] = []
+    # a child's CPU, or None where children are not pinned
+    free = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None] * usable_cpus()
+    live: list[tuple[int, int | None, subprocess.Popen]] = []
     code = 0
 
     def reap() -> int:
-        seed, proc = live.pop(0)
-        rc = proc.wait()
-        if rc != 0:
-            print(f"seed {seed} exited with code {rc}", file=sys.stderr)
-        return rc
+        while True:
+            for seed, cpu, proc in live:
+                rc = proc.poll()
+                if rc is not None:
+                    live.remove((seed, cpu, proc))
+                    free.append(cpu)
+                    if rc != 0:
+                        print(f"seed {seed} exited with code {rc}", file=sys.stderr)
+                    return rc
+            time.sleep(REAP_POLL_S)
 
-    for n, seed in enumerate(seeds):
-        if len(live) >= limit:
+    for seed in seeds:
+        if not free:
             code = max(code, reap())
+        cpu = free.pop(0)
         out = os.path.join(base, f"seed{seed}")
         cmd = [
             sys.executable, "-m", "plastlab", "run", args.config,
             "--seed", str(seed), "--out", out,
         ]
-        pin = {"preexec_fn": partial(os.sched_setaffinity, 0, {cpus[n % len(cpus)]})} if cpus else {}
-        live.append((seed, subprocess.Popen(cmd, **pin)))
+        pin = {} if cpu is None else {"preexec_fn": partial(os.sched_setaffinity, 0, {cpu})}
+        live.append((seed, cpu, subprocess.Popen(cmd, **pin)))
     while live:
         code = max(code, reap())
     return code

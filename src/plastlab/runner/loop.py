@@ -192,7 +192,9 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     optimizer state), the forward and backward traces of the probe and update
     batches (four values per layer feature and row, six with LayerNorm), the
     learner's own buffers (its `footprint`), an init draw's work
-    and the draw-ahead holders. Each plasticity_injection firing adds two
+    and the draw-ahead holders: one per per-gradient-step shrink_perturb
+    entry, the first with its helper's blocks and their mapping, and the
+    probe's batches. Each plasticity_injection firing adds two
     copies of the head layer, counted at the most firings its trigger allows."""
     obs_dim, head_width = specs[0].in_dim, specs[-1].out_dim
     plan = build_plan(list(cfg.mitigations))
@@ -206,9 +208,11 @@ def footprint_bytes(cfg: ExperimentConfig, specs: tuple[LayerSpec, ...]) -> int:
     rows, own = LEARNERS[cfg.algo].footprint(cfg, obs_dim, head_width)
     values += (cfg.logging.probe_batch + rows) * (obs_dim + sum((4 + 2 * s.layer_norm) * s.width_out for s in specs))
     total = 8 * values + own + draw_work_bytes(specs) + DRAW_FIXED_BYTES
-    if any(e.method == "shrink_perturb" and e.trigger.kind == "per_gradient_step" for e in plan):
+    snp = sum(e.method == "shrink_perturb" and e.trigger.kind == "per_gradient_step" for e in plan)
+    if snp:  # one holder per entry; only the first may have a helper
         ahead = _init_ahead(specs, LEARNERS[cfg.algo].most_gradient_steps(cfg))
         total += ahead.steps * draw_work_bytes(specs, 2 * ahead.helper)
+        total += (snp - 1) * _init_ahead(specs, 0).steps * draw_work_bytes(specs)
     if cfg.scenario.family == "probe":
         total += _draw_ahead(batch_work_bytes(cfg.learner.batch_size)).steps * batch_work_bytes(cfg.learner.batch_size)
     return total

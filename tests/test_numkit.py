@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from plastlab.envs import PROBE_DIM, PROBE_OUT
 from plastlab.errors import DomainError, InvalidInputError
+from plastlab.learners import network_specs
+from plastlab.net import chain_slots, draw_layers, shape_layers
 from plastlab.numkit import DrawAhead, RngStream, erfi
 
 # the draws work on uint64 arrays in place, which must stay free of overflow
@@ -290,6 +294,60 @@ class TestDrawAheadHelper:
             ahead.close()
             assert ahead.next is None and ahead.proc is None
         assert multiprocessing.active_children() == []
+
+    def test_a_block_that_outgrows_the_mapping_gets_a_fresh_helper(self):
+        """A key whose block is larger than the mapping closes the helper and
+        forks one with a mapping that fits; a smaller block keeps it."""
+        stream, ref = RngStream(9, 2), RngStream(9, 2)
+        ahead, procs, pids = DrawAhead(4, helper=True), [], []
+        for slots in [3] * 5 + [6] * 5 + [2] * 5:  # the key is the width: 128, 224 and 96 bytes a block
+            ((got, pid),) = ahead.take(slots, stream, slots, _PidTransform())
+            assert got.tobytes() == ref.uniform(0.0, 1.0, slots).tobytes()
+            pids.append(int(pid))
+            procs += [ahead.proc] if ahead.proc not in procs else []
+        assert len(ahead.buf) == 224
+        ahead.close()
+        assert [p.exitcode for p in procs] == [0, 0] and multiprocessing.active_children() == []
+        here, first, second = os.getpid(), procs[0].pid, procs[1].pid
+        assert pids == [here] * 4 + [first] + [here] * 4 + [second] + [here] * 4 + [second]
+
+    def test_a_reply_carries_no_arrays(self, monkeypatch):
+        """The helper writes the probe net's blocks of inits into the shared
+        mapping: each reply the run's end of the pipe reads is under 1 KB,
+        against 352,512 bytes of draws, and the draws are those of one
+        draw per call."""
+        from multiprocessing.connection import Connection
+
+        read, real = [], Connection._recv_bytes  # recv and recv_bytes both read through it
+
+        def reading(conn, maxsize=None):
+            buf = real(conn, maxsize)
+            read.append(buf.getbuffer().nbytes)
+            return buf
+
+        monkeypatch.setattr(Connection, "_recv_bytes", reading)
+        specs = network_specs(PROBE_DIM, PROBE_OUT, (64, 64), "relu", False)
+        stream, ref, ahead = RngStream(0, 3), RngStream(0, 3), DrawAhead(8, helper=True)
+        for _ in range(40):
+            got = ahead.take(specs, stream, chain_slots(specs), partial(shape_layers, specs))
+            for pair, want in zip(got, draw_layers(specs, ref)):
+                assert [a.tobytes() for a in pair] == [a[0].tobytes() for a in want]
+        assert sum(a.nbytes for arrays in ahead.draws for a in arrays) == 352512
+        ahead.close()
+        assert len(read) == 4 and max(read) < 1024
+
+    def test_a_helper_starts_no_resource_tracker(self, monkeypatch):
+        """The mapping is anonymous: no multiprocessing.resource_tracker
+        process is asked for, as multiprocessing.shared_memory would."""
+        from multiprocessing import resource_tracker
+
+        asked = []
+        monkeypatch.setattr(resource_tracker.ResourceTracker, "ensure_running", lambda tracker: asked.append(1))
+        stream, ahead = RngStream(10, 2), DrawAhead(4, helper=True)
+        for _ in range(12):
+            ahead.take("k", stream, 3, _PidTransform())
+        ahead.close()
+        assert asked == []
 
     def test_a_holder_without_a_helper_starts_no_process(self):
         calls, stream = [], RngStream(6, 2)

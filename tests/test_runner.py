@@ -33,6 +33,7 @@ from plastlab.runner import (
     resolve_config,
     run_experiment,
 )
+from plastlab import numkit
 from plastlab.learners import c51, common, ppo, regression
 from plastlab.net import forward as net_forward
 from plastlab.runner import loop
@@ -741,6 +742,25 @@ class TestDrawAheadHelper:
             out.append(self._bytes(art))
         assert out[0] == out[1]
 
+    def test_plasticity_injection_keeps_one_helper_and_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        """Each plasticity_injection round freezes the last trainable head
+        branch and adds one, so soft shrink-and-perturb's draw keeps its
+        layout: the first helper's mapping fits every block, and the bytes
+        are those of a run without a helper."""
+        forks, real = [], numkit.DrawAhead._fork
+        monkeypatch.setattr(numkit.DrawAhead, "_fork", lambda ahead, size: forks.append(size) or real(ahead, size))
+        entries = ["plasticity_injection", {"method": "shrink_perturb", "trigger": "per_gradient_step"}]
+        out = []
+        for machine in ((2, 1), (1, 1)):
+            with monkeypatch.context() as patch:
+                _machine(patch, *machine)
+                art = run_experiment(_snp_probe_cfg(mitigations=entries), str(tmp_path / str(len(out))))
+            assert art.summary["trigger_fires"]["0:plasticity_injection:on_task_switch"] == 2
+            assert multiprocessing.active_children() == []
+            out.append(self._bytes(art))
+        assert len(forks) == 1
+        assert out[0] == out[1]
+
     @pytest.mark.parametrize("steps", [1, 8])
     def test_a_run_that_fits_in_one_block_starts_no_helper(self, steps, tmp_path, monkeypatch):
         _machine(monkeypatch, 2, 1)
@@ -751,12 +771,13 @@ class TestDrawAheadHelper:
     @pytest.mark.parametrize("cfg", [c51_cfg, partial(_snp_probe_cfg, total_steps=1)], ids=["c51", "probe-1-step"])
     def test_a_run_without_a_helper_loads_no_multiprocessing(self, cfg, tmp_path):
         """With one BLAS thread, as the benchmark runs, neither a C51 run nor
-        the probe's one-step set-up run pays for loading multiprocessing."""
+        the probe's one-step set-up run pays for loading multiprocessing or
+        mmap."""
         code = (
             "import sys\n"
             "from plastlab.runner import load_config, run_experiment\n"
             "run_experiment(load_config(sys.argv[1]), sys.argv[2])\n"
-            "print('multiprocessing' in sys.modules)\n"
+            "print('multiprocessing' in sys.modules, 'mmap' in sys.modules)\n"
         )
         (tmp_path / "exp.yaml").write_text(config_yaml(cfg()))
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -766,7 +787,7 @@ class TestDrawAheadHelper:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_platform_without_affinity_counts_cpus_by_cpu_count(self, cpus, tmp_path, monkeypatch):
@@ -851,6 +872,24 @@ class TestFootprint:
             tracemalloc.stop()
         est = _footprint(cfg)
         assert peak <= est <= 3 * peak, (peak, est)
+
+    @pytest.mark.parametrize("machine", [(2, 1), (1, 1)], ids=["helper", "no-helper"])
+    def test_estimate_bounds_the_traced_peak_of_24_soft_snp_entries(self, machine, tmp_path, monkeypatch):
+        """Each per-gradient-step shrink_perturb entry keeps a holder of
+        inits, and only the first may have a helper: the estimate counts
+        every holder."""
+        _machine(monkeypatch, *machine)
+        entries = [{"method": "shrink_perturb", "trigger": "per_gradient_step"}] * 24
+        cfg = _snp_probe_cfg(total_steps=40, network={"hidden": [64, 64]}, mitigations=entries)
+        run_experiment(cfg, str(tmp_path / "warm"))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, str(tmp_path / "run"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        est = _footprint(cfg)
+        assert peak <= est, (peak, est)
 
     def test_too_large_a_run_exits_2_before_its_directory(self, tmp_path, capsys):
         cfg = dict(golden.CONFIGS["c51_grid_standard"], total_steps=20)
@@ -1620,12 +1659,13 @@ class TestCli:
     @pytest.fixture
     def fake_popen(self, monkeypatch):
         """The sweep's Popen, faked: records each child's seed, the CPUs it
-        would be pinned to and the peak number alive; seed 2 exits with
-        code 3, every other seed with 0."""
+        would be pinned to, the peak number alive and the order they end. A
+        seed in `polls` ends at that poll, every other seed at its first;
+        seed 2 exits with code 3, every other seed with 0."""
         from plastlab.runner import cli
 
         class FakePopen:
-            live, peak, started, pins = [], [0], [], []
+            live, peak, started, pins, ended, polls = [], [0], [], [], [], {}
 
             def __init__(self, cmd, preexec_fn=None):
                 self.seed = int(cmd[cmd.index("--seed") + 1])
@@ -1633,12 +1673,18 @@ class TestCli:
                 self.pins.append(preexec_fn and preexec_fn.args[1])
                 self.live.append(self)
                 self.peak[0] = max(self.peak[0], len(self.live))
+                self.left = self.polls.get(self.seed, 1)
 
-            def wait(self):
+            def poll(self):
+                self.left -= 1
+                if self.left > 0:
+                    return None
                 self.live.remove(self)
+                self.ended.append(self.seed)
                 return 3 if self.seed == 2 else 0
 
         monkeypatch.setattr(cli.subprocess, "Popen", FakePopen)
+        monkeypatch.setattr(cli.time, "sleep", lambda s: None)
         return FakePopen
 
     def test_sweep_keeps_at_most_usable_cpus_children(self, tmp_path, monkeypatch, capsys, fake_popen):
@@ -1664,6 +1710,21 @@ class TestCli:
         main(["sweep", cfg, "--seeds", "0..4", "--out", str(tmp_path / "s")])
         # seed 3 starts once seed 0 is reaped, on the CPU seed 0 held
         assert fake_popen.pins == [{2}, {5}, {9}, {2}, {5}]
+
+    def test_sweep_pins_the_next_child_to_the_cpu_freed_first(self, tmp_path, monkeypatch, capsys, fake_popen):
+        """Seed 0 outlasts seeds 1, 2 and 3: each is reaped as it ends, and
+        the next child starts on the CPU it freed, not on seed 0's."""
+        from plastlab.runner import cli
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5, 2}, raising=False)
+        monkeypatch.setattr(cli.os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+        fake_popen.polls[0] = 4
+        cfg = self._write(tmp_path, "algo: regression\ntotal_steps: 10\n")
+        assert main(["sweep", cfg, "--seeds", "0..3", "--out", str(tmp_path / "s")]) == 3
+        assert fake_popen.ended == [1, 2, 3, 0]
+        assert fake_popen.pins == [{2}, {5}, {5}, {5}]
+        assert fake_popen.peak[0] == 2 and fake_popen.live == []
+        assert capsys.readouterr().err.strip() == "seed 2 exited with code 3"
 
     def test_sweep_without_pinning_starts_plain_children(self, tmp_path, monkeypatch, fake_popen):
         from plastlab.runner import cli
